@@ -149,8 +149,8 @@ def apply_observable(psi: WaveFunction, a: ObservableSpec,
     return np.fft.ifft(p**power * phi)
 
 
-def _expect_raw(psi: WaveFunction, op_amps: np.ndarray, dx: float) -> float:
-    val = complex(np.vdot(psi.amplitudes, op_amps)) * dx
+def _hermitian_real(val: complex) -> float:
+    """Real part of an expectation value, its imaginary residue checked."""
     if abs(val.imag) > HERMITICITY_TOL:
         raise NonHermitianResidue(
             f"imaginary residue {val.imag:.3g} exceeds {HERMITICITY_TOL}")
@@ -160,7 +160,9 @@ def _expect_raw(psi: WaveFunction, op_amps: np.ndarray, dx: float) -> float:
 def expectation(psi: WaveFunction, a: ObservableSpec,
                 params: PhysicalParams = PhysicalParams()) -> float:
     """<A> = (psi, A psi) with the hermiticity residue checked and discarded."""
-    return _expect_raw(psi, apply_observable(psi, a, params), psi.grid.dx)
+    op_amps = apply_observable(psi, a, params)
+    return _hermitian_real(complex(np.vdot(psi.amplitudes, op_amps))
+                           * psi.grid.dx)
 
 
 def _second_moment(psi: WaveFunction, a: ObservableSpec,
@@ -178,11 +180,9 @@ def _second_moment(psi: WaveFunction, a: ObservableSpec,
     return float(np.sum(p**power * weight))
 
 
-def std_dev(psi: WaveFunction, a: ObservableSpec,
-            params: PhysicalParams = PhysicalParams()) -> float:
+def _clamped_std(second_moment: float, mean: float) -> float:
     """sqrt(<A^2> - <A>^2), clamped at zero with a warning on real excursions."""
-    mean = expectation(psi, a, params)
-    var = _second_moment(psi, a, params) - mean**2
+    var = second_moment - mean**2
     if var < 0:
         if var < -VARIANCE_CLAMP_TOL:
             warnings.warn(
@@ -191,20 +191,45 @@ def std_dev(psi: WaveFunction, a: ObservableSpec,
     return float(np.sqrt(var))
 
 
+def std_dev(psi: WaveFunction, a: ObservableSpec,
+            params: PhysicalParams = PhysicalParams()) -> float:
+    """sqrt(<A^2> - <A>^2), clamped at zero with a warning on real excursions."""
+    return _clamped_std(_second_moment(psi, a, params),
+                        expectation(psi, a, params))
+
+
 def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
                    params: PhysicalParams = PhysicalParams()) -> PacketSummary:
-    """Moments, the support interval (<x> +- k std x / 2) and its mass."""
-    x_obs = ObservableSpec.position()
-    p_obs = ObservableSpec.momentum()
-    exp_x = expectation(psi, x_obs, params)
-    sx = std_dev(psi, x_obs, params)
-    exp_p = expectation(psi, p_obs, params)
-    sp = std_dev(psi, p_obs, params)
+    """Moments, the support interval (<x> +- k std x / 2) and its mass.
+
+    One fused pass with a single forward FFT phi = F a, for a = psi's
+    amplitudes, rho = |a|^2 and p = hbar k:
+
+        <x>   = Re vdot(a, x a) dx         <x^2> = sum(x^2 rho) dx
+        <p>   = Re vdot(phi, p phi) dx/N   <p^2> = sum(p^2 |phi|^2) dx/N
+
+    where dx/N is the Parseval weight (sum |phi|^2 dx/N = sum |a|^2 dx).
+    The imaginary parts of both first moments are checked against
+    HERMITICITY_TOL as in `expectation`, and the support mass reuses rho.
+    """
+    a = psi.amplitudes
+    x = psi.grid.x
+    dx = psi.grid.dx
+    exp_x = _hermitian_real(complex(np.vdot(a, x * a)) * dx)
+    rho = psi.probability_density()
+    sx = _clamped_std(float(np.sum(x**2 * rho)) * dx, exp_x)
+
+    phi = np.fft.fft(a)
+    p = params.hbar * psi.grid.k
+    weight = dx / psi.grid.n_points
+    exp_p = _hermitian_real(complex(np.vdot(phi, p * phi)) * weight)
+    sp = _clamped_std(float(np.sum(p**2 * (phi.real**2 + phi.imag**2)))
+                      * weight, exp_p)
+
     half = 0.5 * cfg.k * sx
     lo, hi = exp_x - half, exp_x + half
-    rho = psi.probability_density()
-    inside = (psi.grid.x >= lo) & (psi.grid.x <= hi)
-    mass = float(np.sum(rho[inside])) * psi.grid.dx
+    inside = (x >= lo) & (x <= hi)
+    mass = float(np.sum(rho[inside])) * dx
     return PacketSummary(exp_x=exp_x, std_x=sx, exp_p=exp_p, std_p=sp,
                          support=(lo, hi), mass_in_support=min(mass, 1.0))
 

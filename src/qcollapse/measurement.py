@@ -26,7 +26,7 @@ from .collapse import (
 from .diagnostics import (
     GateConfig,
     ObservableSpec,
-    OrderParameters,
+    order_parameters,
     packet_summary,
     wave_packet_gate,
 )
@@ -183,7 +183,7 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
         if observer is not None:
             observer(t, summaries)
         if len(summaries) >= 2:
-            ops = _order_params(summaries)
+            ops = order_parameters(summaries)
             series.append((t, ops.min_pairwise_separation, ops.critical_value))
 
     sample(0.0)
@@ -198,11 +198,6 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
         sample(i * dt)
     final = CompositeState(branches=tuple(branches))
     return final, detect_transition(series)
-
-
-def _order_params(summaries) -> OrderParameters:
-    from .diagnostics import order_parameters
-    return order_parameters(summaries)
 
 
 def detect_transition(series: Sequence[Tuple[float, float, float]]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,6 +18,9 @@ from .grid import Grid1D, PhysicalParams, WaveFunction
 # Allowed per-step drift of the norm from 1 before the step is declared
 # unstable (double-precision FFT round-off is orders of magnitude below).
 STEP_NORM_TOL = 1e-9
+# Entries per phase-factor cache: a run uses a handful of (grid, dt) and
+# (grid, shift) keys, and one entry is 16 * n_points bytes.
+PHASE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,22 @@ class Potential:
                 raise ValidationError("tabulated potential must be finite")
             table.flags.writeable = False
             object.__setattr__(self, "table", table)
+
+    def _key(self) -> tuple:
+        table = self.table
+        if table is not None:
+            table = (table.shape, table.tobytes())
+        return (self.kind, self.omega, self.center, self.barrier_height,
+                self.well_separation, table)
+
+    def __eq__(self, other) -> bool:
+        """Value equality; a tabulated table compares by shape and bytes."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def free() -> "Potential":
@@ -117,11 +137,32 @@ class EvolutionConfig:
                 f"dt={self.dt} exceeds 0.1 * (2 pi / omega) for omega={v.omega}")
 
 
+# Keyed on (grid, params, dt), all hashable values.  A Potential never
+# enters the key: the half-step potential factor is rebuilt per call, since
+# a branch's offset moves every step in the measurement chain.
+@lru_cache(maxsize=PHASE_CACHE_SIZE)
+def _kinetic_factor(grid: Grid1D, params: PhysicalParams,
+                    dt: float) -> np.ndarray:
+    """exp(-i hbar k^2 dt / 2m), shared read-only by every step with this key."""
+    kinetic = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
+    kinetic.flags.writeable = False
+    return kinetic
+
+
+# Keyed on (grid, shift): a translation involves no Potential, and each
+# measurement-chain branch translates by the same shift every step.
+@lru_cache(maxsize=PHASE_CACHE_SIZE)
+def _translation_phase(grid: Grid1D, shift: float) -> np.ndarray:
+    """exp(-i k shift), shared read-only by every translate with this key."""
+    phase = np.exp(-1j * grid.k * shift)
+    phase.flags.writeable = False
+    return phase
+
+
 def _phase_factors(grid: Grid1D, v: Potential, params: PhysicalParams,
                    dt: float):
     half_v = np.exp(-0.5j * v.values(grid, params) * dt / params.hbar)
-    kinetic = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
-    return half_v, kinetic
+    return half_v, _kinetic_factor(grid, params, dt)
 
 
 def _apply(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
@@ -162,4 +203,5 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
 def translate(psi: WaveFunction, shift: float) -> WaveFunction:
     """Rigid spectral translation psi(x) -> psi(x - shift); exactly unitary."""
     phi = np.fft.fft(psi.amplitudes)
-    return WaveFunction(psi.grid, np.fft.ifft(np.exp(-1j * psi.grid.k * shift) * phi))
+    phase = _translation_phase(psi.grid, shift)
+    return WaveFunction(psi.grid, np.fft.ifft(phase * phi))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,60 @@ class TestPacketSummary:
             s = packet_summary(gaussian(sigma=sigma), params=params)
             assert s.uncertainty_product >= 0.5 - 1e-9
             assert s.uncertainty_product == pytest.approx(0.5, rel=1e-6)
+
+
+def _close(got, want, tol=1e-12):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+class TestFusedPacketSummary:
+    """The one-FFT packet_summary against the expectation/std_dev path."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(c1=st.floats(-12.0, 12.0), s1=st.floats(0.4, 3.0),
+           p1=st.floats(-3.0, 3.0), d=st.floats(4.0, 16.0),
+           s2=st.floats(0.4, 3.0), p2=st.floats(-3.0, 3.0),
+           w=st.floats(0.0, 0.95), phase=st.floats(0.0, 2.0 * math.pi),
+           k=st.sampled_from([0.25, 1.0, 2.0, 3.5, 6.0]),
+           hbar=st.sampled_from([1.0, 0.5]))
+    def test_matches_reference_moments(self, c1, s1, p1, d, s2, p2, w, phase,
+                                       k, hbar):
+        grid = Grid1D(-40.0, 40.0, 1024)
+        params = PhysicalParams(hbar=hbar)
+        first = make_gaussian(grid, c1, s1, p1, params)
+        if w > 0.0:
+            second = make_gaussian(grid, c1 + d, s2, p2, params)
+            psi = superpose([(math.sqrt(1.0 - w), first),
+                             (math.sqrt(w) * complex(math.cos(phase),
+                                                     math.sin(phase)),
+                              second)])
+        else:
+            psi = first
+        s = packet_summary(psi, GateConfig(k=k), params)
+
+        x_obs, p_obs = ObservableSpec.position(), ObservableSpec.momentum()
+        exp_x = expectation(psi, x_obs, params)
+        std_x = std_dev(psi, x_obs, params)
+        assert _close(s.exp_x, exp_x)
+        assert _close(s.std_x, std_x)
+        assert _close(s.exp_p, expectation(psi, p_obs, params))
+        assert _close(s.std_p, std_dev(psi, p_obs, params))
+
+        lo, hi = exp_x - 0.5 * k * std_x, exp_x + 0.5 * k * std_x
+        assert _close(s.support[0], lo) and _close(s.support[1], hi)
+        inside = (grid.x >= lo) & (grid.x <= hi)
+        mass = float(np.sum(psi.probability_density()[inside])) * grid.dx
+        assert _close(s.mass_in_support, min(mass, 1.0))
+
+    def test_variance_clamp_is_shared(self):
+        from qcollapse.diagnostics import VARIANCE_CLAMP_TOL, _clamped_std
+        assert _clamped_std(5.0, 2.0) == pytest.approx(1.0)
+        # round-off below the tolerance clamps silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _clamped_std(4.0 - 0.1 * VARIANCE_CLAMP_TOL, 2.0) == 0.0
+        with pytest.warns(RuntimeWarning, match="negative variance"):
+            assert _clamped_std(4.0 - 10.0 * VARIANCE_CLAMP_TOL, 2.0) == 0.0
 
 
 def _positive_position_for(summary, eta=10.0):

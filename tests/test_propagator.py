@@ -7,6 +7,7 @@ from qcollapse import (
     EvolutionConfig,
     Grid1D,
     ObservableSpec,
+    PhysicalParams,
     Potential,
     evolve,
     expectation,
@@ -15,8 +16,10 @@ from qcollapse import (
     std_dev,
     step,
     superpose,
+    translate,
 )
 from qcollapse.errors import ValidationError
+from qcollapse.propagate import _kinetic_factor, _translation_phase
 
 from conftest import l2_distance
 from oracles import expm_step_oracle
@@ -131,6 +134,67 @@ class TestConfigs:
             Potential.harmonic(omega=-1.0)
         with pytest.raises(ValidationError):
             Potential.tabulated([np.inf] * 64)
+
+
+class TestPhaseCaches:
+    def test_cached_factors_are_read_only(self, grid, params):
+        for factor in (_kinetic_factor(grid, params, 0.01),
+                       _translation_phase(grid, 1.5)):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0] = 0.0
+
+    def test_distinct_keys_never_alias(self, grid, params):
+        other_grid = Grid1D(-40.0, 40.0, 2048)
+        heavy = PhysicalParams(mass=2.0)
+        kinetic = [_kinetic_factor(grid, params, 0.01),
+                   _kinetic_factor(other_grid, params, 0.01),
+                   _kinetic_factor(grid, heavy, 0.01),
+                   _kinetic_factor(grid, params, -0.01)]
+        assert kinetic[1].shape == (2048,)
+        for i, a in enumerate(kinetic):
+            for b in kinetic[i + 1:]:
+                assert a.shape != b.shape or not np.array_equal(a, b)
+        assert np.array_equal(kinetic[3], np.conj(kinetic[0]))
+
+        phases = [_translation_phase(grid, 0.7),
+                  _translation_phase(grid, -0.7),
+                  _translation_phase(other_grid, 0.7)]
+        assert not np.array_equal(phases[0], phases[1])
+        assert np.array_equal(phases[1], np.conj(phases[0]))
+        assert phases[2].shape == (2048,)
+
+    def test_equal_keys_share_one_array(self, grid, params):
+        same_grid = Grid1D(grid.x_min, grid.x_max, grid.n_points)
+        assert (_kinetic_factor(grid, params, 0.02)
+                is _kinetic_factor(same_grid, PhysicalParams(), 0.02))
+        assert _translation_phase(grid, 0.3) is _translation_phase(same_grid, 0.3)
+
+    def test_translate_round_trip(self, gaussian):
+        psi = gaussian(center=-3.0, sigma=1.2, momentum=0.8)
+        for s in (0.37, 5.0, -2.25):
+            moved = translate(psi, s)
+            assert expectation(moved, X) == pytest.approx(-3.0 + s, abs=1e-9)
+            back = translate(moved, -s)
+            assert np.max(np.abs(back.amplitudes - psi.amplitudes)) <= 1e-12
+
+
+class TestPotentialValueSemantics:
+    def test_tabulated_equality_and_hash(self):
+        table = np.linspace(0.0, 1.0, 64)
+        a = Potential.tabulated(table)
+        b = Potential.tabulated(table.copy())
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Potential.tabulated(table + 1.0)
+        assert a != Potential.tabulated(table.reshape(8, 8))
+        assert a != Potential.free()
+
+    def test_analytic_kinds_keep_field_equality(self):
+        assert Potential.harmonic(1.0) == Potential.harmonic(1.0)
+        assert hash(Potential.harmonic(1.0)) == hash(Potential.harmonic(1.0))
+        assert Potential.harmonic(1.0) != Potential.harmonic(1.0, center=2.0)
+        assert Potential.harmonic(1.0) != "harmonic"
 
 
 class TestDoubleWell:
