@@ -66,6 +66,8 @@ def _simulate(args) -> int:
 
 def _sample(args) -> int:
     import dataclasses
+    if args.n_runs < 1:
+        raise ValidationError(f"--n-runs must be at least 1, got {args.n_runs}")
     cfg = load_config(args.config)
     if cfg.seed is None:
         raise ValidationError("sample requires a seeded config")
@@ -84,6 +86,7 @@ def _sample(args) -> int:
         "runs": [m.run_dir for m in results],
         "generator": RNG_ALGORITHM,
     }
+    root.mkdir(parents=True, exist_ok=True)
     path = root / f"aggregate-{cfg.scenario}.json"
     path.write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
     print(f"aggregate: {path}")

@@ -7,6 +7,7 @@ coefficient moduli; sampling is fully deterministic given a seed.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -84,6 +85,18 @@ class SuperpositionDecomposition:
     def probabilities(self) -> np.ndarray:
         return geometric_probabilities(self)
 
+    @cached_property
+    def branch_cdf(self) -> Tuple[float, ...]:
+        """Cumulative geometric probabilities, the inverse-CDF table."""
+        return tuple(np.cumsum(self.probabilities).tolist())
+
+    @cached_property
+    def weights(self) -> Tuple[float, ...]:
+        """The Born weights |c_n|^2 in coefficient index order."""
+        # abs of each numpy complex scalar: the array ufunc may round the
+        # modulus differently in the last bit.
+        return tuple(float(abs(c) ** 2) for c in self.coefficients)
+
 
 def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
               cfg: GateConfig = GateConfig(),
@@ -130,26 +143,13 @@ def _check_weak_interference(decomp: SuperpositionDecomposition) -> None:
 def reduced_intervals(decomp: SuperpositionDecomposition) -> List[ReducedInterval]:
     """Width |c_n|^2 * std_n x around the unchanged branch center.
 
-    Re-verifies the local average-conservation identity
-    |c_n|^2 A(<x>_n) std_n = A(<x>_n) width_n for A = x + C.
+    Raises NotWeaklyInterfering unless every branch pair is separated and
+    overlaps by at most BRANCH_OVERLAP_TOL.
     """
     _check_weak_interference(decomp)
-    out = []
-    for c, _, summary in decomp.branches:
-        w = abs(c) ** 2 * summary.std_x
-        a_val = summary.exp_x + _positive_shift(decomp)
-        lhs = abs(c) ** 2 * a_val * summary.std_x
-        rhs = a_val * w
-        if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
-            raise ValidationError("local average-conservation identity broken")
-        out.append(ReducedInterval(center=summary.exp_x, width=w))
-    return out
-
-
-def _positive_shift(decomp: SuperpositionDecomposition) -> float:
-    """A constant making A(x) = x + C positive at every branch center."""
-    min_center = min(s.exp_x for s in decomp.summaries)
-    return max(0.0, 1.0 - min_center)
+    return [ReducedInterval(center=summary.exp_x,
+                            width=abs(c) ** 2 * summary.std_x)
+            for c, _, summary in decomp.branches]
 
 
 def geometric_probabilities(decomp: SuperpositionDecomposition) -> np.ndarray:
@@ -174,19 +174,20 @@ def measure_quotients(decomp: SuperpositionDecomposition) -> np.ndarray:
 
 def sample_collapse(decomp: SuperpositionDecomposition,
                     seed: int) -> CollapseEvent:
-    """Inverse-CDF sample of the realized branch on a seeded PCG64 stream.
+    """Inverse-CDF sample of the realized branch on its own seeded stream.
 
-    Branch intervals are half-open [lo, hi) in coefficient index order, so
-    identical (decomp, seed) always give an identical event.
+    Each event draws one u = default_rng(seed).random() from a fresh PCG64
+    stream and looks it up in the branch CDF that the decomposition builds
+    once.  Branch intervals are half-open [lo, hi) in coefficient index
+    order, so identical (decomp, seed) always give an identical event; an
+    ensemble gives event i the stream of seed + i.
     """
-    p = decomp.probabilities
+    cdf = decomp.branch_cdf
     u = np.random.default_rng(seed).random()
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, len(p) - 1)
-    posterior = tuple(1.0 if i == idx else 0.0 for i in range(len(p)))
-    return CollapseEvent(branch_index=idx,
-                         probability=float(abs(decomp.coefficients[idx]) ** 2),
+    d = len(cdf)
+    idx = min(bisect_right(cdf, u), d - 1)
+    posterior = (0.0,) * idx + (1.0,) + (0.0,) * (d - 1 - idx)
+    return CollapseEvent(branch_index=idx, probability=decomp.weights[idx],
                          seed=seed, a_posteriori=posterior)
 
 

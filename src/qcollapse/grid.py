@@ -8,6 +8,7 @@ reject states that put noticeable mass near the boundary.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,7 @@ from .errors import (
     EmptySuperposition,
     GridMismatch,
     GridTooCoarse,
+    ParseError,
     ValidationError,
 )
 
@@ -26,6 +28,8 @@ NORM_TOL = 1e-10
 # grid, since periodic wrap-around would corrupt weak-interference tests.
 EDGE_MASS_TOL = 1e-8
 EDGE_FRACTION = 0.05
+# Snapshot line 2; np.loadtxt skips it as a comment.
+_GRID_LINE = re.compile(r"# grid x_min=(\S+) x_max=(\S+) n_points=(\d+)")
 
 
 @dataclass(frozen=True)
@@ -163,18 +167,29 @@ def superpose(branches) -> WaveFunction:
 
 
 def write_snapshot(psi: WaveFunction, path) -> None:
-    """CSV snapshot `x,re,im`, one row per grid point, 17 significant digits."""
+    """CSV snapshot `x,re,im`, one row per grid point, 17 significant digits.
+
+    A `# grid x_min=... x_max=... n_points=...` comment line follows the
+    header, so the grid reads back exactly rather than from printed x.
+    """
+    g = psi.grid
     with open(path, "w") as fh:
         fh.write("x,re,im\n")
-        for x, a in zip(psi.grid.x, psi.amplitudes):
+        fh.write(f"# grid x_min={g.x_min:.17g} x_max={g.x_max:.17g} "
+                 f"n_points={g.n_points}\n")
+        for x, a in zip(g.x, psi.amplitudes):
             fh.write(f"{x:.17g},{a.real:.17g},{a.imag:.17g}\n")
 
 
 def read_snapshot(path) -> WaveFunction:
     """Read a CSV snapshot written by write_snapshot."""
+    with open(path) as fh:
+        fh.readline()
+        grid_line = fh.readline().rstrip("\n")
+    match = _GRID_LINE.fullmatch(grid_line)
+    if match is None:
+        raise ParseError(f"{path}: line 2 is not a grid line: {grid_line!r}")
+    grid = Grid1D(x_min=float(match[1]), x_max=float(match[2]),
+                  n_points=int(match[3]))
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    x = data[:, 0]
-    dx = x[1] - x[0]
-    grid = Grid1D(x_min=float(x[0]), x_max=float(x[0] + dx * len(x)),
-                  n_points=len(x))
     return WaveFunction(grid, data[:, 1] + 1j * data[:, 2])

@@ -445,6 +445,31 @@ def _binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+def _sample_ensemble(cfg, decomp, path: Path, manifest) -> List[float]:
+    """Sample cfg.n_samples collapse events, event i on seed cfg.seed + i.
+
+    Writes one JSON line per event to `path`, checks every branch frequency
+    against its 3-sigma binomial band and returns the frequencies.
+    """
+    counts = [0] * len(decomp)
+    lines = []
+    for seed in range(cfg.seed, cfg.seed + cfg.n_samples):
+        event = sample_collapse(decomp, seed)
+        counts[event.branch_index] += 1
+        # Same bytes as json.dumps of {"seed", "branch", "p"}: a finite
+        # float encodes as its repr.
+        lines.append(f'{{"seed": {event.seed}, "branch": '
+                     f'{event.branch_index}, "p": {event.probability!r}}}')
+    path.write_text("\n".join(lines) + "\n")
+    manifest.artifacts.append(path.name)
+    freqs = [c / cfg.n_samples for c in counts]
+    for i, (pi, fi) in enumerate(zip(decomp.probabilities, freqs)):
+        tol = _binomial_3sigma(float(pi), cfg.n_samples)
+        _check(manifest, f"branch_{i}_frequency", abs(fi - pi) <= tol,
+               f"freq {fi:.5f} vs p {pi:.5f} (3-sigma {tol:.5f})")
+    return freqs
+
+
 def _run_collapse_sample(cfg, run_dir, manifest):
     packets = _branch_packets(cfg)
     psi = superpose(zip(cfg.coefficients, packets))
@@ -457,23 +482,8 @@ def _run_collapse_sample(cfg, run_dir, manifest):
                              for x in collapse_mod.measure_quotients(decomp)],
         "generator": RNG_ALGORITHM,
     }, indent=2, sort_keys=True) + "\n")
-
-    counts = np.zeros(len(p), dtype=int)
-    lines = []
-    for i in range(cfg.n_samples):
-        event = sample_collapse(decomp, cfg.seed + i)
-        counts[event.branch_index] += 1
-        lines.append(json.dumps({"seed": event.seed,
-                                 "branch": event.branch_index,
-                                 "p": event.probability}))
-    (run_dir / "collapse.jsonl").write_text("\n".join(lines) + "\n")
-    manifest.artifacts += ["probabilities.json", "collapse.jsonl"]
-
-    freqs = counts / cfg.n_samples
-    for i, (pi, fi) in enumerate(zip(p, freqs)):
-        tol = _binomial_3sigma(float(pi), cfg.n_samples)
-        _check(manifest, f"branch_{i}_frequency", abs(fi - pi) <= tol,
-               f"freq {fi:.5f} vs p {pi:.5f} (3-sigma {tol:.5f})")
+    manifest.artifacts.append("probabilities.json")
+    _sample_ensemble(cfg, decomp, run_dir / "collapse.jsonl", manifest)
 
 
 def _measurement_setup(cfg):
@@ -551,30 +561,17 @@ def _run_born_ensemble(cfg, run_dir, manifest):
     _check(manifest, "transition_detected", report.t_star is not None,
            f"t_star = {report.t_star}")
     decomp = apparatus_decomposition(evolved, cfg.gate, cfg.physics)
-    p = decomp.probabilities
-    counts = np.zeros(len(p), dtype=int)
-    lines = []
-    for i in range(cfg.n_samples):
-        event = sample_collapse(decomp, cfg.seed + i)
-        counts[event.branch_index] += 1
-        lines.append(json.dumps({"seed": event.seed,
-                                 "branch": event.branch_index,
-                                 "p": event.probability}))
-    (run_dir / "outcomes.jsonl").write_text("\n".join(lines) + "\n")
-    freqs = counts / cfg.n_samples
-    for i, (pi, fi) in enumerate(zip(p, freqs)):
-        tol = _binomial_3sigma(float(pi), cfg.n_samples)
-        _check(manifest, f"branch_{i}_frequency", abs(fi - pi) <= tol,
-               f"freq {fi:.5f} vs p {pi:.5f} (3-sigma {tol:.5f})")
+    freqs = _sample_ensemble(cfg, decomp, run_dir / "outcomes.jsonl",
+                             manifest)
     summary_doc = {
         "object_dim": len(cfg.coefficients),
         "coefficients": [[c.real, c.imag] for c in cfg.coefficients],
         "t_star": report.t_star,
         "critical_value": report.series[-1][2] if report.series else None,
         "n_samples": cfg.n_samples,
-        "frequencies": [float(f) for f in freqs],
+        "frequencies": freqs,
         "seed": cfg.seed,
     }
     (run_dir / "summary.json").write_text(
         json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
-    manifest.artifacts += ["outcomes.jsonl", "summary.json"]
+    manifest.artifacts.append("summary.json")

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from qcollapse import (
     sample_collapse,
     superpose,
 )
-from qcollapse.collapse import RNG_ALGORITHM
+from qcollapse.collapse import RNG_ALGORITHM, SuperpositionDecomposition
 from qcollapse.errors import (
     IndexOutOfRange,
     NotWeaklyInterfering,
@@ -27,6 +29,33 @@ from qcollapse.errors import (
 )
 
 from conftest import l2_distance
+
+
+@lru_cache(maxsize=None)
+def _separated_packets(d):
+    grid = Grid1D(-48.0, 48.0, 512)
+    return tuple(make_gaussian(grid, x0, 1.0, 0.0, PhysicalParams())
+                 for x0 in (-32.0, -16.0, 0.0, 16.0, 32.0)[:d])
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _reference_event(decomp, seed):
+    """The inverse-CDF draw with a CDF rebuilt by numpy on every call."""
+    p = decomp.probabilities
+    u = np.random.default_rng(seed).random()
+    idx = min(int(np.searchsorted(np.cumsum(p), u, side="right")), len(p) - 1)
+    return CollapseEvent(
+        branch_index=idx,
+        probability=float(abs(decomp.coefficients[idx]) ** 2),
+        seed=seed,
+        a_posteriori=tuple(1.0 if i == idx else 0.0 for i in range(len(p))))
 
 
 @pytest.fixture
@@ -176,6 +205,54 @@ class TestSampling:
         e = sample_collapse(cat_decomp, 7)
         assert sum(e.a_posteriori) == 1.0
         assert e.a_posteriori[e.branch_index] == 1.0
+
+    @settings(deadline=None, max_examples=30)
+    @given(raw=st.lists(st.floats(0.02, 1.0), min_size=2, max_size=5),
+           phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=5,
+                           max_size=5),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                          max_size=25))
+    def test_matches_reference_sampler(self, raw, phases, seeds):
+        w = np.array(raw) / sum(raw)
+        c = np.sqrt(w) * np.exp(1j * np.array(phases[:len(w)]))
+        basis = _separated_packets(len(w))
+        decomp = decompose(superpose(zip(c, basis)), basis)
+        for seed in seeds:
+            assert sample_collapse(decomp, seed) == \
+                _reference_event(decomp, seed)
+
+    def test_cdf_boundaries_match_searchsorted(self, monkeypatch):
+        c = np.sqrt([0.2, 0.3, 0.5])
+        basis = _separated_packets(3)
+        decomp = decompose(superpose(zip(c, basis)), basis)
+        cdf = decomp.branch_cdf
+        draws = [0.0, cdf[0], np.nextafter(cdf[0], 0.0), cdf[1],
+                 cdf[-1], np.nextafter(cdf[-1], 2.0),
+                 np.nextafter(1.0, 0.0)]
+        for u in draws:
+            # Both samplers draw from default_rng(seed).random() only.
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed, u=float(u): _FixedDraw(u))
+            assert sample_collapse(decomp, 0) == _reference_event(decomp, 0)
+
+    def test_cdf_and_weights_cached_as_tuples(self, cat_decomp, monkeypatch):
+        cdf, weights = cat_decomp.branch_cdf, cat_decomp.weights
+        assert isinstance(cdf, tuple) and isinstance(weights, tuple)
+        assert cdf == pytest.approx([0.36, 1.0], abs=1e-8)
+        assert weights == pytest.approx((0.36, 0.64), abs=1e-8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cat_decomp.branch_cdf = (1.0, 1.0)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("branch table rebuilt")
+
+        monkeypatch.setattr(np, "cumsum", fail)
+        monkeypatch.setattr(SuperpositionDecomposition, "coefficients",
+                            property(fail))
+        for seed in range(10):
+            sample_collapse(cat_decomp, seed)
+        assert cat_decomp.branch_cdf is cdf
+        assert cat_decomp.weights is weights
 
     def test_empirical_frequencies(self, cat_decomp):
         n = 2000

@@ -16,6 +16,7 @@ from qcollapse.errors import (
     EmptySuperposition,
     GridMismatch,
     GridTooCoarse,
+    ParseError,
     ValidationError,
 )
 from qcollapse.grid import read_snapshot, write_snapshot
@@ -198,3 +199,22 @@ class TestSnapshot:
         back = read_snapshot(path)
         assert back.grid == psi.grid
         assert np.array_equal(back.amplitudes, psi.amplitudes)
+
+    def test_roundtrip_keeps_grid_with_unprintable_spacing(self, params,
+                                                          tmp_path):
+        # x_max - x_min is not recoverable from the printed x column here.
+        grid = Grid1D(-40.1, 120.3, 1024)
+        psi = make_gaussian(grid, 20.0, 2.0, 0.0, params)
+        path = tmp_path / "state.csv"
+        write_snapshot(psi, path)
+        back = read_snapshot(path)
+        assert back.grid == grid
+        assert inner_product(back, psi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_missing_grid_line_rejected(self, gaussian, tmp_path):
+        path = tmp_path / "state.csv"
+        write_snapshot(gaussian(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "".join(lines[2:]))
+        with pytest.raises(ParseError):
+            read_snapshot(path)

@@ -45,6 +45,14 @@ evolution: {dt: 0.01, record_every: 50}
 """
 
 
+def assert_canonical_jsonl(path):
+    """Every line is exactly what json.dumps writes for its record."""
+    lines = path.read_text().splitlines()
+    assert lines
+    for line in lines:
+        assert line == json.dumps(json.loads(line))
+
+
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config(FREE)
@@ -129,6 +137,7 @@ class TestScenarioRuns:
                    (run_dir / "collapse.jsonl").read_text().splitlines()]
         assert len(records) == 400
         assert records[0]["seed"] == 7
+        assert_canonical_jsonl(run_dir / "collapse.jsonl")
 
     def test_measurement_run(self, tmp_path):
         manifest = run(parse_config(MEASUREMENT), str(tmp_path))
@@ -146,6 +155,7 @@ class TestScenarioRuns:
         doc = json.loads((run_dir / "summary.json").read_text())
         assert doc["n_samples"] == 1500
         assert sum(doc["frequencies"]) == pytest.approx(1.0, abs=1e-12)
+        assert_canonical_jsonl(run_dir / "outcomes.jsonl")
 
     def test_narrow_coupling_fails_before_stepping(self, tmp_path):
         cfg = parse_config(MEASUREMENT.replace("d_sep: 10.0", "d_sep: 2.0"))
@@ -214,6 +224,16 @@ class TestCli:
             (tmp_path / "runs" / "aggregate-collapse_sample.json").read_text())
         assert doc["n_runs"] == 3 and doc["n_pass"] == 3
         assert len(doc["runs"]) == 3
+
+    @pytest.mark.parametrize("n_runs", ["0", "-1"])
+    def test_sample_rejects_non_positive_n_runs(self, tmp_path, capsys,
+                                                n_runs):
+        out = tmp_path / "runs"
+        rc = main(["sample", self._write(tmp_path, COLLAPSE),
+                   "--n-runs", n_runs, "--out", str(out)])
+        assert rc == 2
+        assert "--n-runs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_check_exit_0(self, capsys):
         assert main(["check"]) == 0
