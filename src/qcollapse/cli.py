@@ -6,6 +6,7 @@ Exit codes: 0 all assertions pass, 1 assertion failure or runtime error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from .diagnostics import packet_summary
 from .errors import ParseError, QCollapseError, ValidationError
 from .grid import Grid1D, PhysicalParams, make_gaussian, superpose
 from .propagate import EvolutionConfig, Potential, evolve
-from .scenarios import load_config, run
+from .scenarios import load_config, resolve_output_root, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", type=Path, default=None)
 
-    samp = sub.add_parser("sample", help="run a scenario K times with "
-                          "consecutive seeds and aggregate")
+    samp = sub.add_parser("sample", help="run a scenario K times, member k "
+                          "on seed + k * n_samples, and aggregate")
     samp.add_argument("config", type=Path)
     samp.add_argument("--n-runs", type=int, required=True)
     samp.add_argument("--out", type=Path, default=None)
@@ -53,7 +54,6 @@ def _print_manifest(manifest) -> None:
 def _simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        import dataclasses
         cfg = dataclasses.replace(cfg, seed=args.seed,
                                   echo={**cfg.echo, "seed": args.seed})
     manifest = run(cfg, str(args.out) if args.out else None)
@@ -65,20 +65,19 @@ def _simulate(args) -> int:
 
 
 def _sample(args) -> int:
-    import dataclasses
     if args.n_runs < 1:
         raise ValidationError(f"--n-runs must be at least 1, got {args.n_runs}")
     cfg = load_config(args.config)
     if cfg.seed is None:
         raise ValidationError("sample requires a seeded config")
     results = []
-    for i in range(args.n_runs):
-        member = dataclasses.replace(cfg, seed=cfg.seed + i,
-                                     echo={**cfg.echo, "seed": cfg.seed + i})
+    for k in range(args.n_runs):  # disjoint blocks of n_samples event seeds
+        seed_k = cfg.seed + k * cfg.n_samples
+        member = dataclasses.replace(cfg, seed=seed_k,
+                                     echo={**cfg.echo, "seed": seed_k})
         manifest = run(member, str(args.out) if args.out else None)
         results.append(manifest)
         _print_manifest(manifest)
-    from .scenarios import resolve_output_root
     root = resolve_output_root(cfg, str(args.out) if args.out else None)
     aggregate = {
         "n_runs": args.n_runs,

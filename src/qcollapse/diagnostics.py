@@ -234,6 +234,20 @@ def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
                          support=(lo, hi), mass_in_support=min(mass, 1.0))
 
 
+def positive_position(summary: PacketSummary) -> ObservableSpec:
+    """A(x) = x + C with the smallest C (plus one width) keeping A positive.
+
+    C = max(0, std x / 10 - lo) + std x, where lo = summary.support[0] is the
+    lower end of the interval the gate probes, so `summary` must be taken
+    with the gate's own config.  Keeping the shift minimal is what lets the
+    dominance ratio discriminate: a narrow packet at center >> width passes,
+    while a broad or multi-humped state has |<A>| comparable to its own
+    width and fails.
+    """
+    lo, sx = summary.support[0], summary.std_x
+    return ObservableSpec.position(max(0.0, 0.1 * sx - lo) + sx)
+
+
 def wave_packet_gate(psi: WaveFunction, observables: Sequence[ObservableSpec],
                      cfg: GateConfig = GateConfig(),
                      params: PhysicalParams = PhysicalParams()) -> GateVerdict:
@@ -345,24 +359,12 @@ def ehrenfest_residual(trajectory: Sequence[Tuple[float, WaveFunction]],
 
     dxdt = (exp_x[2:] - exp_x[:-2]) / (2.0 * dt)
     dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)
-    grad_at_mean = _gradient_at(v, exp_x[1:-1], params)
     return EhrenfestResiduals(
         times=times[1:-1],
         residual_x=np.abs(params.mass * dxdt - exp_p[1:-1]),
         residual_p=np.abs(dpdt + exp_f[1:-1]),
-        residual_newton=np.abs(dpdt + grad_at_mean),
+        residual_newton=np.abs(dpdt + v.gradient_at(exp_x[1:-1], params)),
     )
-
-
-def _gradient_at(v: Potential, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    if v.kind == "free":
-        return np.zeros_like(x)
-    if v.kind == "harmonic":
-        return params.mass * v.omega**2 * (x - v.center)
-    if v.kind == "double_well":
-        a = 0.5 * v.well_separation
-        return v.barrier_height * 4.0 * (x / a**2) * ((x / a) ** 2 - 1.0)
-    raise ValidationError("Newtonian residual needs an analytic potential")
 
 
 def coefficient_moduli(psi: WaveFunction, basis: Sequence[WaveFunction]

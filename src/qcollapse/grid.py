@@ -113,8 +113,9 @@ class WaveFunction:
     def edge_mass(self) -> float:
         """Probability mass in the outer 5% of the grid (both sides)."""
         n_edge = max(1, int(self.grid.n_points * EDGE_FRACTION))
-        rho = self.probability_density()
-        return float(rho[:n_edge].sum() + rho[-n_edge:].sum()) * self.grid.dx
+        lo, hi = self.amplitudes[:n_edge], self.amplitudes[-n_edge:]
+        return float((lo.real**2 + lo.imag**2).sum()
+                     + (hi.real**2 + hi.imag**2).sum()) * self.grid.dx
 
 
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:

@@ -25,18 +25,20 @@ from .collapse import (
 )
 from .diagnostics import (
     GateConfig,
-    ObservableSpec,
     order_parameters,
     packet_summary,
+    positive_position,
     wave_packet_gate,
 )
 from .errors import (
     ApparatusNotReady,
+    BoundaryClipping,
     TransitionNotReached,
     ValidationError,
 )
-from .grid import PhysicalParams, WaveFunction, inner_product, superpose
-from .propagate import Potential, step, translate
+from .grid import (EDGE_MASS_TOL, PhysicalParams, WaveFunction,
+                   inner_product, superpose)
+from .propagate import EvolutionConfig, Potential, step, translate
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,26 +139,13 @@ def premeasurement(obj: ObjectState, apparatus_ready: WaveFunction,
                    gate_cfg: GateConfig = GateConfig(),
                    params: PhysicalParams = PhysicalParams()) -> CompositeState:
     """Product state: every object branch shares the ready apparatus packet."""
-    verdict = wave_packet_gate(apparatus_ready, [_positive_position(
-        apparatus_ready, gate_cfg, params)], gate_cfg, params)
+    summary = packet_summary(apparatus_ready, gate_cfg, params)
+    verdict = wave_packet_gate(apparatus_ready, [positive_position(summary)],
+                               gate_cfg, params)
     if not verdict.is_wave_packet:
         raise ApparatusNotReady("apparatus state fails the wave-packet gate")
     return CompositeState(branches=tuple(
         (n, c, apparatus_ready) for n, c in enumerate(obj.amplitudes)))
-
-
-def _positive_position(psi: WaveFunction, cfg: GateConfig,
-                       params: PhysicalParams) -> ObservableSpec:
-    """A(x) = x + C with the smallest C (plus one width) keeping A positive.
-
-    Keeping the shift minimal is what lets the dominance ratio discriminate:
-    a narrow packet at center >> width passes, while a broad or multi-humped
-    state has |<A>| comparable to its own width and fails.
-    """
-    summary = packet_summary(psi, cfg, params)
-    lo = summary.exp_x - 3.0 * summary.std_x
-    shift = max(0.0, 0.1 * summary.std_x - lo) + summary.std_x
-    return ObservableSpec.position(shift)
 
 
 def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
@@ -168,10 +157,11 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     potential carried along in the branch's co-moving frame, so confining
     potentials hold the packet shape while its center translates.  The
     coefficients are carried unchanged.  `observer`, if given, receives
-    (t, per-branch PacketSummary list) at every step.
+    (t, per-branch PacketSummary list) at every step.  As in `evolve`, dt
+    must be positive and resolve a harmonic period; as in `make_gaussian`,
+    no branch may put more than EDGE_MASS_TOL in the grid's edge region.
     """
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
+    EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
     cfg.validate_apparatus(packet_summary(state.apparatus_states[0]).std_x)
     n_steps = int(round(cfg.tau / dt))
     branches = [(n, c, s) for n, c, s in state.branches]
@@ -179,6 +169,10 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     series: list = []
 
     def sample(t: float) -> None:
+        for n, _, s in branches:
+            if s.edge_mass() > EDGE_MASS_TOL:
+                raise BoundaryClipping(f"branch {n} edge mass "
+                                       f"{s.edge_mass():.3g} at t={t}")
         summaries = [packet_summary(s) for _, _, s in branches]
         if observer is not None:
             observer(t, summaries)

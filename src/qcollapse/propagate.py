@@ -95,16 +95,21 @@ class Potential:
             raise ValidationError("tabulated potential does not match grid")
         return table
 
-    def gradient(self, grid: Grid1D, params: PhysicalParams) -> np.ndarray:
-        """dV/dx; symbolic for polynomial kinds, spectral for tabulated."""
-        x = grid.x
+    def gradient_at(self, x, params: PhysicalParams) -> np.ndarray:
+        """Analytic dV/dx at any x; a tabulated potential has none."""
         if self.kind == "free":
-            return np.zeros(grid.n_points)
+            return np.zeros(np.shape(x))
         if self.kind == "harmonic":
             return params.mass * self.omega**2 * (x - self.center)
         if self.kind == "double_well":
             a = 0.5 * self.well_separation
             return self.barrier_height * 4.0 * (x / a**2) * ((x / a) ** 2 - 1.0)
+        raise ValidationError("a tabulated potential has no analytic gradient")
+
+    def gradient(self, grid: Grid1D, params: PhysicalParams) -> np.ndarray:
+        """dV/dx on the grid; spectral for a tabulated potential."""
+        if self.kind != "tabulated":
+            return self.gradient_at(grid.x, params)
         return np.fft.ifft(1j * grid.k * np.fft.fft(self.values(grid, params))).real
 
     def shifted(self, offset: float) -> "Potential":

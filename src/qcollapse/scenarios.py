@@ -8,6 +8,7 @@ collide.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,9 +24,9 @@ from . import collapse as collapse_mod
 from .collapse import RNG_ALGORITHM, decompose, sample_collapse
 from .diagnostics import (
     GateConfig,
-    ObservableSpec,
     order_parameters,
     packet_summary,
+    positive_position,
     wave_packet_gate,
 )
 from .errors import ParseError, QCollapseError, ValidationError
@@ -324,7 +325,8 @@ def _branch_packets(cfg: ScenarioConfig) -> List[WaveFunction]:
 
 
 def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
-    """Execute the named scenario; the manifest is written even on failure."""
+    """Execute the named scenario; the manifest is written even on failure,
+    and an exception other than a QCollapseError is then re-raised."""
     root = resolve_output_root(cfg, out_override)
     seed_part = "noseed" if cfg.seed is None else f"seed{cfg.seed}"
     run_dir = root / f"{cfg.scenario}-{_config_hash(cfg)}-{seed_part}"
@@ -342,14 +344,17 @@ def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
         "measurement_run": _run_measurement,
         "born_ensemble": _run_born_ensemble,
     }[cfg.scenario]
+    failure = None
     try:
         runner(cfg, run_dir, manifest)
-    except QCollapseError as exc:
+    except Exception as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
+        failure = exc
     manifest.wall_time_s = time.perf_counter() - start
-    manifest_path = run_dir / "manifest.json"
-    manifest.write(manifest_path)
+    manifest.write(run_dir / "manifest.json")
     manifest.artifacts.append("manifest.json")
+    if failure is not None and not isinstance(failure, QCollapseError):
+        raise failure
     return manifest
 
 
@@ -358,23 +363,33 @@ def _check(manifest: RunManifest, name: str, passed: bool, detail: str):
                                          detail=detail))
 
 
-def _run_free_spread(cfg, run_dir, manifest):
-    center = 0.0 if cfg.packet.center is None else cfg.packet.center
-    psi = make_gaussian(cfg.grid, center, cfg.packet.sigma,
-                        cfg.packet.momentum, cfg.physics)
+def _evolve_and_record(cfg, run_dir, manifest, psi: WaveFunction,
+                       v: Potential, on_summary=None) -> WaveFunction:
+    """Evolve psi under v with snapshots and one diagnostics row at t=0 and
+    per record; `on_summary(t, summary)` also sees each record after t=0."""
     write_snapshot(psi, run_dir / "snapshot_initial.csv")
     diag = _DiagnosticsWriter(run_dir / "diagnostics.csv")
     diag.row(0.0, psi.norm(), packet_summary(psi, cfg.gate, cfg.physics))
 
     def observer(t, state):
-        diag.row(t, state.norm(), packet_summary(state, cfg.gate, cfg.physics))
+        summary = packet_summary(state, cfg.gate, cfg.physics)
+        diag.row(t, state.norm(), summary)
+        if on_summary is not None:
+            on_summary(t, summary)
 
-    final = evolve(psi, Potential.free(), cfg.physics, cfg.evolution, observer)
+    final = evolve(psi, v, cfg.physics, cfg.evolution, observer)
     diag.flush()
     write_snapshot(final, run_dir / "snapshot_final.csv")
     manifest.artifacts += ["diagnostics.csv", "snapshot_initial.csv",
                            "snapshot_final.csv"]
+    return final
 
+
+def _run_free_spread(cfg, run_dir, manifest):
+    center = 0.0 if cfg.packet.center is None else cfg.packet.center
+    psi = make_gaussian(cfg.grid, center, cfg.packet.sigma,
+                        cfg.packet.momentum, cfg.physics)
+    final = _evolve_and_record(cfg, run_dir, manifest, psi, Potential.free())
     t_final = cfg.evolution.dt * cfg.evolution.n_steps
     sigma = cfg.packet.sigma
     rate = cfg.physics.hbar * t_final / (2.0 * cfg.physics.mass * sigma**2)
@@ -390,48 +405,35 @@ def _run_harmonic_coherent(cfg, run_dir, manifest):
         raise ValidationError("harmonic_coherent needs a harmonic potential")
     center = 3.0 if cfg.packet.center is None else cfg.packet.center
     psi = make_gaussian(cfg.grid, center, cfg.packet.sigma, 0.0, cfg.physics)
-    write_snapshot(psi, run_dir / "snapshot_initial.csv")
-    diag = _DiagnosticsWriter(run_dir / "diagnostics.csv")
-    diag.row(0.0, psi.norm(), packet_summary(psi, cfg.gate, cfg.physics))
     x0 = center - v.center
     worst = 0.0
 
-    def observer(t, state):
+    def track(t, summary):
         nonlocal worst
-        summary = packet_summary(state, cfg.gate, cfg.physics)
-        diag.row(t, state.norm(), summary)
         classical = v.center + x0 * math.cos(v.omega * t)
         worst = max(worst, abs(summary.exp_x - classical))
 
-    final = evolve(psi, v, cfg.physics, cfg.evolution, observer)
-    diag.flush()
-    write_snapshot(final, run_dir / "snapshot_final.csv")
-    manifest.artifacts += ["diagnostics.csv", "snapshot_initial.csv",
-                           "snapshot_final.csv"]
+    _evolve_and_record(cfg, run_dir, manifest, psi, v, track)
     _check(manifest, "classical_trajectory", worst <= 1e-5,
            f"max |<x>(t) - x0 cos(w t)| = {worst:.3g}")
-
-
-def _cat_observable(summary, gate: GateConfig) -> ObservableSpec:
-    lo = summary.exp_x - 0.5 * gate.k * summary.std_x
-    shift = max(0.0, 0.1 * summary.std_x - lo) + summary.std_x
-    return ObservableSpec.position(shift)
 
 
 def _run_cat_gate(cfg, run_dir, manifest):
     packets = _branch_packets(cfg)
     cat = superpose(zip(cfg.coefficients, packets))
     verdicts = {}
+
+    def gate(psi):
+        summary = packet_summary(psi, cfg.gate, cfg.physics)
+        return wave_packet_gate(psi, [positive_position(summary)], cfg.gate,
+                                cfg.physics)
+
     for i, p in enumerate(packets):
-        s = packet_summary(p, cfg.gate, cfg.physics)
-        verdict = wave_packet_gate(p, [_cat_observable(s, cfg.gate)],
-                                   cfg.gate, cfg.physics)
+        verdict = gate(p)
         verdicts[f"branch_{i}"] = verdict.is_wave_packet
         _check(manifest, f"branch_{i}_is_packet", verdict.is_wave_packet,
                f"ratio rows: {[(r, e) for _, r, e in verdict.per_observable]}")
-    cat_summary = packet_summary(cat, cfg.gate, cfg.physics)
-    cat_verdict = wave_packet_gate(cat, [_cat_observable(cat_summary, cfg.gate)],
-                                   cfg.gate, cfg.physics)
+    cat_verdict = gate(cat)
     verdicts["superposition"] = cat_verdict.is_wave_packet
     _check(manifest, "superposition_not_packet", not cat_verdict.is_wave_packet,
            f"cat verdict {cat_verdict.is_wave_packet}")
@@ -504,33 +506,46 @@ def _measurement_setup(cfg):
 def _run_measurement_core(cfg, run_dir, manifest):
     composite, v = _measurement_setup(cfg)
     diag = _DiagnosticsWriter(run_dir / "diagnostics.csv")
-    weights = np.abs(np.array(cfg.coefficients)) ** 2
-    tick = {"i": 0}
+    # Branch packets are individually normalized, so the composite norm is
+    # the coefficient norm.
+    norm = float(np.sqrt((np.abs(np.array(cfg.coefficients)) ** 2).sum()))
+    ticks = itertools.count()
 
     def observer(t, summaries):
-        if tick["i"] % cfg.evolution.record_every == 0:
+        if next(ticks) % cfg.evolution.record_every == 0:
             ops = order_parameters(summaries) if len(summaries) > 1 else None
             sep = ops.min_pairwise_separation if ops else None
             crit = ops.critical_value if ops else None
             flag = ops.transition if ops else None
-            # Branch packets are individually normalized, so the composite
-            # norm is the coefficient norm.
-            diag.row(t, float(np.sqrt(weights.sum())), summaries[0],
-                     sep, crit, flag)
-        tick["i"] += 1
+            diag.row(t, norm, summaries[0], sep, crit, flag)
 
     evolved, report = von_neumann_evolve(composite, cfg.coupling, v,
                                          cfg.physics, cfg.evolution.dt,
                                          observer=observer)
     diag.flush()
     manifest.artifacts.append("diagnostics.csv")
+    _check(manifest, "transition_detected", report.t_star is not None,
+           f"t_star = {report.t_star}")
     return evolved, report
+
+
+def _write_chain_summary(cfg, run_dir, manifest, report, **fields):
+    """summary.json: the chain's common fields plus the scenario's own."""
+    doc = {
+        "object_dim": len(cfg.coefficients),
+        "coefficients": [[c.real, c.imag] for c in cfg.coefficients],
+        "t_star": report.t_star,
+        "critical_value": report.series[-1][2] if report.series else None,
+        "seed": cfg.seed,
+        **fields,
+    }
+    (run_dir / "summary.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    manifest.artifacts.append("summary.json")
 
 
 def _run_measurement(cfg, run_dir, manifest):
     evolved, report = _run_measurement_core(cfg, run_dir, manifest)
-    _check(manifest, "transition_detected", report.t_star is not None,
-           f"t_star = {report.t_star}")
     offdiag = pointer_distinguishability(evolved)
     worst = float(np.max(np.abs(offdiag - np.eye(len(offdiag)))))
     _check(manifest, "pointer_distinguishability", worst <= 1e-6,
@@ -541,37 +556,16 @@ def _run_measurement(cfg, run_dir, manifest):
                   for a, b in zip(outcome.object_mixture, expected))
     _check(manifest, "born_mixture", mix_err <= 1e-12,
            f"max |mixture - |c|^2| = {mix_err:.3g}")
-    critical = report.series[-1][2] if report.series else None
-    summary_doc = {
-        "object_dim": len(cfg.coefficients),
-        "coefficients": [[c.real, c.imag] for c in cfg.coefficients],
-        "t_star": report.t_star,
-        "critical_value": critical,
-        "outcome_branch": outcome.realized_object_index,
-        "seed": cfg.seed,
-    }
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
+    _write_chain_summary(cfg, run_dir, manifest, report,
+                         outcome_branch=outcome.realized_object_index)
     write_snapshot(outcome.apparatus_state, run_dir / "snapshot_pointer.csv")
-    manifest.artifacts += ["summary.json", "snapshot_pointer.csv"]
+    manifest.artifacts.append("snapshot_pointer.csv")
 
 
 def _run_born_ensemble(cfg, run_dir, manifest):
     evolved, report = _run_measurement_core(cfg, run_dir, manifest)
-    _check(manifest, "transition_detected", report.t_star is not None,
-           f"t_star = {report.t_star}")
     decomp = apparatus_decomposition(evolved, cfg.gate, cfg.physics)
     freqs = _sample_ensemble(cfg, decomp, run_dir / "outcomes.jsonl",
                              manifest)
-    summary_doc = {
-        "object_dim": len(cfg.coefficients),
-        "coefficients": [[c.real, c.imag] for c in cfg.coefficients],
-        "t_star": report.t_star,
-        "critical_value": report.series[-1][2] if report.series else None,
-        "n_samples": cfg.n_samples,
-        "frequencies": freqs,
-        "seed": cfg.seed,
-    }
-    (run_dir / "summary.json").write_text(
-        json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
-    manifest.artifacts.append("summary.json")
+    _write_chain_summary(cfg, run_dir, manifest, report,
+                         n_samples=cfg.n_samples, frequencies=freqs)

@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcollapse import (
     EvolutionConfig,
     GateConfig,
     Grid1D,
+    ObjectState,
     ObservableSpec,
     PhysicalParams,
     Potential,
@@ -19,13 +20,15 @@ from qcollapse import (
     make_gaussian,
     order_parameters,
     packet_summary,
+    premeasurement,
     std_dev,
     superpose,
     wave_packet_gate,
     weak_interference,
 )
-from qcollapse.diagnostics import coefficient_moduli
+from qcollapse.diagnostics import coefficient_moduli, positive_position
 from qcollapse.errors import (
+    ApparatusNotReady,
     NonUniformSampling,
     ObservableNotPositiveOnSupport,
     TooFewPackets,
@@ -130,6 +133,9 @@ class TestFusedPacketSummary:
         params = PhysicalParams(hbar=hbar)
         first = make_gaussian(grid, c1, s1, p1, params)
         if w > 0.0:
+            # Keep the second packet six widths clear of the edge region
+            # (|x| > 36), where make_gaussian rightly raises BoundaryClipping.
+            assume(c1 + d + 6.0 * s2 <= 36.0)
             second = make_gaussian(grid, c1 + d, s2, p2, params)
             psi = superpose([(math.sqrt(1.0 - w), first),
                              (math.sqrt(w) * complex(math.cos(phase),
@@ -164,11 +170,33 @@ class TestFusedPacketSummary:
             assert _clamped_std(4.0 - 10.0 * VARIANCE_CLAMP_TOL, 2.0) == 0.0
 
 
-def _positive_position_for(summary, eta=10.0):
-    """A(x) = x + C with the smallest C keeping A positive on the support."""
-    lo, _ = summary.support
-    shift = max(0.0, 0.1 * summary.std_x - lo) + summary.std_x
-    return ObservableSpec.position(shift)
+class TestPositivePosition:
+    GRID = Grid1D(-40.0, 40.0, 1024)
+
+    @settings(deadline=None, max_examples=40)
+    @given(center=st.floats(-15.0, 15.0), sigma=st.floats(0.4, 2.0),
+           k=st.floats(0.5, 12.0, exclude_min=True, exclude_max=True))
+    @example(center=0.0, sigma=1.0, k=10.0)
+    @example(center=4.0, sigma=1.0, k=11.0)
+    def test_positive_on_probe_for_any_k(self, center, sigma, k):
+        """A > 0 on the whole gate probe, so readiness is a verdict."""
+        params = PhysicalParams()
+        gate = GateConfig(k=k)
+        psi = make_gaussian(self.GRID, center, sigma, 0.0, params)
+        summary = packet_summary(psi, gate, params)
+        lo, hi = summary.support
+        x = self.GRID.x
+        probe = np.append(x[(x >= lo) & (x <= hi)], summary.exp_x)
+        assert np.all(positive_position(summary).classical_value(probe) > 0)
+        try:
+            premeasurement(ObjectState(np.array([0.6, 0.8])), psi, gate,
+                           params)
+        except ApparatusNotReady:
+            pass
+
+    def test_minimal_shift_far_from_zero(self, gaussian, params):
+        s = packet_summary(gaussian(center=12.0, sigma=0.5), params=params)
+        assert positive_position(s) == ObservableSpec.position(s.std_x)
 
 
 class TestWavePacketGate:
@@ -234,7 +262,7 @@ class TestWavePacketGate:
             (c2, make_gaussian(grid, mid + d / 2, sigma, 0.0, params)),
         ])
         summary = packet_summary(cat, params=params)
-        verdict = wave_packet_gate(cat, [_positive_position_for(summary)],
+        verdict = wave_packet_gate(cat, [positive_position(summary)],
                                    params=params)
         assert not verdict.is_wave_packet
 
@@ -337,6 +365,13 @@ class TestEhrenfest:
             traj = self._trajectory(psi, v, params, dt, int(0.2 / dt), 10)
             maxima.append(ehrenfest_residual(traj, v, params).residual_p.max())
         assert maxima[0] / maxima[1] >= 3.5  # ~ O(dt^2)
+
+    def test_tabulated_potential_has_no_newton_residual(self, grid, gaussian,
+                                                        params):
+        v = Potential.tabulated(0.01 * grid.x**2)
+        traj = self._trajectory(gaussian(), v, params, 1e-3, 20, 10)
+        with pytest.raises(ValidationError):
+            ehrenfest_residual(traj, v, params)
 
     def test_nonuniform_sampling_rejected(self, gaussian, params):
         psi = gaussian()

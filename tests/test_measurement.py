@@ -21,6 +21,7 @@ from qcollapse import (
 )
 from qcollapse.errors import (
     ApparatusNotReady,
+    BoundaryClipping,
     TransitionNotReached,
     ValidationError,
 )
@@ -154,6 +155,31 @@ class TestVonNeumannEvolve:
         assert len(times) == 111
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(11.0)
+
+    def test_dt_bound_for_harmonic_before_stepping(self, obj, apparatus,
+                                                   params):
+        # evolve's limit dt <= 0.1 * 2 pi / omega (0.628 for omega = 1)
+        seen = []
+        with pytest.raises(ValidationError, match="exceeds"):
+            self._coupled(obj, apparatus, Potential.harmonic(omega=1.0),
+                          params, dt=1.0, observer=lambda t, s: seen.append(t))
+        assert seen == []
+
+    def test_wrap_around_raises_boundary_clipping(self, params):
+        # On [-20, 60] the edge region starts at 56; branch 2 moves 2 * 40
+        # from x = 20 and would otherwise wrap round the periodic grid.
+        grid = Grid1D(-20.0, 60.0, 512)
+        apparatus = make_gaussian(grid, 20.0, 1.0, 0.0, params)
+        comp = premeasurement(ObjectState(np.array([0.48, 0.6, 0.64])),
+                              apparatus, params=params)
+        trap = Potential.harmonic(omega=0.5, center=20.0)
+        times = []
+        with pytest.raises(BoundaryClipping, match="branch 2"):
+            von_neumann_evolve(comp, CouplingConfig(1.0, 10.0, 40.0), trap,
+                               params, 0.05,
+                               observer=lambda t, s: times.append(t))
+        # branch 2 is at 20 + 2 t, about 6 widths below the edge region
+        assert 14.0 < times[-1] < 16.0
 
     def test_composite_recoverable_from_branches(self, obj, apparatus, trap,
                                                  params):

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from qcollapse import scenarios
 from qcollapse.cli import main
 from qcollapse.errors import ParseError, ValidationError
 from qcollapse.scenarios import (
@@ -167,6 +169,18 @@ class TestScenarioRuns:
         diag = run_dir / "diagnostics.csv"
         assert not diag.exists() or len(diag.read_text().splitlines()) <= 1
 
+    def test_unexpected_error_leaves_manifest_and_propagates(
+            self, tmp_path, monkeypatch):
+        def disk_full(psi, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(scenarios, "write_snapshot", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            run(parse_config(FREE), str(tmp_path))
+        (run_dir,) = tmp_path.iterdir()
+        doc = json.loads((run_dir / "manifest.json").read_text())
+        assert doc["error"] == "OSError: disk full"
+
     def test_byte_identical_determinism(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -224,6 +238,12 @@ class TestCli:
             (tmp_path / "runs" / "aggregate-collapse_sample.json").read_text())
         assert doc["n_runs"] == 3 and doc["n_pass"] == 3
         assert len(doc["runs"]) == 3
+        # member k runs on seed 7 + 200 k: disjoint per-event seed blocks
+        seeds = [json.loads(line)["seed"] for run_dir in doc["runs"]
+                 for line in (Path(run_dir) / "collapse.jsonl")
+                 .read_text().splitlines()]
+        assert len(seeds) == len(set(seeds)) == 600
+        assert min(seeds) == 7 and max(seeds) == 7 + 600 - 1
 
     @pytest.mark.parametrize("n_runs", ["0", "-1"])
     def test_sample_rejects_non_positive_n_runs(self, tmp_path, capsys,
