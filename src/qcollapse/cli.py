@@ -9,16 +9,12 @@ import argparse
 import dataclasses
 import json
 import sys
+import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from .collapse import RNG_ALGORITHM, decompose, sample_collapse
-from .diagnostics import packet_summary
 from .errors import ParseError, QCollapseError, ValidationError
-from .grid import Grid1D, PhysicalParams, make_gaussian, superpose
-from .propagate import EvolutionConfig, Potential, evolve
-from .scenarios import load_config, resolve_output_root, run
+from .scenarios import (REGISTRY, RNG_ALGORITHM, load_config, parse_config,
+                        resolve_output_root, run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,17 +34,19 @@ def _build_parser() -> argparse.ArgumentParser:
     samp.add_argument("--n-runs", type=int, required=True)
     samp.add_argument("--out", type=Path, default=None)
 
-    sub.add_parser("check", help="run the built-in invariant suite")
+    sub.add_parser("check", help="run every scenario twice on a tiny "
+                   "built-in config and compare the artifacts")
     return parser
 
 
-def _print_manifest(manifest) -> None:
+def _print_manifest(manifest, with_run_dir: bool = True) -> None:
     for a in manifest.assertions:
         mark = "PASS" if a.passed else "FAIL"
         print(f"[{mark}] {a.name}: {a.detail}")
     if manifest.error:
         print(f"[ERROR] {manifest.error}")
-    print(f"run dir: {manifest.run_dir}")
+    if with_run_dir:
+        print(f"run dir: {manifest.run_dir}")
 
 
 def _simulate(args) -> int:
@@ -92,44 +90,30 @@ def _sample(args) -> int:
     return 0 if aggregate["n_pass"] == args.n_runs else 1
 
 
+def _artifact_bytes(run_dir: str) -> dict:
+    return {p.name: p.read_bytes() for p in Path(run_dir).iterdir()
+            if p.name != "manifest.json"}
+
+
 def _check(_args) -> int:
-    """Quick built-in invariant suite (a fast subset of the test suite)."""
-    params = PhysicalParams()
-    grid = Grid1D(-40.0, 40.0, 1024)
+    """Run every scenario twice on its check config into a temporary
+    directory; every assertion must pass and every artifact but the manifest
+    must be byte-identical between the two runs."""
     failures = 0
-
-    def report(name, passed, detail):
-        nonlocal failures
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-        failures += 0 if passed else 1
-
-    psi = make_gaussian(grid, 2.0, 1.0, 0.5, params)
-    s = packet_summary(psi, params=params)
-    report("gaussian_moments",
-           abs(s.exp_x - 2.0) < 1e-8 and abs(s.std_x - 1.0) < 1e-6
-           and abs(s.exp_p - 0.5) < 1e-6 and abs(s.std_p - 0.5) < 1e-6,
-           f"<x>={s.exp_x:.6g} std_x={s.std_x:.6g} "
-           f"<p>={s.exp_p:.6g} std_p={s.std_p:.6g}")
-    report("uncertainty_saturation", abs(s.uncertainty_product - 0.5) < 1e-6,
-           f"dx*dp = {s.uncertainty_product:.8g}")
-
-    final = evolve(psi, Potential.harmonic(omega=1.0), params,
-                   EvolutionConfig(dt=0.01, n_steps=200))
-    report("unitarity", abs(final.norm() - 1.0) < 1e-10,
-           f"|norm - 1| = {abs(final.norm() - 1.0):.3g}")
-
-    packets = [make_gaussian(grid, c, 1.0, 0.0, params) for c in (-18.0, 18.0)]
-    cat = superpose(zip((0.6, 0.8), packets))
-    decomp = decompose(cat, packets, params=params,
-                       expected_coefficients=(0.6, 0.8))
-    p = decomp.probabilities
-    report("geometric_probabilities",
-           np.allclose(p, [0.36, 0.64], atol=1e-8),
-           f"p = {p}")
-    e1 = sample_collapse(decomp, 42)
-    e2 = sample_collapse(decomp, 42)
-    report("sampling_determinism", e1 == e2,
-           f"seed 42 -> branch {e1.branch_index}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, scenario in REGISTRY.items():
+            cfg = parse_config(f"scenario: {name}\n{scenario.check_config}")
+            first, second = (run(cfg, f"{tmp}/{rep}") for rep in "ab")
+            for rep, manifest in zip("ab", (first, second)):
+                print(f"{name}, run {rep}:")
+                _print_manifest(manifest, with_run_dir=False)
+            a, b = (_artifact_bytes(m.run_dir) for m in (first, second))
+            differ = sorted(n for n in a.keys() | b.keys()
+                            if a.get(n) != b.get(n))
+            print(f"[{'FAIL' if differ else 'PASS'}] repeat_byte_identity: "
+                  f"{len(a)} artifacts, differing: {differ}")
+            if differ or not (first.ok and second.ok):
+                failures += 1
     return 0 if failures == 0 else 1
 
 

@@ -292,23 +292,24 @@ def wave_packet_gate(psi: WaveFunction, observables: Sequence[ObservableSpec],
                        mass_in_support=wide.mass_in_support)
 
 
-def weak_interference(summaries: Sequence[PacketSummary],
-                      simplified: bool = False) -> np.ndarray:
-    """Pairwise weak-interference matrix.
-
-    Entry (n, m) is True iff |<x>_n - <x>_m| >= (std_n + std_m)/2 (inclusive).
-    With simplified=True the common-width form |<x>_n - <x>_m| >= mean width
-    is reported instead.  Diagonal is False by definition.
-    """
+def _pairwise(summaries: Sequence[PacketSummary]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """|<x>_n - <x>_m| and (std_n + std_m)/2 for every pair (n, m)."""
     if len(summaries) < 2:
         raise TooFewPackets("need at least two packet summaries")
     centers = np.array([s.exp_x for s in summaries])
     widths = np.array([s.std_x for s in summaries])
-    sep = np.abs(centers[:, None] - centers[None, :])
-    if simplified:
-        crit = np.full_like(sep, float(np.mean(widths)))
-    else:
-        crit = 0.5 * (widths[:, None] + widths[None, :])
+    return (np.abs(centers[:, None] - centers[None, :]),
+            0.5 * (widths[:, None] + widths[None, :]))
+
+
+def weak_interference(summaries: Sequence[PacketSummary]) -> np.ndarray:
+    """Pairwise weak-interference matrix.
+
+    Entry (n, m) is True iff |<x>_n - <x>_m| >= (std_n + std_m)/2 (inclusive).
+    Diagonal is False by definition.
+    """
+    sep, crit = _pairwise(summaries)
     out = sep >= crit
     np.fill_diagonal(out, False)
     return out
@@ -316,15 +317,10 @@ def weak_interference(summaries: Sequence[PacketSummary],
 
 def order_parameters(branch_summaries: Sequence[PacketSummary]) -> OrderParameters:
     """Min pairwise separation vs the max pairwise half-width-sum threshold."""
-    if len(branch_summaries) < 2:
-        raise TooFewPackets("need at least two branches")
-    centers = np.array([s.exp_x for s in branch_summaries])
-    widths = np.array([s.std_x for s in branch_summaries])
-    iu = np.triu_indices(len(centers), k=1)
-    sep = np.abs(centers[:, None] - centers[None, :])[iu]
-    crit = (0.5 * (widths[:, None] + widths[None, :]))[iu]
-    return OrderParameters(min_pairwise_separation=float(sep.min()),
-                           critical_value=float(crit.max()))
+    sep, crit = _pairwise(branch_summaries)
+    iu = np.triu_indices(len(sep), k=1)
+    return OrderParameters(min_pairwise_separation=float(sep[iu].min()),
+                           critical_value=float(crit[iu].max()))
 
 
 def ehrenfest_residual(trajectory: Sequence[Tuple[float, WaveFunction]],

@@ -36,9 +36,9 @@ _GRID_LINE = re.compile(r"# grid x_min=(\S+) x_max=(\S+) n_points=(\d+)")
 class Grid1D:
     """Uniform periodic grid x_j = x_min + j*dx, j = 0..n_points-1."""
 
-    x_min: float
-    x_max: float
-    n_points: int
+    x_min: float = -40.0
+    x_max: float = 40.0
+    n_points: int = 1024
 
     def __post_init__(self):
         n = self.n_points

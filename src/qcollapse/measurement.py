@@ -100,9 +100,9 @@ class CompositeState:
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    shift_velocity: float
-    d_sep: float
-    tau: float
+    shift_velocity: float = 1.0
+    d_sep: float = 10.0
+    tau: float = 15.0
 
     def __post_init__(self):
         if self.shift_velocity <= 0:

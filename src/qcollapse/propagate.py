@@ -69,11 +69,12 @@ class Potential:
         return Potential(kind="free")
 
     @staticmethod
-    def harmonic(omega: float, center: float = 0.0) -> "Potential":
+    def harmonic(omega: float = 1.0, center: float = 0.0) -> "Potential":
         return Potential(kind="harmonic", omega=omega, center=center)
 
     @staticmethod
-    def double_well(barrier_height: float, well_separation: float) -> "Potential":
+    def double_well(barrier_height: float = 1.0,
+                    well_separation: float = 4.0) -> "Potential":
         return Potential(kind="double_well", barrier_height=barrier_height,
                          well_separation=well_separation)
 
@@ -124,8 +125,8 @@ class Potential:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    dt: float
-    n_steps: int
+    dt: float = 0.001
+    n_steps: int = 1000
     record_every: int = 1
 
     def __post_init__(self):

@@ -8,14 +8,16 @@ collide.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -49,14 +51,14 @@ from .measurement import (
 )
 from .propagate import EvolutionConfig, Potential, evolve
 
-SCENARIOS = ("free_spread", "harmonic_coherent", "cat_gate",
-             "collapse_sample", "measurement_run", "born_ensemble")
-STOCHASTIC = ("collapse_sample", "measurement_run", "born_ensemble")
-
 OUTPUT_ENV_VAR = "QCOLLAPSE_OUT"
 
 DIAG_HEADER = ("t,norm,exp_x,std_x,exp_p,std_p,uncertainty_product,"
                "min_separation,critical_value,transition_flag")
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -111,46 +113,84 @@ class RunManifest:
         return self.error is None and all(a.passed for a in self.assertions)
 
     def write(self, path: Path) -> None:
-        doc = {
-            "scenario": self.scenario,
-            "config": self.config,
-            "generator": self.generator,
-            "run_dir": self.run_dir,
-            "artifacts": sorted(self.artifacts),
-            "wall_time_s": self.wall_time_s,
-            "assertions": [asdict(a) for a in self.assertions],
-            "error": self.error,
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json({**asdict(self),
+                               "artifacts": sorted(self.artifacts)}))
+
+
+class Scenario(NamedTuple):
+    """A scenario's runner, which of seed, coefficients, evolution and
+    coupling its config must provide (the last two have defaults), and the
+    body of the tiny config that `qcollapse check` runs it on."""
+    runner: Callable[[ScenarioConfig, RunManifest], None]
+    requires: Tuple[str, ...]
+    check_config: str
 
 
 # ---------------------------------------------------------------------------
 # Config parsing
 
-def _section(raw: Dict[str, Any], name: str, allowed: Sequence[str]
-             ) -> Dict[str, Any]:
-    sec = raw.pop(name, None)
-    if sec is None:
-        return {}
-    if not isinstance(sec, dict):
+# Config section -> its constructor, whose keyword defaults are the section's
+# keys and defaults: an int default makes an integer key, any other a float
+# key, and only a key whose default is None may be null.
+_SECTIONS = {"grid": Grid1D, "physics": PhysicalParams, "gate": GateConfig,
+             "packet": PacketSpec, "evolution": EvolutionConfig,
+             "coupling": CouplingConfig}
+_POTENTIALS = {"free": Potential.free, "harmonic": Potential.harmonic,
+               "double_well": Potential.double_well}
+
+
+def _coerce(name: str, value: Any, kind: type) -> Any:
+    """`value` as `kind` (int or float), or a ParseError naming `name`.
+
+    Numeric strings count (PyYAML reads `1e-3` as a string).  Booleans,
+    non-finite numbers and, for an int, a fractional part do not: they are
+    rejected rather than truncated.
+    """
+    what = "an integer" if kind is int else "a finite number"
+    try:
+        number = kind(value) if isinstance(value, str) else value
+        if (isinstance(number, int) and not isinstance(number, bool)
+                or isinstance(number, float) and math.isfinite(number)
+                and (kind is float or number.is_integer())):
+            return kind(number)
+    except (ValueError, OverflowError):
+        pass
+    raise ParseError(f"{name} must be {what}, got {value!r}")
+
+
+def _build(name: str, section: Any, factory, required: bool = True):
+    """factory(**section), each key coerced like the factory's default for
+    it; None for an absent or empty section that is not required."""
+    section = {} if section is None else section
+    if not isinstance(section, dict):
         raise ParseError(f"section {name!r} must be a mapping")
-    unknown = set(sec) - set(allowed)
+    defaults = {p.name: p.default
+                for p in inspect.signature(factory).parameters.values()}
+    unknown = set(section) - set(defaults)
     if unknown:
         raise ParseError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    return sec
+    if not (section or required):
+        return None
+    values = {}
+    for key, value in section.items():
+        default = defaults[key]
+        if value is not None or default is not None:
+            value = _coerce(f"{name}.{key}", value,
+                            int if isinstance(default, int) else float)
+        values[key] = value
+    return factory(**values)
 
 
 def _coerce_complex(value: Any) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        try:
-            return complex(value.replace(" ", ""))
-        except ValueError as exc:
-            raise ParseError(f"cannot parse complex number {value!r}") from exc
+    """A coefficient: a number, an [re, im] pair or a string like "0.6+0j"."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ParseError(f"cannot parse complex number {value!r}")
+        return complex(*(_coerce("coefficients", v, float) for v in value))
+    if not isinstance(value, str):
+        return complex(_coerce("coefficients", value, float))
+    try:
+        return complex(value.replace(" ", ""))
+    except ValueError as exc:
+        raise ParseError(f"cannot parse complex number {value!r}") from exc
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -167,63 +207,23 @@ def parse_config(text: str) -> ScenarioConfig:
     scenario = raw.pop("scenario", None)
     if scenario not in SCENARIOS:
         raise ParseError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    requires = REGISTRY[scenario].requires
 
-    g = _section(raw, "grid", ("x_min", "x_max", "n_points"))
-    grid = Grid1D(x_min=float(g.get("x_min", -40.0)),
-                  x_max=float(g.get("x_max", 40.0)),
-                  n_points=int(g.get("n_points", 1024)))
+    sections = {
+        name: _build(name, raw.pop(name, None), factory,
+                     name not in ("evolution", "coupling") or name in requires)
+        for name, factory in _SECTIONS.items()}
 
-    ph = _section(raw, "physics", ("mass", "hbar"))
-    physics = PhysicalParams(mass=float(ph.get("mass", 1.0)),
-                             hbar=float(ph.get("hbar", 1.0)))
-
-    ga = _section(raw, "gate", ("eta", "k", "taylor_tol", "mass_threshold"))
-    gate = GateConfig(eta=float(ga.get("eta", 10.0)),
-                      k=float(ga.get("k", 1.0)),
-                      taylor_tol=float(ga.get("taylor_tol", 0.05)),
-                      mass_threshold=float(ga.get("mass_threshold", 0.99)))
-
-    pa = _section(raw, "packet", ("center", "sigma", "momentum", "separation"))
-    packet = PacketSpec(
-        center=None if pa.get("center") is None else float(pa["center"]),
-        sigma=float(pa.get("sigma", 1.0)),
-        momentum=float(pa.get("momentum", 0.0)),
-        separation=None if pa.get("separation") is None
-        else float(pa["separation"]))
-
-    ev = _section(raw, "evolution", ("dt", "n_steps", "record_every"))
-    evolution = None
-    if ev or scenario in ("free_spread", "harmonic_coherent",
-                          "measurement_run", "born_ensemble"):
-        evolution = EvolutionConfig(dt=float(ev.get("dt", 0.001)),
-                                    n_steps=int(ev.get("n_steps", 1000)),
-                                    record_every=int(ev.get("record_every", 1)))
-
-    co = _section(raw, "coupling", ("shift_velocity", "d_sep", "tau"))
-    coupling = None
-    if co or scenario in ("measurement_run", "born_ensemble"):
-        coupling = CouplingConfig(
-            shift_velocity=float(co.get("shift_velocity", 1.0)),
-            d_sep=float(co.get("d_sep", 10.0)),
-            tau=float(co.get("tau", 15.0)))
-
-    po = _section(raw, "potential",
-                  ("kind", "omega", "center", "barrier_height",
-                   "well_separation"))
+    po = raw.pop("potential", None)
     potential = None
-    if po:
-        kind = po.get("kind")
-        if kind == "free":
-            potential = Potential.free()
-        elif kind == "harmonic":
-            potential = Potential.harmonic(omega=float(po.get("omega", 1.0)),
-                                           center=float(po.get("center", 0.0)))
-        elif kind == "double_well":
-            potential = Potential.double_well(
-                barrier_height=float(po.get("barrier_height", 1.0)),
-                well_separation=float(po.get("well_separation", 4.0)))
-        else:
+    if po is not None and po != {}:
+        if not isinstance(po, dict):
+            raise ParseError("section 'potential' must be a mapping")
+        keys = dict(po)
+        kind = keys.pop("kind", None)
+        if not isinstance(kind, str) or kind not in _POTENTIALS:
             raise ParseError(f"unknown potential kind {kind!r}")
+        potential = _build("potential", keys, _POTENTIALS[kind])
 
     coefficients = None
     if "coefficients" in raw:
@@ -232,30 +232,26 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ParseError("coefficients must be a non-empty list")
         coefficients = tuple(_coerce_complex(c) for c in clist)
         total = sum(abs(c) ** 2 for c in coefficients)
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:  # also rejects nan
             raise ValidationError(
                 f"coefficient norm^2 = {total} deviates from 1")
 
     seed = raw.pop("seed", None)
-    if seed is not None:
-        seed = int(seed)
-    if scenario in STOCHASTIC and seed is None:
+    seed = None if seed is None else _coerce("seed", seed, int)
+    if "seed" in requires and seed is None:
         raise ValidationError(f"scenario {scenario!r} requires a seed")
 
-    n_samples = int(raw.pop("n_samples", 10000))
+    n_samples = _coerce("n_samples", raw.pop("n_samples", 10000), int)
     if n_samples < 1:
         raise ValidationError("n_samples must be positive")
     output_dir = raw.pop("output_dir", None)
 
     if raw:
         raise ParseError(f"unknown top-level keys: {sorted(raw)}")
-    if scenario in ("cat_gate", "collapse_sample", "measurement_run",
-                    "born_ensemble") and coefficients is None:
+    if "coefficients" in requires and coefficients is None:
         raise ValidationError(f"scenario {scenario!r} requires coefficients")
 
-    return ScenarioConfig(scenario=scenario, grid=grid, physics=physics,
-                          gate=gate, packet=packet, evolution=evolution,
-                          coupling=coupling, potential=potential,
+    return ScenarioConfig(scenario=scenario, **sections, potential=potential,
                           coefficients=coefficients, seed=seed,
                           n_samples=n_samples, output_dir=output_dir,
                           echo=echo)
@@ -276,21 +272,30 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-class _DiagnosticsWriter:
-    def __init__(self, path: Path):
-        self.path = path
-        self._rows = [DIAG_HEADER]
+def _emit(manifest: RunManifest, name: str, content) -> None:
+    """Write artifact `name` into the run directory and list it: a
+    WaveFunction as a snapshot, anything else as text."""
+    path = Path(manifest.run_dir) / name
+    if isinstance(content, WaveFunction):
+        write_snapshot(content, path)
+    else:
+        path.write_text(content)
+    manifest.artifacts.append(name)
 
-    def row(self, t, norm, summary, min_sep=None, critical=None,
-            transition=None):
-        self._rows.append(",".join([
-            _fmt(t), _fmt(norm), _fmt(summary.exp_x), _fmt(summary.std_x),
-            _fmt(summary.exp_p), _fmt(summary.std_p),
-            _fmt(summary.uncertainty_product), _fmt(min_sep), _fmt(critical),
-            _fmt(transition)]))
 
-    def flush(self):
-        self.path.write_text("\n".join(self._rows) + "\n")
+@contextmanager
+def _diagnostics_csv(manifest: RunManifest):
+    """Write diagnostics.csv as it is produced: the header on opening, then
+    each row through the yielded writer, so a failed run keeps its rows."""
+    with (Path(manifest.run_dir) / "diagnostics.csv").open("w") as fh:
+        manifest.artifacts.append("diagnostics.csv")
+        fh.write(DIAG_HEADER + "\n")
+
+        def row(t, norm, s, min_sep=None, critical=None, transition=None):
+            fh.write(",".join(map(_fmt, (
+                t, norm, s.exp_x, s.std_x, s.exp_p, s.std_p,
+                s.uncertainty_product, min_sep, critical, transition))) + "\n")
+        yield row
 
 
 def _config_hash(cfg: ScenarioConfig) -> str:
@@ -310,18 +315,14 @@ def resolve_output_root(cfg: ScenarioConfig,
     return Path.cwd() / "runs"
 
 
-def _branch_centers(cfg: ScenarioConfig, d: int) -> List[float]:
+def _branch_packets(cfg: ScenarioConfig) -> List[WaveFunction]:
     base = 0.0 if cfg.packet.center is None else cfg.packet.center
     sep = cfg.packet.separation
     if sep is None:
         sep = 16.0 * cfg.packet.sigma
-    return [base + n * sep for n in range(d)]
-
-
-def _branch_packets(cfg: ScenarioConfig) -> List[WaveFunction]:
-    centers = _branch_centers(cfg, len(cfg.coefficients))
-    return [make_gaussian(cfg.grid, c, cfg.packet.sigma, cfg.packet.momentum,
-                          cfg.physics) for c in centers]
+    return [make_gaussian(cfg.grid, base + n * sep, cfg.packet.sigma,
+                          cfg.packet.momentum, cfg.physics)
+            for n in range(len(cfg.coefficients))]
 
 
 def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
@@ -336,17 +337,9 @@ def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
                            generator=RNG_ALGORITHM, run_dir=str(run_dir),
                            artifacts=[], wall_time_s=0.0, assertions=[])
     start = time.perf_counter()
-    runner = {
-        "free_spread": _run_free_spread,
-        "harmonic_coherent": _run_harmonic_coherent,
-        "cat_gate": _run_cat_gate,
-        "collapse_sample": _run_collapse_sample,
-        "measurement_run": _run_measurement,
-        "born_ensemble": _run_born_ensemble,
-    }[cfg.scenario]
     failure = None
     try:
-        runner(cfg, run_dir, manifest)
+        REGISTRY[cfg.scenario].runner(cfg, manifest)
     except Exception as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
         failure = exc
@@ -363,33 +356,30 @@ def _check(manifest: RunManifest, name: str, passed: bool, detail: str):
                                          detail=detail))
 
 
-def _evolve_and_record(cfg, run_dir, manifest, psi: WaveFunction,
-                       v: Potential, on_summary=None) -> WaveFunction:
+def _evolve_and_record(cfg, manifest, psi: WaveFunction, v: Potential,
+                       on_summary=None) -> WaveFunction:
     """Evolve psi under v with snapshots and one diagnostics row at t=0 and
     per record; `on_summary(t, summary)` also sees each record after t=0."""
-    write_snapshot(psi, run_dir / "snapshot_initial.csv")
-    diag = _DiagnosticsWriter(run_dir / "diagnostics.csv")
-    diag.row(0.0, psi.norm(), packet_summary(psi, cfg.gate, cfg.physics))
+    _emit(manifest, "snapshot_initial.csv", psi)
+    with _diagnostics_csv(manifest) as row:
+        row(0.0, psi.norm(), packet_summary(psi, cfg.gate, cfg.physics))
 
-    def observer(t, state):
-        summary = packet_summary(state, cfg.gate, cfg.physics)
-        diag.row(t, state.norm(), summary)
-        if on_summary is not None:
-            on_summary(t, summary)
+        def observer(t, state):
+            summary = packet_summary(state, cfg.gate, cfg.physics)
+            row(t, state.norm(), summary)
+            if on_summary is not None:
+                on_summary(t, summary)
 
-    final = evolve(psi, v, cfg.physics, cfg.evolution, observer)
-    diag.flush()
-    write_snapshot(final, run_dir / "snapshot_final.csv")
-    manifest.artifacts += ["diagnostics.csv", "snapshot_initial.csv",
-                           "snapshot_final.csv"]
+        final = evolve(psi, v, cfg.physics, cfg.evolution, observer)
+    _emit(manifest, "snapshot_final.csv", final)
     return final
 
 
-def _run_free_spread(cfg, run_dir, manifest):
+def _run_free_spread(cfg, manifest):
     center = 0.0 if cfg.packet.center is None else cfg.packet.center
     psi = make_gaussian(cfg.grid, center, cfg.packet.sigma,
                         cfg.packet.momentum, cfg.physics)
-    final = _evolve_and_record(cfg, run_dir, manifest, psi, Potential.free())
+    final = _evolve_and_record(cfg, manifest, psi, Potential.free())
     t_final = cfg.evolution.dt * cfg.evolution.n_steps
     sigma = cfg.packet.sigma
     rate = cfg.physics.hbar * t_final / (2.0 * cfg.physics.mass * sigma**2)
@@ -399,7 +389,7 @@ def _run_free_spread(cfg, run_dir, manifest):
            f"std_x(t={t_final}) = {got:.12g}, analytic {expected:.12g}")
 
 
-def _run_harmonic_coherent(cfg, run_dir, manifest):
+def _run_harmonic_coherent(cfg, manifest):
     v = cfg.potential or Potential.harmonic(omega=1.0)
     if v.kind != "harmonic":
         raise ValidationError("harmonic_coherent needs a harmonic potential")
@@ -413,12 +403,12 @@ def _run_harmonic_coherent(cfg, run_dir, manifest):
         classical = v.center + x0 * math.cos(v.omega * t)
         worst = max(worst, abs(summary.exp_x - classical))
 
-    _evolve_and_record(cfg, run_dir, manifest, psi, v, track)
+    _evolve_and_record(cfg, manifest, psi, v, track)
     _check(manifest, "classical_trajectory", worst <= 1e-5,
            f"max |<x>(t) - x0 cos(w t)| = {worst:.3g}")
 
 
-def _run_cat_gate(cfg, run_dir, manifest):
+def _run_cat_gate(cfg, manifest):
     packets = _branch_packets(cfg)
     cat = superpose(zip(cfg.coefficients, packets))
     verdicts = {}
@@ -437,21 +427,19 @@ def _run_cat_gate(cfg, run_dir, manifest):
     verdicts["superposition"] = cat_verdict.is_wave_packet
     _check(manifest, "superposition_not_packet", not cat_verdict.is_wave_packet,
            f"cat verdict {cat_verdict.is_wave_packet}")
-    (run_dir / "verdicts.json").write_text(
-        json.dumps(verdicts, indent=2, sort_keys=True) + "\n")
-    write_snapshot(cat, run_dir / "snapshot_cat.csv")
-    manifest.artifacts += ["verdicts.json", "snapshot_cat.csv"]
+    _emit(manifest, "verdicts.json", _json(verdicts))
+    _emit(manifest, "snapshot_cat.csv", cat)
 
 
 def _binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def _sample_ensemble(cfg, decomp, path: Path, manifest) -> List[float]:
+def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
     """Sample cfg.n_samples collapse events, event i on seed cfg.seed + i.
 
-    Writes one JSON line per event to `path`, checks every branch frequency
-    against its 3-sigma binomial band and returns the frequencies.
+    Writes one JSON line per event to artifact `name`, checks every branch
+    frequency against its 3-sigma binomial band and returns the frequencies.
     """
     counts = [0] * len(decomp)
     lines = []
@@ -462,8 +450,7 @@ def _sample_ensemble(cfg, decomp, path: Path, manifest) -> List[float]:
         # float encodes as its repr.
         lines.append(f'{{"seed": {event.seed}, "branch": '
                      f'{event.branch_index}, "p": {event.probability!r}}}')
-    path.write_text("\n".join(lines) + "\n")
-    manifest.artifacts.append(path.name)
+    _emit(manifest, name, "\n".join(lines) + "\n")
     freqs = [c / cfg.n_samples for c in counts]
     for i, (pi, fi) in enumerate(zip(decomp.probabilities, freqs)):
         tol = _binomial_3sigma(float(pi), cfg.n_samples)
@@ -472,20 +459,22 @@ def _sample_ensemble(cfg, decomp, path: Path, manifest) -> List[float]:
     return freqs
 
 
-def _run_collapse_sample(cfg, run_dir, manifest):
+def _run_collapse_sample(cfg, manifest):
     packets = _branch_packets(cfg)
     psi = superpose(zip(cfg.coefficients, packets))
     decomp = decompose(psi, packets, cfg.gate, cfg.physics,
                        expected_coefficients=cfg.coefficients)
     p = decomp.probabilities
-    (run_dir / "probabilities.json").write_text(json.dumps({
+    worst = max(abs(pn - abs(c) ** 2) for pn, c in zip(p, cfg.coefficients))
+    _check(manifest, "geometric_probabilities", worst <= 1e-8,
+           f"max |p_n - |c_n|^2| = {worst:.3g}")
+    _emit(manifest, "probabilities.json", _json({
         "geometric": [float(x) for x in p],
         "measure_quotient": [float(x)
                              for x in collapse_mod.measure_quotients(decomp)],
         "generator": RNG_ALGORITHM,
-    }, indent=2, sort_keys=True) + "\n")
-    manifest.artifacts.append("probabilities.json")
-    _sample_ensemble(cfg, decomp, run_dir / "collapse.jsonl", manifest)
+    }))
+    _sample_ensemble(cfg, decomp, manifest, "collapse.jsonl")
 
 
 def _measurement_setup(cfg):
@@ -503,33 +492,32 @@ def _measurement_setup(cfg):
     return composite, v
 
 
-def _run_measurement_core(cfg, run_dir, manifest):
+def _run_measurement_core(cfg, manifest):
     composite, v = _measurement_setup(cfg)
-    diag = _DiagnosticsWriter(run_dir / "diagnostics.csv")
     # Branch packets are individually normalized, so the composite norm is
     # the coefficient norm.
     norm = float(np.sqrt((np.abs(np.array(cfg.coefficients)) ** 2).sum()))
     ticks = itertools.count()
+    with _diagnostics_csv(manifest) as row:
 
-    def observer(t, summaries):
-        if next(ticks) % cfg.evolution.record_every == 0:
-            ops = order_parameters(summaries) if len(summaries) > 1 else None
-            sep = ops.min_pairwise_separation if ops else None
-            crit = ops.critical_value if ops else None
-            flag = ops.transition if ops else None
-            diag.row(t, norm, summaries[0], sep, crit, flag)
+        def observer(t, summaries):
+            if next(ticks) % cfg.evolution.record_every == 0:
+                ops = (order_parameters(summaries) if len(summaries) > 1
+                       else None)
+                sep = ops.min_pairwise_separation if ops else None
+                crit = ops.critical_value if ops else None
+                flag = ops.transition if ops else None
+                row(t, norm, summaries[0], sep, crit, flag)
 
-    evolved, report = von_neumann_evolve(composite, cfg.coupling, v,
-                                         cfg.physics, cfg.evolution.dt,
-                                         observer=observer)
-    diag.flush()
-    manifest.artifacts.append("diagnostics.csv")
+        evolved, report = von_neumann_evolve(composite, cfg.coupling, v,
+                                             cfg.physics, cfg.evolution.dt,
+                                             observer=observer)
     _check(manifest, "transition_detected", report.t_star is not None,
            f"t_star = {report.t_star}")
     return evolved, report
 
 
-def _write_chain_summary(cfg, run_dir, manifest, report, **fields):
+def _write_chain_summary(cfg, manifest, report, **fields):
     """summary.json: the chain's common fields plus the scenario's own."""
     doc = {
         "object_dim": len(cfg.coefficients),
@@ -539,13 +527,11 @@ def _write_chain_summary(cfg, run_dir, manifest, report, **fields):
         "seed": cfg.seed,
         **fields,
     }
-    (run_dir / "summary.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    manifest.artifacts.append("summary.json")
+    _emit(manifest, "summary.json", _json(doc))
 
 
-def _run_measurement(cfg, run_dir, manifest):
-    evolved, report = _run_measurement_core(cfg, run_dir, manifest)
+def _run_measurement(cfg, manifest):
+    evolved, report = _run_measurement_core(cfg, manifest)
     offdiag = pointer_distinguishability(evolved)
     worst = float(np.max(np.abs(offdiag - np.eye(len(offdiag)))))
     _check(manifest, "pointer_distinguishability", worst <= 1e-6,
@@ -556,16 +542,38 @@ def _run_measurement(cfg, run_dir, manifest):
                   for a, b in zip(outcome.object_mixture, expected))
     _check(manifest, "born_mixture", mix_err <= 1e-12,
            f"max |mixture - |c|^2| = {mix_err:.3g}")
-    _write_chain_summary(cfg, run_dir, manifest, report,
+    _write_chain_summary(cfg, manifest, report,
                          outcome_branch=outcome.realized_object_index)
-    write_snapshot(outcome.apparatus_state, run_dir / "snapshot_pointer.csv")
-    manifest.artifacts.append("snapshot_pointer.csv")
+    _emit(manifest, "snapshot_pointer.csv", outcome.apparatus_state)
 
 
-def _run_born_ensemble(cfg, run_dir, manifest):
-    evolved, report = _run_measurement_core(cfg, run_dir, manifest)
+def _run_born_ensemble(cfg, manifest):
+    evolved, report = _run_measurement_core(cfg, manifest)
     decomp = apparatus_decomposition(evolved, cfg.gate, cfg.physics)
-    freqs = _sample_ensemble(cfg, decomp, run_dir / "outcomes.jsonl",
-                             manifest)
-    _write_chain_summary(cfg, run_dir, manifest, report,
+    freqs = _sample_ensemble(cfg, decomp, manifest, "outcomes.jsonl")
+    _write_chain_summary(cfg, manifest, report,
                          n_samples=cfg.n_samples, frequencies=freqs)
+
+
+_CHAIN = ("seed", "coefficients", "evolution", "coupling")
+_CHAIN_CHECK = ("coefficients: [0.6, 0.8]\n"
+                "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"
+                "evolution: {dt: 0.05, record_every: 10}\n")
+REGISTRY: Dict[str, Scenario] = {
+    "free_spread": Scenario(_run_free_spread, ("evolution",),
+                            "evolution: {dt: 0.01, n_steps: 200}\n"),
+    "harmonic_coherent": Scenario(
+        _run_harmonic_coherent, ("evolution",),
+        "evolution: {n_steps: 1000, record_every: 50}\n"),
+    "cat_gate": Scenario(_run_cat_gate, ("coefficients",),
+                         "coefficients: [0.6, 0.8]\n"
+                         "packet: {center: 12.0, separation: 14.0}\n"),
+    "collapse_sample": Scenario(
+        _run_collapse_sample, ("seed", "coefficients"),
+        "coefficients: [0.6, 0.8]\nseed: 7\nn_samples: 400\n"),
+    "measurement_run": Scenario(_run_measurement, _CHAIN,
+                                _CHAIN_CHECK + "seed: 3\n"),
+    "born_ensemble": Scenario(_run_born_ensemble, _CHAIN,
+                              _CHAIN_CHECK + "seed: 11\nn_samples: 1500\n"),
+}
+SCENARIOS = tuple(REGISTRY)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,17 @@ coefficients: [0.6, 0.8]
 seed: 11
 n_samples: 1500
 evolution: {dt: 0.01, record_every: 50}
+"""
+
+# The d=4, v=1, tau=40 chain on a 1024-point grid: branch 3 reaches the grid
+# edge at t=28.8, long before tau.
+WRAPAROUND = """
+scenario: measurement_run
+grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}
+coefficients: [0.5, 0.5, 0.5, 0.5]
+seed: 1
+evolution: {dt: 0.05, record_every: 10}
+coupling: {shift_velocity: 1.0, tau: 40.0}
 """
 
 
@@ -94,6 +107,47 @@ class TestParseConfig:
     def test_measurement_requires_coefficients(self):
         with pytest.raises(ValidationError):
             parse_config("scenario: measurement_run\nseed: 1\n")
+
+    @pytest.mark.parametrize("snippet, key", [
+        ("grid: {n_points: abc}", "grid.n_points"),
+        ("physics: {mass: null}", "physics.mass"),
+        ("seed: true", "seed"),
+        ("grid: {n_points: 1024.9}", "grid.n_points"),
+        ("seed: 3.9", "seed"),
+        ("n_samples: 10.7", "n_samples"),
+        ("evolution: {n_steps: 99.5}", "evolution.n_steps"),
+        ("gate: {eta: yes}", "gate.eta"),
+        ("packet: {sigma: [1.0]}", "packet.sigma"),
+        ("grid: {x_max: .inf}", "grid.x_max"),
+        ("coefficients: [.nan]", "coefficients"),
+        ("coefficients: [[true, 0.0]]", "coefficients"),
+        ("potential: {kind: free, omega: 3}", "omega"),
+        ("potential: {kind: harmonic, barrier_height: 1}", "barrier_height"),
+    ])
+    def test_bad_value_is_a_parse_error_naming_the_key(self, snippet, key):
+        with pytest.raises(ParseError, match=key):
+            parse_config(f"scenario: free_spread\n{snippet}\n")
+
+    def test_nan_coefficient_string_fails_the_norm_check(self):
+        with pytest.raises(ValidationError):
+            parse_config("scenario: cat_gate\ncoefficients: ['nan']\n")
+
+    def test_numeric_strings_and_exact_integers(self):
+        cfg = parse_config("scenario: free_spread\n"
+                           "evolution: {dt: 1e-3, n_steps: 10}\n"
+                           "grid: {n_points: 1024.0}\n"
+                           "seed: 18446744073709551615\n")
+        assert cfg.evolution.dt == 0.001
+        assert cfg.grid.n_points == 1024
+        assert isinstance(cfg.grid.n_points, int)
+        assert cfg.seed == 18446744073709551615
+
+    def test_optional_sections_follow_the_registry(self):
+        assert parse_config(CAT).evolution is None
+        assert parse_config(CAT).coupling is None
+        cfg = parse_config(BORN)
+        assert cfg.coupling == scenarios.CouplingConfig()
+        assert cfg.potential is None
 
 
 class TestScenarioRuns:
@@ -169,6 +223,18 @@ class TestScenarioRuns:
         diag = run_dir / "diagnostics.csv"
         assert not diag.exists() or len(diag.read_text().splitlines()) <= 1
 
+    def test_failed_chain_keeps_its_diagnostics_rows(self, tmp_path):
+        manifest = run(parse_config(WRAPAROUND), str(tmp_path))
+        assert manifest.error.startswith("BoundaryClipping")
+        assert "t=28.8" in manifest.error
+        assert "diagnostics.csv" in manifest.artifacts
+        lines = (Path(manifest.run_dir) / "diagnostics.csv").read_text() \
+            .splitlines()
+        assert lines[0] == DIAG_HEADER
+        # every 10th step of dt=0.05 until the step that hit the edge
+        times = [float(line.split(",")[0]) for line in lines[1:]]
+        assert times == pytest.approx([0.5 * i for i in range(58)])
+
     def test_unexpected_error_leaves_manifest_and_propagates(
             self, tmp_path, monkeypatch):
         def disk_full(psi, path):
@@ -216,6 +282,13 @@ class TestCli:
         rc = main(["simulate", self._write(tmp_path, "scenario: nope\n")])
         assert rc == 2
 
+    def test_simulate_bad_value_exit_2(self, tmp_path, capsys):
+        bad = self._write(tmp_path, "scenario: free_spread\n"
+                          "grid: {n_points: abc}\n")
+        assert main(["simulate", bad, "--out", str(tmp_path / "runs")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_simulate_config_error_in_manifest_exit_2(self, tmp_path):
         bad = MEASUREMENT.replace("d_sep: 10.0", "d_sep: 2.0")
         rc = main(["simulate", self._write(tmp_path, bad),
@@ -260,3 +333,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[PASS] geometric_probabilities" in out
         assert "FAIL" not in out
+
+    def test_check_fails_on_a_broken_scenario(self, monkeypatch, capsys):
+        real = scenarios.sample_collapse
+
+        def always_first(decomp, seed):
+            return dataclasses.replace(real(decomp, seed), branch_index=0)
+
+        monkeypatch.setattr(scenarios, "sample_collapse", always_first)
+        assert main(["check"]) == 1
+        assert "[FAIL] branch_1_frequency" in capsys.readouterr().out
+
+    def test_check_runs_every_scenario_and_leaves_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        cwd, temp = tmp_path / "cwd", tmp_path / "temp"
+        cwd.mkdir()
+        temp.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        assert main(["check"]) == 0
+        out = capsys.readouterr().out
+        for name in scenarios.SCENARIOS:
+            assert f"{name}, run a:\n" in out and f"{name}, run b:\n" in out
+        assert out.count("[PASS] repeat_byte_identity") == 6
+        assert list(cwd.iterdir()) == [] and list(temp.iterdir()) == []
