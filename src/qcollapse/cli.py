@@ -16,6 +16,9 @@ from .errors import ParseError, QCollapseError, ValidationError
 from .scenarios import (REGISTRY, RNG_ALGORITHM, load_config, parse_config,
                         resolve_output_root, run)
 
+# Exceptions that mean the configuration is wrong: exit code 2.
+CONFIG_ERRORS = (ParseError, ValidationError)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -29,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, default=None)
 
     samp = sub.add_parser("sample", help="run a scenario K times, member k "
-                          "on seed + k * n_samples, and aggregate")
+                          "with stream seed seed + k * n_samples, and "
+                          "aggregate")
     samp.add_argument("config", type=Path)
     samp.add_argument("--n-runs", type=int, required=True)
     samp.add_argument("--out", type=Path, default=None)
@@ -56,8 +60,7 @@ def _simulate(args) -> int:
                                   echo={**cfg.echo, "seed": args.seed})
     manifest = run(cfg, str(args.out) if args.out else None)
     _print_manifest(manifest)
-    if manifest.error and manifest.error.split(":")[0] in (
-            "ParseError", "ValidationError"):
+    if manifest.error_type and issubclass(manifest.error_type, CONFIG_ERRORS):
         return 2
     return 0 if manifest.ok else 1
 
@@ -69,7 +72,9 @@ def _sample(args) -> int:
     if cfg.seed is None:
         raise ValidationError("sample requires a seeded config")
     results = []
-    for k in range(args.n_runs):  # disjoint blocks of n_samples event seeds
+    # Each member draws its events from its own stream, default_rng(seed_k);
+    # seed + k * n_samples is simply a distinct seed per member.
+    for k in range(args.n_runs):
         seed_k = cfg.seed + k * cfg.n_samples
         member = dataclasses.replace(cfg, seed=seed_k,
                                      echo={**cfg.echo, "seed": seed_k})
@@ -122,7 +127,7 @@ def main(argv=None) -> int:
     handler = {"simulate": _simulate, "sample": _sample, "check": _check}
     try:
         return handler[args.command](args)
-    except (ParseError, ValidationError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QCollapseError as exc:

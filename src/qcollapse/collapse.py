@@ -3,7 +3,8 @@
 Collapse semantics only apply to superpositions of weakly interfering
 packets.  Probabilities are computed geometrically, as the quotient of the
 reduced and the full support-interval widths, and must reproduce the squared
-coefficient moduli; sampling is fully deterministic given a seed.
+coefficient moduli.  Sampling draws from a caller-supplied numpy Generator
+(PCG64 under default_rng), so a seeded stream fixes every event it draws.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ class ReducedInterval:
 class CollapseEvent:
     branch_index: int
     probability: float
-    seed: int
+    u: float  # the uniform draw that picked the branch
     a_posteriori: Tuple[float, ...]
 
 
@@ -173,22 +174,22 @@ def measure_quotients(decomp: SuperpositionDecomposition) -> np.ndarray:
 
 
 def sample_collapse(decomp: SuperpositionDecomposition,
-                    seed: int) -> CollapseEvent:
-    """Inverse-CDF sample of the realized branch on its own seeded stream.
+                    rng: np.random.Generator) -> CollapseEvent:
+    """Inverse-CDF sample of the realized branch from the stream `rng`.
 
-    Each event draws one u = default_rng(seed).random() from a fresh PCG64
-    stream and looks it up in the branch CDF that the decomposition builds
-    once.  Branch intervals are half-open [lo, hi) in coefficient index
-    order, so identical (decomp, seed) always give an identical event; an
-    ensemble gives event i the stream of seed + i.
+    Draws one u = rng.random() and looks it up in the branch CDF that the
+    decomposition builds once.  Branch intervals are half-open [lo, hi) in
+    coefficient index order, so an ensemble seeded once with
+    np.random.default_rng(seed) and drawn event by event is fixed by
+    (decomp, seed).
     """
     cdf = decomp.branch_cdf
-    u = np.random.default_rng(seed).random()
+    u = rng.random()
     d = len(cdf)
     idx = min(bisect_right(cdf, u), d - 1)
     posterior = (0.0,) * idx + (1.0,) + (0.0,) * (d - 1 - idx)
     return CollapseEvent(branch_index=idx, probability=decomp.weights[idx],
-                         seed=seed, a_posteriori=posterior)
+                         u=u, a_posteriori=posterior)
 
 
 def apply_self_collapse(decomp: SuperpositionDecomposition,

@@ -7,6 +7,7 @@ tolerance, so verdicts are reproducible.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
@@ -98,10 +99,10 @@ class GateConfig:
     mass_threshold: float = 0.99
 
     def __post_init__(self):
-        if self.eta <= 1:
-            raise ValidationError("eta must exceed 1")
-        if self.k <= 0:
-            raise ValidationError("k must be positive")
+        if not 1 < self.eta < math.inf:
+            raise ValidationError("eta must exceed 1 and be finite")
+        if not 0 < self.k < math.inf:
+            raise ValidationError("k must be positive and finite")
         if not 0 < self.taylor_tol < 1:
             raise ValidationError("taylor_tol must lie in (0, 1)")
         if not 0.5 < self.mass_threshold < 1:

@@ -45,6 +45,8 @@ class Grid1D:
         if n < 16 or (n & (n - 1)) != 0:
             raise ValidationError(
                 f"n_points must be a power of two >= 16, got {n}")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValidationError("grid bounds must be finite")
         if not self.x_max > self.x_min:
             raise ValidationError("x_max must exceed x_min")
 
@@ -74,8 +76,8 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ValidationError("mass and hbar must be positive")
+        if not (0 < self.mass < math.inf and 0 < self.hbar < math.inf):
+            raise ValidationError("mass and hbar must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

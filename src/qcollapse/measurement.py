@@ -105,10 +105,10 @@ class CouplingConfig:
     tau: float = 15.0
 
     def __post_init__(self):
-        if self.shift_velocity <= 0:
-            raise ValidationError("shift_velocity must be positive")
-        if self.d_sep <= 0 or self.tau <= 0:
-            raise ValidationError("d_sep and tau must be positive")
+        if not 0 < self.shift_velocity < math.inf:
+            raise ValidationError("shift_velocity must be positive and finite")
+        if not (0 < self.d_sep < math.inf and 0 < self.tau < math.inf):
+            raise ValidationError("d_sep and tau must be positive and finite")
         if self.tau * self.shift_velocity < self.d_sep:
             raise ValidationError(
                 "coupling too short: tau * shift_velocity < d_sep")
@@ -157,9 +157,10 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     potential carried along in the branch's co-moving frame, so confining
     potentials hold the packet shape while its center translates.  The
     coefficients are carried unchanged.  `observer`, if given, receives
-    (t, per-branch PacketSummary list) at every step.  As in `evolve`, dt
-    must be positive and resolve a harmonic period; as in `make_gaussian`,
-    no branch may put more than EDGE_MASS_TOL in the grid's edge region.
+    (t, per-branch PacketSummary list, OrderParameters or None for a single
+    branch) at every step.  As in `evolve`, dt must be positive and resolve
+    a harmonic period; as in `make_gaussian`, no branch may put more than
+    EDGE_MASS_TOL in the grid's edge region.
     """
     EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
     cfg.validate_apparatus(packet_summary(state.apparatus_states[0]).std_x)
@@ -174,10 +175,10 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
                 raise BoundaryClipping(f"branch {n} edge mass "
                                        f"{s.edge_mass():.3g} at t={t}")
         summaries = [packet_summary(s) for _, _, s in branches]
+        ops = order_parameters(summaries) if len(summaries) >= 2 else None
         if observer is not None:
-            observer(t, summaries)
-        if len(summaries) >= 2:
-            ops = order_parameters(summaries)
+            observer(t, summaries, ops)
+        if ops is not None:
             series.append((t, ops.min_pairwise_separation, ops.critical_value))
 
     sample(0.0)
@@ -224,15 +225,16 @@ def measure(state: CompositeState, report: TransitionReport, seed: int,
             params: PhysicalParams = PhysicalParams()) -> MeasurementOutcome:
     """Self-collapse on the apparatus, relative collapse on the object.
 
-    Requires a detected transition; before that the pointer packets are not
-    weakly interfering and collapse semantics do not apply.  The composite
-    state is read, never modified.
+    The realized branch is one sample_collapse draw from the stream
+    np.random.default_rng(seed).  Requires a detected transition; before
+    that the pointer packets are not weakly interfering and collapse
+    semantics do not apply.  The composite state is read, never modified.
     """
     if report.t_star is None:
         raise TransitionNotReached(
             "order parameter never crossed its critical value")
     decomp = apparatus_decomposition(state, gate_cfg, params)
-    event = sample_collapse(decomp, seed)
+    event = sample_collapse(decomp, np.random.default_rng(seed))
     realized = apply_self_collapse(decomp, event)
     mixture = tuple(float(abs(c) ** 2) for c in state.coefficients)
     return MeasurementOutcome(event=event, apparatus_state=realized,

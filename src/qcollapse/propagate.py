@@ -37,6 +37,10 @@ class Potential:
     def __post_init__(self):
         if self.kind not in ("free", "harmonic", "double_well", "tabulated"):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.omega, self.center,
+                                       self.barrier_height,
+                                       self.well_separation))):
+            raise ValidationError("potential parameters must be finite")
         if self.kind == "harmonic" and self.omega <= 0:
             raise ValidationError("harmonic potential needs omega > 0")
         if self.kind == "double_well" and self.well_separation <= 0:
@@ -130,8 +134,8 @@ class EvolutionConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError("dt must be positive and finite")
         if self.n_steps < 0:
             raise ValidationError("n_steps must be non-negative")
         if self.record_every < 1:

@@ -26,7 +26,6 @@ from . import collapse as collapse_mod
 from .collapse import RNG_ALGORITHM, decompose, sample_collapse
 from .diagnostics import (
     GateConfig,
-    order_parameters,
     packet_summary,
     positive_position,
     wave_packet_gate,
@@ -107,13 +106,16 @@ class RunManifest:
     wall_time_s: float
     assertions: List[Assertion]
     error: Optional[str] = None
+    # The class of the exception that ended the run; the file records its name.
+    error_type: Optional[type] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None and all(a.passed for a in self.assertions)
 
     def write(self, path: Path) -> None:
-        path.write_text(_json({**asdict(self),
+        error_type = self.error_type and self.error_type.__name__
+        path.write_text(_json({**asdict(self), "error_type": error_type,
                                "artifacts": sorted(self.artifacts)}))
 
 
@@ -342,6 +344,7 @@ def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
         REGISTRY[cfg.scenario].runner(cfg, manifest)
     except Exception as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
+        manifest.error_type = type(exc)
         failure = exc
     manifest.wall_time_s = time.perf_counter() - start
     manifest.write(run_dir / "manifest.json")
@@ -436,20 +439,22 @@ def _binomial_3sigma(p: float, n: int) -> float:
 
 
 def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
-    """Sample cfg.n_samples collapse events, event i on seed cfg.seed + i.
+    """Sample cfg.n_samples collapse events in turn from one PCG64 stream,
+    np.random.default_rng(cfg.seed).
 
     Writes one JSON line per event to artifact `name`, checks every branch
     frequency against its 3-sigma binomial band and returns the frequencies.
     """
+    rng = np.random.default_rng(cfg.seed)
     counts = [0] * len(decomp)
     lines = []
-    for seed in range(cfg.seed, cfg.seed + cfg.n_samples):
-        event = sample_collapse(decomp, seed)
+    for i in range(cfg.n_samples):
+        event = sample_collapse(decomp, rng)
         counts[event.branch_index] += 1
-        # Same bytes as json.dumps of {"seed", "branch", "p"}: a finite
+        # Same bytes as json.dumps of {"event", "branch", "p"}: a finite
         # float encodes as its repr.
-        lines.append(f'{{"seed": {event.seed}, "branch": '
-                     f'{event.branch_index}, "p": {event.probability!r}}}')
+        lines.append(f'{{"event": {i}, "branch": {event.branch_index}, '
+                     f'"p": {event.probability!r}}}')
     _emit(manifest, name, "\n".join(lines) + "\n")
     freqs = [c / cfg.n_samples for c in counts]
     for i, (pi, fi) in enumerate(zip(decomp.probabilities, freqs)):
@@ -500,10 +505,8 @@ def _run_measurement_core(cfg, manifest):
     ticks = itertools.count()
     with _diagnostics_csv(manifest) as row:
 
-        def observer(t, summaries):
+        def observer(t, summaries, ops):
             if next(ticks) % cfg.evolution.record_every == 0:
-                ops = (order_parameters(summaries) if len(summaries) > 1
-                       else None)
                 sep = ops.min_pairwise_separation if ops else None
                 crit = ops.critical_value if ops else None
                 flag = ops.transition if ops else None

@@ -184,7 +184,11 @@ def test_acceptance_5_born_rule_identity():
 
 
 def test_acceptance_6_collapse_statistics():
-    """Sampled collapse frequencies match the Born weights at scale."""
+    """Sampled collapse frequencies match the Born weights at scale.
+
+    Each ensemble draws its events in turn from one fixed stream:
+    default_rng(0) for the two-branch cat, default_rng(1) for d=4.
+    """
     grid = Grid1D(-40.0, 40.0, 1024)
     basis = [make_gaussian(grid, c, 1.0, 0.0, PARAMS) for c in (-18.0, 18.0)]
     decomp = decompose(superpose(zip((0.6, 0.8), basis)), basis, params=PARAMS)
@@ -192,8 +196,9 @@ def test_acceptance_6_collapse_statistics():
     start = time.perf_counter()
     n = 100_000
     hits = 0
-    for seed in range(n):
-        hits += sample_collapse(decomp, seed).branch_index
+    rng = np.random.default_rng(0)
+    for _ in range(n):
+        hits += sample_collapse(decomp, rng).branch_index
     freq_err = abs(hits / n - 0.64)
     band = 3.0 * math.sqrt(0.64 * 0.36 / n)
 
@@ -205,8 +210,9 @@ def test_acceptance_6_collapse_statistics():
     decomp4 = decompose(superpose(zip(c4, basis4)), basis4, params=PARAMS)
     m = 10_000
     counts = np.zeros(4)
-    for seed in range(m):
-        counts[sample_collapse(decomp4, seed).branch_index] += 1
+    rng = np.random.default_rng(1)
+    for _ in range(m):
+        counts[sample_collapse(decomp4, rng).branch_index] += 1
     expected = m * weights
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     chi2_crit = float(scipy.stats.chi2.ppf(0.999, df=3))

@@ -39,6 +39,8 @@ def _separated_packets(d):
 
 
 class _FixedDraw:
+    """A stand-in generator whose every draw is u."""
+
     def __init__(self, u):
         self.u = u
 
@@ -46,15 +48,14 @@ class _FixedDraw:
         return self.u
 
 
-def _reference_event(decomp, seed):
-    """The inverse-CDF draw with a CDF rebuilt by numpy on every call."""
+def _reference_event(decomp, u):
+    """The inverse-CDF event for draw u, with a CDF rebuilt by numpy."""
     p = decomp.probabilities
-    u = np.random.default_rng(seed).random()
     idx = min(int(np.searchsorted(np.cumsum(p), u, side="right")), len(p) - 1)
     return CollapseEvent(
         branch_index=idx,
         probability=float(abs(decomp.coefficients[idx]) ** 2),
-        seed=seed,
+        u=u,
         a_posteriori=tuple(1.0 if i == idx else 0.0 for i in range(len(p))))
 
 
@@ -178,11 +179,14 @@ class TestGeometricProbabilities:
         assert np.allclose(decomp.probabilities, [w, 1.0 - w], atol=1e-7)
 
 
+# Every stream below is np.random.default_rng(seed) with a fixed seed named
+# in the test; an ensemble draws its events in turn from one stream.
 class TestSampling:
     def test_determinism(self, cat_decomp):
-        events = [sample_collapse(cat_decomp, 42) for _ in range(5)]
+        events = [sample_collapse(cat_decomp, np.random.default_rng(42))
+                  for _ in range(5)]
         assert all(e == events[0] for e in events)
-        assert events[0].seed == 42
+        assert events[0].u == np.random.default_rng(42).random()
         assert events[0].probability == pytest.approx(
             0.36 if events[0].branch_index == 0 else 0.64, abs=1e-8)
 
@@ -190,19 +194,20 @@ class TestSampling:
         assert RNG_ALGORITHM == "numpy.random.PCG64"
 
     def test_matches_inverse_cdf_oracle(self, cat_decomp):
-        for seed in range(50):
-            u = np.random.default_rng(seed).random()
+        rng = np.random.default_rng(0)
+        for u in np.random.default_rng(0).random(50):
             expected = 0 if u < 0.36 else 1
-            assert sample_collapse(cat_decomp, seed).branch_index == expected
+            assert sample_collapse(cat_decomp, rng).branch_index == expected
 
     def test_certain_branch_always_chosen(self, gaussian, params):
         psi = gaussian()
         decomp = decompose(psi, [psi], params=params)
-        for seed in range(20):
-            assert sample_collapse(decomp, seed).branch_index == 0
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            assert sample_collapse(decomp, rng).branch_index == 0
 
     def test_posterior_is_one_hot(self, cat_decomp):
-        e = sample_collapse(cat_decomp, 7)
+        e = sample_collapse(cat_decomp, np.random.default_rng(7))
         assert sum(e.a_posteriori) == 1.0
         assert e.a_posteriori[e.branch_index] == 1.0
 
@@ -210,18 +215,20 @@ class TestSampling:
     @given(raw=st.lists(st.floats(0.02, 1.0), min_size=2, max_size=5),
            phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=5,
                            max_size=5),
-           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1,
-                          max_size=25))
-    def test_matches_reference_sampler(self, raw, phases, seeds):
+           seed=st.integers(0, 2**64 - 1),
+           n_events=st.integers(1, 25))
+    def test_matches_reference_sampler(self, raw, phases, seed, n_events):
         w = np.array(raw) / sum(raw)
         c = np.sqrt(w) * np.exp(1j * np.array(phases[:len(w)]))
         basis = _separated_packets(len(w))
         decomp = decompose(superpose(zip(c, basis)), basis)
-        for seed in seeds:
-            assert sample_collapse(decomp, seed) == \
-                _reference_event(decomp, seed)
+        rng = np.random.default_rng(seed)
+        # One vectorized draw of the stream gives the same doubles in turn.
+        for u in np.random.default_rng(seed).random(n_events):
+            assert sample_collapse(decomp, rng) == \
+                _reference_event(decomp, float(u))
 
-    def test_cdf_boundaries_match_searchsorted(self, monkeypatch):
+    def test_cdf_boundaries_match_searchsorted(self):
         c = np.sqrt([0.2, 0.3, 0.5])
         basis = _separated_packets(3)
         decomp = decompose(superpose(zip(c, basis)), basis)
@@ -229,11 +236,9 @@ class TestSampling:
         draws = [0.0, cdf[0], np.nextafter(cdf[0], 0.0), cdf[1],
                  cdf[-1], np.nextafter(cdf[-1], 2.0),
                  np.nextafter(1.0, 0.0)]
-        for u in draws:
-            # Both samplers draw from default_rng(seed).random() only.
-            monkeypatch.setattr(np.random, "default_rng",
-                                lambda seed, u=float(u): _FixedDraw(u))
-            assert sample_collapse(decomp, 0) == _reference_event(decomp, 0)
+        for u in map(float, draws):
+            assert sample_collapse(decomp, _FixedDraw(u)) == \
+                _reference_event(decomp, u)
 
     def test_cdf_and_weights_cached_as_tuples(self, cat_decomp, monkeypatch):
         cdf, weights = cat_decomp.branch_cdf, cat_decomp.weights
@@ -246,17 +251,20 @@ class TestSampling:
         def fail(*args, **kwargs):
             raise AssertionError("branch table rebuilt")
 
+        rng = np.random.default_rng(0)
         monkeypatch.setattr(np, "cumsum", fail)
         monkeypatch.setattr(SuperpositionDecomposition, "coefficients",
                             property(fail))
-        for seed in range(10):
-            sample_collapse(cat_decomp, seed)
+        for _ in range(10):
+            sample_collapse(cat_decomp, rng)
         assert cat_decomp.branch_cdf is cdf
         assert cat_decomp.weights is weights
 
     def test_empirical_frequencies(self, cat_decomp):
         n = 2000
-        hits = sum(sample_collapse(cat_decomp, s).branch_index for s in range(n))
+        rng = np.random.default_rng(0)
+        hits = sum(sample_collapse(cat_decomp, rng).branch_index
+                   for _ in range(n))
         # 3 sigma binomial band around p = 0.64
         band = 3.0 * math.sqrt(0.64 * 0.36 / n)
         assert abs(hits / n - 0.64) <= band
@@ -264,14 +272,14 @@ class TestSampling:
 
 class TestApplySelfCollapse:
     def test_returns_normalized_branch(self, cat_decomp, gaussian):
-        e = sample_collapse(cat_decomp, 42)
+        e = sample_collapse(cat_decomp, np.random.default_rng(42))
         out = apply_self_collapse(cat_decomp, e)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
         target = gaussian(center=-18.0 if e.branch_index == 0 else 18.0)
         assert l2_distance(out, target) <= 1e-10
 
     def test_index_out_of_range(self, cat_decomp):
-        bad = CollapseEvent(branch_index=5, probability=0.0, seed=0,
+        bad = CollapseEvent(branch_index=5, probability=0.0, u=0.0,
                             a_posteriori=(0.0, 0.0))
         with pytest.raises(IndexOutOfRange):
             apply_self_collapse(cat_decomp, bad)
@@ -280,7 +288,7 @@ class TestApplySelfCollapse:
     def test_decomposition_untouched(self, cat_decomp):
         before = [s.amplitudes.copy() for s in cat_decomp.states]
         p_before = cat_decomp.probabilities.copy()
-        e = sample_collapse(cat_decomp, 3)
+        e = sample_collapse(cat_decomp, np.random.default_rng(3))
         apply_self_collapse(cat_decomp, e)
         for old, new in zip(before, cat_decomp.states):
             assert np.array_equal(old, new.amplitudes)

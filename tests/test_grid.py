@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollapse import (
+    CouplingConfig,
+    EvolutionConfig,
+    GateConfig,
     Grid1D,
     PhysicalParams,
+    Potential,
     WaveFunction,
     inner_product,
     make_gaussian,
@@ -39,6 +43,41 @@ class TestGrid1D:
     def test_rejects_empty_domain(self):
         with pytest.raises(ValidationError):
             Grid1D(1.0, 1.0, 64)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("factory, kwargs", [
+    (Grid1D, {"x_max": INF}),
+    (Grid1D, {"x_min": -INF}),
+    (Grid1D, {"x_min": NAN}),
+    (PhysicalParams, {"mass": NAN}),
+    (PhysicalParams, {"mass": INF}),
+    (PhysicalParams, {"hbar": NAN}),
+    (EvolutionConfig, {"dt": NAN}),
+    (EvolutionConfig, {"dt": INF}),
+    (Potential.harmonic, {"omega": NAN}),
+    (Potential.harmonic, {"omega": INF}),
+    (Potential.harmonic, {"center": NAN}),
+    (Potential.double_well, {"well_separation": NAN}),
+    (Potential.double_well, {"well_separation": INF}),
+    (Potential.double_well, {"barrier_height": INF}),
+    (CouplingConfig, {"shift_velocity": NAN}),
+    (CouplingConfig, {"shift_velocity": INF}),
+    (CouplingConfig, {"d_sep": NAN}),
+    (CouplingConfig, {"tau": INF}),
+    (GateConfig, {"eta": NAN}),
+    (GateConfig, {"eta": INF}),
+    (GateConfig, {"k": NAN}),
+    (GateConfig, {"k": INF}),
+], ids=lambda v: (v.__qualname__ if callable(v)
+                  else ",".join(f"{k}={x}" for k, x in v.items())))
+def test_constructors_reject_non_finite_values(factory, kwargs):
+    # A NaN fails every comparison, so a check written as `x <= 0` lets it
+    # through; an infinite bound or step passes one written as `x > 0`.
+    with pytest.raises(ValidationError):
+        factory(**kwargs)
 
 
 class TestWaveFunction:

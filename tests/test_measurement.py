@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qcollapse import (
     detect_transition,
     make_gaussian,
     measure,
+    order_parameters,
     packet_summary,
     pointer_distinguishability,
     premeasurement,
@@ -151,10 +153,28 @@ class TestVonNeumannEvolve:
         times = []
         self._coupled(obj, apparatus, trap, params, dt=0.1,
                       cfg=CouplingConfig(1.0, 10.0, 11.0),
-                      observer=lambda t, s: times.append(t))
+                      observer=lambda t, s, ops: times.append(t))
         assert len(times) == 111
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(11.0)
+
+    def test_observer_receives_the_step_order_parameters(
+            self, obj, apparatus, trap, params):
+        seen = []
+        _, report = self._coupled(
+            obj, apparatus, trap, params, dt=0.1,
+            cfg=CouplingConfig(1.0, 10.0, 11.0),
+            observer=lambda t, s, ops: seen.append((t, s, ops)))
+        assert all(ops == order_parameters(s) for _, s, ops in seen)
+        assert [(t, ops.min_pairwise_separation, ops.critical_value)
+                for t, _, ops in seen] == list(report.series)
+        single = premeasurement(ObjectState(np.array([1.0])), apparatus,
+                                params=params)
+        seen.clear()
+        von_neumann_evolve(single, CouplingConfig(1.0, 3.0, 3.0), trap,
+                           params, 0.1,
+                           observer=lambda t, s, ops: seen.append(ops))
+        assert len(seen) == 31 and set(seen) == {None}
 
     def test_dt_bound_for_harmonic_before_stepping(self, obj, apparatus,
                                                    params):
@@ -162,7 +182,8 @@ class TestVonNeumannEvolve:
         seen = []
         with pytest.raises(ValidationError, match="exceeds"):
             self._coupled(obj, apparatus, Potential.harmonic(omega=1.0),
-                          params, dt=1.0, observer=lambda t, s: seen.append(t))
+                          params, dt=1.0,
+                          observer=lambda t, s, ops: seen.append(t))
         assert seen == []
 
     def test_wrap_around_raises_boundary_clipping(self, params):
@@ -177,7 +198,7 @@ class TestVonNeumannEvolve:
         with pytest.raises(BoundaryClipping, match="branch 2"):
             von_neumann_evolve(comp, CouplingConfig(1.0, 10.0, 40.0), trap,
                                params, 0.05,
-                               observer=lambda t, s: times.append(t))
+                               observer=lambda t, s, ops: times.append(t))
         # branch 2 is at 20 + 2 t, about 6 widths below the edge region
         assert 14.0 < times[-1] < 16.0
 
@@ -232,6 +253,15 @@ class TestMeasure:
         assert out.object_mixture == pytest.approx((0.36, 0.64), abs=1e-12)
         assert out.realized_object_index == out.event.branch_index
         assert out.apparatus_state.norm() == pytest.approx(1.0, abs=1e-10)
+
+    def test_draw_is_the_first_of_its_seeded_stream(self, evolved, params):
+        final, report = evolved
+        cdf = apparatus_decomposition(final, params=params).branch_cdf
+        for seed in (0, 1, 42, 2**32, 2**64 - 1):
+            u = np.random.default_rng(seed).random()
+            out = measure(final, report, seed=seed, params=params)
+            assert out.event.u == u
+            assert out.event.branch_index == bisect_right(cdf, u)
 
     def test_pointer_matrix(self, evolved, obj, apparatus, params):
         final, _ = evolved

@@ -3,11 +3,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcollapse import scenarios
 from qcollapse.cli import main
-from qcollapse.errors import ParseError, ValidationError
+from qcollapse.errors import ParseError, TransitionNotReached, ValidationError
 from qcollapse.scenarios import (
     DIAG_HEADER,
     parse_config,
@@ -58,6 +59,28 @@ seed: 1
 evolution: {dt: 0.05, record_every: 10}
 coupling: {shift_velocity: 1.0, tau: 40.0}
 """
+
+
+class NarrowCoupling(ValidationError):
+    """A configuration error of a type defined outside the package."""
+
+
+def stream_branches(seed, run_dir, n):
+    """Branches of n events drawn in one vectorized call from the stream
+    default_rng(seed) and looked up in the CDF of the run's probabilities:
+    the reference for an ensemble sampled event by event."""
+    probs = json.loads((Path(run_dir) / "probabilities.json").read_text())
+    cdf = np.cumsum(probs["geometric"])
+    u = np.random.default_rng(seed).random(n)
+    return np.minimum(np.searchsorted(cdf, u, side="right"),
+                      len(cdf) - 1).tolist()
+
+
+def ensemble_branches(run_dir, name="collapse.jsonl"):
+    records = [json.loads(line) for line in
+               (Path(run_dir) / name).read_text().splitlines()]
+    assert [r["event"] for r in records] == list(range(len(records)))
+    return [r["branch"] for r in records]
 
 
 def assert_canonical_jsonl(path):
@@ -189,11 +212,23 @@ class TestScenarioRuns:
         probs = json.loads((run_dir / "probabilities.json").read_text())
         assert probs["geometric"] == pytest.approx([0.36, 0.64], abs=1e-8)
         assert probs["measure_quotient"] == pytest.approx([0.5, 0.5], abs=1e-6)
-        records = [json.loads(l) for l in
-                   (run_dir / "collapse.jsonl").read_text().splitlines()]
-        assert len(records) == 400
-        assert records[0]["seed"] == 7
+        branches = ensemble_branches(run_dir)
+        assert len(branches) == 400
+        assert branches == stream_branches(7, run_dir, 400)
         assert_canonical_jsonl(run_dir / "collapse.jsonl")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_collapse_sample_draws_one_stream(self, tmp_path, seed):
+        # Three branches, one with a complex coefficient.
+        cfg = parse_config(COLLAPSE.replace(
+            "coefficients: [0.6, 0.8]",
+            "coefficients: [[0.0, 0.48], 0.6, 0.64]\n"
+            "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}")
+            .replace("seed: 7", f"seed: {seed}"))
+        manifest = run(cfg, str(tmp_path))
+        assert manifest.ok, [a.detail for a in manifest.assertions]
+        assert ensemble_branches(manifest.run_dir) == \
+            stream_branches(seed, manifest.run_dir, 400)
 
     def test_measurement_run(self, tmp_path):
         manifest = run(parse_config(MEASUREMENT), str(tmp_path))
@@ -211,6 +246,10 @@ class TestScenarioRuns:
         doc = json.loads((run_dir / "summary.json").read_text())
         assert doc["n_samples"] == 1500
         assert sum(doc["frequencies"]) == pytest.approx(1.0, abs=1e-12)
+        branches = ensemble_branches(run_dir, "outcomes.jsonl")
+        assert len(branches) == 1500
+        assert doc["frequencies"] == [branches.count(i) / 1500
+                                      for i in range(2)]
         assert_canonical_jsonl(run_dir / "outcomes.jsonl")
 
     def test_narrow_coupling_fails_before_stepping(self, tmp_path):
@@ -246,6 +285,7 @@ class TestScenarioRuns:
         (run_dir,) = tmp_path.iterdir()
         doc = json.loads((run_dir / "manifest.json").read_text())
         assert doc["error"] == "OSError: disk full"
+        assert doc["error_type"] == "OSError"
 
     def test_byte_identical_determinism(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -295,6 +335,24 @@ class TestCli:
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
 
+    @pytest.mark.parametrize("error, code", [
+        (ValidationError, 2), (ParseError, 2), (NarrowCoupling, 2),
+        (TransitionNotReached, 1)])
+    def test_simulate_exit_code_follows_the_error_type(
+            self, tmp_path, monkeypatch, error, code):
+        def fail(cfg, manifest):
+            raise error("ValidationError: a message is not a type")
+
+        entry = scenarios.REGISTRY["free_spread"]
+        monkeypatch.setitem(scenarios.REGISTRY, "free_spread",
+                            entry._replace(runner=fail))
+        rc = main(["simulate", self._write(tmp_path, FREE),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == code
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        doc = json.loads((run_dir / "manifest.json").read_text())
+        assert doc["error_type"] == error.__name__
+
     def test_simulate_seed_override(self, tmp_path, capsys):
         rc = main(["simulate", self._write(tmp_path, COLLAPSE),
                    "--seed", "99", "--out", str(tmp_path / "runs")])
@@ -311,12 +369,15 @@ class TestCli:
             (tmp_path / "runs" / "aggregate-collapse_sample.json").read_text())
         assert doc["n_runs"] == 3 and doc["n_pass"] == 3
         assert len(doc["runs"]) == 3
-        # member k runs on seed 7 + 200 k: disjoint per-event seed blocks
-        seeds = [json.loads(line)["seed"] for run_dir in doc["runs"]
-                 for line in (Path(run_dir) / "collapse.jsonl")
-                 .read_text().splitlines()]
-        assert len(seeds) == len(set(seeds)) == 600
-        assert min(seeds) == 7 and max(seeds) == 7 + 600 - 1
+        # member k draws its 200 events from the stream seeded 7 + 200 k
+        seeds = [7 + 200 * k for k in range(3)]
+        assert [Path(r).name.rsplit("-", 1)[1] for r in doc["runs"]] == \
+            [f"seed{s}" for s in seeds]
+        members = [ensemble_branches(r) for r in doc["runs"]]
+        assert sum(map(len, members)) == 600
+        for seed, run_dir, branches in zip(seeds, doc["runs"], members):
+            assert branches == stream_branches(seed, run_dir, 200)
+        assert len({tuple(b) for b in members}) == 3
 
     @pytest.mark.parametrize("n_runs", ["0", "-1"])
     def test_sample_rejects_non_positive_n_runs(self, tmp_path, capsys,
@@ -337,8 +398,8 @@ class TestCli:
     def test_check_fails_on_a_broken_scenario(self, monkeypatch, capsys):
         real = scenarios.sample_collapse
 
-        def always_first(decomp, seed):
-            return dataclasses.replace(real(decomp, seed), branch_index=0)
+        def always_first(decomp, rng):
+            return dataclasses.replace(real(decomp, rng), branch_index=0)
 
         monkeypatch.setattr(scenarios, "sample_collapse", always_first)
         assert main(["check"]) == 1
