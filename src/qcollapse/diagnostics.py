@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -21,8 +22,8 @@ from .errors import (
     TooFewPackets,
     ValidationError,
 )
-from .grid import PhysicalParams, WaveFunction, inner_product
-from .propagate import Potential
+from .grid import Grid1D, PhysicalParams, WaveFunction, inner_product
+from .propagate import PHASE_CACHE_SIZE, Potential
 
 HERMITICITY_TOL = 1e-6
 VARIANCE_CLAMP_TOL = 1e-9
@@ -139,13 +140,27 @@ class EhrenfestResiduals:
     residual_newton: np.ndarray  # |d<p>/dt + dV(<x>)/d<x>|
 
 
+@lru_cache(maxsize=PHASE_CACHE_SIZE)
+def _momentum_axis(grid: Grid1D, hbar: float) -> np.ndarray:
+    """p = hbar k in FFT order, shared read-only per (grid, hbar)."""
+    p = hbar * grid.k
+    p.flags.writeable = False
+    return p
+
+
+def _support_slice(x: np.ndarray, lo: float, hi: float) -> slice:
+    """The grid points lo <= x <= hi of the ascending grid x, as a slice."""
+    return slice(int(np.searchsorted(x, lo, side="left")),
+                 int(np.searchsorted(x, hi, side="right")))
+
+
 def apply_observable(psi: WaveFunction, a: ObservableSpec,
                      params: PhysicalParams) -> np.ndarray:
     """Amplitudes of A|psi> (not normalized)."""
     if a.kind == "position_poly":
         return a.classical_value(psi.grid.x) * psi.amplitudes
     phi = np.fft.fft(psi.amplitudes)
-    p = params.hbar * psi.grid.k
+    p = _momentum_axis(psi.grid, params.hbar)
     power = 1 if a.kind == "momentum" else 2
     return np.fft.ifft(p**power * phi)
 
@@ -174,7 +189,7 @@ def _second_moment(psi: WaveFunction, a: ObservableSpec,
         vals = a.classical_value(psi.grid.x)
         return float(np.sum(vals**2 * rho)) * dx
     phi = np.fft.fft(psi.amplitudes)
-    p = params.hbar * psi.grid.k
+    p = _momentum_axis(psi.grid, params.hbar)
     power = 2 if a.kind == "momentum" else 4
     # Parseval: sum_k |phi_k|^2 * dx / N equals the norm^2.
     weight = (phi.real**2 + phi.imag**2) * dx / psi.grid.n_points
@@ -204,33 +219,34 @@ def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
     """Moments, the support interval (<x> +- k std x / 2) and its mass.
 
     One fused pass with a single forward FFT phi = F a, for a = psi's
-    amplitudes, rho = |a|^2 and p = hbar k:
+    amplitudes and p = hbar k:
 
-        <x>   = Re vdot(a, x a) dx         <x^2> = sum(x^2 rho) dx
-        <p>   = Re vdot(phi, p phi) dx/N   <p^2> = sum(p^2 |phi|^2) dx/N
+        <x>   = Re vdot(a, x a) dx         <x^2> = |x a|^2 dx
+        <p>   = Re vdot(phi, p phi) dx/N   <p^2> = |p phi|^2 dx/N
 
-    where dx/N is the Parseval weight (sum |phi|^2 dx/N = sum |a|^2 dx).
-    The imaginary parts of both first moments are checked against
-    HERMITICITY_TOL as in `expectation`, and the support mass reuses rho.
+    where dx/N is the Parseval weight (sum |phi|^2 dx/N = sum |a|^2 dx), so
+    each second moment reuses the product formed for its first moment.  The
+    imaginary parts of both first moments are checked against
+    HERMITICITY_TOL as in `expectation`.  The support mass is |a|^2 dx
+    summed over the grid points inside the closed support interval.
     """
     a = psi.amplitudes
-    x = psi.grid.x
-    dx = psi.grid.dx
-    exp_x = _hermitian_real(complex(np.vdot(a, x * a)) * dx)
-    rho = psi.probability_density()
-    sx = _clamped_std(float(np.sum(x**2 * rho)) * dx, exp_x)
+    grid = psi.grid
+    dx = grid.dx
+    xa = grid.x * a
+    exp_x = _hermitian_real(complex(np.vdot(a, xa)) * dx)
+    sx = _clamped_std(float(np.vdot(xa, xa).real) * dx, exp_x)
 
     phi = np.fft.fft(a)
-    p = params.hbar * psi.grid.k
-    weight = dx / psi.grid.n_points
-    exp_p = _hermitian_real(complex(np.vdot(phi, p * phi)) * weight)
-    sp = _clamped_std(float(np.sum(p**2 * (phi.real**2 + phi.imag**2)))
-                      * weight, exp_p)
+    p_phi = _momentum_axis(grid, params.hbar) * phi
+    weight = dx / grid.n_points
+    exp_p = _hermitian_real(complex(np.vdot(phi, p_phi)) * weight)
+    sp = _clamped_std(float(np.vdot(p_phi, p_phi).real) * weight, exp_p)
 
     half = 0.5 * cfg.k * sx
     lo, hi = exp_x - half, exp_x + half
-    inside = (x >= lo) & (x <= hi)
-    mass = float(np.sum(rho[inside])) * dx
+    inside = a[_support_slice(grid.x, lo, hi)]
+    mass = float(np.vdot(inside, inside).real) * dx
     return PacketSummary(exp_x=exp_x, std_x=sx, exp_p=exp_p, std_p=sp,
                          support=(lo, hi), mass_in_support=min(mass, 1.0))
 
@@ -267,7 +283,7 @@ def wave_packet_gate(psi: WaveFunction, observables: Sequence[ObservableSpec],
     wide = packet_summary(psi, replace(cfg, k=max(cfg.k, GATE_CONTAINMENT_K)),
                           params)
     lo, hi = summary.support
-    grid_pts = psi.grid.x[(psi.grid.x >= lo) & (psi.grid.x <= hi)]
+    grid_pts = psi.grid.x[_support_slice(psi.grid.x, lo, hi)]
     probe = np.append(grid_pts, summary.exp_x)
 
     rows = []

@@ -80,6 +80,11 @@ class PhysicalParams:
             raise ValidationError("mass and hbar must be positive and finite")
 
 
+def amplitude_norm(amps: np.ndarray, dx: float) -> float:
+    """sqrt(sum |a|^2 dx), the grid L2 norm of an amplitude array."""
+    return math.sqrt(np.vdot(amps, amps).real * dx)
+
+
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
     """Complex amplitude field on a Grid1D."""
@@ -99,8 +104,7 @@ class WaveFunction:
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
-        a = self.amplitudes
-        return math.sqrt(float(np.sum(a.real**2 + a.imag**2)) * self.grid.dx)
+        return amplitude_norm(self.amplitudes, self.grid.dx)
 
     def normalize(self) -> "WaveFunction":
         n = self.norm()
@@ -116,8 +120,8 @@ class WaveFunction:
         """Probability mass in the outer 5% of the grid (both sides)."""
         n_edge = max(1, int(self.grid.n_points * EDGE_FRACTION))
         lo, hi = self.amplitudes[:n_edge], self.amplitudes[-n_edge:]
-        return float((lo.real**2 + lo.imag**2).sum()
-                     + (hi.real**2 + hi.imag**2).sum()) * self.grid.dx
+        return (float(np.vdot(lo, lo).real + np.vdot(hi, hi).real)
+                * self.grid.dx)
 
 
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:

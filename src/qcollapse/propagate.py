@@ -13,13 +13,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnstableStep, ValidationError
-from .grid import Grid1D, PhysicalParams, WaveFunction
+from .grid import Grid1D, PhysicalParams, WaveFunction, amplitude_norm
 
 # Allowed per-step drift of the norm from 1 before the step is declared
 # unstable (double-precision FFT round-off is orders of magnitude below).
 STEP_NORM_TOL = 1e-9
-# Entries per phase-factor cache: a run uses a handful of (grid, dt) and
-# (grid, shift) keys, and one entry is 16 * n_points bytes.
+# Entries per phase-factor cache: a run uses a handful of (grid, dt),
+# (grid, shift) and static-potential keys, and one entry is 16 * n_points
+# bytes.
 PHASE_CACHE_SIZE = 16
 
 
@@ -147,9 +148,8 @@ class EvolutionConfig:
                 f"dt={self.dt} exceeds 0.1 * (2 pi / omega) for omega={v.omega}")
 
 
-# Keyed on (grid, params, dt), all hashable values.  A Potential never
-# enters the key: the half-step potential factor is rebuilt per call, since
-# a branch's offset moves every step in the measurement chain.
+# Keyed on (grid, params, dt), all hashable values.  No Potential enters the
+# key, so every branch of the measurement chain shares one kinetic factor.
 @lru_cache(maxsize=PHASE_CACHE_SIZE)
 def _kinetic_factor(grid: Grid1D, params: PhysicalParams,
                     dt: float) -> np.ndarray:
@@ -169,14 +169,38 @@ def _translation_phase(grid: Grid1D, shift: float) -> np.ndarray:
     return phase
 
 
+# Keyed on (grid, potential, params, dt); a tabulated Potential hashes and
+# compares by its table's bytes.  A static potential hits on every step; a
+# measurement-chain branch whose offset moves each step misses, and its
+# entries age out of the cache.
+@lru_cache(maxsize=PHASE_CACHE_SIZE)
+def _potential_factor(grid: Grid1D, v: Potential, params: PhysicalParams,
+                      dt: float) -> np.ndarray:
+    """exp(-i V dt / 2 hbar), shared read-only by every step with this key."""
+    half_v = np.exp(-0.5j * v.values(grid, params) * dt / params.hbar)
+    half_v.flags.writeable = False
+    return half_v
+
+
 def _phase_factors(grid: Grid1D, v: Potential, params: PhysicalParams,
                    dt: float):
-    half_v = np.exp(-0.5j * v.values(grid, params) * dt / params.hbar)
-    return half_v, _kinetic_factor(grid, params, dt)
+    return (_potential_factor(grid, v, params, dt),
+            _kinetic_factor(grid, params, dt))
 
 
 def _apply(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
-    return half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * amps))
+    """half_v * F^-1(kinetic * F(half_v * amps)) in one fresh buffer.
+
+    Each factor stays the left operand: numpy's complex multiply is not
+    bitwise commutative, and this order gives the same bits as evaluating
+    that expression out of place.
+    """
+    buf = half_v * amps
+    np.fft.fft(buf, out=buf)
+    np.multiply(kinetic, buf, out=buf)
+    np.fft.ifft(buf, out=buf)
+    np.multiply(half_v, buf, out=buf)
+    return buf
 
 
 def step(psi: WaveFunction, v: Potential, params: PhysicalParams,
@@ -202,7 +226,7 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
     dx = psi.grid.dx
     for i in range(1, cfg.n_steps + 1):
         amps = _apply(amps, half_v, kinetic)
-        norm = math.sqrt(float(np.sum(amps.real**2 + amps.imag**2)) * dx)
+        norm = amplitude_norm(amps, dx)
         if abs(norm - 1.0) > STEP_NORM_TOL:
             raise UnstableStep(f"norm drifted to {norm} at step {i}")
         if observer is not None and i % cfg.record_every == 0:
@@ -212,6 +236,7 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
 
 def translate(psi: WaveFunction, shift: float) -> WaveFunction:
     """Rigid spectral translation psi(x) -> psi(x - shift); exactly unitary."""
-    phi = np.fft.fft(psi.amplitudes)
-    phase = _translation_phase(psi.grid, shift)
-    return WaveFunction(psi.grid, np.fft.ifft(phase * phi))
+    buf = np.fft.fft(psi.amplitudes)
+    np.multiply(_translation_phase(psi.grid, shift), buf, out=buf)
+    np.fft.ifft(buf, out=buf)
+    return WaveFunction(psi.grid, buf)

@@ -68,8 +68,13 @@ class PacketSpec:
     separation: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValidationError("packet sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValidationError("packet sigma must be positive and finite")
+        if not all(math.isfinite(value)
+                   for value in (self.center, self.momentum, self.separation)
+                   if value is not None):
+            raise ValidationError(
+                "packet center, momentum and separation must be finite")
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,13 @@ class ScenarioConfig:
     n_samples: int
     output_dir: Optional[str]
     echo: Dict[str, Any] = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        # np.random.default_rng would reject a negative seed only once the
+        # run builds its generator; a seed passed to dataclasses.replace
+        # (the CLI's --seed) comes through here too.
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

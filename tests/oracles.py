@@ -1,7 +1,9 @@
-"""Independent oracles: quadrature moments, dense matrix exponential, overlap.
+"""Independent oracles: quadrature moments, dense matrix exponential, overlap,
+and the plain out-of-place formulas of the split-step, translation and
+packet-summary kernels.
 
 These deliberately avoid the code paths they check (no FFT propagator, no
-grid inner products on the states under test).
+grid inner products on the states under test, no cached factors).
 """
 import numpy as np
 import scipy.linalg
@@ -50,3 +52,31 @@ def expm_step_oracle(psi, v, params, dt):
     h = dense_hamiltonian(psi.grid, v, params)
     u = scipy.linalg.expm(-1j * h * dt / params.hbar)
     return u @ psi.amplitudes
+
+
+def split_step_oracle(amps, half_v, kinetic):
+    """half_v * F^-1(kinetic * F(half_v * amps)), one new array per product."""
+    return half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * amps))
+
+
+def translate_oracle(amps, grid, shift):
+    """F^-1(exp(-i k shift) * F(amps)), the phase built afresh."""
+    return np.fft.ifft(np.exp(-1j * grid.k * shift) * np.fft.fft(amps))
+
+
+def packet_summary_oracle(amps, grid, k, hbar):
+    """(exp_x, std_x, exp_p, std_p, lo, hi, mass) from dense whole-grid
+    arrays: rho = |a|^2, x^2 rho, p^2 |phi|^2 and a boolean support mask."""
+    x, dx, n = grid.x, grid.dx, grid.n_points
+    rho = np.abs(amps) ** 2
+    exp_x = (np.vdot(amps, x * amps) * dx).real
+    std_x = np.sqrt(max(np.sum(x**2 * rho) * dx - exp_x**2, 0.0))
+    phi = np.fft.fft(amps)
+    p = hbar * grid.k
+    exp_p = (np.vdot(phi, p * phi) * dx / n).real
+    std_p = np.sqrt(max(np.sum(p**2 * np.abs(phi) ** 2) * dx / n
+                        - exp_p**2, 0.0))
+    lo, hi = exp_x - 0.5 * k * std_x, exp_x + 0.5 * k * std_x
+    inside = (x >= lo) & (x <= hi)
+    mass = min(np.sum(rho[inside]) * dx, 1.0)
+    return exp_x, std_x, exp_p, std_p, lo, hi, mass

@@ -14,6 +14,7 @@ from qcollapse import (
     ObservableSpec,
     PhysicalParams,
     Potential,
+    WaveFunction,
     ehrenfest_residual,
     evolve,
     expectation,
@@ -26,7 +27,12 @@ from qcollapse import (
     wave_packet_gate,
     weak_interference,
 )
-from qcollapse.diagnostics import coefficient_moduli, positive_position
+from qcollapse.diagnostics import (
+    _momentum_axis,
+    _support_slice,
+    coefficient_moduli,
+    positive_position,
+)
 from qcollapse.errors import (
     ApparatusNotReady,
     NonUniformSampling,
@@ -35,7 +41,7 @@ from qcollapse.errors import (
     ValidationError,
 )
 
-from oracles import gaussian_moment_oracle
+from oracles import gaussian_moment_oracle, packet_summary_oracle
 
 
 class TestObservableSpec:
@@ -158,6 +164,51 @@ class TestFusedPacketSummary:
         inside = (grid.x >= lo) & (grid.x <= hi)
         mass = float(np.sum(psi.probability_density()[inside])) * grid.dx
         assert _close(s.mass_in_support, min(mass, 1.0))
+
+    @pytest.mark.parametrize("k", [0.25, 1.0, 6.0])
+    @pytest.mark.parametrize("hbar", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["gaussian", "cat", "random"])
+    def test_matches_dense_formulas(self, kind, hbar, k):
+        grid = Grid1D(-40.0, 120.0, 2048)
+        params = PhysicalParams(hbar=hbar)
+        if kind == "random":
+            rng = np.random.default_rng(5)
+            amps = rng.normal(size=2048) + 1j * rng.normal(size=2048)
+            psi = WaveFunction(grid, amps).normalize()
+        else:
+            psi = make_gaussian(grid, 3.7, 1.3, 0.8, params)
+            if kind == "cat":
+                psi = superpose([(0.6, psi), (0.8j, make_gaussian(
+                    grid, 21.0, 0.9, -1.1, params))])
+        s = packet_summary(psi, GateConfig(k=k), params)
+        want = packet_summary_oracle(psi.amplitudes, grid, k, hbar)
+        got = (s.exp_x, s.std_x, s.exp_p, s.std_p, *s.support,
+               s.mass_in_support)
+        for g, w in zip(got, want):
+            assert _close(g, w)
+
+    def test_support_slice_is_the_inclusive_mask(self):
+        x = Grid1D(-40.0, 120.0, 2048).x
+        amps = np.random.default_rng(3).normal(size=2048) * (1 + 0.5j)
+        bounds = [(x[100], x[900]), (x[5], x[5]), (x[0], x[-1]),
+                  (x[100] + 1e-9, x[900] - 1e-9), (-1e9, 1e9),
+                  (x[-1] + 1.0, x[-1] + 2.0), (-50.0, x[0]),
+                  (0.5 * (x[3] + x[4]), x[40])]
+        for lo, hi in bounds:
+            mask = (x >= lo) & (x <= hi)
+            sl = _support_slice(x, lo, hi)
+            assert np.array_equal(x[sl], x[mask])
+            inside = amps[sl]
+            assert _close(float(np.vdot(inside, inside).real),
+                          float(np.sum(np.abs(amps[mask]) ** 2)))
+
+    def test_momentum_axis_cached_read_only(self, grid):
+        p = _momentum_axis(grid, 0.5)
+        assert not p.flags.writeable
+        assert np.array_equal(p, 0.5 * grid.k)
+        assert _momentum_axis(Grid1D(grid.x_min, grid.x_max, grid.n_points),
+                              0.5) is p
+        assert _momentum_axis(grid, 1.0) is not p
 
     def test_variance_clamp_is_shared(self):
         from qcollapse.diagnostics import VARIANCE_CLAMP_TOL, _clamped_std

@@ -24,6 +24,7 @@ from qcollapse.errors import (
     ValidationError,
 )
 from qcollapse.grid import read_snapshot, write_snapshot
+from qcollapse.scenarios import PacketSpec
 
 from oracles import gaussian_moment_oracle, gaussian_overlap
 
@@ -71,6 +72,11 @@ NAN, INF = float("nan"), float("inf")
     (GateConfig, {"eta": INF}),
     (GateConfig, {"k": NAN}),
     (GateConfig, {"k": INF}),
+    (PacketSpec, {"sigma": NAN}),
+    (PacketSpec, {"sigma": INF}),
+    (PacketSpec, {"center": NAN}),
+    (PacketSpec, {"momentum": INF}),
+    (PacketSpec, {"separation": NAN}),
 ], ids=lambda v: (v.__qualname__ if callable(v)
                   else ",".join(f"{k}={x}" for k, x in v.items())))
 def test_constructors_reject_non_finite_values(factory, kwargs):

@@ -9,6 +9,7 @@ from qcollapse import (
     ObservableSpec,
     PhysicalParams,
     Potential,
+    WaveFunction,
     evolve,
     expectation,
     make_gaussian,
@@ -19,10 +20,16 @@ from qcollapse import (
     translate,
 )
 from qcollapse.errors import ValidationError
-from qcollapse.propagate import _kinetic_factor, _translation_phase
+from qcollapse.propagate import (
+    _apply,
+    _kinetic_factor,
+    _phase_factors,
+    _potential_factor,
+    _translation_phase,
+)
 
 from conftest import l2_distance
-from oracles import expm_step_oracle
+from oracles import expm_step_oracle, split_step_oracle, translate_oracle
 
 X = ObservableSpec.position()
 
@@ -136,10 +143,67 @@ class TestConfigs:
             Potential.tabulated([np.inf] * 64)
 
 
+def _random_amps(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+KERNEL_POTENTIALS = [Potential.free(), Potential.harmonic(1.3, center=2.0),
+                     Potential.double_well(2.0, 6.0),
+                     Potential.tabulated(np.linspace(-1.0, 3.0, 256) ** 2)]
+
+
+class TestKernelsMatchDenseFormulas:
+    """The in-place kernels against their out-of-place formulas."""
+
+    @pytest.mark.parametrize("v", KERNEL_POTENTIALS, ids=lambda v: v.kind)
+    @pytest.mark.parametrize("dt", [0.01, -0.03])
+    def test_apply(self, v, dt):
+        grid = Grid1D(-10.0, 30.0, 256)
+        params = PhysicalParams(mass=1.7, hbar=0.6)
+        half_v = np.exp(-0.5j * v.values(grid, params) * dt / params.hbar)
+        kinetic = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
+        amps = _random_amps(grid.n_points, 1)
+        got = _apply(amps, *_phase_factors(grid, v, params, dt))
+        want = split_step_oracle(amps, half_v, kinetic)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shift", [0.37, -5.0, 1e-3, 60.0])
+    @pytest.mark.parametrize("n", [16, 2048])
+    def test_translate(self, shift, n):
+        grid = Grid1D(-40.0, 120.0, n)
+        amps = _random_amps(n, 2)
+        got = translate(WaveFunction(grid, amps), shift).amplitudes
+        want = translate_oracle(amps, grid, shift)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_inputs_and_cached_factors_unchanged(self, gaussian, params):
+        psi = gaussian(center=1.0, momentum=0.4)
+        v, dt = Potential.harmonic(1.0), 0.01
+        before = psi.amplitudes.copy()
+        factors = (*_phase_factors(psi.grid, v, params, dt),
+                   _translation_phase(psi.grid, 0.25))
+        copies = [f.copy() for f in factors]
+        step(psi, v, params, dt)
+        translate(psi, 0.25)
+        evolve(psi, v, params, EvolutionConfig(dt=dt, n_steps=5),
+               lambda t, s: translate(s, 0.25))
+        assert np.array_equal(psi.amplitudes, before)
+        for f, c in zip(factors, copies):
+            assert np.array_equal(f, c)
+        again = (*_phase_factors(psi.grid, v, params, dt),
+                 _translation_phase(psi.grid, 0.25))
+        assert all(a is b for a, b in zip(again, factors))
+
+
 class TestPhaseCaches:
     def test_cached_factors_are_read_only(self, grid, params):
+        table = Potential.tabulated(np.zeros(grid.n_points))
         for factor in (_kinetic_factor(grid, params, 0.01),
-                       _translation_phase(grid, 1.5)):
+                       _translation_phase(grid, 1.5),
+                       _potential_factor(grid, Potential.harmonic(1.0),
+                                         params, 0.01),
+                       _potential_factor(grid, table, params, 0.01)):
             assert not factor.flags.writeable
             with pytest.raises(ValueError):
                 factor[0] = 0.0
@@ -164,11 +228,39 @@ class TestPhaseCaches:
         assert np.array_equal(phases[1], np.conj(phases[0]))
         assert phases[2].shape == (2048,)
 
+        table = np.linspace(0.0, 2.0, grid.n_points)
+        bumped = table.copy()
+        bumped[7] += 0.5
+        trap = Potential.harmonic(1.0)
+        potential = [_potential_factor(grid, trap, params, 0.01),
+                     _potential_factor(grid, trap.shifted(0.5), params, 0.01),
+                     _potential_factor(grid, Potential.harmonic(2.0),
+                                       params, 0.01),
+                     _potential_factor(grid, trap, heavy, 0.01),
+                     _potential_factor(grid, trap, params, 0.03),
+                     _potential_factor(other_grid, trap, params, 0.01),
+                     _potential_factor(grid, Potential.tabulated(table),
+                                       params, 0.01),
+                     _potential_factor(grid, Potential.tabulated(bumped),
+                                       params, 0.01)]
+        for i, a in enumerate(potential):
+            for b in potential[i + 1:]:
+                assert a is not b
+                assert a.shape != b.shape or not np.array_equal(a, b)
+
     def test_equal_keys_share_one_array(self, grid, params):
         same_grid = Grid1D(grid.x_min, grid.x_max, grid.n_points)
         assert (_kinetic_factor(grid, params, 0.02)
                 is _kinetic_factor(same_grid, PhysicalParams(), 0.02))
         assert _translation_phase(grid, 0.3) is _translation_phase(same_grid, 0.3)
+        assert (_potential_factor(grid, Potential.harmonic(1.0), params, 0.02)
+                is _potential_factor(same_grid, Potential.harmonic(1.0),
+                                     PhysicalParams(), 0.02))
+        # a tabulated key compares by its table's bytes, not its identity
+        table = np.linspace(0.0, 2.0, grid.n_points)
+        assert (_potential_factor(grid, Potential.tabulated(table), params, 0.02)
+                is _potential_factor(grid, Potential.tabulated(table.copy()),
+                                     params, 0.02))
 
     def test_translate_round_trip(self, gaussian):
         psi = gaussian(center=-3.0, sigma=1.2, momentum=0.8)

@@ -353,6 +353,16 @@ class TestCli:
         doc = json.loads((run_dir / "manifest.json").read_text())
         assert doc["error_type"] == error.__name__
 
+    @pytest.mark.parametrize("text, args", [
+        (COLLAPSE.replace("seed: 7", "seed: -1"), []),
+        (COLLAPSE, ["--seed", "-1"])], ids=["config", "override"])
+    def test_simulate_negative_seed_exit_2(self, tmp_path, capsys, text, args):
+        rc = main(["simulate", self._write(tmp_path, text), *args,
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_simulate_seed_override(self, tmp_path, capsys):
         rc = main(["simulate", self._write(tmp_path, COLLAPSE),
                    "--seed", "99", "--out", str(tmp_path / "runs")])
