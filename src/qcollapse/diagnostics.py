@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -22,8 +21,8 @@ from .errors import (
     TooFewPackets,
     ValidationError,
 )
-from .grid import Grid1D, PhysicalParams, WaveFunction, inner_product
-from .propagate import PHASE_CACHE_SIZE, Potential
+from .grid import PhysicalParams, WaveFunction, inner_product
+from .propagate import Potential
 
 HERMITICITY_TOL = 1e-6
 VARIANCE_CLAMP_TOL = 1e-9
@@ -140,14 +139,6 @@ class EhrenfestResiduals:
     residual_newton: np.ndarray  # |d<p>/dt + dV(<x>)/d<x>|
 
 
-@lru_cache(maxsize=PHASE_CACHE_SIZE)
-def _momentum_axis(grid: Grid1D, hbar: float) -> np.ndarray:
-    """p = hbar k in FFT order, shared read-only per (grid, hbar)."""
-    p = hbar * grid.k
-    p.flags.writeable = False
-    return p
-
-
 def _support_slice(x: np.ndarray, lo: float, hi: float) -> slice:
     """The grid points lo <= x <= hi of the ascending grid x, as a slice."""
     return slice(int(np.searchsorted(x, lo, side="left")),
@@ -160,7 +151,7 @@ def apply_observable(psi: WaveFunction, a: ObservableSpec,
     if a.kind == "position_poly":
         return a.classical_value(psi.grid.x) * psi.amplitudes
     phi = np.fft.fft(psi.amplitudes)
-    p = _momentum_axis(psi.grid, params.hbar)
+    p = params.hbar * psi.grid.k
     power = 1 if a.kind == "momentum" else 2
     return np.fft.ifft(p**power * phi)
 
@@ -189,7 +180,7 @@ def _second_moment(psi: WaveFunction, a: ObservableSpec,
         vals = a.classical_value(psi.grid.x)
         return float(np.sum(vals**2 * rho)) * dx
     phi = np.fft.fft(psi.amplitudes)
-    p = _momentum_axis(psi.grid, params.hbar)
+    p = params.hbar * psi.grid.k
     power = 2 if a.kind == "momentum" else 4
     # Parseval: sum_k |phi_k|^2 * dx / N equals the norm^2.
     weight = (phi.real**2 + phi.imag**2) * dx / psi.grid.n_points
@@ -219,10 +210,10 @@ def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
     """Moments, the support interval (<x> +- k std x / 2) and its mass.
 
     One fused pass with a single forward FFT phi = F a, for a = psi's
-    amplitudes and p = hbar k:
+    amplitudes and the wavenumbers k (p = hbar k):
 
-        <x>   = Re vdot(a, x a) dx         <x^2> = |x a|^2 dx
-        <p>   = Re vdot(phi, p phi) dx/N   <p^2> = |p phi|^2 dx/N
+        <x> = Re vdot(a, x a) dx               <x^2> = |x a|^2 dx
+        <p> = hbar Re vdot(phi, k phi) dx/N    <p^2> = hbar^2 |k phi|^2 dx/N
 
     where dx/N is the Parseval weight (sum |phi|^2 dx/N = sum |a|^2 dx), so
     each second moment reuses the product formed for its first moment.  The
@@ -238,10 +229,12 @@ def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
     sx = _clamped_std(float(np.vdot(xa, xa).real) * dx, exp_x)
 
     phi = np.fft.fft(a)
-    p_phi = _momentum_axis(grid, params.hbar) * phi
+    k_phi = grid.k * phi
+    hbar = params.hbar
     weight = dx / grid.n_points
-    exp_p = _hermitian_real(complex(np.vdot(phi, p_phi)) * weight)
-    sp = _clamped_std(float(np.vdot(p_phi, p_phi).real) * weight, exp_p)
+    exp_p = _hermitian_real(complex(np.vdot(phi, k_phi)) * hbar * weight)
+    sp = _clamped_std(float(np.vdot(k_phi, k_phi).real) * hbar**2 * weight,
+                      exp_p)
 
     half = 0.5 * cfg.k * sx
     lo, hi = exp_x - half, exp_x + half

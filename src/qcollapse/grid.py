@@ -80,7 +80,7 @@ class PhysicalParams:
             raise ValidationError("mass and hbar must be positive and finite")
 
 
-def amplitude_norm(amps: np.ndarray, dx: float) -> float:
+def _amplitude_norm(amps: np.ndarray, dx: float) -> float:
     """sqrt(sum |a|^2 dx), the grid L2 norm of an amplitude array."""
     return math.sqrt(np.vdot(amps, amps).real * dx)
 
@@ -104,7 +104,7 @@ class WaveFunction:
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
-        return amplitude_norm(self.amplitudes, self.grid.dx)
+        return _amplitude_norm(self.amplitudes, self.grid.dx)
 
     def normalize(self) -> "WaveFunction":
         n = self.norm()

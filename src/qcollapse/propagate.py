@@ -13,13 +13,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UnstableStep, ValidationError
-from .grid import Grid1D, PhysicalParams, WaveFunction, amplitude_norm
+from .grid import Grid1D, PhysicalParams, WaveFunction, _amplitude_norm
 
 # Allowed per-step drift of the norm from 1 before the step is declared
 # unstable (double-precision FFT round-off is orders of magnitude below).
 STEP_NORM_TOL = 1e-9
-# Entries per phase-factor cache: a run uses a handful of (grid, dt),
-# (grid, shift) and static-potential keys, and one entry is 16 * n_points
+# Entries per phase-factor cache: a run reuses a handful of (grid, dt),
+# (grid, shift) and unshifted-potential keys, and one entry is 16 * n_points
 # bytes.
 PHASE_CACHE_SIZE = 16
 
@@ -170,9 +170,11 @@ def _translation_phase(grid: Grid1D, shift: float) -> np.ndarray:
 
 
 # Keyed on (grid, potential, params, dt); a tabulated Potential hashes and
-# compares by its table's bytes.  A static potential hits on every step; a
-# measurement-chain branch whose offset moves each step misses, and its
-# entries age out of the cache.
+# compares by its table's bytes.  In the measurement chain every branch hits
+# for a free or tabulated potential, which `shifted` returns unchanged.  For
+# a harmonic or double-well trap only branch 0 (offset 0) hits: the other
+# branches pass a new offset each step, miss, and fill the cache with
+# entries used once (up to PHASE_CACHE_SIZE * 16 * n_points bytes).
 @lru_cache(maxsize=PHASE_CACHE_SIZE)
 def _potential_factor(grid: Grid1D, v: Potential, params: PhysicalParams,
                       dt: float) -> np.ndarray:
@@ -193,7 +195,8 @@ def _apply(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndar
 
     Each factor stays the left operand: numpy's complex multiply is not
     bitwise commutative, and this order gives the same bits as evaluating
-    that expression out of place.
+    that expression out of place.  The `out=` argument of numpy.fft needs
+    NumPy >= 2.0.
     """
     buf = half_v * amps
     np.fft.fft(buf, out=buf)
@@ -226,7 +229,7 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
     dx = psi.grid.dx
     for i in range(1, cfg.n_steps + 1):
         amps = _apply(amps, half_v, kinetic)
-        norm = amplitude_norm(amps, dx)
+        norm = _amplitude_norm(amps, dx)
         if abs(norm - 1.0) > STEP_NORM_TOL:
             raise UnstableStep(f"norm drifted to {norm} at step {i}")
         if observer is not None and i % cfg.record_every == 0:

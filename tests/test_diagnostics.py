@@ -28,7 +28,6 @@ from qcollapse import (
     weak_interference,
 )
 from qcollapse.diagnostics import (
-    _momentum_axis,
     _support_slice,
     coefficient_moduli,
     positive_position,
@@ -201,14 +200,6 @@ class TestFusedPacketSummary:
             inside = amps[sl]
             assert _close(float(np.vdot(inside, inside).real),
                           float(np.sum(np.abs(amps[mask]) ** 2)))
-
-    def test_momentum_axis_cached_read_only(self, grid):
-        p = _momentum_axis(grid, 0.5)
-        assert not p.flags.writeable
-        assert np.array_equal(p, 0.5 * grid.k)
-        assert _momentum_axis(Grid1D(grid.x_min, grid.x_max, grid.n_points),
-                              0.5) is p
-        assert _momentum_axis(grid, 1.0) is not p
 
     def test_variance_clamp_is_shared(self):
         from qcollapse.diagnostics import VARIANCE_CLAMP_TOL, _clamped_std
