@@ -292,7 +292,7 @@ def wave_packet_gate(psi: WaveFunction, observables: Sequence[ObservableSpec],
         else:
             classical = summary.exp_p**2
         mean = expectation(psi, obs, params)
-        spread = std_dev(psi, obs, params)
+        spread = _clamped_std(_second_moment(psi, obs, params), mean)
         ratio = abs(mean) / spread if spread > 0 else np.inf
         taylor_err = abs(mean - classical) / abs(mean) if mean != 0 else np.inf
         rows.append((obs, ratio, taylor_err))
@@ -326,11 +326,19 @@ def weak_interference(summaries: Sequence[PacketSummary]) -> np.ndarray:
 
 
 def order_parameters(branch_summaries: Sequence[PacketSummary]) -> OrderParameters:
-    """Min pairwise separation vs the max pairwise half-width-sum threshold."""
-    sep, crit = _pairwise(branch_summaries)
-    iu = np.triu_indices(len(sep), k=1)
-    return OrderParameters(min_pairwise_separation=float(sep[iu].min()),
-                           critical_value=float(crit[iu].max()))
+    """Min pairwise separation vs the max pairwise half-width-sum threshold.
+
+    The closest pair of centers is adjacent in sorted order and the largest
+    half-width sum belongs to the two widest packets.  Rounding is monotone,
+    so both equal the extremes over all pairs bit for bit.
+    """
+    if len(branch_summaries) < 2:
+        raise TooFewPackets("need at least two packet summaries")
+    centers = np.sort([s.exp_x for s in branch_summaries])
+    widths = np.sort([s.std_x for s in branch_summaries])
+    return OrderParameters(
+        min_pairwise_separation=float(np.diff(centers).min()),
+        critical_value=float(0.5 * (widths[-1] + widths[-2])))
 
 
 def ehrenfest_residual(trajectory: Sequence[Tuple[float, WaveFunction]],

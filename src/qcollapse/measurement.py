@@ -2,11 +2,13 @@
 
 The object is a finite-dimensional system expanded in the eigenbasis of the
 measured observable; the apparatus is a grid wave packet.  The coupling
-translates the branch-n pointer packet at velocity n * shift_velocity, so the
-inter-branch separation (the order parameter) grows continuously until it
-crosses the critical value set by the packet widths.  Measurement then
-samples a self-collapse on the apparatus and records the induced mixture on
-the object; the exact composite state is never modified.
+translates the branch-n pointer packet at velocity n * shift_velocity: each
+branch evolves in its own co-moving frame under the one potential and is
+moved rigidly into the lab frame.  The inter-branch separation (the order
+parameter) grows continuously until it crosses the critical value set by the
+packet widths.  Measurement then samples a self-collapse on the apparatus and
+records the induced mixture on the object; the exact composite state is never
+modified.
 """
 from __future__ import annotations
 
@@ -153,44 +155,47 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
                        observer=None) -> Tuple[CompositeState, TransitionReport]:
     """Couple object and apparatus for a duration tau.
 
-    Branch n drifts at velocity n * shift_velocity while evolving under the
-    potential carried along in the branch's co-moving frame, so confining
-    potentials hold the packet shape while its center translates.  The
-    coefficients are carried unchanged.  `observer`, if given, receives
-    (t, per-branch PacketSummary list, OrderParameters or None for a single
-    branch) at every step.  As in `evolve`, dt must be positive and resolve
-    a harmonic period; as in `make_gaussian`, no branch may put more than
-    EDGE_MASS_TOL in the grid's edge region.
+    Branch n drifts at velocity n * shift_velocity inside the potential,
+    which rides along with it.  Since T(a) S_{V(x-a)} = S_V T(a) for a rigid
+    shift T and a split step S, branch n is evolved in its co-moving frame
+    under the one static potential, for every kind including tabulated, and
+    is seen in the lab frame as that state translated by
+    n * shift_velocity * t.  Confining potentials therefore hold the packet
+    shape while its center translates.  The coefficients are carried
+    unchanged.  `observer`, if given, receives (t, per-branch PacketSummary
+    list, OrderParameters or None for a single branch) at every step.  As in
+    `evolve`, dt must be positive and resolve a harmonic period; as in
+    `make_gaussian`, no lab-frame branch may put more than EDGE_MASS_TOL in
+    the grid's edge region.
     """
     EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
     cfg.validate_apparatus(packet_summary(state.apparatus_states[0]).std_x)
     n_steps = int(round(cfg.tau / dt))
-    branches = [(n, c, s) for n, c, s in state.branches]
-    offsets = [0.0 for _ in branches]
+    frames = list(state.branches)  # (n, c_n, branch n in its co-moving frame)
     series: list = []
 
-    def sample(t: float) -> None:
-        for n, _, s in branches:
-            if s.edge_mass() > EDGE_MASS_TOL:
+    def sample(t: float) -> list:
+        """The lab-frame branches at time t, guarded, summarised, observed."""
+        lab = []
+        for n, c, phi in frames:
+            shift = n * cfg.shift_velocity * t
+            psi = translate(phi, shift) if shift != 0.0 else phi
+            if psi.edge_mass() > EDGE_MASS_TOL:
                 raise BoundaryClipping(f"branch {n} edge mass "
-                                       f"{s.edge_mass():.3g} at t={t}")
-        summaries = [packet_summary(s) for _, _, s in branches]
+                                       f"{psi.edge_mass():.3g} at t={t}")
+            lab.append((n, c, psi))
+        summaries = [packet_summary(s) for _, _, s in lab]
         ops = order_parameters(summaries) if len(summaries) >= 2 else None
         if observer is not None:
             observer(t, summaries, ops)
         if ops is not None:
             series.append((t, ops.min_pairwise_separation, ops.critical_value))
+        return lab
 
-    sample(0.0)
+    branches = sample(0.0)
     for i in range(1, n_steps + 1):
-        for b, (n, c, psi) in enumerate(branches):
-            psi = step(psi, v.shifted(offsets[b]), params, dt)
-            ds = n * cfg.shift_velocity * dt
-            if ds != 0.0:
-                psi = translate(psi, ds)
-                offsets[b] += ds
-            branches[b] = (n, c, psi)
-        sample(i * dt)
+        frames = [(n, c, step(phi, v, params, dt)) for n, c, phi in frames]
+        branches = sample(i * dt)
     final = CompositeState(branches=tuple(branches))
     return final, detect_transition(series)
 

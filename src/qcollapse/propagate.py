@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -18,9 +18,8 @@ from .grid import Grid1D, PhysicalParams, WaveFunction, _amplitude_norm
 # Allowed per-step drift of the norm from 1 before the step is declared
 # unstable (double-precision FFT round-off is orders of magnitude below).
 STEP_NORM_TOL = 1e-9
-# Entries per phase-factor cache: a run reuses a handful of (grid, dt),
-# (grid, shift) and unshifted-potential keys, and one entry is 16 * n_points
-# bytes.
+# Entries in the phase-factor cache: a run reuses a handful of
+# (grid, potential, params, dt) keys, and one entry is 32 * n_points bytes.
 PHASE_CACHE_SIZE = 16
 
 
@@ -118,15 +117,6 @@ class Potential:
             return self.gradient_at(grid.x, params)
         return np.fft.ifft(1j * grid.k * np.fft.fft(self.values(grid, params))).real
 
-    def shifted(self, offset: float) -> "Potential":
-        """The same potential translated by `offset` along x."""
-        if self.kind in ("free", "tabulated") or offset == 0.0:
-            return self
-        return Potential(kind=self.kind, omega=self.omega,
-                         center=self.center + offset,
-                         barrier_height=self.barrier_height,
-                         well_separation=self.well_separation)
-
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -148,46 +138,19 @@ class EvolutionConfig:
                 f"dt={self.dt} exceeds 0.1 * (2 pi / omega) for omega={v.omega}")
 
 
-# Keyed on (grid, params, dt), all hashable values.  No Potential enters the
-# key, so every branch of the measurement chain shares one kinetic factor.
+# Keyed on (grid, potential, params, dt), all hashable values; a tabulated
+# Potential hashes and compares by its table's bytes.  Every caller steps
+# under one static potential (the measurement chain evolves each branch
+# in its co-moving frame), so a run hits one entry per (potential, dt).
 @lru_cache(maxsize=PHASE_CACHE_SIZE)
-def _kinetic_factor(grid: Grid1D, params: PhysicalParams,
-                    dt: float) -> np.ndarray:
-    """exp(-i hbar k^2 dt / 2m), shared read-only by every step with this key."""
-    kinetic = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
-    kinetic.flags.writeable = False
-    return kinetic
-
-
-# Keyed on (grid, shift): a translation involves no Potential, and each
-# measurement-chain branch translates by the same shift every step.
-@lru_cache(maxsize=PHASE_CACHE_SIZE)
-def _translation_phase(grid: Grid1D, shift: float) -> np.ndarray:
-    """exp(-i k shift), shared read-only by every translate with this key."""
-    phase = np.exp(-1j * grid.k * shift)
-    phase.flags.writeable = False
-    return phase
-
-
-# Keyed on (grid, potential, params, dt); a tabulated Potential hashes and
-# compares by its table's bytes.  In the measurement chain every branch hits
-# for a free or tabulated potential, which `shifted` returns unchanged.  For
-# a harmonic or double-well trap only branch 0 (offset 0) hits: the other
-# branches pass a new offset each step, miss, and fill the cache with
-# entries used once (up to PHASE_CACHE_SIZE * 16 * n_points bytes).
-@lru_cache(maxsize=PHASE_CACHE_SIZE)
-def _potential_factor(grid: Grid1D, v: Potential, params: PhysicalParams,
-                      dt: float) -> np.ndarray:
-    """exp(-i V dt / 2 hbar), shared read-only by every step with this key."""
-    half_v = np.exp(-0.5j * v.values(grid, params) * dt / params.hbar)
-    half_v.flags.writeable = False
-    return half_v
-
-
 def _phase_factors(grid: Grid1D, v: Potential, params: PhysicalParams,
-                   dt: float):
-    return (_potential_factor(grid, v, params, dt),
-            _kinetic_factor(grid, params, dt))
+                   dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(exp(-i V dt / 2 hbar), exp(-i hbar k^2 dt / 2m)), shared read-only."""
+    half_v = np.exp(-0.5j * v.values(grid, params) * dt / params.hbar)
+    kinetic = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
+    half_v.flags.writeable = False
+    kinetic.flags.writeable = False
+    return half_v, kinetic
 
 
 def _apply(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
@@ -240,6 +203,6 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
 def translate(psi: WaveFunction, shift: float) -> WaveFunction:
     """Rigid spectral translation psi(x) -> psi(x - shift); exactly unitary."""
     buf = np.fft.fft(psi.amplitudes)
-    np.multiply(_translation_phase(psi.grid, shift), buf, out=buf)
+    np.multiply(np.exp(-1j * psi.grid.k * shift), buf, out=buf)
     np.fft.ifft(buf, out=buf)
     return WaveFunction(psi.grid, buf)

@@ -290,6 +290,18 @@ class TestWavePacketGate:
         assert ratio == pytest.approx(5.0, rel=1e-6)
         assert not verdict.is_wave_packet
 
+    @pytest.mark.parametrize("obs", [ObservableSpec.position(3.0),
+                                     ObservableSpec.momentum()],
+                             ids=["position", "momentum"])
+    def test_ratio_is_mean_over_std_dev(self, obs, params):
+        grid = Grid1D(-40.0, 40.0, 2048)
+        for center, sigma, momentum in ((10.0, 0.5, 2.0), (1.0, 2.0, 0.3)):
+            psi = make_gaussian(grid, center, sigma, momentum, params)
+            verdict = wave_packet_gate(psi, [obs], params=params)
+            _, ratio, _ = verdict.per_observable[0]
+            assert ratio == (abs(expectation(psi, obs, params))
+                             / std_dev(psi, obs, params))
+
     @settings(deadline=None, max_examples=25)
     @given(sigma=st.floats(0.5, 1.5), d=st.floats(12.0, 20.0),
            mid=st.floats(-5.0, 5.0),
@@ -362,6 +374,33 @@ class TestOrderParameters:
         assert op.min_pairwise_separation == pytest.approx(0.3)
         assert op.critical_value == pytest.approx(1.0)
         assert not op.transition
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.sampled_from([-2.5, 0.0, 0.1, 3.0]),
+                              st.sampled_from([0.5, 1.0, 1.3])),
+                    min_size=2, max_size=6),
+           st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(0.01, 5.0)),
+                    min_size=2, max_size=6))
+    @example([(0.0, 1.0), (0.0, 1.0)], [(1.0, 1.0), (1.0, 1.0)])
+    def test_matches_pairwise_matrix_bitwise(self, tied, spread):
+        """Sorted-neighbour extremes equal the triu-masked matrix extremes,
+        with tied centers and widths included."""
+        mk = lambda c, w: type("S", (), {"exp_x": c, "std_x": w})()
+        for packets in (tied, spread):
+            s = [mk(c, w) for c, w in packets]
+            centers = np.array([c for c, _ in packets])
+            widths = np.array([w for _, w in packets])
+            iu = np.triu_indices(len(packets), k=1)
+            sep = np.abs(centers[:, None] - centers[None, :])[iu]
+            crit = (0.5 * (widths[:, None] + widths[None, :]))[iu]
+            op = order_parameters(s)
+            assert op.min_pairwise_separation == float(sep.min())
+            assert op.critical_value == float(crit.max())
+
+    def test_too_few(self):
+        mk = lambda c, w: type("S", (), {"exp_x": c, "std_x": w})()
+        with pytest.raises(TooFewPackets):
+            order_parameters([mk(0.0, 1.0)])
 
 
 class TestEhrenfest:

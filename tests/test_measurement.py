@@ -7,11 +7,13 @@ import pytest
 from qcollapse import (
     CompositeState,
     CouplingConfig,
+    EvolutionConfig,
     Grid1D,
     ObjectState,
     Potential,
     apparatus_decomposition,
     detect_transition,
+    evolve,
     make_gaussian,
     measure,
     order_parameters,
@@ -19,6 +21,7 @@ from qcollapse import (
     pointer_distinguishability,
     premeasurement,
     superpose,
+    translate,
     von_neumann_evolve,
 )
 from qcollapse.errors import (
@@ -142,6 +145,37 @@ class TestVonNeumannEvolve:
         # 1 is crossed at t = 1 / v
         _, report = self._coupled(obj, apparatus, trap, params)
         assert report.t_star == pytest.approx(1.0, rel=0.1)
+
+    def test_transition_time_within_one_step_of_sigma_over_v(
+            self, obj, apparatus, trap, params):
+        # the coherent trap keeps every width at sigma, so min_sep = v t and
+        # critical = sigma: the first step with v t >= sigma is t*
+        dt = 0.01
+        _, report = self._coupled(obj, apparatus, trap, params, dt=dt)
+        crossing = packet_summary(apparatus, params=params).std_x \
+            / self.CFG.shift_velocity
+        assert crossing - 1e-12 <= report.t_star <= crossing + dt + 1e-12
+
+    def test_tabulated_trap_co_moves_like_the_analytic_trap(
+            self, obj, apparatus, trap, params):
+        table = Potential.tabulated(trap.values(APPARATUS_GRID, params))
+        final, report = self._coupled(obj, apparatus, trap, params, dt=0.05)
+        final_tab, report_tab = self._coupled(obj, apparatus, table, params,
+                                              dt=0.05)
+        for a, b in zip(final.apparatus_states, final_tab.apparatus_states):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert report_tab == report
+
+    def test_branch_is_the_shifted_static_evolution(self, apparatus, trap,
+                                                    params):
+        dt, cfg = 0.05, self.CFG
+        obj3 = ObjectState(np.array([0.48, 0.6, 0.64]))
+        final, _ = self._coupled(obj3, apparatus, trap, params, dt=dt)
+        n_steps = int(round(cfg.tau / dt))
+        phi = evolve(apparatus, trap, params, EvolutionConfig(dt, n_steps))
+        for n, _, branch in final.branches:
+            want = translate(phi, n * cfg.shift_velocity * cfg.tau)
+            assert np.max(np.abs(branch.amplitudes - want.amplitudes)) <= 1e-12
 
     def test_order_parameter_continuity(self, obj, apparatus, trap, params):
         _, report = self._coupled(obj, apparatus, trap, params, dt=0.05)

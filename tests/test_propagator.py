@@ -20,13 +20,7 @@ from qcollapse import (
     translate,
 )
 from qcollapse.errors import ValidationError
-from qcollapse.propagate import (
-    _apply,
-    _kinetic_factor,
-    _phase_factors,
-    _potential_factor,
-    _translation_phase,
-)
+from qcollapse.propagate import _apply, _phase_factors
 
 from conftest import l2_distance
 from oracles import expm_step_oracle, split_step_oracle, translate_oracle
@@ -181,8 +175,7 @@ class TestKernelsMatchDenseFormulas:
         psi = gaussian(center=1.0, momentum=0.4)
         v, dt = Potential.harmonic(1.0), 0.01
         before = psi.amplitudes.copy()
-        factors = (*_phase_factors(psi.grid, v, params, dt),
-                   _translation_phase(psi.grid, 0.25))
+        factors = _phase_factors(psi.grid, v, params, dt)
         copies = [f.copy() for f in factors]
         step(psi, v, params, dt)
         translate(psi, 0.25)
@@ -191,58 +184,52 @@ class TestKernelsMatchDenseFormulas:
         assert np.array_equal(psi.amplitudes, before)
         for f, c in zip(factors, copies):
             assert np.array_equal(f, c)
-        again = (*_phase_factors(psi.grid, v, params, dt),
-                 _translation_phase(psi.grid, 0.25))
-        assert all(a is b for a, b in zip(again, factors))
+        assert _phase_factors(psi.grid, v, params, dt) is factors
+
+
+def _kinetic(grid, params, dt):
+    return _phase_factors(grid, Potential.free(), params, dt)[1]
+
+
+def _half_v(grid, v, params, dt):
+    return _phase_factors(grid, v, params, dt)[0]
 
 
 class TestPhaseCaches:
     def test_cached_factors_are_read_only(self, grid, params):
         table = Potential.tabulated(np.zeros(grid.n_points))
-        for factor in (_kinetic_factor(grid, params, 0.01),
-                       _translation_phase(grid, 1.5),
-                       _potential_factor(grid, Potential.harmonic(1.0),
-                                         params, 0.01),
-                       _potential_factor(grid, table, params, 0.01)):
-            assert not factor.flags.writeable
-            with pytest.raises(ValueError):
-                factor[0] = 0.0
+        for v in (Potential.harmonic(1.0), table):
+            for factor in _phase_factors(grid, v, params, 0.01):
+                assert not factor.flags.writeable
+                with pytest.raises(ValueError):
+                    factor[0] = 0.0
 
     def test_distinct_keys_never_alias(self, grid, params):
         other_grid = Grid1D(-40.0, 40.0, 2048)
         heavy = PhysicalParams(mass=2.0)
-        kinetic = [_kinetic_factor(grid, params, 0.01),
-                   _kinetic_factor(other_grid, params, 0.01),
-                   _kinetic_factor(grid, heavy, 0.01),
-                   _kinetic_factor(grid, params, -0.01)]
+        kinetic = [_kinetic(grid, params, 0.01),
+                   _kinetic(other_grid, params, 0.01),
+                   _kinetic(grid, heavy, 0.01),
+                   _kinetic(grid, params, -0.01)]
         assert kinetic[1].shape == (2048,)
         for i, a in enumerate(kinetic):
             for b in kinetic[i + 1:]:
                 assert a.shape != b.shape or not np.array_equal(a, b)
         assert np.array_equal(kinetic[3], np.conj(kinetic[0]))
 
-        phases = [_translation_phase(grid, 0.7),
-                  _translation_phase(grid, -0.7),
-                  _translation_phase(other_grid, 0.7)]
-        assert not np.array_equal(phases[0], phases[1])
-        assert np.array_equal(phases[1], np.conj(phases[0]))
-        assert phases[2].shape == (2048,)
-
         table = np.linspace(0.0, 2.0, grid.n_points)
         bumped = table.copy()
         bumped[7] += 0.5
         trap = Potential.harmonic(1.0)
-        potential = [_potential_factor(grid, trap, params, 0.01),
-                     _potential_factor(grid, trap.shifted(0.5), params, 0.01),
-                     _potential_factor(grid, Potential.harmonic(2.0),
-                                       params, 0.01),
-                     _potential_factor(grid, trap, heavy, 0.01),
-                     _potential_factor(grid, trap, params, 0.03),
-                     _potential_factor(other_grid, trap, params, 0.01),
-                     _potential_factor(grid, Potential.tabulated(table),
-                                       params, 0.01),
-                     _potential_factor(grid, Potential.tabulated(bumped),
-                                       params, 0.01)]
+        potential = [_half_v(grid, trap, params, 0.01),
+                     _half_v(grid, Potential.harmonic(1.0, center=0.5),
+                             params, 0.01),
+                     _half_v(grid, Potential.harmonic(2.0), params, 0.01),
+                     _half_v(grid, trap, heavy, 0.01),
+                     _half_v(grid, trap, params, 0.03),
+                     _half_v(other_grid, trap, params, 0.01),
+                     _half_v(grid, Potential.tabulated(table), params, 0.01),
+                     _half_v(grid, Potential.tabulated(bumped), params, 0.01)]
         for i, a in enumerate(potential):
             for b in potential[i + 1:]:
                 assert a is not b
@@ -250,17 +237,14 @@ class TestPhaseCaches:
 
     def test_equal_keys_share_one_array(self, grid, params):
         same_grid = Grid1D(grid.x_min, grid.x_max, grid.n_points)
-        assert (_kinetic_factor(grid, params, 0.02)
-                is _kinetic_factor(same_grid, PhysicalParams(), 0.02))
-        assert _translation_phase(grid, 0.3) is _translation_phase(same_grid, 0.3)
-        assert (_potential_factor(grid, Potential.harmonic(1.0), params, 0.02)
-                is _potential_factor(same_grid, Potential.harmonic(1.0),
-                                     PhysicalParams(), 0.02))
+        assert (_phase_factors(grid, Potential.harmonic(1.0), params, 0.02)
+                is _phase_factors(same_grid, Potential.harmonic(1.0),
+                                  PhysicalParams(), 0.02))
         # a tabulated key compares by its table's bytes, not its identity
         table = np.linspace(0.0, 2.0, grid.n_points)
-        assert (_potential_factor(grid, Potential.tabulated(table), params, 0.02)
-                is _potential_factor(grid, Potential.tabulated(table.copy()),
-                                     params, 0.02))
+        assert (_phase_factors(grid, Potential.tabulated(table), params, 0.02)
+                is _phase_factors(grid, Potential.tabulated(table.copy()),
+                                  params, 0.02))
 
     def test_translate_round_trip(self, gaussian):
         psi = gaussian(center=-3.0, sigma=1.2, momentum=0.8)
