@@ -63,7 +63,7 @@ class SuperpositionDecomposition:
         branches = tuple((complex(c), s, m) for c, s, m in self.branches)
         object.__setattr__(self, "branches", branches)
         total = sum(abs(c) ** 2 for c, _, _ in branches)
-        if abs(total - 1.0) > COEFF_NORM_TOL:
+        if not abs(total - 1.0) <= COEFF_NORM_TOL:  # also rejects nan
             raise ValidationError(
                 f"sum |c_n|^2 = {total} deviates from 1 beyond {COEFF_NORM_TOL}")
 
@@ -115,7 +115,7 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
     if expected_coefficients is not None:
         expected = np.asarray(expected_coefficients, dtype=complex)
         err = float(np.max(np.abs(coeffs - expected)))
-        if err > COEFF_EXTRACTION_TOL:
+        if not err <= COEFF_EXTRACTION_TOL:
             raise ValidationError(
                 f"extracted coefficients deviate by {err:.3g} from the "
                 "supplied ones; branches are probably not orthogonal")
@@ -158,7 +158,7 @@ def geometric_probabilities(decomp: SuperpositionDecomposition) -> np.ndarray:
     intervals = reduced_intervals(decomp)
     p = np.array([iv.width / s.std_x
                   for iv, s in zip(intervals, decomp.summaries)])
-    if abs(float(p.sum()) - 1.0) > COEFF_NORM_TOL:
+    if not abs(float(p.sum()) - 1.0) <= COEFF_NORM_TOL:
         raise ValidationError(f"probabilities sum to {p.sum()}, not 1")
     return p
 

@@ -150,10 +150,9 @@ def apply_observable(psi: WaveFunction, a: ObservableSpec,
     """Amplitudes of A|psi> (not normalized)."""
     if a.kind == "position_poly":
         return a.classical_value(psi.grid.x) * psi.amplitudes
-    phi = np.fft.fft(psi.amplitudes)
     p = params.hbar * psi.grid.k
     power = 1 if a.kind == "momentum" else 2
-    return np.fft.ifft(p**power * phi)
+    return np.fft.ifft(p**power * psi.spectrum)
 
 
 def _hermitian_real(val: complex) -> float:
@@ -179,7 +178,7 @@ def _second_moment(psi: WaveFunction, a: ObservableSpec,
         rho = psi.probability_density()
         vals = a.classical_value(psi.grid.x)
         return float(np.sum(vals**2 * rho)) * dx
-    phi = np.fft.fft(psi.amplitudes)
+    phi = psi.spectrum
     p = params.hbar * psi.grid.k
     power = 2 if a.kind == "momentum" else 4
     # Parseval: sum_k |phi_k|^2 * dx / N equals the norm^2.
@@ -209,8 +208,9 @@ def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
                    params: PhysicalParams = PhysicalParams()) -> PacketSummary:
     """Moments, the support interval (<x> +- k std x / 2) and its mass.
 
-    One fused pass with a single forward FFT phi = F a, for a = psi's
-    amplitudes and the wavenumbers k (p = hbar k):
+    One fused pass over a = psi's amplitudes and phi = psi.spectrum (F a,
+    computed once per state, or handed on by `translate`), with the
+    wavenumbers k (p = hbar k):
 
         <x> = Re vdot(a, x a) dx               <x^2> = |x a|^2 dx
         <p> = hbar Re vdot(phi, k phi) dx/N    <p^2> = hbar^2 |k phi|^2 dx/N
@@ -228,7 +228,7 @@ def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
     exp_x = _hermitian_real(complex(np.vdot(a, xa)) * dx)
     sx = _clamped_std(float(np.vdot(xa, xa).real) * dx, exp_x)
 
-    phi = np.fft.fft(a)
+    phi = psi.spectrum
     k_phi = grid.k * phi
     hbar = params.hbar
     weight = dx / grid.n_points
@@ -334,10 +334,11 @@ def order_parameters(branch_summaries: Sequence[PacketSummary]) -> OrderParamete
     """
     if len(branch_summaries) < 2:
         raise TooFewPackets("need at least two packet summaries")
-    centers = np.sort([s.exp_x for s in branch_summaries])
-    widths = np.sort([s.std_x for s in branch_summaries])
+    centers = sorted(s.exp_x for s in branch_summaries)
+    widths = sorted(s.std_x for s in branch_summaries)
     return OrderParameters(
-        min_pairwise_separation=float(np.diff(centers).min()),
+        min_pairwise_separation=float(min(
+            hi - lo for lo, hi in zip(centers, centers[1:]))),
         critical_value=float(0.5 * (widths[-1] + widths[-2])))
 
 

@@ -1,9 +1,10 @@
 """Uniform 1-D grid, complex field states, and canonical state construction.
 
 States are immutable value objects: every operation returns a new
-WaveFunction and never mutates its inputs.  The grid is periodic, which is
-what makes the spectral propagator exactly unitary; constructions therefore
-reject states that put noticeable mass near the boundary.
+WaveFunction and never mutates its inputs; a state's FFT is cached.  The
+grid is periodic, which is what makes the spectral propagator exactly
+unitary; constructions therefore reject states that put noticeable mass near
+the boundary.
 """
 from __future__ import annotations
 
@@ -32,6 +33,12 @@ EDGE_FRACTION = 0.05
 _GRID_LINE = re.compile(r"# grid x_min=(\S+) x_max=(\S+) n_points=(\d+)")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a` itself, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic grid x_j = x_min + j*dx, j = 0..n_points-1."""
@@ -56,16 +63,12 @@ class Grid1D:
 
     @cached_property
     def x(self) -> np.ndarray:
-        x = self.x_min + self.dx * np.arange(self.n_points)
-        x.flags.writeable = False
-        return x
+        return _frozen(self.x_min + self.dx * np.arange(self.n_points))
 
     @cached_property
     def k(self) -> np.ndarray:
         """Angular wavenumbers matching numpy's FFT ordering."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
-        k.flags.writeable = False
-        return k
+        return _frozen(2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx))
 
 
 @dataclass(frozen=True)
@@ -87,21 +90,35 @@ def _amplitude_norm(amps: np.ndarray, dx: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitude field on a Grid1D."""
+    """Complex amplitude field on a Grid1D; `spectrum` is its cached FFT.
+
+    Both arrays are read-only complex128.  The caller's amplitudes are copied
+    unless already read-only complex128 owning their memory, as the
+    propagator's fresh buffers are, so a writeable array is never aliased.
+    """
 
     grid: Grid1D
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        amps = self.amplitudes
+        if not (isinstance(amps, np.ndarray) and amps.dtype == np.complex128
+                and not amps.flags.writeable and amps.flags.owndata):
+            amps = _frozen(np.array(amps, dtype=np.complex128))
         if amps.shape != (self.grid.n_points,):
             raise ValidationError(
                 f"amplitudes shape {amps.shape} does not match grid "
                 f"({self.grid.n_points},)")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        # A finite sum |a|^2 means every entry is finite; only an overflowed
+        # or non-finite sum needs the entry scan.
+        if not (math.isfinite(np.vdot(amps, amps).real)
+                or np.all(np.isfinite(amps.view(np.float64)))):
             raise ValidationError("amplitudes must be finite")
-        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return _frozen(np.fft.fft(self.amplitudes))
 
     def norm(self) -> float:
         return _amplitude_norm(self.amplitudes, self.grid.dx)

@@ -54,7 +54,7 @@ class ObjectState:
         if amps.ndim != 1 or amps.size < 1:
             raise ValidationError("object amplitudes must be a 1-D vector")
         total = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # also rejects nan
             raise ValidationError(f"object norm^2 = {total} deviates from 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -74,7 +74,7 @@ class CompositeState:
         branches = tuple((int(n), complex(c), s) for n, c, s in self.branches)
         object.__setattr__(self, "branches", branches)
         total = sum(abs(c) ** 2 for _, c, _ in branches)
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:  # also rejects nan
             raise ValidationError(f"sum |c_n|^2 = {total} deviates from 1")
 
     def __len__(self) -> int:

@@ -13,7 +13,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import UnstableStep, ValidationError
-from .grid import Grid1D, PhysicalParams, WaveFunction, _amplitude_norm
+from .grid import (Grid1D, PhysicalParams, WaveFunction, _amplitude_norm,
+                   _frozen)
 
 # Allowed per-step drift of the norm from 1 before the step is declared
 # unstable (double-precision FFT round-off is orders of magnitude below).
@@ -148,35 +149,33 @@ def _phase_factors(grid: Grid1D, v: Potential, params: PhysicalParams,
     """(exp(-i V dt / 2 hbar), exp(-i hbar k^2 dt / 2m)), shared read-only."""
     half_v = np.exp(-0.5j * v.values(grid, params) * dt / params.hbar)
     kinetic = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
-    half_v.flags.writeable = False
-    kinetic.flags.writeable = False
-    return half_v, kinetic
+    return _frozen(half_v), _frozen(kinetic)
 
 
 def _apply(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
-    """half_v * F^-1(kinetic * F(half_v * amps)) in one fresh buffer.
+    """half_v * F^-1(kinetic * F(half_v * amps)) in one fresh read-only buffer.
 
     Each factor stays the left operand: numpy's complex multiply is not
     bitwise commutative, and this order gives the same bits as evaluating
     that expression out of place.  The `out=` argument of numpy.fft needs
-    NumPy >= 2.0.
+    NumPy >= 2.0.  The buffer is frozen so WaveFunction can take it uncopied.
     """
     buf = half_v * amps
     np.fft.fft(buf, out=buf)
     np.multiply(kinetic, buf, out=buf)
     np.fft.ifft(buf, out=buf)
     np.multiply(half_v, buf, out=buf)
-    return buf
+    return _frozen(buf)
 
 
 def step(psi: WaveFunction, v: Potential, params: PhysicalParams,
          dt: float) -> WaveFunction:
     """One Strang-split step; negative dt steps backwards in time."""
-    half_v, kinetic = _phase_factors(psi.grid, v, params, dt)
-    out = WaveFunction(psi.grid, _apply(psi.amplitudes, half_v, kinetic))
-    if abs(out.norm() - 1.0) > STEP_NORM_TOL:
-        raise UnstableStep(f"norm drifted to {out.norm()} in one step")
-    return out
+    amps = _apply(psi.amplitudes, *_phase_factors(psi.grid, v, params, dt))
+    norm = _amplitude_norm(amps, psi.grid.dx)
+    if not abs(norm - 1.0) <= STEP_NORM_TOL:  # also catches a nan norm
+        raise UnstableStep(f"norm drifted to {norm} in one step")
+    return WaveFunction(psi.grid, amps)
 
 
 def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
@@ -193,7 +192,7 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
     for i in range(1, cfg.n_steps + 1):
         amps = _apply(amps, half_v, kinetic)
         norm = _amplitude_norm(amps, dx)
-        if abs(norm - 1.0) > STEP_NORM_TOL:
+        if not abs(norm - 1.0) <= STEP_NORM_TOL:
             raise UnstableStep(f"norm drifted to {norm} at step {i}")
         if observer is not None and i % cfg.record_every == 0:
             observer(i * cfg.dt, WaveFunction(psi.grid, amps))
@@ -201,8 +200,17 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
 
 
 def translate(psi: WaveFunction, shift: float) -> WaveFunction:
-    """Rigid spectral translation psi(x) -> psi(x - shift); exactly unitary."""
-    buf = np.fft.fft(psi.amplitudes)
-    np.multiply(np.exp(-1j * psi.grid.k * shift), buf, out=buf)
-    np.fft.ifft(buf, out=buf)
-    return WaveFunction(psi.grid, buf)
+    """Rigid spectral translation psi(x) -> psi(x - shift); exactly unitary.
+
+    exp(-i k shift) is evaluated on k[0..N/2] only: numpy's wavenumbers obey
+    k[N-m] = -k[m] exactly, so the other half is its conjugate, bit for bit.
+    The result carries its spectrum exp(-i k shift) * psi.spectrum.
+    """
+    k, half = psi.grid.k, psi.grid.n_points // 2
+    spectrum = np.empty_like(psi.spectrum)
+    np.exp(-1j * k[:half + 1] * shift, out=spectrum[:half + 1])
+    np.conjugate(spectrum[half - 1:0:-1], out=spectrum[half + 1:])
+    np.multiply(spectrum, psi.spectrum, out=spectrum)
+    out = WaveFunction(psi.grid, _frozen(np.fft.ifft(spectrum)))
+    out.__dict__["spectrum"] = _frozen(spectrum)  # fills the cached_property
+    return out

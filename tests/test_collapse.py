@@ -17,6 +17,7 @@ from qcollapse import (
     inner_product,
     make_gaussian,
     measure_quotients,
+    packet_summary,
     reduced_intervals,
     sample_collapse,
     superpose,
@@ -83,6 +84,19 @@ class TestDecompose:
         cat = superpose(zip((0.6, 0.8), basis))
         with pytest.raises(ValidationError):
             decompose(cat, basis[:1], params=params)
+
+    def test_rejects_nan_expected_coefficient(self, gaussian, params):
+        basis = [gaussian(center=-18.0), gaussian(center=18.0)]
+        cat = superpose(zip((0.6, 0.8), basis))
+        with pytest.raises(ValidationError, match="deviate"):
+            decompose(cat, basis, params=params,
+                      expected_coefficients=(np.nan, 0.8))
+
+    def test_decomposition_rejects_nan_coefficient(self, cat_decomp):
+        (_, s0, m0), (_, s1, m1) = cat_decomp.branches
+        with pytest.raises(ValidationError):
+            SuperpositionDecomposition(
+                branches=((np.nan, s0, m0), (1.0, s1, m1)))
 
 
 class TestReducedIntervals:
@@ -156,6 +170,15 @@ class TestGeometricProbabilities:
         psi = gaussian()
         decomp = decompose(psi, [psi], params=params)
         assert decomp.probabilities == pytest.approx([1.0], abs=1e-10)
+
+    def test_nan_probability_sum_rejected(self, gaussian, params):
+        """An infinite width gives p = inf / inf = nan."""
+        psi = gaussian()
+        summary = dataclasses.replace(packet_summary(psi, params=params),
+                                      std_x=math.inf)
+        decomp = SuperpositionDecomposition(branches=((1.0, psi, summary),))
+        with pytest.raises(ValidationError, match="sum to"):
+            geometric_probabilities(decomp)
 
     def test_measure_quotient_differs_from_born(self, gaussian, params):
         # equal widths: q = (1/2, 1/2) regardless of the 0.36/0.64 weights

@@ -402,6 +402,18 @@ class TestOrderParameters:
         with pytest.raises(TooFewPackets):
             order_parameters([mk(0.0, 1.0)])
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e3)),
+                    min_size=2, max_size=8))
+    def test_matches_numpy_sort_reference_bitwise(self, packets):
+        """Sorting Python floats gives the bits of np.sort / np.diff."""
+        mk = lambda c, w: type("S", (), {"exp_x": c, "std_x": w})()
+        op = order_parameters([mk(c, w) for c, w in packets])
+        centers = np.sort([c for c, _ in packets])
+        widths = np.sort([w for _, w in packets])
+        assert op.min_pairwise_separation == float(np.diff(centers).min())
+        assert op.critical_value == float(0.5 * (widths[-1] + widths[-2]))
+
 
 class TestEhrenfest:
     def _trajectory(self, psi, v, params, dt, n, every):

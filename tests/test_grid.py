@@ -102,6 +102,45 @@ class TestWaveFunction:
         psi = WaveFunction(grid, np.ones(grid.n_points)).normalize()
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_rejects_non_finite_anywhere(self, grid, bad, where, part):
+        amps = np.ones(grid.n_points, dtype=complex)
+        i = {"first": 0, "middle": grid.n_points // 2, "last": -1}[where]
+        amps[i] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        amps.flags.writeable = False  # the uncopied path checks it too
+        with pytest.raises(ValidationError):
+            WaveFunction(grid, amps)
+
+    def test_accepts_huge_finite_amplitudes(self, grid):
+        """sum |a|^2 overflows to inf here, yet every entry is finite."""
+        amps = np.full(grid.n_points, 1e200 + 1e200j)
+        assert np.array_equal(WaveFunction(grid, amps).amplitudes, amps)
+
+    def test_never_aliases_a_writeable_caller_array(self, grid):
+        owned = np.ones(grid.n_points, dtype=complex)
+        view = np.ones(2 * grid.n_points, dtype=complex)[::2]
+        frozen_view = np.ones(grid.n_points, dtype=complex)[:]
+        frozen_view.flags.writeable = False
+        for amps in (owned, view, frozen_view, np.ones(grid.n_points)):
+            psi = WaveFunction(grid, amps)
+            assert not np.shares_memory(psi.amplitudes, amps)
+            assert not psi.amplitudes.flags.writeable
+
+    def test_takes_a_read_only_owned_buffer_uncopied(self, grid):
+        amps = np.ones(grid.n_points, dtype=complex)
+        amps.flags.writeable = False
+        assert WaveFunction(grid, amps).amplitudes is amps
+
+    def test_spectrum_is_cached_and_read_only(self, gaussian):
+        psi = gaussian(center=1.0, momentum=0.5)
+        phi = psi.spectrum
+        assert np.array_equal(phi, np.fft.fft(psi.amplitudes))
+        assert psi.spectrum is phi
+        with pytest.raises(ValueError):
+            phi[0] = 1.0
+
 
 class TestMakeGaussian:
     def test_centered_packet_has_symmetric_moments(self, gaussian, params):

@@ -63,6 +63,15 @@ class TestObjectState:
         with pytest.raises(ValidationError):
             ObjectState(np.eye(2))
 
+    def test_rejects_nan_coefficient(self):
+        with pytest.raises(ValidationError):
+            ObjectState(np.array([np.nan, 1.0]))
+
+
+def test_composite_state_rejects_nan_coefficient(apparatus):
+    with pytest.raises(ValidationError):
+        CompositeState(branches=((0, np.nan, apparatus), (1, 1.0, apparatus)))
+
 
 class TestPremeasurement:
     def test_product_form(self, obj, apparatus, params):

@@ -19,7 +19,7 @@ from qcollapse import (
     superpose,
     translate,
 )
-from qcollapse.errors import ValidationError
+from qcollapse.errors import UnstableStep, ValidationError
 from qcollapse.propagate import _apply, _phase_factors
 
 from conftest import l2_distance
@@ -120,6 +120,26 @@ class TestEvolve:
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
+class TestUnstableStep:
+    """hbar = 1e-320 overflows V dt / hbar, so the potential factor is nan
+    wherever V != 0 and the first step's norm is nan."""
+
+    def test_step_raises_unstable_step(self, gaussian):
+        params = PhysicalParams(hbar=1e-320)
+        with np.errstate(all="ignore"), pytest.raises(UnstableStep):
+            step(gaussian(), Potential.harmonic(1.0), params, 0.01)
+
+    def test_evolve_raises_at_the_first_bad_step(self, gaussian):
+        params = PhysicalParams(hbar=1e-320)
+        seen = []
+        cfg = EvolutionConfig(dt=0.01, n_steps=50, record_every=10)
+        with np.errstate(all="ignore"), \
+                pytest.raises(UnstableStep, match="at step 1$"):
+            evolve(gaussian(), Potential.harmonic(1.0), params, cfg,
+                   lambda t, s: seen.append(t))
+        assert seen == []
+
+
 class TestConfigs:
     def test_dt_bound_for_harmonic(self):
         cfg = EvolutionConfig(dt=1.0, n_steps=10)
@@ -170,6 +190,27 @@ class TestKernelsMatchDenseFormulas:
         got = translate(WaveFunction(grid, amps), shift).amplitudes
         want = translate_oracle(amps, grid, shift)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shift", [0.0, -5.0, 0.37, -1e-3, 250.0,
+                                       -1e4])
+    @pytest.mark.parametrize("n", [16, 1024, 2048, 8192])
+    def test_translate_is_bitwise_the_full_phase(self, shift, n):
+        """The half-spectrum phase gives the bits of exp(-i k s) on all of k;
+        a shift beyond the 160-wide grid wraps periodically."""
+        grid = Grid1D(-40.0, 120.0, n)
+        amps = _random_amps(n, 3)
+        out = translate(WaveFunction(grid, amps), shift)
+        want = np.fft.ifft(np.exp(-1j * grid.k * shift) * np.fft.fft(amps))
+        assert np.array_equal(out.amplitudes, want)
+
+    @pytest.mark.parametrize("shift", [0.0, -7.5, 0.37, 300.0])
+    def test_translate_hands_on_its_spectrum(self, shift):
+        grid = Grid1D(-40.0, 120.0, 2048)
+        out = translate(WaveFunction(grid, _random_amps(2048, 4)), shift)
+        want = np.fft.fft(out.amplitudes)
+        assert np.max(np.abs(out.spectrum - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not out.spectrum.flags.writeable
+        assert not out.amplitudes.flags.writeable
 
     def test_inputs_and_cached_factors_unchanged(self, gaussian, params):
         psi = gaussian(center=1.0, momentum=0.4)
