@@ -3,15 +3,15 @@
 Collapse semantics only apply to superpositions of weakly interfering
 packets.  Probabilities are computed geometrically, as the quotient of the
 reduced and the full support-interval widths, and must reproduce the squared
-coefficient moduli.  Sampling draws from a caller-supplied numpy Generator
-(PCG64 under default_rng), so a seeded stream fixes every event it draws.
+coefficient moduli.  Sampling draws one double per event from a numpy
+Generator (PCG64 under default_rng), so a seeded stream fixes every event.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +45,8 @@ class ReducedInterval:
     width: float
 
 
-@dataclass(frozen=True)
-class CollapseEvent:
+class CollapseEvent(NamedTuple):
+    """Realized branch, Born weight, draw and posterior: an immutable tuple."""
     branch_index: int
     probability: float
     u: float  # the uniform draw that picked the branch
@@ -181,15 +181,14 @@ def sample_collapse(decomp: SuperpositionDecomposition,
     decomposition builds once.  Branch intervals are half-open [lo, hi) in
     coefficient index order, so an ensemble seeded once with
     np.random.default_rng(seed) and drawn event by event is fixed by
-    (decomp, seed).
+    (decomp, seed): k calls leave `rng` where rng.random(k) would.
     """
     cdf = decomp.branch_cdf
     u = rng.random()
     d = len(cdf)
     idx = min(bisect_right(cdf, u), d - 1)
     posterior = (0.0,) * idx + (1.0,) + (0.0,) * (d - 1 - idx)
-    return CollapseEvent(branch_index=idx, probability=decomp.weights[idx],
-                         u=u, a_posteriori=posterior)
+    return CollapseEvent(idx, decomp.weights[idx], u, posterior)
 
 
 def apply_self_collapse(decomp: SuperpositionDecomposition,

@@ -157,9 +157,11 @@ def apply_observable(psi: WaveFunction, a: ObservableSpec,
 
 def _hermitian_real(val: complex) -> float:
     """Real part of an expectation value, its imaginary residue checked."""
-    if abs(val.imag) > HERMITICITY_TOL:
+    if not abs(val.imag) <= HERMITICITY_TOL:  # also rejects nan
         raise NonHermitianResidue(
             f"imaginary residue {val.imag:.3g} exceeds {HERMITICITY_TOL}")
+    if not math.isfinite(val.real):
+        raise ValidationError(f"expectation value {val.real} is not finite")
     return val.real
 
 
@@ -189,6 +191,8 @@ def _second_moment(psi: WaveFunction, a: ObservableSpec,
 def _clamped_std(second_moment: float, mean: float) -> float:
     """sqrt(<A^2> - <A>^2), clamped at zero with a warning on real excursions."""
     var = second_moment - mean**2
+    if not math.isfinite(var):
+        raise ValidationError(f"variance {var} is not finite")
     if var < 0:
         if var < -VARIANCE_CLAMP_TOL:
             warnings.warn(

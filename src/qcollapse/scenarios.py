@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -101,6 +102,13 @@ class ScenarioConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
+# Where a run happened, for manifest.json.  platform.platform() is avoided:
+# on Linux it reads the interpreter binary to find the libc version.
+ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
+               "system": platform.system(), "machine": platform.machine(),
+               "cpu_count": os.cpu_count()}
+
+
 @dataclass
 class Assertion:
     name: str
@@ -128,7 +136,8 @@ class RunManifest:
     def write(self, path: Path) -> None:
         error_type = self.error_type and self.error_type.__name__
         path.write_text(_json({**asdict(self), "error_type": error_type,
-                               "artifacts": sorted(self.artifacts)}))
+                               "artifacts": sorted(self.artifacts),
+                               "environment": ENVIRONMENT}))
 
 
 class Scenario(NamedTuple):
@@ -454,21 +463,19 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
     """Sample cfg.n_samples collapse events in turn from one PCG64 stream,
     np.random.default_rng(cfg.seed).
 
-    Writes one JSON line per event to artifact `name`, checks every branch
+    Joins one JSON line per event into artifact `name`, checks every branch
     frequency against its 3-sigma binomial band and returns the frequencies.
     """
     rng = np.random.default_rng(cfg.seed)
-    counts = [0] * len(decomp)
-    lines = []
-    for i in range(cfg.n_samples):
-        event = sample_collapse(decomp, rng)
-        counts[event.branch_index] += 1
-        # Same bytes as json.dumps of {"event", "branch", "p"}: a finite
-        # float encodes as its repr.
-        lines.append(f'{{"event": {i}, "branch": {event.branch_index}, '
-                     f'"p": {event.probability!r}}}')
-    _emit(manifest, name, "\n".join(lines) + "\n")
-    freqs = [c / cfg.n_samples for c in counts]
+    picks = [sample_collapse(decomp, rng).branch_index
+             for _ in range(cfg.n_samples)]
+    # The bytes of json.dumps({"event": i, "branch": n, "p": w_n}): a finite
+    # float encodes as its repr, so each branch's line tail is built once.
+    tails = [f', "branch": {n}, "p": {w!r}}}\n'
+             for n, w in enumerate(decomp.weights)]
+    _emit(manifest, name, "".join(['{"event": ' + str(i) + tails[n]
+                                   for i, n in enumerate(picks)]))
+    freqs = [picks.count(n) / cfg.n_samples for n in range(len(decomp))]
     for i, (pi, fi) in enumerate(zip(decomp.probabilities, freqs)):
         tol = _binomial_3sigma(float(pi), cfg.n_samples)
         _check(manifest, f"branch_{i}_frequency", abs(fi - pi) <= tol,

@@ -283,6 +283,32 @@ class TestSampling:
         assert cat_decomp.branch_cdf is cdf
         assert cat_decomp.weights is weights
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_k_events_advance_the_stream_as_k_draws(self, cat_decomp, seed,
+                                                    k):
+        rng = np.random.default_rng(seed)
+        for _ in range(k):
+            sample_collapse(cat_decomp, rng)
+        reference = np.random.default_rng(seed)
+        reference.random(k)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random(3).tolist() == reference.random(3).tolist()
+
+    def test_event_is_an_immutable_named_tuple(self, cat_decomp):
+        e = sample_collapse(cat_decomp, np.random.default_rng(3))
+        assert CollapseEvent._fields == ("branch_index", "probability", "u",
+                                         "a_posteriori")
+        assert tuple(e) == (e.branch_index, e.probability, e.u,
+                            e.a_posteriori)
+        with pytest.raises(AttributeError):
+            e.branch_index = 1 - e.branch_index
+        assert CollapseEvent(branch_index=1, probability=0.64, u=0.5,
+                             a_posteriori=(0.0, 1.0)) == \
+            CollapseEvent(1, 0.64, 0.5, (0.0, 1.0))
+        assert e._replace(branch_index=0).branch_index == 0
+        assert e == sample_collapse(cat_decomp, np.random.default_rng(3))
+
     def test_empirical_frequencies(self, cat_decomp):
         n = 2000
         rng = np.random.default_rng(0)

@@ -28,12 +28,15 @@ from qcollapse import (
     weak_interference,
 )
 from qcollapse.diagnostics import (
+    _clamped_std,
+    _hermitian_real,
     _support_slice,
     coefficient_moduli,
     positive_position,
 )
 from qcollapse.errors import (
     ApparatusNotReady,
+    NonHermitianResidue,
     NonUniformSampling,
     ObservableNotPositiveOnSupport,
     TooFewPackets,
@@ -116,6 +119,47 @@ class TestPacketSummary:
             s = packet_summary(gaussian(sigma=sigma), params=params)
             assert s.uncertainty_product >= 0.5 - 1e-9
             assert s.uncertainty_product == pytest.approx(0.5, rel=1e-6)
+
+
+class TestNonFiniteMoments:
+    """A state WaveFunction accepts can still overflow |a|^2; its moments
+    must raise instead of coming out as inf or nan."""
+
+    @pytest.fixture
+    def overflowing(self):
+        return WaveFunction(Grid1D(-20.0, 20.0, 256), np.full(256, 1e200 + 0j))
+
+    def test_summary_and_position_moments_raise(self, overflowing):
+        x = ObservableSpec.position()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonHermitianResidue):
+                packet_summary(overflowing)
+            with pytest.raises(NonHermitianResidue):
+                expectation(overflowing, x)
+            with pytest.raises(NonHermitianResidue):
+                std_dev(overflowing, x)
+            with pytest.raises(ValidationError, match="variance"):
+                std_dev(overflowing, ObservableSpec.momentum())
+
+    @pytest.mark.parametrize("val", [complex(1.0, math.nan),
+                                     complex(math.nan, math.nan)])
+    def test_nan_residue_is_non_hermitian(self, val):
+        with pytest.raises(NonHermitianResidue):
+            _hermitian_real(val)
+
+    @pytest.mark.parametrize("real", [math.inf, -math.inf, math.nan])
+    def test_non_finite_real_part_raises(self, real):
+        with pytest.raises(ValidationError, match="not finite"):
+            _hermitian_real(complex(real, 0.0))
+
+    @pytest.mark.parametrize("second, mean", [(math.nan, 0.0),
+                                              (math.inf, 0.0),
+                                              (1.0, math.inf)])
+    def test_non_finite_variance_is_not_clamped(self, second, mean):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="variance"):
+                _clamped_std(second, mean)
 
 
 def _close(got, want, tol=1e-12):

@@ -1,5 +1,6 @@
-import dataclasses
 import json
+import os
+import platform
 import tempfile
 from pathlib import Path
 
@@ -190,6 +191,15 @@ class TestScenarioRuns:
         for name in doc["artifacts"]:
             assert (run_dir / name).exists()
 
+    def test_manifest_records_environment(self, tmp_path):
+        manifest = run(parse_config(COLLAPSE), str(tmp_path))
+        doc = json.loads((Path(manifest.run_dir) / "manifest.json")
+                         .read_text())
+        assert doc["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "system": platform.system(), "machine": platform.machine(),
+            "cpu_count": os.cpu_count()}
+
     def test_harmonic_coherent(self, tmp_path):
         cfg = parse_config("scenario: harmonic_coherent\n"
                            "potential: {kind: harmonic, omega: 1.0}\n"
@@ -251,6 +261,52 @@ class TestScenarioRuns:
         assert doc["frequencies"] == [branches.count(i) / 1500
                                       for i in range(2)]
         assert_canonical_jsonl(run_dir / "outcomes.jsonl")
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("coefficients", [
+        "[[0.0, 0.6], 0.8]",
+        "[[0.0, 0.48], 0.6, [0.384, -0.512]]",
+        "[0.6, [0.24, 0.32], 0.4, [0.0, -0.4], 0.4]",
+    ], ids=["d2", "d3", "d5"])
+    @pytest.mark.parametrize("base, name", [(COLLAPSE, "collapse.jsonl"),
+                                            (BORN, "outcomes.jsonl")],
+                             ids=["collapse_sample", "born_ensemble"])
+    def test_ensemble_lines_match_vectorized_oracle(
+            self, tmp_path, monkeypatch, base, name, coefficients, seed):
+        """Each line is json.dumps of its record, with the branch from one
+        vectorized draw of default_rng(seed) and the Born weight of the
+        decomposition the ensemble samples."""
+        seen = []
+        real = scenarios.sample_collapse
+
+        def spy(decomp, rng):
+            seen.append(decomp)
+            return real(decomp, rng)
+
+        monkeypatch.setattr(scenarios, "sample_collapse", spy)
+        text = (base.replace("coefficients: [0.6, 0.8]",
+                             f"coefficients: {coefficients}")
+                .replace("seed: 7", f"seed: {seed}")
+                .replace("seed: 11", f"seed: {seed}")
+                .replace("n_samples: 1500", "n_samples: 400")
+                .replace("n_points: 2048", "n_points: 1024"))
+        if base is COLLAPSE:
+            text += "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"
+        else:
+            text = text.replace("dt: 0.01", "dt: 0.05")
+        manifest = run(parse_config(text), str(tmp_path))
+        assert manifest.error is None
+        decomp = seen[0]
+        assert len(seen) == 400 and all(x is decomp for x in seen)
+        d = len(decomp)
+        assert d == len(json.loads(coefficients))
+        cdf = np.cumsum(decomp.probabilities)
+        u = np.random.default_rng(seed).random(400)
+        branches = np.minimum(np.searchsorted(cdf, u, side="right"), d - 1)
+        expected = [json.dumps({"event": i, "branch": int(b),
+                                "p": decomp.weights[b]}) + "\n"
+                    for i, b in enumerate(branches)]
+        assert (Path(manifest.run_dir) / name).read_text() == "".join(expected)
 
     def test_narrow_coupling_fails_before_stepping(self, tmp_path):
         cfg = parse_config(MEASUREMENT.replace("d_sep: 10.0", "d_sep: 2.0"))
@@ -409,7 +465,7 @@ class TestCli:
         real = scenarios.sample_collapse
 
         def always_first(decomp, rng):
-            return dataclasses.replace(real(decomp, rng), branch_index=0)
+            return real(decomp, rng)._replace(branch_index=0)
 
         monkeypatch.setattr(scenarios, "sample_collapse", always_first)
         assert main(["check"]) == 1
