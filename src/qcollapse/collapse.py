@@ -26,7 +26,7 @@ from .errors import (
     NotWeaklyInterfering,
     ValidationError,
 )
-from .grid import PhysicalParams, WaveFunction, inner_product
+from .grid import PhysicalParams, WaveFunction, inner_product, overlap_matrix
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -132,12 +132,11 @@ def _check_weak_interference(decomp: SuperpositionDecomposition) -> None:
     if not np.all(matrix[iu]):
         raise NotWeaklyInterfering(
             "some branch pair fails the support-separation condition")
-    states = decomp.states
+    overlaps = overlap_matrix(decomp.states)
     for i, j in zip(*iu):
-        overlap = abs(inner_product(states[i], states[j]))
-        if overlap > BRANCH_OVERLAP_TOL:
+        if overlaps[i, j] > BRANCH_OVERLAP_TOL:
             raise NotWeaklyInterfering(
-                f"branches {i},{j} overlap by {overlap:.3g} "
+                f"branches {i},{j} overlap by {overlaps[i, j]:.3g} "
                 f"(limit {BRANCH_OVERLAP_TOL})")
 
 

@@ -21,7 +21,7 @@ from .errors import (
     TooFewPackets,
     ValidationError,
 )
-from .grid import PhysicalParams, WaveFunction, inner_product
+from .grid import PhysicalParams, WaveFunction
 from .propagate import Potential
 
 HERMITICITY_TOL = 1e-6
@@ -145,16 +145,6 @@ def _support_slice(x: np.ndarray, lo: float, hi: float) -> slice:
                  int(np.searchsorted(x, hi, side="right")))
 
 
-def apply_observable(psi: WaveFunction, a: ObservableSpec,
-                     params: PhysicalParams) -> np.ndarray:
-    """Amplitudes of A|psi> (not normalized)."""
-    if a.kind == "position_poly":
-        return a.classical_value(psi.grid.x) * psi.amplitudes
-    p = params.hbar * psi.grid.k
-    power = 1 if a.kind == "momentum" else 2
-    return np.fft.ifft(p**power * psi.spectrum)
-
-
 def _hermitian_real(val: complex) -> float:
     """Real part of an expectation value, its imaginary residue checked."""
     if not abs(val.imag) <= HERMITICITY_TOL:  # also rejects nan
@@ -167,10 +157,19 @@ def _hermitian_real(val: complex) -> float:
 
 def expectation(psi: WaveFunction, a: ObservableSpec,
                 params: PhysicalParams = PhysicalParams()) -> float:
-    """<A> = (psi, A psi) with the hermiticity residue checked and discarded."""
-    op_amps = apply_observable(psi, a, params)
-    return _hermitian_real(complex(np.vdot(psi.amplitudes, op_amps))
-                           * psi.grid.dx)
+    """<A> = (psi, A psi) with the hermiticity residue checked and discarded;
+    a momentum power p^n by Parseval on phi = psi.spectrum, vdot(phi, p^n
+    phi) dx/N, with no inverse FFT."""
+    dx = psi.grid.dx
+    if a.kind == "position_poly":
+        amps = psi.amplitudes
+        val = complex(np.vdot(amps, a.classical_value(psi.grid.x) * amps)) * dx
+    else:
+        phi = psi.spectrum
+        p = params.hbar * psi.grid.k
+        power = 1 if a.kind == "momentum" else 2
+        val = complex(np.vdot(phi, p**power * phi)) * dx / psi.grid.n_points
+    return _hermitian_real(val)
 
 
 def _second_moment(psi: WaveFunction, a: ObservableSpec,
@@ -260,6 +259,15 @@ def positive_position(summary: PacketSummary) -> ObservableSpec:
     """
     lo, sx = summary.support[0], summary.std_x
     return ObservableSpec.position(max(0.0, 0.1 * sx - lo) + sx)
+
+
+def position_gate(psi: WaveFunction, cfg: GateConfig = GateConfig(),
+                  params: PhysicalParams = PhysicalParams()) -> GateVerdict:
+    """The wave-packet gate on the one observable positive_position(summary)
+    of psi's own summary: the readiness test of the apparatus packet and of
+    each `cat_gate` state."""
+    summary = packet_summary(psi, cfg, params)
+    return wave_packet_gate(psi, [positive_position(summary)], cfg, params)
 
 
 def wave_packet_gate(psi: WaveFunction, observables: Sequence[ObservableSpec],
@@ -384,9 +392,3 @@ def ehrenfest_residual(trajectory: Sequence[Tuple[float, WaveFunction]],
         residual_p=np.abs(dpdt + exp_f[1:-1]),
         residual_newton=np.abs(dpdt + v.gradient_at(exp_x[1:-1], params)),
     )
-
-
-def coefficient_moduli(psi: WaveFunction, basis: Sequence[WaveFunction]
-                       ) -> np.ndarray:
-    """|(psi_n, psi)| for each basis member; constant under co-evolution."""
-    return np.array([abs(inner_product(b, psi)) for b in basis])

@@ -3,8 +3,8 @@
 States are immutable value objects: every operation returns a new
 WaveFunction and never mutates its inputs; a state's FFT is cached.  The
 grid is periodic, which is what makes the spectral propagator exactly
-unitary; constructions therefore reject states that put noticeable mass near
-the boundary.
+unitary; `check_edge_mass`, the one boundary guard, rejects states that put
+noticeable mass near the boundary, at construction and during evolution.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from .errors import (
 )
 
 NORM_TOL = 1e-10
-# Constructions reject > this much probability mass in the outer 5% of the
-# grid, since periodic wrap-around would corrupt weak-interference tests.
+# check_edge_mass rejects > this much probability mass in the outer 5% of
+# the grid, since periodic wrap-around would corrupt weak-interference tests.
 EDGE_MASS_TOL = 1e-8
 EDGE_FRACTION = 0.05
 # Snapshot line 2; np.loadtxt skips it as a comment.
@@ -133,19 +133,35 @@ class WaveFunction:
         a = self.amplitudes
         return a.real**2 + a.imag**2
 
-    def edge_mass(self) -> float:
-        """Probability mass in the outer 5% of the grid (both sides)."""
-        n_edge = max(1, int(self.grid.n_points * EDGE_FRACTION))
-        lo, hi = self.amplitudes[:n_edge], self.amplitudes[-n_edge:]
-        return (float(np.vdot(lo, lo).real + np.vdot(hi, hi).real)
-                * self.grid.dx)
-
 
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
     """Grid inner product sum(conj(a)*b)*dx; antilinear in `a`."""
     if a.grid != b.grid:
         raise GridMismatch("states live on different grids")
     return complex(np.vdot(a.amplitudes, b.amplitudes)) * a.grid.dx
+
+
+def overlap_matrix(states: list) -> np.ndarray:
+    """|(psi_i, psi_j)| for every pair of `states`, a symmetric matrix."""
+    out = np.empty((len(states), len(states)))
+    for i, j in zip(*np.triu_indices(len(states))):
+        out[i, j] = out[j, i] = abs(inner_product(states[i], states[j]))
+    return out
+
+
+def check_edge_mass(amps: np.ndarray, grid: Grid1D, where: str = "", *args,
+                    tail: float = 0.0) -> None:
+    """The boundary guard on a bare amplitude array (a state's, or a raw
+    propagator buffer): BoundaryClipping if sum |amps|^2 dx over the outer
+    EDGE_FRACTION of `grid`, or the off-grid mass `tail`, exceeds
+    EDGE_MASS_TOL.  The message ends in `where % args`, built on failure."""
+    n_edge = max(1, int(grid.n_points * EDGE_FRACTION))
+    lo, hi = amps[:n_edge], amps[-n_edge:]
+    mass = max(float(np.vdot(lo, lo).real + np.vdot(hi, hi).real) * grid.dx,
+               tail)
+    if not mass <= EDGE_MASS_TOL:  # also rejects nan
+        raise BoundaryClipping(f"boundary mass {mass:.3g} exceeds "
+                               f"{EDGE_MASS_TOL}{where % args}")
 
 
 def make_gaussian(grid: Grid1D, center: float, sigma: float,
@@ -166,13 +182,10 @@ def make_gaussian(grid: Grid1D, center: float, sigma: float,
     amps = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)
                   + 1j * momentum * x / params.hbar)
     psi = WaveFunction(grid, amps).normalize()
-    mass = psi.edge_mass()
     # Analytic tail beyond the grid, in case the grid truncates the packet.
     tail = 0.5 * (math.erfc((center - grid.x_min) / (math.sqrt(2) * sigma))
                   + math.erfc((grid.x_max - center) / (math.sqrt(2) * sigma)))
-    if max(mass, tail) > EDGE_MASS_TOL:
-        raise BoundaryClipping(
-            f"boundary mass {max(mass, tail):.3g} exceeds {EDGE_MASS_TOL}")
+    check_edge_mass(psi.amplitudes, grid, tail=tail)
     return psi
 
 

@@ -25,21 +25,11 @@ from .collapse import (
     decompose,
     sample_collapse,
 )
-from .diagnostics import (
-    GateConfig,
-    order_parameters,
-    packet_summary,
-    positive_position,
-    wave_packet_gate,
-)
-from .errors import (
-    ApparatusNotReady,
-    BoundaryClipping,
-    TransitionNotReached,
-    ValidationError,
-)
-from .grid import (EDGE_MASS_TOL, PhysicalParams, WaveFunction,
-                   inner_product, superpose)
+from .diagnostics import (GateConfig, order_parameters, packet_summary,
+                          position_gate)
+from .errors import ApparatusNotReady, TransitionNotReached, ValidationError
+from .grid import (NORM_TOL, PhysicalParams, WaveFunction, check_edge_mass,
+                   overlap_matrix, superpose)
 from .propagate import EvolutionConfig, Potential, step, translate
 
 
@@ -54,7 +44,7 @@ class ObjectState:
         if amps.ndim != 1 or amps.size < 1:
             raise ValidationError("object amplitudes must be a 1-D vector")
         total = float(np.sum(amps.real**2 + amps.imag**2))
-        if not abs(total - 1.0) <= 1e-10:  # also rejects nan
+        if not abs(total - 1.0) <= NORM_TOL:  # also rejects nan
             raise ValidationError(f"object norm^2 = {total} deviates from 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -140,11 +130,9 @@ class MeasurementOutcome:
 def premeasurement(obj: ObjectState, apparatus_ready: WaveFunction,
                    gate_cfg: GateConfig = GateConfig(),
                    params: PhysicalParams = PhysicalParams()) -> CompositeState:
-    """Product state: every object branch shares the ready apparatus packet."""
-    summary = packet_summary(apparatus_ready, gate_cfg, params)
-    verdict = wave_packet_gate(apparatus_ready, [positive_position(summary)],
-                               gate_cfg, params)
-    if not verdict.is_wave_packet:
+    """Product state: every object branch shares the ready apparatus packet,
+    which must pass `position_gate`."""
+    if not position_gate(apparatus_ready, gate_cfg, params).is_wave_packet:
         raise ApparatusNotReady("apparatus state fails the wave-packet gate")
     return CompositeState(branches=tuple(
         (n, c, apparatus_ready) for n, c in enumerate(obj.amplitudes)))
@@ -164,12 +152,14 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     shape while its center translates.  The coefficients are carried
     unchanged.  `observer`, if given, receives (t, per-branch PacketSummary
     list, OrderParameters or None for a single branch) at every step.  As in
-    `evolve`, dt must be positive and resolve a harmonic period; as in
-    `make_gaussian`, no lab-frame branch may put more than EDGE_MASS_TOL in
-    the grid's edge region.
+    `evolve`, dt must be positive and resolve a harmonic period, and
+    `check_edge_mass` guards every lab-frame branch at every step.  The
+    summaries and the apparatus width check take `params`, so momentum
+    moments follow physics.hbar.
     """
     EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
-    cfg.validate_apparatus(packet_summary(state.apparatus_states[0]).std_x)
+    cfg.validate_apparatus(
+        packet_summary(state.apparatus_states[0], params=params).std_x)
     n_steps = int(round(cfg.tau / dt))
     frames = list(state.branches)  # (n, c_n, branch n in its co-moving frame)
     series: list = []
@@ -180,11 +170,10 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
         for n, c, phi in frames:
             shift = n * cfg.shift_velocity * t
             psi = translate(phi, shift) if shift != 0.0 else phi
-            if psi.edge_mass() > EDGE_MASS_TOL:
-                raise BoundaryClipping(f"branch {n} edge mass "
-                                       f"{psi.edge_mass():.3g} at t={t}")
+            check_edge_mass(psi.amplitudes, psi.grid, " in branch %d at t=%r",
+                            n, t)
             lab.append((n, c, psi))
-        summaries = [packet_summary(s) for _, _, s in lab]
+        summaries = [packet_summary(s, params=params) for _, _, s in lab]
         ops = order_parameters(summaries) if len(summaries) >= 2 else None
         if observer is not None:
             observer(t, summaries, ops)
@@ -248,11 +237,5 @@ def measure(state: CompositeState, report: TransitionReport, seed: int,
 
 
 def pointer_distinguishability(state: CompositeState) -> np.ndarray:
-    """|(apparatus_n, apparatus_m)| for all branch pairs."""
-    states = state.apparatus_states
-    n = len(states)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = abs(inner_product(states[i], states[j]))
-    return out
+    """|(apparatus_n, apparatus_m)| for all branch pairs (`overlap_matrix`)."""
+    return overlap_matrix(state.apparatus_states)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import UnstableStep, ValidationError
 from .grid import (Grid1D, PhysicalParams, WaveFunction, _amplitude_norm,
-                   _frozen)
+                   _frozen, check_edge_mass)
 
 # Allowed per-step drift of the norm from 1 before the step is declared
 # unstable (double-precision FFT round-off is orders of magnitude below).
@@ -182,7 +182,8 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
            cfg: EvolutionConfig,
            observer: Optional[Callable[[float, WaveFunction], None]] = None
            ) -> WaveFunction:
-    """Apply cfg.n_steps steps, invoking observer every record_every steps."""
+    """Apply cfg.n_steps steps, invoking observer every record_every steps;
+    each step's buffer must keep its norm and pass `check_edge_mass`."""
     cfg.validate_against(v)
     if cfg.n_steps == 0:
         return psi
@@ -194,6 +195,7 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
         norm = _amplitude_norm(amps, dx)
         if not abs(norm - 1.0) <= STEP_NORM_TOL:
             raise UnstableStep(f"norm drifted to {norm} at step {i}")
+        check_edge_mass(amps, psi.grid, " at step %d", i)
         if observer is not None and i % cfg.record_every == 0:
             observer(i * cfg.dt, WaveFunction(psi.grid, amps))
     return WaveFunction(psi.grid, amps)

@@ -25,14 +25,10 @@ import yaml
 
 from . import collapse as collapse_mod
 from .collapse import RNG_ALGORITHM, decompose, sample_collapse
-from .diagnostics import (
-    GateConfig,
-    packet_summary,
-    positive_position,
-    wave_packet_gate,
-)
+from .diagnostics import GateConfig, packet_summary, position_gate
 from .errors import ParseError, QCollapseError, ValidationError
 from .grid import (
+    NORM_TOL,
     Grid1D,
     PhysicalParams,
     WaveFunction,
@@ -255,7 +251,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ParseError("coefficients must be a non-empty list")
         coefficients = tuple(_coerce_complex(c) for c in clist)
         total = sum(abs(c) ** 2 for c in coefficients)
-        if not abs(total - 1.0) <= 1e-8:  # also rejects nan
+        if not abs(total - 1.0) <= NORM_TOL:  # also rejects nan
             raise ValidationError(
                 f"coefficient norm^2 = {total} deviates from 1")
 
@@ -380,30 +376,31 @@ def _check(manifest: RunManifest, name: str, passed: bool, detail: str):
                                          detail=detail))
 
 
-def _evolve_and_record(cfg, manifest, psi: WaveFunction, v: Potential,
-                       on_summary=None) -> WaveFunction:
+def _evolve_and_record(cfg, manifest, psi: WaveFunction,
+                       v: Potential) -> Tuple[WaveFunction, list]:
     """Evolve psi under v with snapshots and one diagnostics row at t=0 and
-    per record; `on_summary(t, summary)` also sees each record after t=0."""
+    per record; returns the final state and the (t, PacketSummary) records,
+    one per row."""
     _emit(manifest, "snapshot_initial.csv", psi)
+    records = []
     with _diagnostics_csv(manifest) as row:
-        row(0.0, psi.norm(), packet_summary(psi, cfg.gate, cfg.physics))
 
         def observer(t, state):
             summary = packet_summary(state, cfg.gate, cfg.physics)
+            records.append((t, summary))
             row(t, state.norm(), summary)
-            if on_summary is not None:
-                on_summary(t, summary)
 
+        observer(0.0, psi)
         final = evolve(psi, v, cfg.physics, cfg.evolution, observer)
     _emit(manifest, "snapshot_final.csv", final)
-    return final
+    return final, records
 
 
 def _run_free_spread(cfg, manifest):
     center = 0.0 if cfg.packet.center is None else cfg.packet.center
     psi = make_gaussian(cfg.grid, center, cfg.packet.sigma,
                         cfg.packet.momentum, cfg.physics)
-    final = _evolve_and_record(cfg, manifest, psi, Potential.free())
+    final, _ = _evolve_and_record(cfg, manifest, psi, Potential.free())
     t_final = cfg.evolution.dt * cfg.evolution.n_steps
     sigma = cfg.packet.sigma
     rate = cfg.physics.hbar * t_final / (2.0 * cfg.physics.mass * sigma**2)
@@ -420,14 +417,9 @@ def _run_harmonic_coherent(cfg, manifest):
     center = 3.0 if cfg.packet.center is None else cfg.packet.center
     psi = make_gaussian(cfg.grid, center, cfg.packet.sigma, 0.0, cfg.physics)
     x0 = center - v.center
-    worst = 0.0
-
-    def track(t, summary):
-        nonlocal worst
-        classical = v.center + x0 * math.cos(v.omega * t)
-        worst = max(worst, abs(summary.exp_x - classical))
-
-    _evolve_and_record(cfg, manifest, psi, v, track)
+    _, records = _evolve_and_record(cfg, manifest, psi, v)
+    worst = max(abs(s.exp_x - (v.center + x0 * math.cos(v.omega * t)))
+                for t, s in records)
     _check(manifest, "classical_trajectory", worst <= 1e-5,
            f"max |<x>(t) - x0 cos(w t)| = {worst:.3g}")
 
@@ -436,18 +428,12 @@ def _run_cat_gate(cfg, manifest):
     packets = _branch_packets(cfg)
     cat = superpose(zip(cfg.coefficients, packets))
     verdicts = {}
-
-    def gate(psi):
-        summary = packet_summary(psi, cfg.gate, cfg.physics)
-        return wave_packet_gate(psi, [positive_position(summary)], cfg.gate,
-                                cfg.physics)
-
     for i, p in enumerate(packets):
-        verdict = gate(p)
+        verdict = position_gate(p, cfg.gate, cfg.physics)
         verdicts[f"branch_{i}"] = verdict.is_wave_packet
         _check(manifest, f"branch_{i}_is_packet", verdict.is_wave_packet,
                f"ratio rows: {[(r, e) for _, r, e in verdict.per_observable]}")
-    cat_verdict = gate(cat)
+    cat_verdict = position_gate(cat, cfg.gate, cfg.physics)
     verdicts["superposition"] = cat_verdict.is_wave_packet
     _check(manifest, "superposition_not_packet", not cat_verdict.is_wave_packet,
            f"cat verdict {cat_verdict.is_wave_packet}")
@@ -501,7 +487,10 @@ def _run_collapse_sample(cfg, manifest):
     _sample_ensemble(cfg, decomp, manifest, "collapse.jsonl")
 
 
-def _measurement_setup(cfg):
+def _run_measurement_core(cfg, manifest):
+    """The chain up to its transition: premeasurement of the apparatus
+    packet, coupling with one diagnostics row (branch 0 and the order
+    parameters) per record, and the transition check."""
     obj = ObjectState(np.array(cfg.coefficients))
     sigma = cfg.packet.sigma
     center = (20.0 * sigma if cfg.packet.center is None
@@ -513,14 +502,8 @@ def _measurement_setup(cfg):
         omega=cfg.physics.hbar / (2.0 * cfg.physics.mass * sigma**2),
         center=center)
     composite = premeasurement(obj, apparatus, cfg.gate, cfg.physics)
-    return composite, v
-
-
-def _run_measurement_core(cfg, manifest):
-    composite, v = _measurement_setup(cfg)
-    # Branch packets are individually normalized, so the composite norm is
-    # the coefficient norm.
-    norm = float(np.sqrt((np.abs(np.array(cfg.coefficients)) ** 2).sum()))
+    # Branch packets are normalized: the composite norm is the coefficients'.
+    norm = float(np.sqrt((np.abs(obj.amplitudes) ** 2).sum()))
     ticks = itertools.count()
     with _diagnostics_csv(manifest) as row:
 

@@ -1,6 +1,6 @@
 """Independent oracles: quadrature moments, dense matrix exponential, overlap,
-and the plain out-of-place formulas of the split-step, translation and
-packet-summary kernels.
+coefficient moduli, and the plain out-of-place formulas of the split-step,
+translation and packet-summary kernels.
 
 These deliberately avoid the code paths they check (no FFT propagator, no
 grid inner products on the states under test, no cached factors).
@@ -35,6 +35,13 @@ def gaussian_moment_oracle(center, sigma, momentum, x_min, x_max, n_points,
 def gaussian_overlap(d, sigma):
     """|<g1|g2>| of two equal-width Gaussians separated by d."""
     return np.exp(-(d**2) / (8.0 * sigma**2))
+
+
+def coefficient_moduli(psi, basis):
+    """|sum conj(b) psi| dx for each basis member b; constant under
+    co-evolution."""
+    return np.array([abs(np.vdot(b.amplitudes, psi.amplitudes)) * psi.grid.dx
+                     for b in basis])
 
 
 def dense_hamiltonian(grid, v, params):

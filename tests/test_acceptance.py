@@ -33,11 +33,10 @@ from qcollapse import (
     von_neumann_evolve,
     wave_packet_gate,
 )
-from qcollapse.diagnostics import coefficient_moduli
 from qcollapse.errors import TransitionNotReached
 from qcollapse.scenarios import parse_config, run
 
-from oracles import expm_step_oracle
+from oracles import coefficient_moduli, expm_step_oracle
 
 PARAMS = PhysicalParams()
 

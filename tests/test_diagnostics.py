@@ -31,7 +31,6 @@ from qcollapse.diagnostics import (
     _clamped_std,
     _hermitian_real,
     _support_slice,
-    coefficient_moduli,
     positive_position,
 )
 from qcollapse.errors import (
@@ -43,7 +42,8 @@ from qcollapse.errors import (
     ValidationError,
 )
 
-from oracles import gaussian_moment_oracle, packet_summary_oracle
+from oracles import (coefficient_moduli, gaussian_moment_oracle,
+                     packet_summary_oracle)
 
 
 class TestObservableSpec:

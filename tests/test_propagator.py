@@ -19,7 +19,7 @@ from qcollapse import (
     superpose,
     translate,
 )
-from qcollapse.errors import UnstableStep, ValidationError
+from qcollapse.errors import BoundaryClipping, UnstableStep, ValidationError
 from qcollapse.propagate import _apply, _phase_factors
 
 from conftest import l2_distance
@@ -118,6 +118,21 @@ class TestEvolve:
         a = evolve(gaussian(center=1.0), v, params, cfg)
         b = evolve(gaussian(center=1.0), v, params, cfg)
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+class TestEvolveBoundaryGuard:
+    """A free packet at momentum 8 on [-20, 20] carries mass into the edge
+    region |x| > 18 within two time units, then wraps round the grid."""
+
+    def test_evolve_raises_before_the_packet_wraps(self, params):
+        grid = Grid1D(-20.0, 20.0, 1024)
+        psi = make_gaussian(grid, 0.0, 1.0, 8.0, params)
+        seen = []
+        with pytest.raises(BoundaryClipping, match=r"at step \d+$"):
+            evolve(psi, Potential.free(), params,
+                   EvolutionConfig(dt=0.01, n_steps=500, record_every=100),
+                   lambda t, s: seen.append(t))
+        assert seen == pytest.approx([1.0])
 
 
 class TestUnstableStep:

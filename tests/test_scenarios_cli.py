@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -9,7 +10,8 @@ import pytest
 
 from qcollapse import scenarios
 from qcollapse.cli import main
-from qcollapse.errors import ParseError, TransitionNotReached, ValidationError
+from qcollapse.errors import (BoundaryClipping, ParseError,
+                              TransitionNotReached, ValidationError)
 from qcollapse.scenarios import (
     DIAG_HEADER,
     parse_config,
@@ -59,6 +61,22 @@ coefficients: [0.5, 0.5, 0.5, 0.5]
 seed: 1
 evolution: {dt: 0.05, record_every: 10}
 coupling: {shift_velocity: 1.0, tau: 40.0}
+"""
+
+HBAR_HALF = """
+scenario: measurement_run
+physics: {hbar: 0.5}
+grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}
+coefficients: [0.6, 0.8]
+seed: 3
+evolution: {dt: 0.05, record_every: 10}
+"""
+
+FREE_WRAP = """
+scenario: free_spread
+grid: {x_min: -20.0, x_max: 20.0, n_points: 1024}
+packet: {center: 0.0, sigma: 1.0, momentum: 8.0}
+evolution: {dt: 0.01, n_steps: 500, record_every: 100}
 """
 
 
@@ -117,6 +135,14 @@ class TestParseConfig:
     def test_unnormalized_coefficients(self):
         with pytest.raises(ValidationError):
             parse_config("scenario: cat_gate\ncoefficients: [0.6, 0.8001]\n")
+
+    @pytest.mark.parametrize("scenario", ["cat_gate", "measurement_run"])
+    def test_coefficient_norm_tolerance_is_the_object_states(self, scenario):
+        # |sum |c|^2 - 1| = 6.8e-9 exceeds NORM_TOL, which ObjectState
+        # applies inside run; parsing must reject what run would.
+        with pytest.raises(ValidationError, match="coefficient norm"):
+            parse_config(f"scenario: {scenario}\nseed: 1\n"
+                         "coefficients: [0.70710678, 0.70710678]\n")
 
     def test_complex_coefficient_forms(self):
         cfg = parse_config(
@@ -329,6 +355,29 @@ class TestScenarioRuns:
         # every 10th step of dt=0.05 until the step that hit the edge
         times = [float(line.split(",")[0]) for line in lines[1:]]
         assert times == pytest.approx([0.5 * i for i in range(58)])
+
+    def test_chain_moments_follow_physics_hbar(self, tmp_path):
+        # The sigma = 1 apparatus packet in its coherent trap keeps
+        # std p = hbar / (2 sigma) = 0.25, up to the Strang error of
+        # dt = 0.05, and std x * std p = hbar / 2.
+        cfg = parse_config(HBAR_HALF)
+        manifest = run(cfg, str(tmp_path))
+        assert manifest.ok, manifest.error
+        with open(Path(manifest.run_dir) / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 31
+        for row in rows:
+            assert float(row["std_p"]) == pytest.approx(0.25, rel=1e-4)
+            assert float(row["uncertainty_product"]) == pytest.approx(
+                0.25, rel=1e-6)
+
+    def test_free_packet_wrapping_the_grid_fails(self, tmp_path):
+        # At momentum 8 the packet reaches the edge region of [-20, 20]
+        # within two time units and wraps round the periodic grid, while
+        # spreading_law still holds.
+        manifest = run(parse_config(FREE_WRAP), str(tmp_path))
+        assert manifest.error_type is BoundaryClipping
+        assert not manifest.ok
 
     def test_unexpected_error_leaves_manifest_and_propagates(
             self, tmp_path, monkeypatch):
