@@ -1,7 +1,7 @@
 """Command line entry points.
 
 Exit codes: 0 all assertions pass, 1 assertion failure or runtime error,
-2 configuration error.
+2 configuration error; `sample` exits with its members' highest code.
 """
 from __future__ import annotations
 
@@ -53,6 +53,12 @@ def _print_manifest(manifest, with_run_dir: bool = True) -> None:
         print(f"run dir: {manifest.run_dir}")
 
 
+def _exit_code(manifest) -> int:
+    if manifest.error_type and issubclass(manifest.error_type, CONFIG_ERRORS):
+        return 2
+    return 0 if manifest.ok else 1
+
+
 def _simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -60,9 +66,7 @@ def _simulate(args) -> int:
                                   echo={**cfg.echo, "seed": args.seed})
     manifest = run(cfg, str(args.out) if args.out else None)
     _print_manifest(manifest)
-    if manifest.error_type and issubclass(manifest.error_type, CONFIG_ERRORS):
-        return 2
-    return 0 if manifest.ok else 1
+    return _exit_code(manifest)
 
 
 def _sample(args) -> int:
@@ -92,7 +96,7 @@ def _sample(args) -> int:
     path = root / f"aggregate-{cfg.scenario}.json"
     path.write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
     print(f"aggregate: {path}")
-    return 0 if aggregate["n_pass"] == args.n_runs else 1
+    return max(map(_exit_code, results))
 
 
 def _artifact_bytes(run_dir: str) -> dict:

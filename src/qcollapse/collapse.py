@@ -26,7 +26,8 @@ from .errors import (
     NotWeaklyInterfering,
     ValidationError,
 )
-from .grid import PhysicalParams, WaveFunction, inner_product, overlap_matrix
+from .grid import (PhysicalParams, WaveFunction, check_unit_weights,
+                   inner_product, overlap_matrix)
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -62,10 +63,7 @@ class SuperpositionDecomposition:
     def __post_init__(self):
         branches = tuple((complex(c), s, m) for c, s, m in self.branches)
         object.__setattr__(self, "branches", branches)
-        total = sum(abs(c) ** 2 for c, _, _ in branches)
-        if not abs(total - 1.0) <= COEFF_NORM_TOL:  # also rejects nan
-            raise ValidationError(
-                f"sum |c_n|^2 = {total} deviates from 1 beyond {COEFF_NORM_TOL}")
+        check_unit_weights(self.coefficients, COEFF_NORM_TOL, "sum |c_n|^2")
 
     def __len__(self) -> int:
         return len(self.branches)

@@ -155,36 +155,31 @@ def _hermitian_real(val: complex) -> float:
     return val.real
 
 
-def expectation(psi: WaveFunction, a: ObservableSpec,
-                params: PhysicalParams = PhysicalParams()) -> float:
-    """<A> = (psi, A psi) with the hermiticity residue checked and discarded;
-    a momentum power p^n by Parseval on phi = psi.spectrum, vdot(phi, p^n
-    phi) dx/N, with no inverse FFT."""
+def _moments(psi: WaveFunction, a: ObservableSpec,
+             params: PhysicalParams) -> Tuple[float, float]:
+    """(<A>, <A^2>) with <A>'s hermiticity residue checked; a momentum power
+    p^n by Parseval on phi = psi.spectrum, vdot(phi, p^n phi) dx/N and
+    sum p^2n |phi|^2 dx/N, with no inverse FFT."""
     dx = psi.grid.dx
     if a.kind == "position_poly":
         amps = psi.amplitudes
-        val = complex(np.vdot(amps, a.classical_value(psi.grid.x) * amps)) * dx
+        vals = a.classical_value(psi.grid.x)
+        mean = complex(np.vdot(amps, vals * amps)) * dx
+        second = float(np.sum(vals**2 * psi.probability_density())) * dx
     else:
         phi = psi.spectrum
         p = params.hbar * psi.grid.k
         power = 1 if a.kind == "momentum" else 2
-        val = complex(np.vdot(phi, p**power * phi)) * dx / psi.grid.n_points
-    return _hermitian_real(val)
+        mean = complex(np.vdot(phi, p**power * phi)) * dx / psi.grid.n_points
+        weight = (phi.real**2 + phi.imag**2) * dx / psi.grid.n_points
+        second = float(np.sum(p**(2 * power) * weight))
+    return _hermitian_real(mean), second
 
 
-def _second_moment(psi: WaveFunction, a: ObservableSpec,
-                   params: PhysicalParams) -> float:
-    dx = psi.grid.dx
-    if a.kind == "position_poly":
-        rho = psi.probability_density()
-        vals = a.classical_value(psi.grid.x)
-        return float(np.sum(vals**2 * rho)) * dx
-    phi = psi.spectrum
-    p = params.hbar * psi.grid.k
-    power = 2 if a.kind == "momentum" else 4
-    # Parseval: sum_k |phi_k|^2 * dx / N equals the norm^2.
-    weight = (phi.real**2 + phi.imag**2) * dx / psi.grid.n_points
-    return float(np.sum(p**power * weight))
+def expectation(psi: WaveFunction, a: ObservableSpec,
+                params: PhysicalParams = PhysicalParams()) -> float:
+    """<A> = (psi, A psi) with the hermiticity residue checked and discarded."""
+    return _moments(psi, a, params)[0]
 
 
 def _clamped_std(second_moment: float, mean: float) -> float:
@@ -203,8 +198,8 @@ def _clamped_std(second_moment: float, mean: float) -> float:
 def std_dev(psi: WaveFunction, a: ObservableSpec,
             params: PhysicalParams = PhysicalParams()) -> float:
     """sqrt(<A^2> - <A>^2), clamped at zero with a warning on real excursions."""
-    return _clamped_std(_second_moment(psi, a, params),
-                        expectation(psi, a, params))
+    mean, second = _moments(psi, a, params)
+    return _clamped_std(second, mean)
 
 
 def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
@@ -303,8 +298,8 @@ def wave_packet_gate(psi: WaveFunction, observables: Sequence[ObservableSpec],
             classical = summary.exp_p
         else:
             classical = summary.exp_p**2
-        mean = expectation(psi, obs, params)
-        spread = _clamped_std(_second_moment(psi, obs, params), mean)
+        mean, second = _moments(psi, obs, params)
+        spread = _clamped_std(second, mean)
         ratio = abs(mean) / spread if spread > 0 else np.inf
         taylor_err = abs(mean - classical) / abs(mean) if mean != 0 else np.inf
         rows.append((obs, ratio, taylor_err))
@@ -314,25 +309,18 @@ def wave_packet_gate(psi: WaveFunction, observables: Sequence[ObservableSpec],
                        mass_in_support=wide.mass_in_support)
 
 
-def _pairwise(summaries: Sequence[PacketSummary]
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """|<x>_n - <x>_m| and (std_n + std_m)/2 for every pair (n, m)."""
-    if len(summaries) < 2:
-        raise TooFewPackets("need at least two packet summaries")
-    centers = np.array([s.exp_x for s in summaries])
-    widths = np.array([s.std_x for s in summaries])
-    return (np.abs(centers[:, None] - centers[None, :]),
-            0.5 * (widths[:, None] + widths[None, :]))
-
-
 def weak_interference(summaries: Sequence[PacketSummary]) -> np.ndarray:
     """Pairwise weak-interference matrix.
 
     Entry (n, m) is True iff |<x>_n - <x>_m| >= (std_n + std_m)/2 (inclusive).
     Diagonal is False by definition.
     """
-    sep, crit = _pairwise(summaries)
-    out = sep >= crit
+    if len(summaries) < 2:
+        raise TooFewPackets("need at least two packet summaries")
+    centers = np.array([s.exp_x for s in summaries])
+    widths = np.array([s.std_x for s in summaries])
+    out = (np.abs(centers[:, None] - centers[None, :])
+           >= 0.5 * (widths[:, None] + widths[None, :]))
     np.fill_diagonal(out, False)
     return out
 

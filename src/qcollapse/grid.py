@@ -164,6 +164,13 @@ def check_edge_mass(amps: np.ndarray, grid: Grid1D, where: str = "", *args,
                                f"{EDGE_MASS_TOL}{where % args}")
 
 
+def check_unit_weights(coefficients, tol: float, what: str) -> None:
+    """ValidationError, led by `what`, unless sum |c|^2 is 1 within `tol`."""
+    total = sum(abs(c) ** 2 for c in coefficients)
+    if not abs(total - 1.0) <= tol:  # also rejects nan
+        raise ValidationError(f"{what} = {total} deviates from 1 beyond {tol}")
+
+
 def make_gaussian(grid: Grid1D, center: float, sigma: float,
                   momentum: float = 0.0,
                   params: PhysicalParams = PhysicalParams()) -> WaveFunction:

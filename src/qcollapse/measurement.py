@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .collapse import (
+    COEFF_NORM_TOL,
     CollapseEvent,
     SuperpositionDecomposition,
     apply_self_collapse,
@@ -29,7 +30,7 @@ from .diagnostics import (GateConfig, order_parameters, packet_summary,
                           position_gate)
 from .errors import ApparatusNotReady, TransitionNotReached, ValidationError
 from .grid import (NORM_TOL, PhysicalParams, WaveFunction, check_edge_mass,
-                   overlap_matrix, superpose)
+                   check_unit_weights, overlap_matrix, superpose)
 from .propagate import EvolutionConfig, Potential, step, translate
 
 
@@ -43,9 +44,7 @@ class ObjectState:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 1:
             raise ValidationError("object amplitudes must be a 1-D vector")
-        total = float(np.sum(amps.real**2 + amps.imag**2))
-        if not abs(total - 1.0) <= NORM_TOL:  # also rejects nan
-            raise ValidationError(f"object norm^2 = {total} deviates from 1")
+        check_unit_weights(amps, NORM_TOL, "object norm^2")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -63,9 +62,7 @@ class CompositeState:
     def __post_init__(self):
         branches = tuple((int(n), complex(c), s) for n, c, s in self.branches)
         object.__setattr__(self, "branches", branches)
-        total = sum(abs(c) ** 2 for _, c, _ in branches)
-        if not abs(total - 1.0) <= 1e-8:  # also rejects nan
-            raise ValidationError(f"sum |c_n|^2 = {total} deviates from 1")
+        check_unit_weights(self.coefficients, COEFF_NORM_TOL, "sum |c_n|^2")
 
     def __len__(self) -> int:
         return len(self.branches)

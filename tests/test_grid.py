@@ -23,7 +23,7 @@ from qcollapse.errors import (
     ParseError,
     ValidationError,
 )
-from qcollapse.grid import read_snapshot, write_snapshot
+from qcollapse.grid import check_unit_weights, read_snapshot, write_snapshot
 from qcollapse.scenarios import PacketSpec
 
 from oracles import gaussian_moment_oracle, gaussian_overlap
@@ -223,6 +223,17 @@ class TestInnerProduct:
         expect = (np.conj(c1) * inner_product(b, a)
                   + np.conj(c2) * inner_product(c, a))
         assert anti == pytest.approx(expect, abs=1e-10)
+
+
+class TestCheckUnitWeights:
+    def test_accepts_weights_within_tol(self):
+        check_unit_weights([0.6j, 0.8 + 1e-11], 1e-10, "w")
+
+    @pytest.mark.parametrize("coefficients", [
+        [0.6, 0.8 + 1e-10], [np.nan, 1.0], [np.inf], [2.0], []])
+    def test_rejects_with_the_callers_stem(self, coefficients):
+        with pytest.raises(ValidationError, match=r"^w\^2 = .* beyond 1e-10$"):
+            check_unit_weights(coefficients, 1e-10, "w^2")
 
 
 class TestSuperpose:

@@ -24,6 +24,7 @@ from qcollapse import (
     translate,
     von_neumann_evolve,
 )
+from qcollapse.collapse import SuperpositionDecomposition
 from qcollapse.errors import (
     ApparatusNotReady,
     BoundaryClipping,
@@ -71,6 +72,31 @@ class TestObjectState:
 def test_composite_state_rejects_nan_coefficient(apparatus):
     with pytest.raises(ValidationError):
         CompositeState(branches=((0, np.nan, apparatus), (1, 1.0, apparatus)))
+
+
+@pytest.mark.parametrize("excess, object_ok, branches_ok", [
+    (2e-9, False, True), (1e-8, False, False)])
+def test_each_coefficient_vector_keeps_its_tolerance_and_stem(
+        apparatus, params, excess, object_ok, branches_ok):
+    """|sum |c|^2 - 1| = 1.6 * excess: ObjectState holds it to NORM_TOL
+    (1e-10), the branch containers to COEFF_NORM_TOL (1e-8)."""
+    coefficients = (0.6, 0.8 + excess)
+    summary = packet_summary(apparatus, params=params)
+    cases = [
+        (object_ok, "object norm^2",
+         lambda: ObjectState(np.array(coefficients))),
+        (branches_ok, "sum |c_n|^2", lambda: CompositeState(branches=tuple(
+            (n, c, apparatus) for n, c in enumerate(coefficients)))),
+        (branches_ok, "sum |c_n|^2", lambda: SuperpositionDecomposition(
+            branches=tuple((c, apparatus, summary) for c in coefficients))),
+    ]
+    for ok, stem, build in cases:
+        if ok:
+            build()
+        else:
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert str(info.value).startswith(stem + " = ")
 
 
 class TestPremeasurement:

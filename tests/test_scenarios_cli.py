@@ -72,6 +72,17 @@ seed: 3
 evolution: {dt: 0.05, record_every: 10}
 """
 
+# The benchmark's full-size `ensemble` config at seed 451: a correct sampler
+# whose branch 1 frequency lies 3.3 sigma from its probability.
+ENSEMBLE_451 = """
+scenario: collapse_sample
+grid: {x_min: -40.0, x_max: 120.0, n_points: 2048}
+coefficients: [0.48, 0.6, 0.64]
+packet: {center: 0.0, separation: 16.0}
+n_samples: 40000
+seed: 451
+"""
+
 FREE_WRAP = """
 scenario: free_spread
 grid: {x_min: -20.0, x_max: 20.0, n_points: 1024}
@@ -144,6 +155,19 @@ class TestParseConfig:
             parse_config(f"scenario: {scenario}\nseed: 1\n"
                          "coefficients: [0.70710678, 0.70710678]\n")
 
+    @pytest.mark.parametrize("scenario, snippet, key", [
+        ("measurement_run", "evolution: {n_steps: 7}", "evolution.n_steps"),
+        ("born_ensemble", "evolution: {dt: 0.05, n_steps: 7}",
+         "evolution.n_steps"),
+        ("free_spread", "potential: {kind: harmonic, omega: 2.0}",
+         "potential"),
+    ])
+    def test_a_key_the_scenario_ignores_is_a_parse_error(
+            self, scenario, snippet, key):
+        with pytest.raises(ParseError, match=f"{scenario!r} ignores {key}"):
+            parse_config(f"scenario: {scenario}\nseed: 1\n"
+                         f"coefficients: [0.6, 0.8]\n{snippet}\n")
+
     def test_complex_coefficient_forms(self):
         cfg = parse_config(
             "scenario: cat_gate\ncoefficients: [[0.0, 0.6], 0.8]\n")
@@ -208,6 +232,49 @@ class TestScenarioRuns:
         lines = (run_dir / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == DIAG_HEADER
         assert len(lines) == 2 + 1000  # header + t=0 + one row per step
+
+    @pytest.mark.parametrize("record_every, calls", [(1, 201), (3, 68)])
+    def test_free_spread_summarises_each_state_once(
+            self, tmp_path, monkeypatch, record_every, calls):
+        """One summary per diagnostics row of the 200-step check config;
+        spreading_law reuses the last row when it holds the final state and
+        summarises the final state itself only when it does not."""
+        seen = []
+        real = scenarios.packet_summary
+
+        def counting(psi, *args):
+            seen.append(psi)
+            return real(psi, *args)
+
+        monkeypatch.setattr(scenarios, "packet_summary", counting)
+        text = ("scenario: free_spread\n"
+                + scenarios.REGISTRY["free_spread"].check_config)
+        cfg = parse_config(text.replace(
+            "}", f", record_every: {record_every}}}"))
+        manifest = run(cfg, str(tmp_path))
+        assert manifest.ok, [a.detail for a in manifest.assertions]
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("shift, failed", [
+        (0.0, []), (0.02, ["branch_0_frequency"])])
+    def test_ensemble_frequency_band(self, tmp_path, monkeypatch, shift,
+                                     failed):
+        """A correct sampler passes at seed 451, where its branch 1 lies 3.3
+        sigma out.  One that moves `shift` of probability from branch 0 to
+        branch 1 fails: branch 0 lands 6.9 sigma low, while branch 1, which
+        the seed had put 0.008 low, lands 4.8 sigma high, inside 5.10."""
+        real = scenarios.sample_collapse
+
+        def shifted(decomp, rng):
+            event = real(decomp, rng)
+            moved = event.branch_index == 0 and event.u >= (
+                decomp.branch_cdf[0] - shift)
+            return event._replace(branch_index=1) if moved else event
+
+        monkeypatch.setattr(scenarios, "sample_collapse", shifted)
+        manifest = run(parse_config(ENSEMBLE_451), str(tmp_path))
+        assert manifest.error is None
+        assert [a.name for a in manifest.assertions if not a.passed] == failed
 
     def test_manifest_lists_only_existing_artifacts(self, tmp_path):
         manifest = run(parse_config(FREE), str(tmp_path))
@@ -493,6 +560,16 @@ class TestCli:
         for seed, run_dir, branches in zip(seeds, doc["runs"], members):
             assert branches == stream_branches(seed, run_dir, 200)
         assert len({tuple(b) for b in members}) == 3
+
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["sample", "--n-runs", "2"]])
+    def test_config_error_inside_a_run_exits_2(self, tmp_path, command):
+        """simulate and sample give one config error the same exit code."""
+        text = ("scenario: harmonic_coherent\nseed: 1\n"
+                "potential: {kind: double_well}\n")
+        rc = main([command[0], self._write(tmp_path, text), *command[1:],
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
 
     @pytest.mark.parametrize("n_runs", ["0", "-1"])
     def test_sample_rejects_non_positive_n_runs(self, tmp_path, capsys,
