@@ -85,6 +85,8 @@ def _sample(args) -> int:
         manifest = run(member, str(args.out) if args.out else None)
         results.append(manifest)
         _print_manifest(manifest)
+        if _exit_code(manifest) == 2:
+            break  # every later member would repeat the config error
     root = resolve_output_root(cfg, str(args.out) if args.out else None)
     aggregate = {
         "n_runs": args.n_runs,

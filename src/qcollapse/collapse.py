@@ -90,6 +90,11 @@ class SuperpositionDecomposition:
         return tuple(np.cumsum(self.probabilities).tolist())
 
     @cached_property
+    def posteriors(self) -> Tuple[Tuple[float, ...], ...]:
+        """The one-hot a-posteriori weights of each realizable branch."""
+        return tuple(map(tuple, np.eye(len(self)).tolist()))
+
+    @cached_property
     def weights(self) -> Tuple[float, ...]:
         """The Born weights |c_n|^2 in coefficient index order."""
         # abs of each numpy complex scalar: the array ufunc may round the
@@ -182,10 +187,8 @@ def sample_collapse(decomp: SuperpositionDecomposition,
     """
     cdf = decomp.branch_cdf
     u = rng.random()
-    d = len(cdf)
-    idx = min(bisect_right(cdf, u), d - 1)
-    posterior = (0.0,) * idx + (1.0,) + (0.0,) * (d - 1 - idx)
-    return CollapseEvent(idx, decomp.weights[idx], u, posterior)
+    idx = min(bisect_right(cdf, u), len(cdf) - 1)
+    return CollapseEvent(idx, decomp.weights[idx], u, decomp.posteriors[idx])
 
 
 def apply_self_collapse(decomp: SuperpositionDecomposition,

@@ -141,8 +141,8 @@ class EhrenfestResiduals:
 
 def _support_slice(x: np.ndarray, lo: float, hi: float) -> slice:
     """The grid points lo <= x <= hi of the ascending grid x, as a slice."""
-    return slice(int(np.searchsorted(x, lo, side="left")),
-                 int(np.searchsorted(x, hi, side="right")))
+    return slice(int(x.searchsorted(lo, side="left")),
+                 int(x.searchsorted(hi, side="right")))
 
 
 def _hermitian_real(val: complex) -> float:

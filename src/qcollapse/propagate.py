@@ -210,7 +210,10 @@ def translate(psi: WaveFunction, shift: float) -> WaveFunction:
     """
     k, half = psi.grid.k, psi.grid.n_points // 2
     spectrum = np.empty_like(psi.spectrum)
-    np.exp(-1j * k[:half + 1] * shift, out=spectrum[:half + 1])
+    head = spectrum[:half + 1]
+    head.real = 0.0
+    np.multiply(k[:half + 1], -shift, out=head.imag)
+    np.exp(head, out=head)
     np.conjugate(spectrum[half - 1:0:-1], out=spectrum[half + 1:])
     np.multiply(spectrum, psi.spectrum, out=spectrum)
     out = WaveFunction(psi.grid, _frozen(np.fft.ifft(spectrum)))

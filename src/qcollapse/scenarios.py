@@ -140,9 +140,9 @@ class RunManifest:
 
 
 class Scenario(NamedTuple):
-    """A scenario's runner, which of seed, coefficients, evolution and
-    coupling its config must provide (the last two have defaults), and the
-    body of the tiny config that `qcollapse check` runs it on."""
+    """A scenario's runner, which of seed, coefficients, evolution, coupling
+    and potential it reads (the last three have defaults; a non-empty one it
+    does not read is a parse error) and the body of its check config."""
     runner: Callable[[ScenarioConfig, RunManifest], None]
     requires: Tuple[str, ...]
     check_config: str
@@ -269,11 +269,12 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ParseError(f"unknown top-level keys: {sorted(raw)}")
     if "coefficients" in requires and coefficients is None:
         raise ValidationError(f"scenario {scenario!r} requires coefficients")
-    # A chain takes coupling.tau / dt steps; free_spread is always free.
+    for name in ("evolution", "coupling", "potential"):
+        if echo.get(name) not in (None, {}) and name not in requires:
+            raise ParseError(f"scenario {scenario!r} ignores {name}")
+    # A chain takes coupling.tau / dt steps.
     if "coupling" in requires and "n_steps" in (echo.get("evolution") or {}):
         raise ParseError(f"scenario {scenario!r} ignores evolution.n_steps")
-    if scenario == "free_spread" and potential is not None:
-        raise ParseError(f"scenario {scenario!r} ignores potential")
 
     return ScenarioConfig(scenario=scenario, **sections, potential=potential,
                           coefficients=coefficients, seed=seed,
@@ -308,11 +309,19 @@ def _emit(manifest: RunManifest, name: str, content) -> None:
 
 
 @contextmanager
+def _artifact(manifest: RunManifest, name: str):
+    """Open artifact `name` for writing, list it and yield the handle, so a
+    failed run keeps whatever it wrote."""
+    with (Path(manifest.run_dir) / name).open("w") as fh:
+        manifest.artifacts.append(name)
+        yield fh
+
+
+@contextmanager
 def _diagnostics_csv(manifest: RunManifest):
     """Write diagnostics.csv as it is produced: the header on opening, then
-    each row through the yielded writer, so a failed run keeps its rows."""
-    with (Path(manifest.run_dir) / "diagnostics.csv").open("w") as fh:
-        manifest.artifacts.append("diagnostics.csv")
+    each row through the yielded writer."""
+    with _artifact(manifest, "diagnostics.csv") as fh:
         fh.write(DIAG_HEADER + "\n")
 
         def row(t, norm, s, min_sep=None, critical=None, transition=None):
@@ -329,14 +338,8 @@ def _config_hash(cfg: ScenarioConfig) -> str:
 
 def resolve_output_root(cfg: ScenarioConfig,
                         out_override: Optional[str]) -> Path:
-    if out_override:
-        return Path(out_override)
-    if cfg.output_dir:
-        return Path(cfg.output_dir)
-    env = os.environ.get(OUTPUT_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.cwd() / "runs"
+    root = out_override or cfg.output_dir or os.environ.get(OUTPUT_ENV_VAR)
+    return Path(root) if root else Path.cwd() / "runs"
 
 
 def _branch_packets(cfg: ScenarioConfig) -> List[WaveFunction]:
@@ -450,23 +453,28 @@ def _run_cat_gate(cfg, manifest):
 
 def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
     """Sample cfg.n_samples collapse events in turn from one PCG64 stream,
-    np.random.default_rng(cfg.seed).
-
-    Joins one JSON line per event into artifact `name`, checks every branch
-    frequency against its binomial band, z sigma wide with z splitting
-    FREQUENCY_FALSE_ALARM over the d branches, and returns the frequencies.
+    np.random.default_rng(cfg.seed), writing each event's JSON line into
+    artifact `name` as it is drawn.  Checks every branch frequency against
+    its binomial band, z sigma wide (z splits FREQUENCY_FALSE_ALARM over the
+    d branches), and returns the frequencies.
     """
     from statistics import NormalDist  # 5 ms to import; only needed here
     rng = np.random.default_rng(cfg.seed)
-    picks = [sample_collapse(decomp, rng).branch_index
-             for _ in range(cfg.n_samples)]
+    counts = [0] * len(decomp)
     # The bytes of json.dumps({"event": i, "branch": n, "p": w_n}): a finite
     # float encodes as its repr, so each branch's line tail is built once.
     tails = [f', "branch": {n}, "p": {w!r}}}\n'
              for n, w in enumerate(decomp.weights)]
-    _emit(manifest, name, "".join(['{"event": ' + str(i) + tails[n]
-                                   for i, n in enumerate(picks)]))
-    freqs = [picks.count(n) / cfg.n_samples for n in range(len(decomp))]
+
+    def lines():
+        for i in range(cfg.n_samples):
+            n = sample_collapse(decomp, rng).branch_index
+            counts[n] += 1
+            yield '{"event": ' + str(i) + tails[n]
+
+    with _artifact(manifest, name) as fh:
+        fh.writelines(lines())
+    freqs = [c / cfg.n_samples for c in counts]
     z = NormalDist().inv_cdf(1.0 - FREQUENCY_FALSE_ALARM / (2 * len(freqs)))
     for i, (pi, fi) in enumerate(zip(decomp.probabilities, freqs)):
         tol = z * math.sqrt(pi * (1.0 - pi) / cfg.n_samples)
@@ -566,7 +574,7 @@ def _run_born_ensemble(cfg, manifest):
                          n_samples=cfg.n_samples, frequencies=freqs)
 
 
-_CHAIN = ("seed", "coefficients", "evolution", "coupling")
+_CHAIN = ("seed", "coefficients", "evolution", "coupling", "potential")
 _CHAIN_CHECK = ("coefficients: [0.6, 0.8]\n"
                 "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"
                 "evolution: {dt: 0.05, record_every: 10}\n")
@@ -574,7 +582,7 @@ REGISTRY: Dict[str, Scenario] = {
     "free_spread": Scenario(_run_free_spread, ("evolution",),
                             "evolution: {dt: 0.01, n_steps: 200}\n"),
     "harmonic_coherent": Scenario(
-        _run_harmonic_coherent, ("evolution",),
+        _run_harmonic_coherent, ("evolution", "potential"),
         "evolution: {n_steps: 1000, record_every: 50}\n"),
     "cat_gate": Scenario(_run_cat_gate, ("coefficients",),
                          "coefficients: [0.6, 0.8]\n"

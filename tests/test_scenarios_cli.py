@@ -3,6 +3,7 @@ import json
 import os
 import platform
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,51 @@ def assert_canonical_jsonl(path):
         assert line == json.dumps(json.loads(line))
 
 
+def oracle_lines(decomp, seed, n):
+    """The n lines of an ensemble: json.dumps of each record, with the
+    branch from one vectorized draw of default_rng(seed) and the Born weight
+    of the decomposition the ensemble samples."""
+    cdf = np.cumsum(decomp.probabilities)
+    u = np.random.default_rng(seed).random(n)
+    branches = np.minimum(np.searchsorted(cdf, u, side="right"),
+                          len(decomp) - 1)
+    return [json.dumps({"event": i, "branch": int(b),
+                        "p": decomp.weights[b]}) + "\n"
+            for i, b in enumerate(branches)]
+
+
+def check_ensemble_lines(tmp_path, monkeypatch, base, name, coefficients,
+                         seed, n):
+    """Run `base` with these coefficients, seed and n events; its artifact
+    `name` must hold exactly the oracle lines."""
+    seen = []
+    real = scenarios.sample_collapse
+
+    def spy(decomp, rng):
+        seen.append(decomp)
+        return real(decomp, rng)
+
+    monkeypatch.setattr(scenarios, "sample_collapse", spy)
+    text = (base.replace("coefficients: [0.6, 0.8]",
+                         f"coefficients: {coefficients}")
+            .replace("seed: 7", f"seed: {seed}")
+            .replace("seed: 11", f"seed: {seed}")
+            .replace("n_samples: 400", f"n_samples: {n}")
+            .replace("n_samples: 1500", f"n_samples: {n}")
+            .replace("n_points: 2048", "n_points: 1024"))
+    if base is COLLAPSE:
+        text += "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"
+    else:
+        text = text.replace("dt: 0.01", "dt: 0.05")
+    manifest = run(parse_config(text), str(tmp_path))
+    assert manifest.error is None
+    decomp = seen[0]
+    assert len(seen) == n and all(x is decomp for x in seen)
+    assert len(decomp) == len(json.loads(coefficients))
+    assert (Path(manifest.run_dir) / name).read_text() == \
+        "".join(oracle_lines(decomp, seed, n))
+
+
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config(FREE)
@@ -167,6 +213,21 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=f"{scenario!r} ignores {key}"):
             parse_config(f"scenario: {scenario}\nseed: 1\n"
                          f"coefficients: [0.6, 0.8]\n{snippet}\n")
+
+    @pytest.mark.parametrize("scenario, snippet, section", [
+        ("cat_gate", "coupling: {tau: 99.0}", "coupling"),
+        ("cat_gate", "evolution: {dt: 0.5, n_steps: 7}", "evolution"),
+        ("cat_gate", "potential: {kind: harmonic, omega: 2.0}", "potential"),
+        ("collapse_sample", "potential: {kind: double_well}", "potential"),
+        ("collapse_sample", "evolution: {n_steps: 3}", "evolution"),
+    ])
+    def test_a_section_the_scenario_does_not_read_is_a_parse_error(
+            self, scenario, snippet, section):
+        text = f"scenario: {scenario}\n{scenarios.REGISTRY[scenario].check_config}"
+        parse_config(f"{text}{section}: {{}}\n")  # an empty section is absent
+        with pytest.raises(ParseError,
+                           match=f"{scenario!r} ignores {section}"):
+            parse_config(f"{text}{snippet}\n")
 
     def test_complex_coefficient_forms(self):
         cfg = parse_config(
@@ -366,40 +427,52 @@ class TestScenarioRuns:
                              ids=["collapse_sample", "born_ensemble"])
     def test_ensemble_lines_match_vectorized_oracle(
             self, tmp_path, monkeypatch, base, name, coefficients, seed):
-        """Each line is json.dumps of its record, with the branch from one
-        vectorized draw of default_rng(seed) and the Born weight of the
-        decomposition the ensemble samples."""
+        check_ensemble_lines(tmp_path, monkeypatch, base, name,
+                             coefficients, seed, 400)
+
+    @pytest.mark.parametrize("base, name", [(COLLAPSE, "collapse.jsonl"),
+                                            (BORN, "outcomes.jsonl")],
+                             ids=["collapse_sample", "born_ensemble"])
+    def test_long_ensemble_lines_match_vectorized_oracle(
+            self, tmp_path, monkeypatch, base, name):
+        """10 000 events: the file is written across many buffer flushes."""
+        check_ensemble_lines(tmp_path, monkeypatch, base, name,
+                             "[[0.0, 0.48], 0.6, [0.384, -0.512]]", 5, 10000)
+
+    def test_failed_ensemble_keeps_the_events_it_wrote(
+            self, tmp_path, monkeypatch):
         seen = []
         real = scenarios.sample_collapse
 
-        def spy(decomp, rng):
+        def fails_on_call_1001(decomp, rng):
             seen.append(decomp)
+            if len(seen) == 1001:
+                raise ValidationError("sampler failed")
             return real(decomp, rng)
 
-        monkeypatch.setattr(scenarios, "sample_collapse", spy)
-        text = (base.replace("coefficients: [0.6, 0.8]",
-                             f"coefficients: {coefficients}")
-                .replace("seed: 7", f"seed: {seed}")
-                .replace("seed: 11", f"seed: {seed}")
-                .replace("n_samples: 1500", "n_samples: 400")
-                .replace("n_points: 2048", "n_points: 1024"))
-        if base is COLLAPSE:
-            text += "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"
-        else:
-            text = text.replace("dt: 0.01", "dt: 0.05")
-        manifest = run(parse_config(text), str(tmp_path))
-        assert manifest.error is None
-        decomp = seen[0]
-        assert len(seen) == 400 and all(x is decomp for x in seen)
-        d = len(decomp)
-        assert d == len(json.loads(coefficients))
-        cdf = np.cumsum(decomp.probabilities)
-        u = np.random.default_rng(seed).random(400)
-        branches = np.minimum(np.searchsorted(cdf, u, side="right"), d - 1)
-        expected = [json.dumps({"event": i, "branch": int(b),
-                                "p": decomp.weights[b]}) + "\n"
-                    for i, b in enumerate(branches)]
-        assert (Path(manifest.run_dir) / name).read_text() == "".join(expected)
+        monkeypatch.setattr(scenarios, "sample_collapse", fails_on_call_1001)
+        manifest = run(parse_config(
+            COLLAPSE.replace("n_samples: 400", "n_samples: 2000")),
+            str(tmp_path))
+        assert manifest.error_type is ValidationError
+        assert "collapse.jsonl" in manifest.artifacts
+        text = (Path(manifest.run_dir) / "collapse.jsonl").read_text()
+        assert text == "".join(oracle_lines(seen[0], 7, 1000))
+
+    def test_ensemble_heap_does_not_grow_with_its_events(self, tmp_path):
+        """100 000 events at N = 1024 peak under 4 MiB of traced heap; an
+        ensemble that held every event would need about 18 MiB."""
+        cfg = parse_config(
+            COLLAPSE.replace("n_samples: 400", "n_samples: 100000"))
+        tracemalloc.start()
+        try:
+            manifest = run(cfg, str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert manifest.ok, manifest.error
+        assert len(ensemble_branches(manifest.run_dir)) == 100000
+        assert peak < 4 * 2**20
 
     def test_narrow_coupling_fails_before_stepping(self, tmp_path):
         cfg = parse_config(MEASUREMENT.replace("d_sep: 10.0", "d_sep: 2.0"))
@@ -570,6 +643,18 @@ class TestCli:
         rc = main([command[0], self._write(tmp_path, text), *command[1:],
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
+
+    def test_sample_stops_after_a_config_error(self, tmp_path):
+        text = ("scenario: harmonic_coherent\nseed: 1\n"
+                "potential: {kind: double_well}\n")
+        out = tmp_path / "runs"
+        rc = main(["sample", self._write(tmp_path, text), "--n-runs", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        (run_dir,) = [p for p in out.iterdir() if p.is_dir()]
+        doc = json.loads((out / "aggregate-harmonic_coherent.json")
+                         .read_text())
+        assert doc["runs"] == [str(run_dir)]
 
     @pytest.mark.parametrize("n_runs", ["0", "-1"])
     def test_sample_rejects_non_positive_n_runs(self, tmp_path, capsys,
