@@ -3,8 +3,8 @@
 Collapse semantics only apply to superpositions of weakly interfering
 packets.  Probabilities are computed geometrically, as the quotient of the
 reduced and the full support-interval widths, and must reproduce the squared
-coefficient moduli.  Sampling draws one double per event from a numpy
-Generator (PCG64 under default_rng), so a seeded stream fixes every event.
+coefficient moduli.  Sampling takes one double per event from a seeded
+PCG64 stream (numpy's default_rng), so the seed fixes every event.
 """
 from __future__ import annotations
 
@@ -179,11 +179,11 @@ def sample_collapse(decomp: SuperpositionDecomposition,
                     rng: np.random.Generator) -> CollapseEvent:
     """Inverse-CDF sample of the realized branch from the stream `rng`.
 
-    Draws one u = rng.random() and looks it up in the branch CDF that the
-    decomposition builds once.  Branch intervals are half-open [lo, hi) in
-    coefficient index order, so an ensemble seeded once with
-    np.random.default_rng(seed) and drawn event by event is fixed by
-    (decomp, seed): k calls leave `rng` where rng.random(k) would.
+    `rng` is any source whose random() returns the stream's next double,
+    such as a numpy Generator or an ensemble's blocked draws.  The one u
+    drawn is looked up in the branch CDF that the decomposition builds once;
+    branch intervals are half-open [lo, hi) in coefficient index order.  So
+    k calls on np.random.default_rng(seed) leave it where random(k) would.
     """
     cdf = decomp.branch_cdf
     u = rng.random()

@@ -18,6 +18,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -51,6 +52,8 @@ from .propagate import EvolutionConfig, Potential, evolve
 OUTPUT_ENV_VAR = "QCOLLAPSE_OUT"
 # Chance per run that the branch-frequency check fails a correct sampler.
 FREQUENCY_FALSE_ALARM = 1e-6
+# Doubles an ensemble takes from its stream per rng.random(m) call.
+DRAW_BLOCK = 512
 
 DIAG_HEADER = ("t,norm,exp_x,std_x,exp_p,std_p,uncertainty_product,"
                "min_separation,critical_value,transition_flag")
@@ -454,12 +457,19 @@ def _run_cat_gate(cfg, manifest):
 def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
     """Sample cfg.n_samples collapse events in turn from one PCG64 stream,
     np.random.default_rng(cfg.seed), writing each event's JSON line into
-    artifact `name` as it is drawn.  Checks every branch frequency against
-    its binomial band, z sigma wide (z splits FREQUENCY_FALSE_ALARM over the
-    d branches), and returns the frequencies.
+    artifact `name` as it is drawn.  The doubles are taken from the stream
+    in blocks of DRAW_BLOCK, the last block holding the remainder, so the
+    stream ends where rng.random(n_samples) would and each event sees the
+    same u as a scalar draw.  Checks every branch frequency against its
+    binomial band, z sigma wide (z splits FREQUENCY_FALSE_ALARM over the d
+    branches), and returns the frequencies.
     """
     from statistics import NormalDist  # 5 ms to import; only needed here
     rng = np.random.default_rng(cfg.seed)
+    blocks = (rng.random(min(DRAW_BLOCK, cfg.n_samples - i)).tolist()
+              for i in range(0, cfg.n_samples, DRAW_BLOCK))
+    draws = SimpleNamespace(
+        random=itertools.chain.from_iterable(blocks).__next__)
     counts = [0] * len(decomp)
     # The bytes of json.dumps({"event": i, "branch": n, "p": w_n}): a finite
     # float encodes as its repr, so each branch's line tail is built once.
@@ -468,7 +478,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
 
     def lines():
         for i in range(cfg.n_samples):
-            n = sample_collapse(decomp, rng).branch_index
+            n = sample_collapse(decomp, draws).branch_index
             counts[n] += 1
             yield '{"event": ' + str(i) + tails[n]
 

@@ -92,6 +92,25 @@ evolution: {dt: 0.01, n_steps: 500, record_every: 100}
 """
 
 
+# Ensemble sizes at the edges of the blocked draw: one block short, exactly
+# one, one past one, and one past two.
+B = scenarios.DRAW_BLOCK
+BLOCK_EDGES = [B - 1, B, B + 1, 2 * B + 1]
+BLOCK_EDGE_IDS = ["B-1", "B", "B+1", "2B+1"]
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its random() calls."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.calls = 0
+
+    def random(self, *args):
+        self.calls += 1
+        return self.generator.random(*args)
+
+
 class NarrowCoupling(ValidationError):
     """A configuration error of a type defined outside the package."""
 
@@ -438,6 +457,38 @@ class TestScenarioRuns:
         """10 000 events: the file is written across many buffer flushes."""
         check_ensemble_lines(tmp_path, monkeypatch, base, name,
                              "[[0.0, 0.48], 0.6, [0.384, -0.512]]", 5, 10000)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES, ids=BLOCK_EDGE_IDS)
+    @pytest.mark.parametrize("base, name", [(COLLAPSE, "collapse.jsonl"),
+                                            (BORN, "outcomes.jsonl")],
+                             ids=["collapse_sample", "born_ensemble"])
+    def test_block_edge_lines_match_vectorized_oracle(
+            self, tmp_path, monkeypatch, base, name, n):
+        check_ensemble_lines(tmp_path, monkeypatch, base, name,
+                             "[[0.0, 0.48], 0.6, [0.384, -0.512]]", 5, n)
+
+    @pytest.mark.parametrize("n", [1] + BLOCK_EDGES,
+                             ids=["1"] + BLOCK_EDGE_IDS)
+    def test_ensemble_draws_its_stream_in_blocks(self, tmp_path,
+                                                  monkeypatch, n):
+        """One random(m) call per DRAW_BLOCK events, and the stream ends
+        where random(n) would."""
+        real = np.random.default_rng
+        made = []
+
+        def counting_rng(seed):
+            made.append(CountingGenerator(real(seed)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        manifest = run(parse_config(
+            COLLAPSE.replace("n_samples: 400", f"n_samples: {n}")
+            + "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"),
+            str(tmp_path))
+        assert manifest.error is None
+        [rng] = made
+        assert rng.calls == -(-n // B)
+        assert rng.generator.random() == real(7).random(n + 1)[-1]
 
     def test_failed_ensemble_keeps_the_events_it_wrote(
             self, tmp_path, monkeypatch):
