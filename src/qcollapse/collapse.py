@@ -32,9 +32,6 @@ from .grid import (PhysicalParams, WaveFunction, check_unit_weights,
 RNG_ALGORITHM = "numpy.random.PCG64"
 
 COEFF_NORM_TOL = 1e-8
-# Geometric weak interference alone admits Gaussian tails; collapse
-# additionally requires branch overlaps at or below this.
-BRANCH_OVERLAP_TOL = 1e-6
 COEFF_EXTRACTION_TOL = 1e-6
 
 
@@ -109,11 +106,12 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
               ) -> SuperpositionDecomposition:
     """Extract coefficients c_n = (psi_n, psi) by grid inner products.
 
-    Coefficients are always re-extracted rather than trusted, so a
-    non-orthogonal basis shows up as a discrepancy error here instead of as
-    silently wrong probabilities later.
+    Overlapping branches raise NotWeaklyInterfering first.  Coefficients are
+    re-extracted rather than trusted, so supplied ones that psi does not
+    carry raise a ValidationError here, not wrong probabilities later.
     """
     basis = list(basis)
+    _check_overlaps(basis)
     coeffs = np.array([inner_product(b, psi) for b in basis])
     if expected_coefficients is not None:
         expected = np.asarray(expected_coefficients, dtype=complex)
@@ -127,29 +125,30 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
         branches=tuple(zip(coeffs, basis, summaries)))
 
 
-def _check_weak_interference(decomp: SuperpositionDecomposition) -> None:
-    if len(decomp) < 2:
-        return
-    matrix = weak_interference(decomp.summaries)
-    iu = np.triu_indices(len(decomp), k=1)
-    if not np.all(matrix[iu]):
-        raise NotWeaklyInterfering(
-            "some branch pair fails the support-separation condition")
-    overlaps = overlap_matrix(decomp.states)
-    for i, j in zip(*iu):
-        if overlaps[i, j] > BRANCH_OVERLAP_TOL:
+def _check_overlaps(states: Sequence[WaveFunction]) -> None:
+    """NotWeaklyInterfering for the first branch pair that overlaps by more
+    than COEFF_NORM_TOL / (d - 1), the most that keeps the sum |c_n|^2 of
+    re-extracted coefficients within COEFF_NORM_TOL of 1 (to first order)."""
+    limit = COEFF_NORM_TOL / max(len(states) - 1, 1)
+    overlaps = overlap_matrix(states)
+    for i, j in zip(*np.triu_indices(len(states), k=1)):
+        if overlaps[i, j] > limit:
             raise NotWeaklyInterfering(
                 f"branches {i},{j} overlap by {overlaps[i, j]:.3g} "
-                f"(limit {BRANCH_OVERLAP_TOL})")
+                f"(limit {limit:.3g})")
 
 
 def reduced_intervals(decomp: SuperpositionDecomposition) -> List[ReducedInterval]:
     """Width |c_n|^2 * std_n x around the unchanged branch center.
 
     Raises NotWeaklyInterfering unless every branch pair is separated and
-    overlaps by at most BRANCH_OVERLAP_TOL.
+    within the overlap limit of `_check_overlaps`.
     """
-    _check_weak_interference(decomp)
+    if len(decomp) > 1 and not np.all(weak_interference(decomp.summaries)[
+            np.triu_indices(len(decomp), k=1)]):
+        raise NotWeaklyInterfering(
+            "some branch pair fails the support-separation condition")
+    _check_overlaps(decomp.states)
     return [ReducedInterval(center=summary.exp_x,
                             width=abs(c) ** 2 * summary.std_x)
             for c, _, summary in decomp.branches]

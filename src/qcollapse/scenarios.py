@@ -24,8 +24,8 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import yaml
 
-from . import collapse as collapse_mod
-from .collapse import RNG_ALGORITHM, decompose, sample_collapse
+from .collapse import (RNG_ALGORITHM, decompose, measure_quotients,
+                       sample_collapse)
 from .diagnostics import GateConfig, packet_summary, position_gate
 from .errors import ParseError, QCollapseError, ValidationError
 from .grid import (
@@ -102,6 +102,8 @@ class ScenarioConfig:
         # (the CLI's --seed) comes through here too.
         if self.seed is not None and self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        if self.n_samples < 1:
+            raise ValidationError("n_samples must be positive")
 
 
 # Where a run happened, for manifest.json.  platform.platform() is avoided:
@@ -143,25 +145,33 @@ class RunManifest:
 
 
 class Scenario(NamedTuple):
-    """A scenario's runner, which of seed, coefficients, evolution, coupling
-    and potential it reads (the last three have defaults; a non-empty one it
-    does not read is a parse error) and the body of its check config."""
+    """A scenario's runner, the inputs it reads beyond ACCEPTED (top-level
+    keys, sections or `section.key`s) and the body of its check config.
+    parse_config builds `evolution` and `coupling` only where read, requires
+    a read key with no default, and rejects any input neither list names."""
     runner: Callable[[ScenarioConfig, RunManifest], None]
-    requires: Tuple[str, ...]
+    reads: Tuple[str, ...]
     check_config: str
 
 
 # ---------------------------------------------------------------------------
 # Config parsing
 
+# Inputs every scenario accepts; `seed` also names the run directory.
+ACCEPTED = ("scenario", "grid", "physics", "packet.sigma", "packet.center",
+            "seed", "output_dir")
 # Config section -> its constructor, whose keyword defaults are the section's
 # keys and defaults: an int default makes an integer key, any other a float
-# key, and only a key whose default is None may be null.
+# key, only a key whose default is None may be null, and a section in
+# _BUILT_WHERE_READ is None where the scenario does not read it.  A dict maps
+# the section's `kind`, which has no default, to the constructor.
 _SECTIONS = {"grid": Grid1D, "physics": PhysicalParams, "gate": GateConfig,
              "packet": PacketSpec, "evolution": EvolutionConfig,
-             "coupling": CouplingConfig}
-_POTENTIALS = {"free": Potential.free, "harmonic": Potential.harmonic,
-               "double_well": Potential.double_well}
+             "coupling": CouplingConfig,
+             "potential": {"free": Potential.free,
+                           "harmonic": Potential.harmonic,
+                           "double_well": Potential.double_well}}
+_BUILT_WHERE_READ = ("evolution", "coupling")
 
 
 def _coerce(name: str, value: Any, kind: type) -> Any:
@@ -183,19 +193,26 @@ def _coerce(name: str, value: Any, kind: type) -> Any:
     raise ParseError(f"{name} must be {what}, got {value!r}")
 
 
-def _build(name: str, section: Any, factory, required: bool = True):
+def _build(name: str, section: Any, factory, required: bool):
     """factory(**section), each key coerced like the factory's default for
-    it; None for an absent or empty section that is not required."""
+    it; None for an absent or empty section that is not required or whose
+    factory is a dict, which has no defaults to build from."""
     section = {} if section is None else section
     if not isinstance(section, dict):
         raise ParseError(f"section {name!r} must be a mapping")
+    if not (section or required and not isinstance(factory, dict)):
+        return None
+    if isinstance(factory, dict):
+        section = dict(section)
+        kind = section.pop("kind", None)
+        if not isinstance(kind, str) or kind not in factory:
+            raise ParseError(f"unknown {name} kind {kind!r}")
+        factory = factory[kind]
     defaults = {p.name: p.default
                 for p in inspect.signature(factory).parameters.values()}
     unknown = set(section) - set(defaults)
     if unknown:
         raise ParseError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    if not (section or required):
-        return None
     values = {}
     for key, value in section.items():
         default = defaults[key]
@@ -218,8 +235,33 @@ def _coerce_complex(value: Any) -> complex:
         raise ParseError(f"cannot parse complex number {value!r}") from exc
 
 
+def _coefficients(value: Any) -> Tuple[complex, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ParseError("coefficients must be a non-empty list")
+    coefficients = tuple(_coerce_complex(c) for c in value)
+    check_unit_weights(coefficients, NORM_TOL, "coefficient norm^2")
+    return coefficients
+
+
+# Top-level key -> (parser of a value set, value when absent).
+_KEYS = {"coefficients": (_coefficients, None),
+         "seed": (lambda v: v if v is None else _coerce("seed", v, int), None),
+         "n_samples": (lambda v: _coerce("n_samples", v, int), 10000),
+         "output_dir": (lambda v: v, None)}
+
+
+def _ignored(echo: Dict[str, Any], reads: Tuple[str, ...]):
+    """Each input set in `echo`, as `key` or `section.key`, that `reads`
+    names neither itself nor by its section."""
+    for name, value in echo.items():
+        if name not in reads and value is not None:
+            paths = ([f"{name}.{key}" for key in value]
+                     if isinstance(value, dict) else [name])
+            yield from (path for path in paths if path not in reads)
+
+
 def parse_config(text: str) -> ScenarioConfig:
-    """Strictly parse a YAML scenario config, rejecting unknown keys."""
+    """Strictly parse a YAML config: unknown or ignored inputs are errors."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -232,57 +274,23 @@ def parse_config(text: str) -> ScenarioConfig:
     scenario = raw.pop("scenario", None)
     if scenario not in SCENARIOS:
         raise ParseError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    requires = REGISTRY[scenario].requires
-
-    sections = {
-        name: _build(name, raw.pop(name, None), factory,
-                     name not in ("evolution", "coupling") or name in requires)
-        for name, factory in _SECTIONS.items()}
-
-    po = raw.pop("potential", None)
-    potential = None
-    if po is not None and po != {}:
-        if not isinstance(po, dict):
-            raise ParseError("section 'potential' must be a mapping")
-        keys = dict(po)
-        kind = keys.pop("kind", None)
-        if not isinstance(kind, str) or kind not in _POTENTIALS:
-            raise ParseError(f"unknown potential kind {kind!r}")
-        potential = _build("potential", keys, _POTENTIALS[kind])
-
-    coefficients = None
-    if "coefficients" in raw:
-        clist = raw.pop("coefficients")
-        if not isinstance(clist, (list, tuple)) or not clist:
-            raise ParseError("coefficients must be a non-empty list")
-        coefficients = tuple(_coerce_complex(c) for c in clist)
-        check_unit_weights(coefficients, NORM_TOL, "coefficient norm^2")
-
-    seed = raw.pop("seed", None)
-    seed = None if seed is None else _coerce("seed", seed, int)
-    if "seed" in requires and seed is None:
-        raise ValidationError(f"scenario {scenario!r} requires a seed")
-
-    n_samples = _coerce("n_samples", raw.pop("n_samples", 10000), int)
-    if n_samples < 1:
-        raise ValidationError("n_samples must be positive")
-    output_dir = raw.pop("output_dir", None)
-
+    reads = REGISTRY[scenario].reads
+    read = {r.split(".")[0] for r in reads}
+    values = {name: _build(name, raw.pop(name, None), factory,
+                           name in read or name not in _BUILT_WHERE_READ)
+              for name, factory in _SECTIONS.items()}
+    values.update((key, parse(raw.pop(key)) if key in raw else absent)
+                  for key, (parse, absent) in _KEYS.items())
     if raw:
         raise ParseError(f"unknown top-level keys: {sorted(raw)}")
-    if "coefficients" in requires and coefficients is None:
-        raise ValidationError(f"scenario {scenario!r} requires coefficients")
-    for name in ("evolution", "coupling", "potential"):
-        if echo.get(name) not in (None, {}) and name not in requires:
-            raise ParseError(f"scenario {scenario!r} ignores {name}")
-    # A chain takes coupling.tau / dt steps.
-    if "coupling" in requires and "n_steps" in (echo.get("evolution") or {}):
-        raise ParseError(f"scenario {scenario!r} ignores evolution.n_steps")
-
-    return ScenarioConfig(scenario=scenario, **sections, potential=potential,
-                          coefficients=coefficients, seed=seed,
-                          n_samples=n_samples, output_dir=output_dir,
-                          echo=echo)
+    cfg = ScenarioConfig(scenario=scenario, **values, echo=echo)
+    for key in reads:
+        if key in _KEYS and values[key] is None:
+            raise ValidationError(f"scenario {scenario!r} requires {key}")
+    ignored = next(_ignored(echo, ACCEPTED + reads), None)
+    if ignored:
+        raise ParseError(f"scenario {scenario!r} ignores {ignored}")
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:
@@ -345,14 +353,16 @@ def resolve_output_root(cfg: ScenarioConfig,
     return Path(root) if root else Path.cwd() / "runs"
 
 
-def _branch_packets(cfg: ScenarioConfig) -> List[WaveFunction]:
-    base = 0.0 if cfg.packet.center is None else cfg.packet.center
-    sep = cfg.packet.separation
-    if sep is None:
-        sep = 16.0 * cfg.packet.sigma
-    return [make_gaussian(cfg.grid, base + n * sep, cfg.packet.sigma,
-                          cfg.packet.momentum, cfg.physics)
-            for n in range(len(cfg.coefficients))]
+def _packets(cfg: ScenarioConfig, default_center: float,
+             count: int = 1) -> List[WaveFunction]:
+    """`count` Gaussians of the config's sigma and momentum: the first at
+    packet.center (else `default_center`), each next one packet.separation
+    (else 16 sigma) to the right."""
+    p = cfg.packet
+    center = default_center if p.center is None else p.center
+    sep = 16.0 * p.sigma if p.separation is None else p.separation
+    return [make_gaussian(cfg.grid, center + n * sep, p.sigma, p.momentum,
+                          cfg.physics) for n in range(count)]
 
 
 def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
@@ -408,9 +418,7 @@ def _evolve_and_record(cfg, manifest, psi: WaveFunction,
 
 
 def _run_free_spread(cfg, manifest):
-    center = 0.0 if cfg.packet.center is None else cfg.packet.center
-    psi = make_gaussian(cfg.grid, center, cfg.packet.sigma,
-                        cfg.packet.momentum, cfg.physics)
+    (psi,) = _packets(cfg, 0.0)
     final, records = _evolve_and_record(cfg, manifest, psi, Potential.free())
     t_final = cfg.evolution.dt * cfg.evolution.n_steps
     sigma = cfg.packet.sigma
@@ -428,7 +436,7 @@ def _run_harmonic_coherent(cfg, manifest):
     if v.kind != "harmonic":
         raise ValidationError("harmonic_coherent needs a harmonic potential")
     center = 3.0 if cfg.packet.center is None else cfg.packet.center
-    psi = make_gaussian(cfg.grid, center, cfg.packet.sigma, 0.0, cfg.physics)
+    (psi,) = _packets(cfg, center)
     x0 = center - v.center
     _, records = _evolve_and_record(cfg, manifest, psi, v)
     worst = max(abs(s.exp_x - (v.center + x0 * math.cos(v.omega * t)))
@@ -438,7 +446,7 @@ def _run_harmonic_coherent(cfg, manifest):
 
 
 def _run_cat_gate(cfg, manifest):
-    packets = _branch_packets(cfg)
+    packets = _packets(cfg, 0.0, len(cfg.coefficients))
     cat = superpose(zip(cfg.coefficients, packets))
     verdicts = {}
     for i, p in enumerate(packets):
@@ -494,7 +502,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
 
 
 def _run_collapse_sample(cfg, manifest):
-    packets = _branch_packets(cfg)
+    packets = _packets(cfg, 0.0, len(cfg.coefficients))
     psi = superpose(zip(cfg.coefficients, packets))
     decomp = decompose(psi, packets, cfg.gate, cfg.physics,
                        expected_coefficients=cfg.coefficients)
@@ -503,11 +511,9 @@ def _run_collapse_sample(cfg, manifest):
     _check(manifest, "geometric_probabilities", worst <= 1e-8,
            f"max |p_n - |c_n|^2| = {worst:.3g}")
     _emit(manifest, "probabilities.json", _json({
-        "geometric": [float(x) for x in p],
-        "measure_quotient": [float(x)
-                             for x in collapse_mod.measure_quotients(decomp)],
-        "generator": RNG_ALGORITHM,
-    }))
+        "geometric": p.tolist(),
+        "measure_quotient": measure_quotients(decomp).tolist(),
+        "generator": RNG_ALGORITHM}))
     _sample_ensemble(cfg, decomp, manifest, "collapse.jsonl")
 
 
@@ -517,9 +523,8 @@ def _run_measurement_core(cfg, manifest):
     parameters) per record, and the transition check."""
     obj = ObjectState(np.array(cfg.coefficients))
     sigma = cfg.packet.sigma
-    center = (20.0 * sigma if cfg.packet.center is None
-              else cfg.packet.center)
-    apparatus = make_gaussian(cfg.grid, center, sigma, 0.0, cfg.physics)
+    center = 20.0 * sigma if cfg.packet.center is None else cfg.packet.center
+    (apparatus,) = _packets(cfg, center)
     # Default confinement: the trap whose coherent width equals sigma, so the
     # pointer packets keep their shape while translating.
     v = cfg.potential or Potential.harmonic(
@@ -533,10 +538,9 @@ def _run_measurement_core(cfg, manifest):
 
         def observer(t, summaries, ops):
             if next(ticks) % cfg.evolution.record_every == 0:
-                sep = ops.min_pairwise_separation if ops else None
-                crit = ops.critical_value if ops else None
-                flag = ops.transition if ops else None
-                row(t, norm, summaries[0], sep, crit, flag)
+                row(t, norm, summaries[0], *(() if ops is None else (
+                    ops.min_pairwise_separation, ops.critical_value,
+                    ops.transition)))
 
         evolved, report = von_neumann_evolve(composite, cfg.coupling, v,
                                              cfg.physics, cfg.evolution.dt,
@@ -548,15 +552,13 @@ def _run_measurement_core(cfg, manifest):
 
 def _write_chain_summary(cfg, manifest, report, **fields):
     """summary.json: the chain's common fields plus the scenario's own."""
-    doc = {
+    _emit(manifest, "summary.json", _json({
         "object_dim": len(cfg.coefficients),
         "coefficients": [[c.real, c.imag] for c in cfg.coefficients],
         "t_star": report.t_star,
         "critical_value": report.series[-1][2] if report.series else None,
         "seed": cfg.seed,
-        **fields,
-    }
-    _emit(manifest, "summary.json", _json(doc))
+        **fields}))
 
 
 def _run_measurement(cfg, manifest):
@@ -566,11 +568,6 @@ def _run_measurement(cfg, manifest):
     _check(manifest, "pointer_distinguishability", worst <= 1e-6,
            f"max off-diagonal overlap {worst:.3g}")
     outcome = measure(evolved, report, cfg.seed, cfg.gate, cfg.physics)
-    expected = tuple(abs(c) ** 2 for c in cfg.coefficients)
-    mix_err = max(abs(a - b)
-                  for a, b in zip(outcome.object_mixture, expected))
-    _check(manifest, "born_mixture", mix_err <= 1e-12,
-           f"max |mixture - |c|^2| = {mix_err:.3g}")
     _write_chain_summary(cfg, manifest, report,
                          outcome_branch=outcome.realized_object_index)
     _emit(manifest, "snapshot_pointer.csv", outcome.apparatus_state)
@@ -584,25 +581,27 @@ def _run_born_ensemble(cfg, manifest):
                          n_samples=cfg.n_samples, frequencies=freqs)
 
 
-_CHAIN = ("seed", "coefficients", "evolution", "coupling", "potential")
+_CHAIN = ("seed", "coefficients", "gate", "evolution.dt",
+          "evolution.record_every", "coupling", "potential")
 _CHAIN_CHECK = ("coefficients: [0.6, 0.8]\n"
                 "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"
                 "evolution: {dt: 0.05, record_every: 10}\n")
+_BRANCHES = ("coefficients", "packet.momentum", "packet.separation")
 REGISTRY: Dict[str, Scenario] = {
-    "free_spread": Scenario(_run_free_spread, ("evolution",),
+    "free_spread": Scenario(_run_free_spread, ("evolution", "packet.momentum"),
                             "evolution: {dt: 0.01, n_steps: 200}\n"),
     "harmonic_coherent": Scenario(
         _run_harmonic_coherent, ("evolution", "potential"),
         "evolution: {n_steps: 1000, record_every: 50}\n"),
-    "cat_gate": Scenario(_run_cat_gate, ("coefficients",),
+    "cat_gate": Scenario(_run_cat_gate, _BRANCHES + ("gate",),
                          "coefficients: [0.6, 0.8]\n"
                          "packet: {center: 12.0, separation: 14.0}\n"),
     "collapse_sample": Scenario(
-        _run_collapse_sample, ("seed", "coefficients"),
+        _run_collapse_sample, _BRANCHES + ("seed", "n_samples"),
         "coefficients: [0.6, 0.8]\nseed: 7\nn_samples: 400\n"),
     "measurement_run": Scenario(_run_measurement, _CHAIN,
                                 _CHAIN_CHECK + "seed: 3\n"),
-    "born_ensemble": Scenario(_run_born_ensemble, _CHAIN,
+    "born_ensemble": Scenario(_run_born_ensemble, _CHAIN + ("n_samples",),
                               _CHAIN_CHECK + "seed: 11\nn_samples: 1500\n"),
 }
 SCENARIOS = tuple(REGISTRY)

@@ -148,7 +148,7 @@ class TestReducedIntervals:
     def test_non_orthogonal_basis_caught_at_decompose(self, gaussian, params):
         basis = [gaussian(center=-0.5, sigma=2.0), gaussian(center=0.5, sigma=2.0)]
         raw = superpose(zip((1 / math.sqrt(2),) * 2, basis))
-        with pytest.raises(ValidationError):
+        with pytest.raises(NotWeaklyInterfering, match="branches 0,1 overlap"):
             decompose(raw, basis, params=params)
 
 

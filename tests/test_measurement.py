@@ -10,6 +10,7 @@ from qcollapse import (
     EvolutionConfig,
     Grid1D,
     ObjectState,
+    PhysicalParams,
     Potential,
     apparatus_decomposition,
     detect_transition,
@@ -34,6 +35,7 @@ from qcollapse.errors import (
 
 APPARATUS_CENTER = 20.0
 APPARATUS_GRID = Grid1D(-40.0, 120.0, 2048)
+CHAIN = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=15.0)
 
 
 @pytest.fixture
@@ -50,6 +52,21 @@ def trap():
 @pytest.fixture
 def obj():
     return ObjectState(np.array([0.6, 0.8]))
+
+
+@pytest.fixture(scope="module")
+def evolved():
+    """The 1500-step chain of `obj` and `apparatus` under CHAIN in `trap` at
+    dt = 0.01, built once per module: states are immutable, and
+    test_measure_leaves_composite_untouched checks that `measure` leaves
+    this one as it was."""
+    params = PhysicalParams()
+    apparatus = make_gaussian(APPARATUS_GRID, APPARATUS_CENTER, 1.0, 0.0,
+                              params)
+    comp = premeasurement(ObjectState(np.array([0.6, 0.8])), apparatus,
+                          params=params)
+    trap = Potential.harmonic(omega=0.5, center=APPARATUS_CENTER)
+    return von_neumann_evolve(comp, CHAIN, trap, params, 0.01)
 
 
 class TestObjectState:
@@ -143,9 +160,9 @@ class TestCouplingConfig:
 
 
 class TestVonNeumannEvolve:
-    CFG = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=15.0)
+    CFG = CHAIN
 
-    def _coupled(self, obj, apparatus, trap, params, dt=0.01, cfg=None,
+    def _coupled(self, obj, apparatus, trap, params, dt, cfg=None,
                  observer=None):
         comp = premeasurement(obj, apparatus, params=params)
         return von_neumann_evolve(comp, cfg or self.CFG, trap, params, dt,
@@ -160,13 +177,12 @@ class TestVonNeumannEvolve:
         assert report.series == ()
         assert len(final) == 1
 
-    def test_coefficients_carried_unchanged(self, obj, apparatus, trap, params):
-        final, _ = self._coupled(obj, apparatus, trap, params)
+    def test_coefficients_carried_unchanged(self, evolved):
+        final, _ = evolved
         assert np.allclose(final.coefficients, [0.6, 0.8], atol=0.0)
 
-    def test_branch_centers_move_kinematically(self, obj, apparatus, trap,
-                                               params):
-        final, _ = self._coupled(obj, apparatus, trap, params)
+    def test_branch_centers_move_kinematically(self, evolved, params):
+        final, _ = evolved
         s = [packet_summary(a, params=params) for a in final.apparatus_states]
         assert s[0].exp_x == pytest.approx(APPARATUS_CENTER, abs=1e-6)
         assert s[1].exp_x == pytest.approx(APPARATUS_CENTER + 15.0, abs=1e-6)
@@ -174,19 +190,18 @@ class TestVonNeumannEvolve:
         assert s[0].std_x == pytest.approx(1.0, rel=1e-4)
         assert s[1].std_x == pytest.approx(1.0, rel=1e-3)
 
-    def test_transition_time_matches_kinematics(self, obj, apparatus, trap,
-                                                params):
+    def test_transition_time_matches_kinematics(self, evolved):
         # separation grows as v t; widths stay 1, so the critical separation
         # 1 is crossed at t = 1 / v
-        _, report = self._coupled(obj, apparatus, trap, params)
+        _, report = evolved
         assert report.t_star == pytest.approx(1.0, rel=0.1)
 
     def test_transition_time_within_one_step_of_sigma_over_v(
-            self, obj, apparatus, trap, params):
+            self, evolved, apparatus, params):
         # the coherent trap keeps every width at sigma, so min_sep = v t and
         # critical = sigma: the first step with v t >= sigma is t*
-        dt = 0.01
-        _, report = self._coupled(obj, apparatus, trap, params, dt=dt)
+        dt = 0.01  # the step of `evolved`
+        _, report = evolved
         crossing = packet_summary(apparatus, params=params).std_x \
             / self.CFG.shift_velocity
         assert crossing - 1e-12 <= report.t_star <= crossing + dt + 1e-12
@@ -271,9 +286,8 @@ class TestVonNeumannEvolve:
         # branch 2 is at 20 + 2 t, about 6 widths below the edge region
         assert 14.0 < times[-1] < 16.0
 
-    def test_composite_recoverable_from_branches(self, obj, apparatus, trap,
-                                                 params):
-        final, _ = self._coupled(obj, apparatus, trap, params)
+    def test_composite_recoverable_from_branches(self, evolved):
+        final, _ = evolved
         rebuilt = CompositeState(branches=final.branches)
         assert rebuilt.norm() == pytest.approx(1.0, abs=1e-8)
         assert not final.is_product
@@ -300,13 +314,6 @@ class TestDetectTransition:
 
 
 class TestMeasure:
-    CFG = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=15.0)
-
-    @pytest.fixture
-    def evolved(self, obj, apparatus, trap, params):
-        comp = premeasurement(obj, apparatus, params=params)
-        return von_neumann_evolve(comp, self.CFG, trap, params, 0.01)
-
     def test_pre_transition_raises(self, evolved, params):
         final, report = evolved
         # truncate the series to strictly before the crossing

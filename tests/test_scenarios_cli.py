@@ -1,20 +1,32 @@
 import csv
+import importlib.util
 import json
 import os
 import platform
+import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qcollapse import scenarios
 from qcollapse.cli import main
-from qcollapse.errors import (BoundaryClipping, ParseError,
-                              TransitionNotReached, ValidationError)
+from qcollapse.errors import (BoundaryClipping, NotWeaklyInterfering,
+                              ParseError, TransitionNotReached,
+                              ValidationError)
 from qcollapse.scenarios import (
     DIAG_HEADER,
+    CouplingConfig,
+    EvolutionConfig,
+    GateConfig,
+    Grid1D,
+    PacketSpec,
+    PhysicalParams,
+    ScenarioConfig,
     parse_config,
     run,
 )
@@ -90,6 +102,67 @@ grid: {x_min: -20.0, x_max: 20.0, n_points: 1024}
 packet: {center: 0.0, sigma: 1.0, momentum: 8.0}
 evolution: {dt: 0.01, n_steps: 500, record_every: 100}
 """
+
+
+# The benchmark's workload configs, loaded from bench/workloads.py.
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parent.parent / "bench"
+    / "workloads.py")
+WORKLOADS = sys.modules["bench_workloads"] = \
+    importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(WORKLOADS)
+
+GATE_KEYS = [("gate: {eta: 5.0}", "gate.eta"), ("gate: {k: 2.0}", "gate.k"),
+             ("gate: {taylor_tol: 0.1}", "gate.taylor_tol"),
+             ("gate: {mass_threshold: 0.95}", "gate.mass_threshold")]
+# The 25 (scenario, input, key) cases of a value the scenario's runner never
+# reads.  Added to the scenario's check config, each is a ParseError.
+IGNORED = (
+    [("free_spread", snippet, key) for snippet, key in GATE_KEYS]
+    + [("free_spread", "packet: {separation: 30.0}", "packet.separation"),
+       ("free_spread", "coefficients: [0.6, 0.8]", "coefficients"),
+       ("free_spread", "n_samples: 7", "n_samples")]
+    + [("harmonic_coherent", snippet, key) for snippet, key in GATE_KEYS]
+    + [("harmonic_coherent", "packet: {momentum: 1.5}", "packet.momentum"),
+       ("harmonic_coherent", "packet: {separation: 30.0}",
+        "packet.separation"),
+       ("harmonic_coherent", "coefficients: [0.6, 0.8]", "coefficients"),
+       ("harmonic_coherent", "n_samples: 7", "n_samples"),
+       ("cat_gate", "n_samples: 7", "n_samples")]
+    + [("collapse_sample", snippet, key) for snippet, key in GATE_KEYS]
+    + [("measurement_run", "packet: {momentum: 1.5}", "packet.momentum"),
+       ("measurement_run", "packet: {separation: 30.0}", "packet.separation"),
+       ("measurement_run", "n_samples: 7", "n_samples"),
+       ("born_ensemble", "packet: {momentum: 1.5}", "packet.momentum"),
+       ("born_ensemble", "packet: {separation: 30.0}", "packet.separation")])
+
+
+def check_text(scenario):
+    return f"scenario: {scenario}\n{scenarios.REGISTRY[scenario].check_config}"
+
+
+def parsed_before_reads(text):
+    """The ScenarioConfig that a config setting only inputs its scenario
+    reads parsed to before `Scenario.reads`: grid, physics, gate and packet
+    built from their keys, evolution only in the scenarios that evolve,
+    coupling only in the chain, no potential."""
+    raw = yaml.safe_load(text)
+    name = raw["scenario"]
+    chain = name in ("measurement_run", "born_ensemble")
+    evolves = chain or name in ("free_spread", "harmonic_coherent")
+    coefficients = raw.get("coefficients")
+    return ScenarioConfig(
+        scenario=name, grid=Grid1D(**raw.get("grid", {})),
+        physics=PhysicalParams(**raw.get("physics", {})),
+        gate=GateConfig(**raw.get("gate", {})),
+        packet=PacketSpec(**raw.get("packet", {})),
+        evolution=EvolutionConfig(**raw.get("evolution", {})) if evolves
+        else None,
+        coupling=CouplingConfig(**raw.get("coupling", {})) if chain else None,
+        potential=None,
+        coefficients=coefficients and tuple(map(complex, coefficients)),
+        seed=raw.get("seed"), n_samples=raw.get("n_samples", 10000),
+        output_dir=None)
 
 
 # Ensemble sizes at the edges of the blocked draw: one block short, exactly
@@ -221,8 +294,11 @@ class TestParseConfig:
                          "coefficients: [0.70710678, 0.70710678]\n")
 
     @pytest.mark.parametrize("scenario, snippet, key", [
-        ("measurement_run", "evolution: {n_steps: 7}", "evolution.n_steps"),
-        ("born_ensemble", "evolution: {dt: 0.05, n_steps: 7}",
+        ("measurement_run",
+         "coefficients: [0.6, 0.8]\nevolution: {n_steps: 7}",
+         "evolution.n_steps"),
+        ("born_ensemble",
+         "coefficients: [0.6, 0.8]\nevolution: {dt: 0.05, n_steps: 7}",
          "evolution.n_steps"),
         ("free_spread", "potential: {kind: harmonic, omega: 2.0}",
          "potential"),
@@ -230,8 +306,7 @@ class TestParseConfig:
     def test_a_key_the_scenario_ignores_is_a_parse_error(
             self, scenario, snippet, key):
         with pytest.raises(ParseError, match=f"{scenario!r} ignores {key}"):
-            parse_config(f"scenario: {scenario}\nseed: 1\n"
-                         f"coefficients: [0.6, 0.8]\n{snippet}\n")
+            parse_config(f"scenario: {scenario}\nseed: 1\n{snippet}\n")
 
     @pytest.mark.parametrize("scenario, snippet, section", [
         ("cat_gate", "coupling: {tau: 99.0}", "coupling"),
@@ -247,6 +322,16 @@ class TestParseConfig:
         with pytest.raises(ParseError,
                            match=f"{scenario!r} ignores {section}"):
             parse_config(f"{text}{snippet}\n")
+
+    def test_configs_of_inputs_read_parse_as_before(self):
+        texts = [check_text(name) for name in scenarios.SCENARIOS]
+        texts += [WORKLOADS.config_text(w.config(seed, small))
+                  for w in WORKLOADS.WORKLOADS.values()
+                  for small in (True, False) for seed in (1, 5)]
+        for text in texts:
+            cfg = parse_config(text)
+            assert cfg == parsed_before_reads(text), text
+            assert cfg.echo == yaml.safe_load(text)
 
     def test_complex_coefficient_forms(self):
         cfg = parse_config(
@@ -716,6 +801,35 @@ class TestCli:
         assert rc == 2
         assert "--n-runs" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, snippet, key", IGNORED)
+    def test_an_input_the_scenario_ignores_exits_2(
+            self, tmp_path, capsys, scenario, snippet, key):
+        path = self._write(tmp_path, f"{check_text(scenario)}{snippet}\n")
+        rc = main(["simulate", path, "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"config error: scenario {scenario!r} ignores {key}\n"
+        assert not (tmp_path / "runs").exists()
+        with pytest.raises(ParseError,
+                           match=re.escape(f"{scenario!r} ignores {key}")):
+            parse_config(f"{check_text(scenario)}{snippet}\n")
+
+    @pytest.mark.parametrize("separation", [10.0, 11.0, 12.0])
+    def test_overlapping_branches_are_not_a_config_error(
+            self, tmp_path, separation):
+        """Branches 10 to 12 sigma apart overlap by 1.5e-8 to 3.7e-6: the
+        run passes or ends in NotWeaklyInterfering naming the pair (exit 1),
+        never in a sum |c_n|^2 or extraction ValidationError (exit 2)."""
+        path = self._write(tmp_path, check_text("collapse_sample")
+                           + f"packet: {{separation: {separation}}}\n")
+        rc = main(["simulate", path, "--out", str(tmp_path / "runs")])
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        doc = json.loads((run_dir / "manifest.json").read_text())
+        assert (rc, doc["error_type"]) in [
+            (0, None), (1, NotWeaklyInterfering.__name__)]
+        if rc:
+            assert "branches 0,1 overlap" in doc["error"]
 
     def test_check_exit_0(self, capsys):
         assert main(["check"]) == 0
