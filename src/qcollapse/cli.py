@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import tempfile
 from pathlib import Path
 
 from .errors import ParseError, QCollapseError, ValidationError
-from .scenarios import (REGISTRY, RNG_ALGORITHM, load_config, parse_config,
-                        resolve_output_root, run)
+from .scenarios import (REGISTRY, RNG_ALGORITHM, json_text, load_config,
+                        parse_config, resolve_output_root, run)
 
 # Exceptions that mean the configuration is wrong: exit code 2.
 CONFIG_ERRORS = (ParseError, ValidationError)
@@ -88,15 +87,12 @@ def _sample(args) -> int:
         if _exit_code(manifest) == 2:
             break  # every later member would repeat the config error
     root = resolve_output_root(cfg, str(args.out) if args.out else None)
-    aggregate = {
-        "n_runs": args.n_runs,
-        "n_pass": sum(1 for m in results if m.ok),
-        "runs": [m.run_dir for m in results],
-        "generator": RNG_ALGORITHM,
-    }
     root.mkdir(parents=True, exist_ok=True)
     path = root / f"aggregate-{cfg.scenario}.json"
-    path.write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text({"n_runs": args.n_runs,
+                               "n_pass": sum(1 for m in results if m.ok),
+                               "runs": [m.run_dir for m in results],
+                               "generator": RNG_ALGORITHM}))
     print(f"aggregate: {path}")
     return max(map(_exit_code, results))
 

@@ -125,11 +125,15 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
         branches=tuple(zip(coeffs, basis, summaries)))
 
 
+def overlap_limit(d: int) -> float:
+    """COEFF_NORM_TOL / (d - 1): two of d branches may overlap this much and
+    keep re-extracted sum |c_n|^2 within COEFF_NORM_TOL of 1 to first order."""
+    return COEFF_NORM_TOL / max(d - 1, 1)
+
+
 def _check_overlaps(states: Sequence[WaveFunction]) -> None:
-    """NotWeaklyInterfering for the first branch pair that overlaps by more
-    than COEFF_NORM_TOL / (d - 1), the most that keeps the sum |c_n|^2 of
-    re-extracted coefficients within COEFF_NORM_TOL of 1 (to first order)."""
-    limit = COEFF_NORM_TOL / max(len(states) - 1, 1)
+    """NotWeaklyInterfering for the first branch pair above overlap_limit."""
+    limit = overlap_limit(len(states))
     overlaps = overlap_matrix(states)
     for i, j in zip(*np.triu_indices(len(states), k=1)):
         if overlaps[i, j] > limit:
@@ -179,14 +183,15 @@ def sample_collapse(decomp: SuperpositionDecomposition,
     """Inverse-CDF sample of the realized branch from the stream `rng`.
 
     `rng` is any source whose random() returns the stream's next double,
-    such as a numpy Generator or an ensemble's blocked draws.  The one u
-    drawn is looked up in the branch CDF that the decomposition builds once;
-    branch intervals are half-open [lo, hi) in coefficient index order.  So
-    k calls on np.random.default_rng(seed) leave it where random(k) would.
+    such as a numpy Generator or one block of an ensemble's draws.  The one
+    u drawn is bisected in the first d - 1 entries of the cached branch
+    CDF: intervals are half-open [lo, hi) in coefficient index order, and
+    a u at or past the last entry picks branch d - 1.  So k calls on
+    np.random.default_rng(seed) leave it where random(k) would.
     """
     cdf = decomp.branch_cdf
     u = rng.random()
-    idx = min(bisect_right(cdf, u), len(cdf) - 1)
+    idx = bisect_right(cdf, u, 0, len(cdf) - 1)
     return CollapseEvent(idx, decomp.weights[idx], u, decomp.posteriors[idx])
 
 

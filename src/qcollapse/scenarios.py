@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from .collapse import (RNG_ALGORITHM, decompose, measure_quotients,
-                       sample_collapse)
+                       overlap_limit, sample_collapse)
 from .diagnostics import GateConfig, packet_summary, position_gate
 from .errors import ParseError, QCollapseError, ValidationError
 from .grid import (
@@ -59,7 +59,7 @@ DIAG_HEADER = ("t,norm,exp_x,std_x,exp_p,std_p,uncertainty_product,"
                "min_separation,critical_value,transition_flag")
 
 
-def _json(doc) -> str:
+def json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -104,6 +104,8 @@ class ScenarioConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.n_samples < 1:
             raise ValidationError("n_samples must be positive")
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ParseError(f"output_dir {self.output_dir!r} is not a string")
 
 
 # Where a run happened, for manifest.json.  platform.platform() is avoided:
@@ -139,9 +141,9 @@ class RunManifest:
 
     def write(self, path: Path) -> None:
         error_type = self.error_type and self.error_type.__name__
-        path.write_text(_json({**asdict(self), "error_type": error_type,
-                               "artifacts": sorted(self.artifacts),
-                               "environment": ENVIRONMENT}))
+        path.write_text(json_text({**asdict(self), "error_type": error_type,
+                                   "artifacts": sorted(self.artifacts),
+                                   "environment": ENVIRONMENT}))
 
 
 class Scenario(NamedTuple):
@@ -458,40 +460,38 @@ def _run_cat_gate(cfg, manifest):
     verdicts["superposition"] = cat_verdict.is_wave_packet
     _check(manifest, "superposition_not_packet", not cat_verdict.is_wave_packet,
            f"cat verdict {cat_verdict.is_wave_packet}")
-    _emit(manifest, "verdicts.json", _json(verdicts))
+    _emit(manifest, "verdicts.json", json_text(verdicts))
     _emit(manifest, "snapshot_cat.csv", cat)
 
 
 def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
-    """Sample cfg.n_samples collapse events in turn from one PCG64 stream,
-    np.random.default_rng(cfg.seed), writing each event's JSON line into
-    artifact `name` as it is drawn.  The doubles are taken from the stream
-    in blocks of DRAW_BLOCK, the last block holding the remainder, so the
-    stream ends where rng.random(n_samples) would and each event sees the
-    same u as a scalar draw.  Checks every branch frequency against its
-    binomial band, z sigma wide (z splits FREQUENCY_FALSE_ALARM over the d
-    branches), and returns the frequencies.
-    """
+    """Sample cfg.n_samples collapse events from one PCG64 stream,
+    np.random.default_rng(cfg.seed), in blocks of up to DRAW_BLOCK events:
+    one rng.random(m) draw, one sample_collapse pick per double, one write
+    of the block's JSON lines to artifact `name` (also when a pick fails,
+    so a failed run keeps exactly its earlier events) and one count per
+    branch.  The stream ends where rng.random(n_samples) would.  Checks each
+    branch frequency against its binomial band, z sigma wide (z splits
+    FREQUENCY_FALSE_ALARM over the d branches); returns the frequencies."""
     from statistics import NormalDist  # 5 ms to import; only needed here
     rng = np.random.default_rng(cfg.seed)
-    blocks = (rng.random(min(DRAW_BLOCK, cfg.n_samples - i)).tolist()
-              for i in range(0, cfg.n_samples, DRAW_BLOCK))
-    draws = SimpleNamespace(
-        random=itertools.chain.from_iterable(blocks).__next__)
     counts = [0] * len(decomp)
     # The bytes of json.dumps({"event": i, "branch": n, "p": w_n}): a finite
     # float encodes as its repr, so each branch's line tail is built once.
     tails = [f', "branch": {n}, "p": {w!r}}}\n'
              for n, w in enumerate(decomp.weights)]
-
-    def lines():
-        for i in range(cfg.n_samples):
-            n = sample_collapse(decomp, draws).branch_index
-            counts[n] += 1
-            yield '{"event": ' + str(i) + tails[n]
-
     with _artifact(manifest, name) as fh:
-        fh.writelines(lines())
+        for start in range(0, cfg.n_samples, DRAW_BLOCK):
+            block = rng.random(min(DRAW_BLOCK, cfg.n_samples - start)).tolist()
+            draws = SimpleNamespace(random=iter(block).__next__)
+            picks = []
+            try:
+                for _ in block:
+                    picks.append(sample_collapse(decomp, draws).branch_index)
+            finally:
+                fh.write("".join('{"event": ' + str(i) + tails[n]
+                                 for i, n in enumerate(picks, start)))
+            counts = [c + picks.count(n) for n, c in enumerate(counts)]
     freqs = [c / cfg.n_samples for c in counts]
     z = NormalDist().inv_cdf(1.0 - FREQUENCY_FALSE_ALARM / (2 * len(freqs)))
     for i, (pi, fi) in enumerate(zip(decomp.probabilities, freqs)):
@@ -510,7 +510,7 @@ def _run_collapse_sample(cfg, manifest):
     worst = max(abs(pn - abs(c) ** 2) for pn, c in zip(p, cfg.coefficients))
     _check(manifest, "geometric_probabilities", worst <= 1e-8,
            f"max |p_n - |c_n|^2| = {worst:.3g}")
-    _emit(manifest, "probabilities.json", _json({
+    _emit(manifest, "probabilities.json", json_text({
         "geometric": p.tolist(),
         "measure_quotient": measure_quotients(decomp).tolist(),
         "generator": RNG_ALGORITHM}))
@@ -552,7 +552,7 @@ def _run_measurement_core(cfg, manifest):
 
 def _write_chain_summary(cfg, manifest, report, **fields):
     """summary.json: the chain's common fields plus the scenario's own."""
-    _emit(manifest, "summary.json", _json({
+    _emit(manifest, "summary.json", json_text({
         "object_dim": len(cfg.coefficients),
         "coefficients": [[c.real, c.imag] for c in cfg.coefficients],
         "t_star": report.t_star,
@@ -565,8 +565,9 @@ def _run_measurement(cfg, manifest):
     evolved, report = _run_measurement_core(cfg, manifest)
     offdiag = pointer_distinguishability(evolved)
     worst = float(np.max(np.abs(offdiag - np.eye(len(offdiag)))))
-    _check(manifest, "pointer_distinguishability", worst <= 1e-6,
-           f"max off-diagonal overlap {worst:.3g}")
+    limit = overlap_limit(len(offdiag))
+    _check(manifest, "pointer_distinguishability", worst <= limit,
+           f"max off-diagonal overlap {worst:.3g} (limit {limit:.3g})")
     outcome = measure(evolved, report, cfg.seed, cfg.gate, cfg.physics)
     _write_chain_summary(cfg, manifest, report,
                          outcome_branch=outcome.realized_object_index)

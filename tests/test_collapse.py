@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ class TestSampling:
         for u in map(float, draws):
             assert sample_collapse(decomp, _FixedDraw(u)) == \
                 _reference_event(decomp, u)
+
+    @pytest.mark.parametrize("u, branch", [
+        (0.0, 0), (np.nextafter(0.25, 0.0), 0), (0.25, 1), (0.5, 2),
+        (1.0 - 2.0**-40, 2), (np.nextafter(1.0 - 2.0**-40, 1.0), 2),
+        (np.nextafter(1.0, 0.0), 2)])
+    def test_picks_at_the_cdf_bounds_match_searchsorted(self, u, branch):
+        """A u equal to an interior CDF entry opens the next branch, and a u
+        at or past a last entry below 1 picks branch d - 1."""
+        cdf = (0.25, 0.5, 1.0 - 2.0**-40)
+        table = SimpleNamespace(branch_cdf=cdf, weights=(0.25, 0.25, 0.5),
+                                posteriors=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                            (0.0, 0.0, 1.0)))
+        u = float(u)
+        assert branch == min(int(np.searchsorted(cdf, u, side="right")), 2)
+        assert sample_collapse(table, _FixedDraw(u)) == CollapseEvent(
+            branch, table.weights[branch], u, table.posteriors[branch])
 
     def test_cdf_and_weights_cached_as_tuples(self, cat_decomp, monkeypatch):
         cdf, weights = cat_decomp.branch_cdf, cat_decomp.weights

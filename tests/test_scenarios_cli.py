@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import platform
 import re
@@ -74,6 +75,17 @@ coefficients: [0.5, 0.5, 0.5, 0.5]
 seed: 1
 evolution: {dt: 0.05, record_every: 10}
 coupling: {shift_velocity: 1.0, tau: 40.0}
+"""
+
+# A free-coupling chain: its pointers spread and never stop overlapping.
+FREE_CHAIN = """
+scenario: measurement_run
+grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}
+coefficients: [0.6, 0.8]
+seed: 3
+evolution: {dt: 0.05, record_every: 10}
+coupling: {shift_velocity: 1.0, tau: 12.0}
+potential: {kind: free}
 """
 
 HBAR_HALF = """
@@ -214,17 +226,21 @@ def assert_canonical_jsonl(path):
         assert line == json.dumps(json.loads(line))
 
 
-def oracle_lines(decomp, seed, n):
-    """The n lines of an ensemble: json.dumps of each record, with the
-    branch from one vectorized draw of default_rng(seed) and the Born weight
-    of the decomposition the ensemble samples."""
+def oracle_branches(decomp, seed, n):
+    """The branches of n events: one vectorized draw of default_rng(seed)
+    looked up in the CDF of the decomposition the ensemble samples."""
     cdf = np.cumsum(decomp.probabilities)
     u = np.random.default_rng(seed).random(n)
-    branches = np.minimum(np.searchsorted(cdf, u, side="right"),
-                          len(decomp) - 1)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(decomp) - 1)
+
+
+def oracle_lines(decomp, seed, n):
+    """The n lines of an ensemble: json.dumps of each record, with the
+    branch from `oracle_branches` and the Born weight of the decomposition
+    the ensemble samples."""
     return [json.dumps({"event": i, "branch": int(b),
                         "p": decomp.weights[b]}) + "\n"
-            for i, b in enumerate(branches)]
+            for i, b in enumerate(oracle_branches(decomp, seed, n))]
 
 
 def check_ensemble_lines(tmp_path, monkeypatch, base, name, coefficients,
@@ -595,6 +611,63 @@ class TestScenarioRuns:
         text = (Path(manifest.run_dir) / "collapse.jsonl").read_text()
         assert text == "".join(oracle_lines(seen[0], 7, 1000))
 
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B, 3 * B + 1],
+                             ids=["1", "B-1", "B", "B+1", "2B", "3B+1"])
+    def test_each_block_writes_and_counts_the_oracle_events(
+            self, tmp_path, monkeypatch, n):
+        """collapse.jsonl holds the oracle lines, and the frequencies that
+        the ensemble checks and returns are np.bincount of the oracle
+        branches over n."""
+        seen, returned = [], []
+        real_pick, real_ensemble = (scenarios.sample_collapse,
+                                    scenarios._sample_ensemble)
+
+        def pick(decomp, rng):
+            seen.append(decomp)
+            return real_pick(decomp, rng)
+
+        def ensemble(*args):
+            returned.append(real_ensemble(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(scenarios, "sample_collapse", pick)
+        monkeypatch.setattr(scenarios, "_sample_ensemble", ensemble)
+        manifest = run(parse_config(
+            COLLAPSE.replace("n_samples: 400", f"n_samples: {n}")),
+            str(tmp_path))
+        assert manifest.error is None
+        decomp = seen[0]
+        assert len(seen) == n and all(x is decomp for x in seen)
+        assert (Path(manifest.run_dir) / "collapse.jsonl").read_text() == \
+            "".join(oracle_lines(decomp, 7, n))
+        counts = np.bincount(oracle_branches(decomp, 7, n),
+                             minlength=len(decomp))
+        assert returned == [(counts / n).tolist()]
+
+    @pytest.mark.parametrize("k", [1, B, B + 1, 1001],
+                             ids=["1", "B", "B+1", "1001"])
+    def test_a_failed_pick_keeps_exactly_the_events_before_it(
+            self, tmp_path, monkeypatch, k):
+        """A sample_collapse failure on call k, first or last of its block
+        or inside one, leaves the k - 1 oracle lines before it."""
+        seen = []
+        real = scenarios.sample_collapse
+
+        def fails_on_call_k(decomp, rng):
+            seen.append(decomp)
+            if len(seen) == k:
+                raise ValidationError("sampler failed")
+            return real(decomp, rng)
+
+        monkeypatch.setattr(scenarios, "sample_collapse", fails_on_call_k)
+        manifest = run(parse_config(
+            COLLAPSE.replace("n_samples: 400", "n_samples: 2000")),
+            str(tmp_path))
+        assert manifest.error_type is ValidationError
+        assert len(seen) == k and "collapse.jsonl" in manifest.artifacts
+        assert (Path(manifest.run_dir) / "collapse.jsonl").read_text() == \
+            "".join(oracle_lines(seen[0], 7, k - 1))
+
     def test_ensemble_heap_does_not_grow_with_its_events(self, tmp_path):
         """100 000 events at N = 1024 peak under 4 MiB of traced heap; an
         ensemble that held every event would need about 18 MiB."""
@@ -619,6 +692,22 @@ class TestScenarioRuns:
         run_dir = tmp_path / manifest.run_dir.split("/")[-1]
         diag = run_dir / "diagnostics.csv"
         assert not diag.exists() or len(diag.read_text().splitlines()) <= 1
+
+    def test_pointer_check_uses_the_overlap_limit_of_measure(self,
+                                                            tmp_path):
+        """Under free coupling the pointers overlap by exp(-(v tau)^2 /
+        (8 sigma^2)) = exp(-18) = 1.52e-8 at v = 1, tau = 12: inside 1e-6,
+        but above the limit of 1e-8 at d = 2 that measure applies, so the
+        check fails as the run does."""
+        manifest = run(parse_config(FREE_CHAIN), str(tmp_path))
+        assert manifest.error_type is NotWeaklyInterfering
+        [check] = [a for a in manifest.assertions
+                   if a.name == "pointer_distinguishability"]
+        assert not check.passed
+        assert check.detail.endswith("(limit 1e-08)")
+        worst = float(re.search(r"overlap (\S+) ", check.detail)[1])
+        assert 1e-8 < worst < 1e-6
+        assert worst == pytest.approx(math.exp(-18.0), rel=0.01)
 
     def test_failed_chain_keeps_its_diagnostics_rows(self, tmp_path):
         manifest = run(parse_config(WRAPAROUND), str(tmp_path))
@@ -743,6 +832,23 @@ class TestCli:
         assert rc == 2
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("value", ["5", "[a, b]", "{a: 1}", "true"])
+    def test_simulate_non_string_output_dir_exit_2(
+            self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        path = self._write(tmp_path, f"{FREE}output_dir: {value}\n")
+        assert main(["simulate", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_dir ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+    def test_simulate_writes_into_a_string_output_dir(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = self._write(tmp_path, f"{FREE}output_dir: out\n")
+        assert main(["simulate", path]) == 0
+        (run_dir,) = (tmp_path / "out").iterdir()
+        assert (run_dir / "manifest.json").exists()
 
     def test_simulate_seed_override(self, tmp_path, capsys):
         rc = main(["simulate", self._write(tmp_path, COLLAPSE),
