@@ -89,7 +89,7 @@ def _sample(args) -> int:
     root = resolve_output_root(cfg, str(args.out) if args.out else None)
     root.mkdir(parents=True, exist_ok=True)
     path = root / f"aggregate-{cfg.scenario}.json"
-    path.write_text(json_text({"n_runs": args.n_runs,
+    path.write_text(json_text({"n_runs": len(results),
                                "n_pass": sum(1 for m in results if m.ok),
                                "runs": [m.run_dir for m in results],
                                "generator": RNG_ALGORITHM}))

@@ -51,6 +51,10 @@ class CollapseEvent(NamedTuple):
     a_posteriori: Tuple[float, ...]
 
 
+# Skips NamedTuple's generated __new__, a Python frame per collapse event.
+_new_tuple = tuple.__new__
+
+
 @dataclass(frozen=True, eq=False)
 class SuperpositionDecomposition:
     """Branches (c_n, state_n, summary_n) of a superposition over packets."""
@@ -108,13 +112,18 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
 
     Overlapping branches raise NotWeaklyInterfering first.  Coefficients are
     re-extracted rather than trusted, so supplied ones that psi does not
-    carry raise a ValidationError here, not wrong probabilities later.
+    carry, or one per packet fewer or more, raise a ValidationError here,
+    not wrong probabilities later.
     """
     basis = list(basis)
     _check_overlaps(basis)
     coeffs = np.array([inner_product(b, psi) for b in basis])
     if expected_coefficients is not None:
-        expected = np.asarray(expected_coefficients, dtype=complex)
+        expected = np.asarray(expected_coefficients, dtype=complex).ravel()
+        if expected.size != len(basis):
+            raise ValidationError(
+                f"{expected.size} expected coefficients for "
+                f"{len(basis)} basis packets")
         err = float(np.max(np.abs(coeffs - expected)))
         if not err <= COEFF_EXTRACTION_TOL:
             raise ValidationError(
@@ -187,12 +196,16 @@ def sample_collapse(decomp: SuperpositionDecomposition,
     u drawn is bisected in the first d - 1 entries of the cached branch
     CDF: intervals are half-open [lo, hi) in coefficient index order, and
     a u at or past the last entry picks branch d - 1.  So k calls on
-    np.random.default_rng(seed) leave it where random(k) would.
+    np.random.default_rng(seed) leave it where random(k) would.  The event
+    is built by tuple.__new__ on its four fields, in field order, which
+    gives the same CollapseEvent as CollapseEvent(...) without the call
+    frame of the named tuple's generated __new__.
     """
     cdf = decomp.branch_cdf
     u = rng.random()
     idx = bisect_right(cdf, u, 0, len(cdf) - 1)
-    return CollapseEvent(idx, decomp.weights[idx], u, decomp.posteriors[idx])
+    return _new_tuple(CollapseEvent,
+                      (idx, decomp.weights[idx], u, decomp.posteriors[idx]))
 
 
 def apply_self_collapse(decomp: SuperpositionDecomposition,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -92,6 +93,17 @@ class TestDecompose:
         with pytest.raises(ValidationError, match="deviate"):
             decompose(cat, basis, params=params,
                       expected_coefficients=(np.nan, 0.8))
+
+    @pytest.mark.parametrize("expected", [(0.6, 0.8, 0.0), (1.0,)])
+    def test_rejects_expected_coefficients_of_another_length(
+            self, gaussian, params, expected):
+        basis = [gaussian(center=-18.0), gaussian(center=18.0)]
+        cat = superpose(zip((0.6, 0.8), basis))
+        with pytest.raises(ValidationError,
+                           match=f"{len(expected)} expected coefficients "
+                                 "for 2 basis packets"):
+            decompose(cat, basis, params=params,
+                      expected_coefficients=expected)
 
     def test_decomposition_rejects_nan_coefficient(self, cat_decomp):
         (_, s0, m0), (_, s1, m1) = cat_decomp.branches
@@ -325,6 +337,16 @@ class TestSampling:
             CollapseEvent(1, 0.64, 0.5, (0.0, 1.0))
         assert e._replace(branch_index=0).branch_index == 0
         assert e == sample_collapse(cat_decomp, np.random.default_rng(3))
+        # Equality alone would also pass a plain tuple of the same fields.
+        block = np.random.default_rng(3).random(4).tolist()
+        draws = SimpleNamespace(random=iter(block).__next__)
+        for event in (e, sample_collapse(cat_decomp, draws)):
+            assert type(event) is CollapseEvent and event.u == block[0]
+            assert list(event._asdict()) == list(CollapseEvent._fields)
+            assert type(CollapseEvent(**event._asdict())) is CollapseEvent
+            assert type(event._replace(u=0.5)) is CollapseEvent
+            copy = pickle.loads(pickle.dumps(event))
+            assert type(copy) is CollapseEvent and copy == event
 
     def test_empirical_frequencies(self, cat_decomp):
         n = 2000

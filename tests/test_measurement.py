@@ -1,10 +1,12 @@
 import math
+import pickle
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from qcollapse import (
+    CollapseEvent,
     CompositeState,
     CouplingConfig,
     EvolutionConfig,
@@ -313,6 +315,45 @@ class TestDetectTransition:
         assert detect_transition([]).t_star is None
 
 
+class TestCriticalValueUnderFreeCoupling:
+    """The paper's critical value is set by the uncertainty relation.
+
+    Without a trap every branch spreads as sigma(t)^2 = sigma0^2 +
+    (sigma_p t / m)^2 with sigma_p = hbar / (2 sigma0), and branches n and
+    n + 1 separate at v t.  So v t >= sigma(t) first holds at t_pred =
+    sigma0 / sqrt(v^2 - (sigma_p / m)^2), and never when v <= sigma_p / m.
+    """
+    DT = 0.01
+    D_SEP = 3.0
+
+    def _t_star(self, v, hbar):
+        params = PhysicalParams(hbar=hbar)
+        apparatus = make_gaussian(APPARATUS_GRID, APPARATUS_CENTER, 1.0,
+                                  0.0, params)
+        comp = premeasurement(ObjectState(np.array([0.6, 0.8])), apparatus,
+                              params=params)
+        # about the shortest coupling CouplingConfig accepts for this d_sep
+        cfg = CouplingConfig(shift_velocity=v, d_sep=self.D_SEP,
+                             tau=self.D_SEP / v + self.DT)
+        _, report = von_neumann_evolve(comp, cfg, Potential.free(), params,
+                                       self.DT)
+        return report.t_star
+
+    @pytest.mark.parametrize("v, hbar", [(2.0, 1.0), (1.0, 1.0), (0.7, 1.0),
+                                         (1.0, 0.5)])
+    def test_transition_at_the_uncertainty_limited_time(self, v, hbar):
+        sigma0, mass = 1.0, 1.0
+        sigma_p = hbar / (2.0 * sigma0)
+        t_pred = sigma0 / math.sqrt(v**2 - (sigma_p / mass) ** 2)
+        t_star = self._t_star(v, hbar)
+        assert t_pred - 1e-12 <= t_star <= t_pred + self.DT + 1e-12
+
+    def test_no_transition_below_the_momentum_spread(self):
+        # hbar / (2 sigma0 m) = 0.5: branches at v = 0.45 never out-run
+        # their own spreading
+        assert self._t_star(0.45, 1.0) is None
+
+
 class TestMeasure:
     def test_pre_transition_raises(self, evolved, params):
         final, report = evolved
@@ -328,6 +369,8 @@ class TestMeasure:
         out = measure(final, report, seed=42, params=params)
         assert out.object_mixture == pytest.approx((0.36, 0.64), abs=1e-12)
         assert out.realized_object_index == out.event.branch_index
+        assert type(out.event) is CollapseEvent
+        assert type(pickle.loads(pickle.dumps(out.event))) is CollapseEvent
         assert out.apparatus_state.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_draw_is_the_first_of_its_seeded_stream(self, evolved, params):

@@ -897,6 +897,7 @@ class TestCli:
         doc = json.loads((out / "aggregate-harmonic_coherent.json")
                          .read_text())
         assert doc["runs"] == [str(run_dir)]
+        assert doc["n_runs"] == 1 and doc["n_pass"] == 0
 
     @pytest.mark.parametrize("n_runs", ["0", "-1"])
     def test_sample_rejects_non_positive_n_runs(self, tmp_path, capsys,
