@@ -3,8 +3,8 @@
 Collapse semantics only apply to superpositions of weakly interfering
 packets.  Probabilities are computed geometrically, as the quotient of the
 reduced and the full support-interval widths, and must reproduce the squared
-coefficient moduli.  Sampling takes one double per event from a seeded
-PCG64 stream (numpy's default_rng), so the seed fixes every event.
+coefficient moduli.  Sampling picks each event's branch from one double of
+a seeded PCG64 stream (numpy's default_rng), so the seed fixes every event.
 """
 from __future__ import annotations
 
@@ -188,21 +188,18 @@ def measure_quotients(decomp: SuperpositionDecomposition) -> np.ndarray:
 
 
 def sample_collapse(decomp: SuperpositionDecomposition,
-                    rng: np.random.Generator) -> CollapseEvent:
-    """Inverse-CDF sample of the realized branch from the stream `rng`.
+                    u: float) -> CollapseEvent:
+    """The realized branch for the uniform draw u, by inverse CDF.
 
-    `rng` is any source whose random() returns the stream's next double,
-    such as a numpy Generator or one block of an ensemble's draws.  The one
-    u drawn is bisected in the first d - 1 entries of the cached branch
-    CDF: intervals are half-open [lo, hi) in coefficient index order, and
-    a u at or past the last entry picks branch d - 1.  So k calls on
-    np.random.default_rng(seed) leave it where random(k) would.  The event
-    is built by tuple.__new__ on its four fields, in field order, which
-    gives the same CollapseEvent as CollapseEvent(...) without the call
-    frame of the named tuple's generated __new__.
+    u is bisected in the first d - 1 entries of the cached branch CDF:
+    intervals are half-open [lo, hi) in coefficient index order, and a u at
+    or past the last entry picks branch d - 1.  The caller draws u, one
+    double of a seeded stream per event.  The event is built by
+    tuple.__new__ on its four fields, in field order, which gives the same
+    CollapseEvent as CollapseEvent(...) without the call frame of the named
+    tuple's generated __new__.
     """
     cdf = decomp.branch_cdf
-    u = rng.random()
     idx = bisect_right(cdf, u, 0, len(cdf) - 1)
     return _new_tuple(CollapseEvent,
                       (idx, decomp.weights[idx], u, decomp.posteriors[idx]))

@@ -155,25 +155,31 @@ def _hermitian_real(val: complex) -> float:
     return val.real
 
 
+def _moment_pair(u: np.ndarray, au: np.ndarray, scale: float,
+                 weight: float) -> Tuple[float, float]:
+    """(<A>, <A^2>) = (Re vdot(u, au) scale weight, |au|^2 scale^2 weight),
+    <A>'s imaginary residue checked: the one place the first two moments of
+    an observable A = scale * (u -> au) are formed.  A position polynomial
+    reads u = a (psi's amplitudes), au = A(x) a, scale 1 and weight dx; a
+    momentum power p^n reads u = phi = psi.spectrum, au = k^n phi, scale
+    hbar^n and the Parseval weight dx/N (sum |phi|^2 dx/N = sum |a|^2 dx)."""
+    mean = _hermitian_real(complex(np.vdot(u, au)) * scale * weight)
+    return mean, float(np.vdot(au, au).real) * scale**2 * weight
+
+
 def _moments(psi: WaveFunction, a: ObservableSpec,
              params: PhysicalParams) -> Tuple[float, float]:
-    """(<A>, <A^2>) with <A>'s hermiticity residue checked; a momentum power
-    p^n by Parseval on phi = psi.spectrum, vdot(phi, p^n phi) dx/N and
-    sum p^2n |phi|^2 dx/N, with no inverse FFT."""
-    dx = psi.grid.dx
+    """(<A>, <A^2>) by `_moment_pair`; a momentum power by Parseval on
+    psi.spectrum, with no inverse FFT."""
+    grid = psi.grid
     if a.kind == "position_poly":
         amps = psi.amplitudes
-        vals = a.classical_value(psi.grid.x)
-        mean = complex(np.vdot(amps, vals * amps)) * dx
-        second = float(np.sum(vals**2 * psi.probability_density())) * dx
-    else:
-        phi = psi.spectrum
-        p = params.hbar * psi.grid.k
-        power = 1 if a.kind == "momentum" else 2
-        mean = complex(np.vdot(phi, p**power * phi)) * dx / psi.grid.n_points
-        weight = (phi.real**2 + phi.imag**2) * dx / psi.grid.n_points
-        second = float(np.sum(p**(2 * power) * weight))
-    return _hermitian_real(mean), second
+        return _moment_pair(amps, a.classical_value(grid.x) * amps, 1.0,
+                            grid.dx)
+    power = 1 if a.kind == "momentum" else 2
+    phi = psi.spectrum
+    return _moment_pair(phi, grid.k**power * phi, params.hbar**power,
+                        grid.dx / grid.n_points)
 
 
 def expectation(psi: WaveFunction, a: ObservableSpec,
@@ -206,38 +212,26 @@ def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
                    params: PhysicalParams = PhysicalParams()) -> PacketSummary:
     """Moments, the support interval (<x> +- k std x / 2) and its mass.
 
-    One fused pass over a = psi's amplitudes and phi = psi.spectrum (F a,
-    computed once per state, or handed on by `translate`), with the
-    wavenumbers k (p = hbar k):
-
-        <x> = Re vdot(a, x a) dx               <x^2> = |x a|^2 dx
-        <p> = hbar Re vdot(phi, k phi) dx/N    <p^2> = hbar^2 |k phi|^2 dx/N
-
-    where dx/N is the Parseval weight (sum |phi|^2 dx/N = sum |a|^2 dx), so
-    each second moment reuses the product formed for its first moment.  The
-    imaginary parts of both first moments are checked against
-    HERMITICITY_TOL as in `expectation`.  The support mass is |a|^2 dx
-    summed over the grid points inside the closed support interval.
+    One `_moment_pair` each for x, on psi's amplitudes a, and for p = hbar k,
+    on phi = psi.spectrum (F a, computed once per state, or handed on by
+    `translate`), so the moments equal `expectation` and `std_dev` of
+    ObservableSpec.position() and .momentum() bit for bit.  The support
+    mass is |a|^2 dx summed over the grid points inside the closed support
+    interval.
     """
     a = psi.amplitudes
     grid = psi.grid
-    dx = grid.dx
-    xa = grid.x * a
-    exp_x = _hermitian_real(complex(np.vdot(a, xa)) * dx)
-    sx = _clamped_std(float(np.vdot(xa, xa).real) * dx, exp_x)
-
+    exp_x, x2 = _moment_pair(a, grid.x * a, 1.0, grid.dx)
+    sx = _clamped_std(x2, exp_x)
     phi = psi.spectrum
-    k_phi = grid.k * phi
-    hbar = params.hbar
-    weight = dx / grid.n_points
-    exp_p = _hermitian_real(complex(np.vdot(phi, k_phi)) * hbar * weight)
-    sp = _clamped_std(float(np.vdot(k_phi, k_phi).real) * hbar**2 * weight,
-                      exp_p)
+    exp_p, p2 = _moment_pair(phi, grid.k * phi, params.hbar,
+                             grid.dx / grid.n_points)
+    sp = _clamped_std(p2, exp_p)
 
     half = 0.5 * cfg.k * sx
     lo, hi = exp_x - half, exp_x + half
     inside = a[_support_slice(grid.x, lo, hi)]
-    mass = float(np.vdot(inside, inside).real) * dx
+    mass = float(np.vdot(inside, inside).real) * grid.dx
     return PacketSummary(exp_x=exp_x, std_x=sx, exp_p=exp_p, std_p=sp,
                          support=(lo, hi), mass_in_support=min(mass, 1.0))
 
@@ -360,16 +354,14 @@ def ehrenfest_residual(trajectory: Sequence[Tuple[float, WaveFunction]],
         raise NonUniformSampling("trajectory samples must be uniformly spaced")
     dt = float(dts[0])
 
-    x_obs = ObservableSpec.position()
-    p_obs = ObservableSpec.momentum()
     grid = trajectory[0][1].grid
     grad = v.gradient(grid, params)
     exp_x = np.empty(len(trajectory))
     exp_p = np.empty(len(trajectory))
     exp_f = np.empty(len(trajectory))
     for i, (_, psi) in enumerate(trajectory):
-        exp_x[i] = expectation(psi, x_obs, params)
-        exp_p[i] = expectation(psi, p_obs, params)
+        s = packet_summary(psi, params=params)
+        exp_x[i], exp_p[i] = s.exp_x, s.exp_p
         exp_f[i] = float(np.sum(grad * psi.probability_density())) * grid.dx
 
     dxdt = (exp_x[2:] - exp_x[:-2]) / (2.0 * dt)

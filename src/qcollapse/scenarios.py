@@ -18,7 +18,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -483,11 +482,10 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
     with _artifact(manifest, name) as fh:
         for start in range(0, cfg.n_samples, DRAW_BLOCK):
             block = rng.random(min(DRAW_BLOCK, cfg.n_samples - start)).tolist()
-            draws = SimpleNamespace(random=iter(block).__next__)
             picks = []
             try:
-                for _ in block:
-                    picks.append(sample_collapse(decomp, draws).branch_index)
+                for u in block:
+                    picks.append(sample_collapse(decomp, u).branch_index)
             finally:
                 fh.write("".join('{"event": ' + str(i) + tails[n]
                                  for i, n in enumerate(picks, start)))

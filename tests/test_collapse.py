@@ -41,16 +41,6 @@ def _separated_packets(d):
                  for x0 in (-32.0, -16.0, 0.0, 16.0, 32.0)[:d])
 
 
-class _FixedDraw:
-    """A stand-in generator whose every draw is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def _reference_event(decomp, u):
     """The inverse-CDF event for draw u, with a CDF rebuilt by numpy."""
     p = decomp.probabilities
@@ -219,7 +209,8 @@ class TestGeometricProbabilities:
 # in the test; an ensemble draws its events in turn from one stream.
 class TestSampling:
     def test_determinism(self, cat_decomp):
-        events = [sample_collapse(cat_decomp, np.random.default_rng(42))
+        events = [sample_collapse(cat_decomp,
+                                  np.random.default_rng(42).random())
                   for _ in range(5)]
         assert all(e == events[0] for e in events)
         assert events[0].u == np.random.default_rng(42).random()
@@ -230,20 +221,18 @@ class TestSampling:
         assert RNG_ALGORITHM == "numpy.random.PCG64"
 
     def test_matches_inverse_cdf_oracle(self, cat_decomp):
-        rng = np.random.default_rng(0)
-        for u in np.random.default_rng(0).random(50):
+        for u in np.random.default_rng(0).random(50).tolist():
             expected = 0 if u < 0.36 else 1
-            assert sample_collapse(cat_decomp, rng).branch_index == expected
+            assert sample_collapse(cat_decomp, u).branch_index == expected
 
     def test_certain_branch_always_chosen(self, gaussian, params):
         psi = gaussian()
         decomp = decompose(psi, [psi], params=params)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_collapse(decomp, rng).branch_index == 0
+        for u in np.random.default_rng(0).random(20).tolist():
+            assert sample_collapse(decomp, u).branch_index == 0
 
     def test_posterior_is_one_hot(self, cat_decomp):
-        e = sample_collapse(cat_decomp, np.random.default_rng(7))
+        e = sample_collapse(cat_decomp, np.random.default_rng(7).random())
         assert sum(e.a_posteriori) == 1.0
         assert e.a_posteriori[e.branch_index] == 1.0
 
@@ -258,11 +247,8 @@ class TestSampling:
         c = np.sqrt(w) * np.exp(1j * np.array(phases[:len(w)]))
         basis = _separated_packets(len(w))
         decomp = decompose(superpose(zip(c, basis)), basis)
-        rng = np.random.default_rng(seed)
-        # One vectorized draw of the stream gives the same doubles in turn.
-        for u in np.random.default_rng(seed).random(n_events):
-            assert sample_collapse(decomp, rng) == \
-                _reference_event(decomp, float(u))
+        for u in np.random.default_rng(seed).random(n_events).tolist():
+            assert sample_collapse(decomp, u) == _reference_event(decomp, u)
 
     def test_cdf_boundaries_match_searchsorted(self):
         c = np.sqrt([0.2, 0.3, 0.5])
@@ -273,7 +259,7 @@ class TestSampling:
                  cdf[-1], np.nextafter(cdf[-1], 2.0),
                  np.nextafter(1.0, 0.0)]
         for u in map(float, draws):
-            assert sample_collapse(decomp, _FixedDraw(u)) == \
+            assert sample_collapse(decomp, u) == \
                 _reference_event(decomp, u)
 
     @pytest.mark.parametrize("u, branch", [
@@ -289,7 +275,7 @@ class TestSampling:
                                             (0.0, 0.0, 1.0)))
         u = float(u)
         assert branch == min(int(np.searchsorted(cdf, u, side="right")), 2)
-        assert sample_collapse(table, _FixedDraw(u)) == CollapseEvent(
+        assert sample_collapse(table, u) == CollapseEvent(
             branch, table.weights[branch], u, table.posteriors[branch])
 
     def test_cdf_and_weights_cached_as_tuples(self, cat_decomp, monkeypatch):
@@ -303,29 +289,18 @@ class TestSampling:
         def fail(*args, **kwargs):
             raise AssertionError("branch table rebuilt")
 
-        rng = np.random.default_rng(0)
+        draws = np.random.default_rng(0).random(10).tolist()
         monkeypatch.setattr(np, "cumsum", fail)
         monkeypatch.setattr(SuperpositionDecomposition, "coefficients",
                             property(fail))
-        for _ in range(10):
-            sample_collapse(cat_decomp, rng)
+        for u in draws:
+            sample_collapse(cat_decomp, u)
         assert cat_decomp.branch_cdf is cdf
         assert cat_decomp.weights is weights
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    @pytest.mark.parametrize("k", [1, 2, 7])
-    def test_k_events_advance_the_stream_as_k_draws(self, cat_decomp, seed,
-                                                    k):
-        rng = np.random.default_rng(seed)
-        for _ in range(k):
-            sample_collapse(cat_decomp, rng)
-        reference = np.random.default_rng(seed)
-        reference.random(k)
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert rng.random(3).tolist() == reference.random(3).tolist()
-
     def test_event_is_an_immutable_named_tuple(self, cat_decomp):
-        e = sample_collapse(cat_decomp, np.random.default_rng(3))
+        u = np.random.default_rng(3).random()
+        e = sample_collapse(cat_decomp, u)
         assert CollapseEvent._fields == ("branch_index", "probability", "u",
                                          "a_posteriori")
         assert tuple(e) == (e.branch_index, e.probability, e.u,
@@ -336,23 +311,19 @@ class TestSampling:
                              a_posteriori=(0.0, 1.0)) == \
             CollapseEvent(1, 0.64, 0.5, (0.0, 1.0))
         assert e._replace(branch_index=0).branch_index == 0
-        assert e == sample_collapse(cat_decomp, np.random.default_rng(3))
+        assert e == sample_collapse(cat_decomp, u)
         # Equality alone would also pass a plain tuple of the same fields.
-        block = np.random.default_rng(3).random(4).tolist()
-        draws = SimpleNamespace(random=iter(block).__next__)
-        for event in (e, sample_collapse(cat_decomp, draws)):
-            assert type(event) is CollapseEvent and event.u == block[0]
-            assert list(event._asdict()) == list(CollapseEvent._fields)
-            assert type(CollapseEvent(**event._asdict())) is CollapseEvent
-            assert type(event._replace(u=0.5)) is CollapseEvent
-            copy = pickle.loads(pickle.dumps(event))
-            assert type(copy) is CollapseEvent and copy == event
+        assert type(e) is CollapseEvent and e.u == u
+        assert list(e._asdict()) == list(CollapseEvent._fields)
+        assert type(CollapseEvent(**e._asdict())) is CollapseEvent
+        assert type(e._replace(u=0.5)) is CollapseEvent
+        copy = pickle.loads(pickle.dumps(e))
+        assert type(copy) is CollapseEvent and copy == e
 
     def test_empirical_frequencies(self, cat_decomp):
         n = 2000
-        rng = np.random.default_rng(0)
-        hits = sum(sample_collapse(cat_decomp, rng).branch_index
-                   for _ in range(n))
+        hits = sum(sample_collapse(cat_decomp, u).branch_index
+                   for u in np.random.default_rng(0).random(n).tolist())
         # 3 sigma binomial band around p = 0.64
         band = 3.0 * math.sqrt(0.64 * 0.36 / n)
         assert abs(hits / n - 0.64) <= band
@@ -360,7 +331,7 @@ class TestSampling:
 
 class TestApplySelfCollapse:
     def test_returns_normalized_branch(self, cat_decomp, gaussian):
-        e = sample_collapse(cat_decomp, np.random.default_rng(42))
+        e = sample_collapse(cat_decomp, np.random.default_rng(42).random())
         out = apply_self_collapse(cat_decomp, e)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
         target = gaussian(center=-18.0 if e.branch_index == 0 else 18.0)
@@ -376,7 +347,7 @@ class TestApplySelfCollapse:
     def test_decomposition_untouched(self, cat_decomp):
         before = [s.amplitudes.copy() for s in cat_decomp.states]
         p_before = cat_decomp.probabilities.copy()
-        e = sample_collapse(cat_decomp, np.random.default_rng(3))
+        e = sample_collapse(cat_decomp, np.random.default_rng(3).random())
         apply_self_collapse(cat_decomp, e)
         for old, new in zip(before, cat_decomp.states):
             assert np.array_equal(old, new.amplitudes)

@@ -138,8 +138,13 @@ class TestNonFiniteMoments:
                 expectation(overflowing, x)
             with pytest.raises(NonHermitianResidue):
                 std_dev(overflowing, x)
-            with pytest.raises(ValidationError, match="variance"):
-                std_dev(overflowing, ObservableSpec.momentum())
+            # Boosted off k = 0: the constant field's spectrum is one k = 0
+            # spike, whose momentum moments are exactly zero.
+            grid = overflowing.grid
+            boosted = WaveFunction(grid, overflowing.amplitudes
+                                   * np.exp(1j * grid.k[3] * grid.x))
+            with pytest.raises(NonHermitianResidue):
+                std_dev(boosted, ObservableSpec.momentum())
 
     @pytest.mark.parametrize("val", [complex(1.0, math.nan),
                                      complex(math.nan, math.nan)])
@@ -207,6 +212,21 @@ class TestFusedPacketSummary:
         inside = (grid.x >= lo) & (grid.x <= hi)
         mass = float(np.sum(psi.probability_density()[inside])) * grid.dx
         assert _close(s.mass_in_support, min(mass, 1.0))
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5])
+    def test_equals_expectation_and_std_dev_bit_for_bit(self, hbar):
+        """One moments kernel: the summary's moments are those of
+        ObservableSpec.position() and .momentum(), to the last bit."""
+        grid = Grid1D(-40.0, 120.0, 2048)
+        params = PhysicalParams(hbar=hbar)
+        psi = superpose([
+            (0.6, make_gaussian(grid, 3.7, 1.3, 0.8, params)),
+            (0.8j, make_gaussian(grid, 21.0, 0.9, -1.1, params))])
+        s = packet_summary(psi, params=params)
+        x, p = ObservableSpec.position(), ObservableSpec.momentum()
+        assert (s.exp_x, s.std_x, s.exp_p, s.std_p) == (
+            expectation(psi, x, params), std_dev(psi, x, params),
+            expectation(psi, p, params), std_dev(psi, p, params))
 
     @pytest.mark.parametrize("k", [0.25, 1.0, 6.0])
     @pytest.mark.parametrize("hbar", [1.0, 0.5])

@@ -160,6 +160,26 @@ class TestCouplingConfig:
         with pytest.raises(ValidationError):
             cfg.validate_apparatus(4.0)
 
+    @pytest.mark.parametrize("v, d_sep", [(0.7, 3.0), (1.1, 3.3)])
+    def test_shortest_coupling_is_accepted(self, v, d_sep):
+        # tau = d_sep / v passes, though 3.0 / 0.7 * 0.7 = 2.9999999999999996
+        CouplingConfig(shift_velocity=v, d_sep=d_sep, tau=d_sep / v)
+        with pytest.raises(ValidationError, match="too short"):
+            CouplingConfig(shift_velocity=v, d_sep=d_sep,
+                           tau=math.nextafter(d_sep / v, 0.0))
+
+    def test_measured_unit_width_allows_three_of_it(self, params):
+        # A sigma0 = 1 packet on this grid measures std x = 1 + 2.8e-14.
+        apparatus = make_gaussian(Grid1D(-40.0, 120.0, 1024),
+                                  APPARATUS_CENTER, 1.0, 0.0, params)
+        sigma = packet_summary(apparatus, params=params).std_x
+        assert sigma > 1.0
+        cfg = CouplingConfig(shift_velocity=1.0, d_sep=3.0, tau=3.0)
+        cfg.validate_apparatus(sigma)
+        with pytest.raises(ValidationError, match="below 3"):
+            CouplingConfig(shift_velocity=1.0, d_sep=2.99,
+                           tau=3.0).validate_apparatus(sigma)
+
 
 class TestVonNeumannEvolve:
     CFG = CHAIN
@@ -332,9 +352,9 @@ class TestCriticalValueUnderFreeCoupling:
                                   0.0, params)
         comp = premeasurement(ObjectState(np.array([0.6, 0.8])), apparatus,
                               params=params)
-        # about the shortest coupling CouplingConfig accepts for this d_sep
+        # the shortest coupling CouplingConfig accepts for this d_sep
         cfg = CouplingConfig(shift_velocity=v, d_sep=self.D_SEP,
-                             tau=self.D_SEP / v + self.DT)
+                             tau=self.D_SEP / v)
         _, report = von_neumann_evolve(comp, cfg, Potential.free(), params,
                                        self.DT)
         return report.t_star
@@ -352,6 +372,52 @@ class TestCriticalValueUnderFreeCoupling:
         # hbar / (2 sigma0 m) = 0.5: branches at v = 0.45 never out-run
         # their own spreading
         assert self._t_star(0.45, 1.0) is None
+
+
+class TestWidthsAndOverlapsUnderCoupling:
+    """Gaussian pointers stay Gaussian under a quadratic potential (Heller
+    1975).  With sigma0 = hbar = m = 1, each branch's width follows a lone
+    packet's sigma(t), and under free coupling |<a_n, a_m>| = exp(-((n - m)
+    v t)^2 / 8), since neither a translation nor free motion moves |phi|^2.
+    """
+    GRID = Grid1D(-40.0, 120.0, 1024)
+    DT = 0.05
+
+    def _chain(self, d, tau, potential, observer=None):
+        """The final composite of d branches coupled at v = 1 for tau."""
+        params = PhysicalParams()
+        apparatus = make_gaussian(self.GRID, APPARATUS_CENTER, 1.0, 0.0,
+                                  params)
+        comp = premeasurement(ObjectState(np.full(d, d**-0.5)), apparatus,
+                              params=params)
+        cfg = CouplingConfig(shift_velocity=1.0, d_sep=3.1, tau=tau)
+        final, _ = von_neumann_evolve(comp, cfg, potential, params, self.DT,
+                                      observer)
+        return final
+
+    # free: sigma(t)^2 = 1 + (t / 2)^2; breathing trap at omega = 0.3:
+    # sigma(t)^2 = cos^2(omega t) + (sin(omega t) / (2 omega))^2, within the
+    # O(dt^2) Strang error.
+    @pytest.mark.parametrize("potential, sigma, tol", [
+        (Potential.free(), lambda t: math.hypot(1.0, 0.5 * t), 1e-9),
+        (Potential.harmonic(omega=0.3, center=APPARATUS_CENTER),
+         lambda t: math.hypot(math.cos(0.3 * t), math.sin(0.3 * t) / 0.6),
+         1e-4)], ids=["free", "breathing_trap"])
+    def test_every_branch_width_follows_sigma_t(self, potential, sigma, tol):
+        rows = []
+        self._chain(3, 10.0, potential,
+                    lambda t, summaries, _: rows.append((t, summaries)))
+        assert len(rows) == 201 and all(len(s) == 3 for _, s in rows)
+        assert max(abs(s.std_x - sigma(t))
+                   for t, summaries in rows for s in summaries) <= tol
+
+    @pytest.mark.parametrize("d, tau", [(3, 4.0), (2, 12.0)])
+    def test_pointer_overlap_is_the_gaussian_of_the_shift(self, d, tau):
+        overlaps = pointer_distinguishability(
+            self._chain(d, tau, Potential.free()))
+        for n, m in zip(*np.triu_indices(d, k=1)):
+            want = math.exp(-((m - n) * tau) ** 2 / 8.0)
+            assert overlaps[n, m] == pytest.approx(want, rel=1e-5)
 
 
 class TestMeasure:

@@ -250,9 +250,9 @@ def check_ensemble_lines(tmp_path, monkeypatch, base, name, coefficients,
     seen = []
     real = scenarios.sample_collapse
 
-    def spy(decomp, rng):
+    def spy(decomp, u):
         seen.append(decomp)
-        return real(decomp, rng)
+        return real(decomp, u)
 
     monkeypatch.setattr(scenarios, "sample_collapse", spy)
     text = (base.replace("coefficients: [0.6, 0.8]",
@@ -446,8 +446,8 @@ class TestScenarioRuns:
         the seed had put 0.008 low, lands 4.8 sigma high, inside 5.10."""
         real = scenarios.sample_collapse
 
-        def shifted(decomp, rng):
-            event = real(decomp, rng)
+        def shifted(decomp, u):
+            event = real(decomp, u)
             moved = event.branch_index == 0 and event.u >= (
                 decomp.branch_cdf[0] - shift)
             return event._replace(branch_index=1) if moved else event
@@ -596,11 +596,11 @@ class TestScenarioRuns:
         seen = []
         real = scenarios.sample_collapse
 
-        def fails_on_call_1001(decomp, rng):
+        def fails_on_call_1001(decomp, u):
             seen.append(decomp)
             if len(seen) == 1001:
                 raise ValidationError("sampler failed")
-            return real(decomp, rng)
+            return real(decomp, u)
 
         monkeypatch.setattr(scenarios, "sample_collapse", fails_on_call_1001)
         manifest = run(parse_config(
@@ -622,9 +622,9 @@ class TestScenarioRuns:
         real_pick, real_ensemble = (scenarios.sample_collapse,
                                     scenarios._sample_ensemble)
 
-        def pick(decomp, rng):
+        def pick(decomp, u):
             seen.append(decomp)
-            return real_pick(decomp, rng)
+            return real_pick(decomp, u)
 
         def ensemble(*args):
             returned.append(real_ensemble(*args))
@@ -653,11 +653,11 @@ class TestScenarioRuns:
         seen = []
         real = scenarios.sample_collapse
 
-        def fails_on_call_k(decomp, rng):
+        def fails_on_call_k(decomp, u):
             seen.append(decomp)
             if len(seen) == k:
                 raise ValidationError("sampler failed")
-            return real(decomp, rng)
+            return real(decomp, u)
 
         monkeypatch.setattr(scenarios, "sample_collapse", fails_on_call_k)
         manifest = run(parse_config(
@@ -735,6 +735,20 @@ class TestScenarioRuns:
             assert float(row["std_p"]) == pytest.approx(0.25, rel=1e-4)
             assert float(row["uncertainty_product"]) == pytest.approx(
                 0.25, rel=1e-6)
+
+    def test_free_chain_widths_follow_the_spreading_law(self, tmp_path):
+        # Branch 0 of a free-coupling chain spreads like a lone packet:
+        # std x = sqrt(1 + (hbar t / (2 m sigma))^2) in every row.
+        cfg = parse_config(FREE_CHAIN.replace(
+            "tau: 12.0", "d_sep: 3.1, tau: 15.0"))
+        manifest = run(cfg, str(tmp_path))
+        assert manifest.ok, manifest.error
+        with open(Path(manifest.run_dir) / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 31
+        for row in rows:
+            t = float(row["t"])
+            assert abs(float(row["std_x"]) - math.hypot(1.0, 0.5 * t)) <= 1e-9
 
     def test_free_packet_wrapping_the_grid_fails(self, tmp_path):
         # At momentum 8 the packet reaches the edge region of [-20, 20]
@@ -947,8 +961,8 @@ class TestCli:
     def test_check_fails_on_a_broken_scenario(self, monkeypatch, capsys):
         real = scenarios.sample_collapse
 
-        def always_first(decomp, rng):
-            return real(decomp, rng)._replace(branch_index=0)
+        def always_first(decomp, u):
+            return real(decomp, u)._replace(branch_index=0)
 
         monkeypatch.setattr(scenarios, "sample_collapse", always_first)
         assert main(["check"]) == 1
