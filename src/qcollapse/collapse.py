@@ -57,13 +57,22 @@ _new_tuple = tuple.__new__
 
 @dataclass(frozen=True, eq=False)
 class SuperpositionDecomposition:
-    """Branches (c_n, state_n, summary_n) of a superposition over packets."""
+    """Branches (c_n, state_n, summary_n) of weakly interfering packets.
+
+    Construction raises NotWeaklyInterfering for the first pair overlapping
+    above `overlap_limit(d)`, then for a pair that is not support-separated
+    (`weak_interference`), before it checks that sum |c_n|^2 = 1."""
 
     branches: Tuple[Tuple[complex, WaveFunction, PacketSummary], ...]
 
     def __post_init__(self):
         branches = tuple((complex(c), s, m) for c, s, m in self.branches)
         object.__setattr__(self, "branches", branches)
+        _check_overlaps(self.states)
+        if len(self) > 1 and not np.all(weak_interference(self.summaries)[
+                np.triu_indices(len(self), k=1)]):
+            raise NotWeaklyInterfering(
+                "some branch pair fails the support-separation condition")
         check_unit_weights(self.coefficients, COEFF_NORM_TOL, "sum |c_n|^2")
 
     def __len__(self) -> int:
@@ -110,14 +119,16 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
               ) -> SuperpositionDecomposition:
     """Extract coefficients c_n = (psi_n, psi) by grid inner products.
 
-    Overlapping branches raise NotWeaklyInterfering first.  Coefficients are
-    re-extracted rather than trusted, so supplied ones that psi does not
-    carry, or one per packet fewer or more, raise a ValidationError here,
-    not wrong probabilities later.
+    Constructing the decomposition raises NotWeaklyInterfering first.
+    Coefficients are re-extracted rather than trusted, so supplied ones that
+    psi does not carry, or one per packet fewer or more, raise a
+    ValidationError here, not wrong probabilities later.
     """
     basis = list(basis)
-    _check_overlaps(basis)
     coeffs = np.array([inner_product(b, psi) for b in basis])
+    summaries = [packet_summary(b, cfg, params) for b in basis]
+    decomp = SuperpositionDecomposition(
+        branches=tuple(zip(coeffs, basis, summaries)))
     if expected_coefficients is not None:
         expected = np.asarray(expected_coefficients, dtype=complex).ravel()
         if expected.size != len(basis):
@@ -129,9 +140,7 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
             raise ValidationError(
                 f"extracted coefficients deviate by {err:.3g} from the "
                 "supplied ones; branches are probably not orthogonal")
-    summaries = [packet_summary(b, cfg, params) for b in basis]
-    return SuperpositionDecomposition(
-        branches=tuple(zip(coeffs, basis, summaries)))
+    return decomp
 
 
 def overlap_limit(d: int) -> float:
@@ -152,16 +161,7 @@ def _check_overlaps(states: Sequence[WaveFunction]) -> None:
 
 
 def reduced_intervals(decomp: SuperpositionDecomposition) -> List[ReducedInterval]:
-    """Width |c_n|^2 * std_n x around the unchanged branch center.
-
-    Raises NotWeaklyInterfering unless every branch pair is separated and
-    within the overlap limit of `_check_overlaps`.
-    """
-    if len(decomp) > 1 and not np.all(weak_interference(decomp.summaries)[
-            np.triu_indices(len(decomp), k=1)]):
-        raise NotWeaklyInterfering(
-            "some branch pair fails the support-separation condition")
-    _check_overlaps(decomp.states)
+    """Width |c_n|^2 * std_n x around the unchanged branch center."""
     return [ReducedInterval(center=summary.exp_x,
                             width=abs(c) ** 2 * summary.std_x)
             for c, _, summary in decomp.branches]

@@ -143,7 +143,9 @@ def premeasurement(obj: ObjectState, apparatus_ready: WaveFunction,
 def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
                        v: Potential, params: PhysicalParams, dt: float,
                        observer=None) -> Tuple[CompositeState, TransitionReport]:
-    """Couple object and apparatus for a duration tau.
+    """Couple object and apparatus for the least whole number of steps n with
+    n * dt >= tau (to 1e-9 of a step's rounding slack), so the branches end
+    at least the d_sep apart that CouplingConfig validated.
 
     Branch n drifts at velocity n * shift_velocity inside the potential,
     which rides along with it.  Since T(a) S_{V(x-a)} = S_V T(a) for a rigid
@@ -162,7 +164,7 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
     cfg.validate_apparatus(
         packet_summary(state.apparatus_states[0], params=params).std_x)
-    n_steps = int(round(cfg.tau / dt))
+    n_steps = math.ceil(cfg.tau / dt - 1e-9)
     frames = list(state.branches)  # (n, c_n, branch n in its co-moving frame)
     series: list = []
 

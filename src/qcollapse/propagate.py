@@ -6,7 +6,7 @@ which preserves the norm by construction (every factor is a pure phase).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
@@ -26,14 +26,20 @@ PHASE_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class Potential:
-    """Time-independent potential V(x): free, harmonic, double-well or tabulated."""
+    """Time-independent potential V(x): free, harmonic, double-well or tabulated.
+
+    A tabulated table must be finite and 1-D, and is stored as a tuple of
+    floats, so the dataclass's own equality compares it by value.
+    """
 
     kind: str
     omega: float = 0.0
     center: float = 0.0
     barrier_height: float = 0.0
     well_separation: float = 0.0
-    table: Optional[np.ndarray] = None
+    # Left out of the hash, which every step's cached phase-factor lookup
+    # computes: hashing N floats costs about what the cache saves.
+    table: Optional[Tuple[float, ...]] = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.kind not in ("free", "harmonic", "double_well", "tabulated"):
@@ -48,26 +54,9 @@ class Potential:
             raise ValidationError("double well needs well_separation > 0")
         if self.kind == "tabulated":
             table = np.asarray(self.table, dtype=np.float64)
-            if not np.all(np.isfinite(table)):
-                raise ValidationError("tabulated potential must be finite")
-            table.flags.writeable = False
-            object.__setattr__(self, "table", table)
-
-    def _key(self) -> tuple:
-        table = self.table
-        if table is not None:
-            table = (table.shape, table.tobytes())
-        return (self.kind, self.omega, self.center, self.barrier_height,
-                self.well_separation, table)
-
-    def __eq__(self, other) -> bool:
-        """Value equality; a tabulated table compares by shape and bytes."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+            if table.ndim != 1 or not np.all(np.isfinite(table)):
+                raise ValidationError("tabulated potential must be finite and 1-D")
+            object.__setattr__(self, "table", tuple(table.tolist()))
 
     @staticmethod
     def free() -> "Potential":
@@ -85,7 +74,7 @@ class Potential:
 
     @staticmethod
     def tabulated(values) -> "Potential":
-        return Potential(kind="tabulated", table=np.asarray(values, dtype=float))
+        return Potential(kind="tabulated", table=values)
 
     def values(self, grid: Grid1D, params: PhysicalParams) -> np.ndarray:
         x = grid.x
@@ -96,10 +85,9 @@ class Potential:
         if self.kind == "double_well":
             a = 0.5 * self.well_separation
             return self.barrier_height * ((x / a) ** 2 - 1.0) ** 2
-        table = self.table
-        if table.shape != (grid.n_points,):
+        if len(self.table) != grid.n_points:
             raise ValidationError("tabulated potential does not match grid")
-        return table
+        return np.array(self.table)
 
     def gradient_at(self, x, params: PhysicalParams) -> np.ndarray:
         """Analytic dV/dx at any x; a tabulated potential has none."""
@@ -140,7 +128,7 @@ class EvolutionConfig:
 
 
 # Keyed on (grid, potential, params, dt), all hashable values; a tabulated
-# Potential hashes and compares by its table's bytes.  Every caller steps
+# Potential hashes and compares by its table's values.  Every caller steps
 # under one static potential (the measurement chain evolves each branch
 # in its co-moving frame), so a run hits one entry per (potential, dt).
 @lru_cache(maxsize=PHASE_CACHE_SIZE)

@@ -30,6 +30,7 @@ from qcollapse.errors import (
     NotWeaklyInterfering,
     ValidationError,
 )
+from qcollapse.grid import overlap_matrix
 
 from conftest import l2_distance
 
@@ -136,17 +137,37 @@ class TestReducedIntervals:
 
     def test_overlapping_branches_rejected(self, gaussian, params):
         basis = [gaussian(center=-0.5, sigma=2.0), gaussian(center=0.5, sigma=2.0)]
-        decomp = self._direct_decomp((1 / math.sqrt(2),) * 2, basis, params)
         with pytest.raises(NotWeaklyInterfering):
-            reduced_intervals(decomp)
+            self._direct_decomp((1 / math.sqrt(2),) * 2, basis, params)
 
     def test_marginal_separation_still_rejected(self, gaussian, params):
         # separation 10 sigma passes the interval test but the residual
         # overlap 3.7e-6 still blocks collapse semantics
         basis = [gaussian(center=-5.0), gaussian(center=5.0)]
-        decomp = self._direct_decomp((0.6, 0.8), basis, params)
         with pytest.raises(NotWeaklyInterfering):
-            reduced_intervals(decomp)
+            self._direct_decomp((0.6, 0.8), basis, params)
+
+    def test_co_located_orthogonal_pair_cannot_be_constructed(self, params):
+        # (a1 + a2)/sqrt 2 and (a1 - a2)/sqrt 2 are orthogonal, but share
+        # their center: only the support-separation condition refuses them
+        _, a1, _, a2 = _separated_packets(4)
+        basis = [superpose(((1.0, a1), (s, a2))) for s in (1.0, -1.0)]
+        with pytest.raises(NotWeaklyInterfering, match="support-separation"):
+            self._direct_decomp((0.6, 0.8), basis, params)
+
+    def test_overlaps_are_computed_once(self, gaussian, params, monkeypatch):
+        calls = []
+
+        def counted(states):
+            calls.append(len(states))
+            return overlap_matrix(states)
+
+        monkeypatch.setattr("qcollapse.collapse.overlap_matrix", counted)
+        basis = [gaussian(center=-18.0), gaussian(center=18.0)]
+        cat = superpose(zip((0.6, 0.8), basis))
+        decomp = decompose(cat, basis, params=params)
+        assert decomp.probabilities == pytest.approx([0.36, 0.64], abs=1e-8)
+        assert calls == [2]
 
     def test_non_orthogonal_basis_caught_at_decompose(self, gaussian, params):
         basis = [gaussian(center=-0.5, sigma=2.0), gaussian(center=0.5, sigma=2.0)]

@@ -100,14 +100,15 @@ def test_each_coefficient_vector_keeps_its_tolerance_and_stem(
     """|sum |c|^2 - 1| = 1.6 * excess: ObjectState holds it to NORM_TOL
     (1e-10), the branch containers to COEFF_NORM_TOL (1e-8)."""
     coefficients = (0.6, 0.8 + excess)
-    summary = packet_summary(apparatus, params=params)
+    pointers = (apparatus, translate(apparatus, 16.0))
     cases = [
         (object_ok, "object norm^2",
          lambda: ObjectState(np.array(coefficients))),
         (branches_ok, "sum |c_n|^2", lambda: CompositeState(branches=tuple(
             (n, c, apparatus) for n, c in enumerate(coefficients)))),
         (branches_ok, "sum |c_n|^2", lambda: SuperpositionDecomposition(
-            branches=tuple((c, apparatus, summary) for c in coefficients))),
+            branches=tuple((c, a, packet_summary(a, params=params))
+                           for c, a in zip(coefficients, pointers)))),
     ]
     for ok, stem, build in cases:
         if ok:
@@ -263,6 +264,17 @@ class TestVonNeumannEvolve:
         assert len(times) == 111
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(11.0)
+
+    def test_coupling_runs_at_least_tau(self, obj, apparatus, trap, params):
+        # round(tau / dt) = 33 steps would stop at t = 9.9, short of d_sep / v
+        cfg = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=10.0)
+        times = []
+        final, _ = self._coupled(obj, apparatus, trap, params, dt=0.3,
+                                 cfg=cfg,
+                                 observer=lambda t, s, ops: times.append(t))
+        assert times[-1] == pytest.approx(10.2)
+        s = [packet_summary(a, params=params) for a in final.apparatus_states]
+        assert s[1].exp_x - s[0].exp_x >= cfg.d_sep
 
     def test_observer_receives_the_step_order_parameters(
             self, obj, apparatus, trap, params):

@@ -319,8 +319,18 @@ class TestPotentialValueSemantics:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         assert a != Potential.tabulated(table + 1.0)
-        assert a != Potential.tabulated(table.reshape(8, 8))
+        with pytest.raises(ValidationError, match="1-D"):
+            Potential.tabulated(table.reshape(8, 8))
         assert a != Potential.free()
+
+    def test_tabulated_table_is_a_tuple_returned_bit_for_bit(self, params):
+        grid = Grid1D(-8.0, 8.0, 256)
+        table = np.random.default_rng(3).normal(size=grid.n_points)
+        v = Potential.tabulated(table)
+        assert isinstance(v.table, tuple)
+        assert v.values(grid, params).tobytes() == table.tobytes()
+        with pytest.raises(ValidationError, match="does not match grid"):
+            v.values(Grid1D(-8.0, 8.0, 128), params)
 
     def test_analytic_kinds_keep_field_equality(self):
         assert Potential.harmonic(1.0) == Potential.harmonic(1.0)
