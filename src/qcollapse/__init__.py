@@ -26,13 +26,10 @@ from .diagnostics import (
 )
 from .collapse import (
     CollapseEvent,
-    ReducedInterval,
     SuperpositionDecomposition,
     apply_self_collapse,
     decompose,
     geometric_probabilities,
-    measure_quotients,
-    reduced_intervals,
     sample_collapse,
 )
 from .measurement import (

@@ -1,10 +1,10 @@
-"""Reduced intervals, geometric probabilities and stochastic self-collapse.
+"""Geometric probabilities and stochastic self-collapse.
 
 Collapse semantics only apply to superpositions of weakly interfering
-packets.  Probabilities are computed geometrically, as the quotient of the
-reduced and the full support-interval widths, and must reproduce the squared
-coefficient moduli.  Sampling picks each event's branch from one double of
-a seeded PCG64 stream (numpy's default_rng), so the seed fixes every event.
+packets.  A branch's geometric probability, its reduced width |c_n|^2 std_n
+over its full width std_n, is its Born weight |c_n|^2, the one probability
+formula here.  Sampling picks each event's branch from one double of a
+seeded PCG64 stream (numpy's default_rng), so the seed fixes every event.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import (
-    GateConfig,
     PacketSummary,
     packet_summary,
     weak_interference,
@@ -33,14 +32,6 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 
 COEFF_NORM_TOL = 1e-8
 COEFF_EXTRACTION_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ReducedInterval:
-    """Reduced support interval sharing its center with the parent packet."""
-
-    center: float
-    width: float
 
 
 class CollapseEvent(NamedTuple):
@@ -107,18 +98,16 @@ class SuperpositionDecomposition:
     @cached_property
     def weights(self) -> Tuple[float, ...]:
         """The Born weights |c_n|^2 in coefficient index order."""
-        # abs of each numpy complex scalar: the array ufunc may round the
-        # modulus differently in the last bit.
-        return tuple(float(abs(c) ** 2) for c in self.coefficients)
+        return tuple(self.probabilities.tolist())
 
 
 def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
-              cfg: GateConfig = GateConfig(),
               params: PhysicalParams = PhysicalParams(),
               expected_coefficients: Optional[Sequence[complex]] = None
               ) -> SuperpositionDecomposition:
     """Extract coefficients c_n = (psi_n, psi) by grid inner products.
 
+    The branch summaries take no gate config: only <x> and std x are read.
     Constructing the decomposition raises NotWeaklyInterfering first.
     Coefficients are re-extracted rather than trusted, so supplied ones that
     psi does not carry, or one per packet fewer or more, raise a
@@ -126,7 +115,7 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
     """
     basis = list(basis)
     coeffs = np.array([inner_product(b, psi) for b in basis])
-    summaries = [packet_summary(b, cfg, params) for b in basis]
+    summaries = [packet_summary(b, params=params) for b in basis]
     decomp = SuperpositionDecomposition(
         branches=tuple(zip(coeffs, basis, summaries)))
     if expected_coefficients is not None:
@@ -160,31 +149,11 @@ def _check_overlaps(states: Sequence[WaveFunction]) -> None:
                 f"(limit {limit:.3g})")
 
 
-def reduced_intervals(decomp: SuperpositionDecomposition) -> List[ReducedInterval]:
-    """Width |c_n|^2 * std_n x around the unchanged branch center."""
-    return [ReducedInterval(center=summary.exp_x,
-                            width=abs(c) ** 2 * summary.std_x)
-            for c, _, summary in decomp.branches]
-
-
 def geometric_probabilities(decomp: SuperpositionDecomposition) -> np.ndarray:
-    """p_n = reduced width / full width, computed from the interval values."""
-    intervals = reduced_intervals(decomp)
-    p = np.array([iv.width / s.std_x
-                  for iv, s in zip(intervals, decomp.summaries)])
-    if not abs(float(p.sum()) - 1.0) <= COEFF_NORM_TOL:
-        raise ValidationError(f"probabilities sum to {p.sum()}, not 1")
-    return p
-
-
-def measure_quotients(decomp: SuperpositionDecomposition) -> np.ndarray:
-    """Prose measure quotient q_n = std_n x / sum_m std_m x.
-
-    Reported for inspection only; it equals |c_n|^2 only when the packet
-    widths happen to be proportional to the weights.
-    """
-    widths = np.array([s.std_x for s in decomp.summaries])
-    return widths / widths.sum()
+    """p_n = |c_n|^2: the reduced width |c_n|^2 std_n over the full std_n."""
+    # abs of each numpy complex scalar: the array ufunc may round the
+    # modulus differently in the last bit.
+    return np.array([abs(c) ** 2 for c in decomp.coefficients])
 
 
 def sample_collapse(decomp: SuperpositionDecomposition,

@@ -207,31 +207,29 @@ def detect_transition(series: Sequence[Tuple[float, float, float]]
 
 
 def apparatus_decomposition(state: CompositeState,
-                            gate_cfg: GateConfig = GateConfig(),
                             params: PhysicalParams = PhysicalParams()
                             ) -> SuperpositionDecomposition:
-    """Decomposition of the apparatus superposition over its branch packets."""
+    """`decompose` of the apparatus superposition over its branch packets."""
     coeffs = state.coefficients
     basis = state.apparatus_states
     psi2 = superpose(zip(coeffs, basis))
-    return decompose(psi2, basis, gate_cfg, params,
-                     expected_coefficients=coeffs)
+    return decompose(psi2, basis, params, expected_coefficients=coeffs)
 
 
 def measure(state: CompositeState, report: TransitionReport, seed: int,
-            gate_cfg: GateConfig = GateConfig(),
             params: PhysicalParams = PhysicalParams()) -> MeasurementOutcome:
     """Self-collapse on the apparatus, relative collapse on the object.
 
     The realized branch is the sample_collapse pick of the first double of
-    np.random.default_rng(seed).  Requires a detected transition; before
-    that the pointer packets are not weakly interfering and collapse
-    semantics do not apply.  The composite state is read, never modified.
+    np.random.default_rng(seed) on `apparatus_decomposition(state, params)`.
+    Requires a detected transition; before that the pointer packets are not
+    weakly interfering and collapse semantics do not apply.  The composite
+    state is read, never modified.
     """
     if report.t_star is None:
         raise TransitionNotReached(
             "order parameter never crossed its critical value")
-    decomp = apparatus_decomposition(state, gate_cfg, params)
+    decomp = apparatus_decomposition(state, params)
     event = sample_collapse(decomp, np.random.default_rng(seed).random())
     realized = apply_self_collapse(decomp, event)
     mixture = tuple(float(abs(c) ** 2) for c in state.coefficients)

@@ -28,8 +28,8 @@ PHASE_CACHE_SIZE = 16
 class Potential:
     """Time-independent potential V(x): free, harmonic, double-well or tabulated.
 
-    A tabulated table must be finite and 1-D, and is stored as a tuple of
-    floats, so the dataclass's own equality compares it by value.
+    Only the tabulated kind takes a table, which must be finite and 1-D and
+    is stored as a tuple of floats, so dataclass equality compares values.
     """
 
     kind: str
@@ -52,6 +52,8 @@ class Potential:
             raise ValidationError("harmonic potential needs omega > 0")
         if self.kind == "double_well" and self.well_separation <= 0:
             raise ValidationError("double well needs well_separation > 0")
+        if self.table is not None and self.kind != "tabulated":
+            raise ValidationError(f"a {self.kind} potential takes no table")
         if self.kind == "tabulated":
             table = np.asarray(self.table, dtype=np.float64)
             if table.ndim != 1 or not np.all(np.isfinite(table)):

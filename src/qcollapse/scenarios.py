@@ -23,8 +23,8 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import yaml
 
-from .collapse import (RNG_ALGORITHM, decompose, measure_quotients,
-                       overlap_limit, sample_collapse)
+from .collapse import (RNG_ALGORITHM, decompose, overlap_limit,
+                       sample_collapse)
 from .diagnostics import GateConfig, packet_summary, position_gate
 from .errors import ParseError, QCollapseError, ValidationError
 from .grid import (
@@ -502,7 +502,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
 def _run_collapse_sample(cfg, manifest):
     packets = _packets(cfg, 0.0, len(cfg.coefficients))
     psi = superpose(zip(cfg.coefficients, packets))
-    decomp = decompose(psi, packets, cfg.gate, cfg.physics,
+    decomp = decompose(psi, packets, cfg.physics,
                        expected_coefficients=cfg.coefficients)
     p = decomp.probabilities
     worst = max(abs(pn - abs(c) ** 2) for pn, c in zip(p, cfg.coefficients))
@@ -510,7 +510,6 @@ def _run_collapse_sample(cfg, manifest):
            f"max |p_n - |c_n|^2| = {worst:.3g}")
     _emit(manifest, "probabilities.json", json_text({
         "geometric": p.tolist(),
-        "measure_quotient": measure_quotients(decomp).tolist(),
         "generator": RNG_ALGORITHM}))
     _sample_ensemble(cfg, decomp, manifest, "collapse.jsonl")
 
@@ -566,7 +565,7 @@ def _run_measurement(cfg, manifest):
     limit = overlap_limit(len(offdiag))
     _check(manifest, "pointer_distinguishability", worst <= limit,
            f"max off-diagonal overlap {worst:.3g} (limit {limit:.3g})")
-    outcome = measure(evolved, report, cfg.seed, cfg.gate, cfg.physics)
+    outcome = measure(evolved, report, cfg.seed, cfg.physics)
     _write_chain_summary(cfg, manifest, report,
                          outcome_branch=outcome.realized_object_index)
     _emit(manifest, "snapshot_pointer.csv", outcome.apparatus_state)
@@ -574,7 +573,7 @@ def _run_measurement(cfg, manifest):
 
 def _run_born_ensemble(cfg, manifest):
     evolved, report = _run_measurement_core(cfg, manifest)
-    decomp = apparatus_decomposition(evolved, cfg.gate, cfg.physics)
+    decomp = apparatus_decomposition(evolved, cfg.physics)
     freqs = _sample_ensemble(cfg, decomp, manifest, "outcomes.jsonl")
     _write_chain_summary(cfg, manifest, report,
                          n_samples=cfg.n_samples, frequencies=freqs)

@@ -57,3 +57,19 @@ def test_record_has_required_fields(path):
                 assert len(runs[side]) == len(seeds)
                 for result in runs[side]:
                     _check_result(result, names)
+
+
+def test_per_layer_metrics_name_traced_functions(monkeypatch):
+    """`bench/run.py` raises KeyError for a `.calls`, `.self_s` or
+    `.us_per_call` metric whose name the tracer never wrapped, so deleting
+    or renaming a benchmarked function fails here, not only in the bench
+    suite."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import qcollapse.cli  # noqa: F401  (imports every layer the tracer wraps)
+    from tracer import Tracer
+
+    with Tracer().installed() as tracer:
+        traced = set(tracer.names)
+    named = {m.rsplit(".", 1)[0] for m in _metric_names("per_layer")
+             if m.endswith((".calls", ".self_s", ".us_per_call"))}
+    assert named - traced == set()

@@ -18,9 +18,7 @@ from qcollapse import (
     geometric_probabilities,
     inner_product,
     make_gaussian,
-    measure_quotients,
     packet_summary,
-    reduced_intervals,
     sample_collapse,
     superpose,
 )
@@ -103,30 +101,7 @@ class TestDecompose:
                 branches=((np.nan, s0, m0), (1.0, s1, m1)))
 
 
-class TestReducedIntervals:
-    def test_widths_scale_with_weights(self, cat_decomp):
-        ivs = reduced_intervals(cat_decomp)
-        assert ivs[0].width == pytest.approx(0.36, abs=1e-8)
-        assert ivs[1].width == pytest.approx(0.64, abs=1e-8)
-        assert ivs[0].center == pytest.approx(-18.0, abs=1e-6)
-        assert ivs[1].center == pytest.approx(18.0, abs=1e-6)
-
-    def test_quarter_weight_example(self, params):
-        # |c|^2 = 1/4 on a packet of width 4 gives a reduced width of 1
-        basis = [make_gaussian(Grid1D(-80.0, 80.0, 2048), c, 4.0, 0.0, params)
-                 for c in (-32.0, 32.0)]
-        cat = superpose(zip((0.5, math.sqrt(0.75)), basis))
-        decomp = decompose(cat, basis, params=params)
-        ivs = reduced_intervals(decomp)
-        assert ivs[0].width == pytest.approx(0.25 * 4.0, rel=1e-8)
-
-    def test_single_branch_is_trivial(self, gaussian, params):
-        psi = gaussian(center=3.0)
-        decomp = decompose(psi, [psi], params=params)
-        (iv,) = reduced_intervals(decomp)
-        assert iv.width == pytest.approx(psi and decomp.summaries[0].std_x,
-                                         rel=1e-8)
-
+class TestWeakInterference:
     @staticmethod
     def _direct_decomp(coeffs, basis, params):
         from qcollapse import packet_summary
@@ -195,23 +170,18 @@ class TestGeometricProbabilities:
         decomp = decompose(psi, [psi], params=params)
         assert decomp.probabilities == pytest.approx([1.0], abs=1e-10)
 
-    def test_nan_probability_sum_rejected(self, gaussian, params):
-        """An infinite width gives p = inf / inf = nan."""
-        psi = gaussian()
-        summary = dataclasses.replace(packet_summary(psi, params=params),
-                                      std_x=math.inf)
-        decomp = SuperpositionDecomposition(branches=((1.0, psi, summary),))
-        with pytest.raises(ValidationError, match="sum to"):
-            geometric_probabilities(decomp)
-
-    def test_measure_quotient_differs_from_born(self, gaussian, params):
-        # equal widths: q = (1/2, 1/2) regardless of the 0.36/0.64 weights
-        basis = [gaussian(center=-18.0), gaussian(center=18.0)]
-        cat = superpose(zip((0.6, 0.8), basis))
-        decomp = decompose(cat, basis, params=params)
-        q = measure_quotients(decomp)
-        assert q == pytest.approx([0.5, 0.5], abs=1e-6)
-        assert not np.allclose(q, decomp.probabilities, atol=0.05)
+    def test_cdf_and_event_use_the_same_weight(self, params):
+        """c = 0.6 on a branch of width 1.5: (0.36 * 1.5) / 1.5 rounds to
+        0.36000000000000004, |c|^2 to 0.36; the CDF and the event must both
+        read the one |c_n|^2."""
+        basis = _separated_packets(4)[1::2]  # the packets at -16 and +16
+        decomp = SuperpositionDecomposition(branches=tuple(
+            (c, b, dataclasses.replace(packet_summary(b, params=params),
+                                       std_x=1.5))
+            for c, b in zip((0.6, 0.8), basis)))
+        assert decomp.probabilities.tolist() == [
+            abs(c) ** 2 for c in decomp.coefficients]
+        assert decomp.branch_cdf[0] == sample_collapse(decomp, 0.0).probability
 
     @settings(deadline=None, max_examples=20)
     @given(w=st.floats(0.05, 0.95), phase=st.floats(0.0, 2.0 * math.pi))

@@ -332,6 +332,12 @@ class TestPotentialValueSemantics:
         with pytest.raises(ValidationError, match="does not match grid"):
             v.values(Grid1D(-8.0, 8.0, 128), params)
 
+    @pytest.mark.parametrize("kind", ["free", "harmonic", "double_well"])
+    def test_table_refused_on_analytic_kinds(self, kind):
+        with pytest.raises(ValidationError, match="takes no table"):
+            Potential(kind=kind, omega=1.0, well_separation=4.0,
+                      table=[1.0, 2.0])
+
     def test_analytic_kinds_keep_field_equality(self):
         assert Potential.harmonic(1.0) == Potential.harmonic(1.0)
         assert hash(Potential.harmonic(1.0)) == hash(Potential.harmonic(1.0))

@@ -495,7 +495,6 @@ class TestScenarioRuns:
         run_dir = tmp_path / manifest.run_dir.split("/")[-1]
         probs = json.loads((run_dir / "probabilities.json").read_text())
         assert probs["geometric"] == pytest.approx([0.36, 0.64], abs=1e-8)
-        assert probs["measure_quotient"] == pytest.approx([0.5, 0.5], abs=1e-6)
         branches = ensemble_branches(run_dir)
         assert len(branches) == 400
         assert branches == stream_branches(7, run_dir, 400)
