@@ -35,11 +35,10 @@ COEFF_EXTRACTION_TOL = 1e-6
 
 
 class CollapseEvent(NamedTuple):
-    """Realized branch, Born weight, draw and posterior: an immutable tuple."""
+    """Realized branch, Born weight and draw; the posterior is one-hot there."""
     branch_index: int
     probability: float
     u: float  # the uniform draw that picked the branch
-    a_posteriori: Tuple[float, ...]
 
 
 # Skips NamedTuple's generated __new__, a Python frame per collapse event.
@@ -82,23 +81,14 @@ class SuperpositionDecomposition:
         return [m for _, _, m in self.branches]
 
     @cached_property
-    def probabilities(self) -> np.ndarray:
-        return geometric_probabilities(self)
+    def probabilities(self) -> Tuple[float, ...]:
+        """The Born weights |c_n|^2 in coefficient index order."""
+        return tuple(geometric_probabilities(self).tolist())
 
     @cached_property
     def branch_cdf(self) -> Tuple[float, ...]:
         """Cumulative geometric probabilities, the inverse-CDF table."""
         return tuple(np.cumsum(self.probabilities).tolist())
-
-    @cached_property
-    def posteriors(self) -> Tuple[Tuple[float, ...], ...]:
-        """The one-hot a-posteriori weights of each realizable branch."""
-        return tuple(map(tuple, np.eye(len(self)).tolist()))
-
-    @cached_property
-    def weights(self) -> Tuple[float, ...]:
-        """The Born weights |c_n|^2 in coefficient index order."""
-        return tuple(self.probabilities.tolist())
 
 
 def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
@@ -164,14 +154,13 @@ def sample_collapse(decomp: SuperpositionDecomposition,
     intervals are half-open [lo, hi) in coefficient index order, and a u at
     or past the last entry picks branch d - 1.  The caller draws u, one
     double of a seeded stream per event.  The event is built by
-    tuple.__new__ on its four fields, in field order, which gives the same
+    tuple.__new__ on its three fields, in field order, which gives the same
     CollapseEvent as CollapseEvent(...) without the call frame of the named
     tuple's generated __new__.
     """
     cdf = decomp.branch_cdf
     idx = bisect_right(cdf, u, 0, len(cdf) - 1)
-    return _new_tuple(CollapseEvent,
-                      (idx, decomp.weights[idx], u, decomp.posteriors[idx]))
+    return _new_tuple(CollapseEvent, (idx, decomp.probabilities[idx], u))
 
 
 def apply_self_collapse(decomp: SuperpositionDecomposition,

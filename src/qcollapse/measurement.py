@@ -52,10 +52,6 @@ class ObjectState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
 
 @dataclass(frozen=True, eq=False)
 class CompositeState:
@@ -78,13 +74,6 @@ class CompositeState:
     @property
     def apparatus_states(self) -> List[WaveFunction]:
         return [s for _, _, s in self.branches]
-
-    @property
-    def is_product(self) -> bool:
-        """True iff every branch carries the identical apparatus field."""
-        states = self.apparatus_states
-        first = states[0].amplitudes
-        return all(np.array_equal(first, s.amplitudes) for s in states[1:])
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 * s.norm() ** 2
@@ -126,7 +115,6 @@ class MeasurementOutcome:
     event: CollapseEvent
     apparatus_state: WaveFunction
     object_mixture: Tuple[float, ...]
-    realized_object_index: int
 
 
 def premeasurement(obj: ObjectState, apparatus_ready: WaveFunction,
@@ -234,8 +222,7 @@ def measure(state: CompositeState, report: TransitionReport, seed: int,
     realized = apply_self_collapse(decomp, event)
     mixture = tuple(float(abs(c) ** 2) for c in state.coefficients)
     return MeasurementOutcome(event=event, apparatus_state=realized,
-                              object_mixture=mixture,
-                              realized_object_index=event.branch_index)
+                              object_mixture=mixture)
 
 
 def pointer_distinguishability(state: CompositeState) -> np.ndarray:

@@ -478,7 +478,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
     # The bytes of json.dumps({"event": i, "branch": n, "p": w_n}): a finite
     # float encodes as its repr, so each branch's line tail is built once.
     tails = [f', "branch": {n}, "p": {w!r}}}\n'
-             for n, w in enumerate(decomp.weights)]
+             for n, w in enumerate(decomp.probabilities)]
     with _artifact(manifest, name) as fh:
         for start in range(0, cfg.n_samples, DRAW_BLOCK):
             block = rng.random(min(DRAW_BLOCK, cfg.n_samples - start)).tolist()
@@ -493,6 +493,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
     freqs = [c / cfg.n_samples for c in counts]
     z = NormalDist().inv_cdf(1.0 - FREQUENCY_FALSE_ALARM / (2 * len(freqs)))
     for i, (pi, fi) in enumerate(zip(decomp.probabilities, freqs)):
+        pi = min(pi, 1.0)  # a re-extracted |c|^2 = 1 can round to 1 + 2e-14
         tol = z * math.sqrt(pi * (1.0 - pi) / cfg.n_samples)
         _check(manifest, f"branch_{i}_frequency", abs(fi - pi) <= tol,
                f"freq {fi:.5f} vs p {pi:.5f} ({z:.2f}-sigma {tol:.5f})")
@@ -509,7 +510,7 @@ def _run_collapse_sample(cfg, manifest):
     _check(manifest, "geometric_probabilities", worst <= 1e-8,
            f"max |p_n - |c_n|^2| = {worst:.3g}")
     _emit(manifest, "probabilities.json", json_text({
-        "geometric": p.tolist(),
+        "geometric": list(p),
         "generator": RNG_ALGORITHM}))
     _sample_ensemble(cfg, decomp, manifest, "collapse.jsonl")
 
@@ -567,7 +568,7 @@ def _run_measurement(cfg, manifest):
            f"max off-diagonal overlap {worst:.3g} (limit {limit:.3g})")
     outcome = measure(evolved, report, cfg.seed, cfg.physics)
     _write_chain_summary(cfg, manifest, report,
-                         outcome_branch=outcome.realized_object_index)
+                         outcome_branch=outcome.event.branch_index)
     _emit(manifest, "snapshot_pointer.csv", outcome.apparatus_state)
 
 

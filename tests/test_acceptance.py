@@ -174,7 +174,7 @@ def test_acceptance_5_born_rule_identity():
         basis = [make_gaussian(grid, 16.0 * n, 1.0, 0.0, PARAMS)
                  for n in range(d)]
         decomp = decompose(superpose(zip(c, basis)), basis, params=PARAMS)
-        p = decomp.probabilities
+        p = np.asarray(decomp.probabilities)
         worst_p = max(worst_p, float(np.max(np.abs(p - np.abs(c) ** 2))))
         worst_sum = max(worst_sum, abs(float(p.sum()) - 1.0))
     ok = worst_p <= 1e-8 and worst_sum <= 1e-8

@@ -10,6 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _metric_names(kind):
@@ -73,3 +75,22 @@ def test_per_layer_metrics_name_traced_functions(monkeypatch):
     named = {m.rsplit(".", 1)[0] for m in _metric_names("per_layer")
              if m.endswith((".calls", ".self_s", ".us_per_call"))}
     assert named - traced == set()
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_small_workload_keeps_its_traced_counts(name, tmp_path, monkeypatch):
+    """Each benchmark workload, at its small size, runs clean and makes
+    exactly the traced calls `bench/workloads.py` derives from its config."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import qcollapse.cli  # noqa: F401  (imports every layer the tracer wraps)
+    from qcollapse.scenarios import parse_config, run
+    from tracer import Tracer
+    from workloads import WORKLOADS as BENCH_WORKLOADS, config_text
+
+    workload = BENCH_WORKLOADS[name]
+    cfg = workload.config(7, True)
+    with Tracer().installed() as tracer:
+        manifest = run(parse_config(config_text(cfg)), str(tmp_path))
+    assert manifest.ok, [a.detail for a in manifest.assertions]
+    expected = workload.expected_counts(cfg)
+    assert {k: tracer.calls[k] for k in expected} == expected

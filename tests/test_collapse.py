@@ -47,8 +47,7 @@ def _reference_event(decomp, u):
     return CollapseEvent(
         branch_index=idx,
         probability=float(abs(decomp.coefficients[idx]) ** 2),
-        u=u,
-        a_posteriori=tuple(1.0 if i == idx else 0.0 for i in range(len(p))))
+        u=u)
 
 
 @pytest.fixture
@@ -179,7 +178,7 @@ class TestGeometricProbabilities:
             (c, b, dataclasses.replace(packet_summary(b, params=params),
                                        std_x=1.5))
             for c, b in zip((0.6, 0.8), basis)))
-        assert decomp.probabilities.tolist() == [
+        assert list(decomp.probabilities) == [
             abs(c) ** 2 for c in decomp.coefficients]
         assert decomp.branch_cdf[0] == sample_collapse(decomp, 0.0).probability
 
@@ -222,11 +221,6 @@ class TestSampling:
         for u in np.random.default_rng(0).random(20).tolist():
             assert sample_collapse(decomp, u).branch_index == 0
 
-    def test_posterior_is_one_hot(self, cat_decomp):
-        e = sample_collapse(cat_decomp, np.random.default_rng(7).random())
-        assert sum(e.a_posteriori) == 1.0
-        assert e.a_posteriori[e.branch_index] == 1.0
-
     @settings(deadline=None, max_examples=30)
     @given(raw=st.lists(st.floats(0.02, 1.0), min_size=2, max_size=5),
            phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=5,
@@ -261,19 +255,19 @@ class TestSampling:
         """A u equal to an interior CDF entry opens the next branch, and a u
         at or past a last entry below 1 picks branch d - 1."""
         cdf = (0.25, 0.5, 1.0 - 2.0**-40)
-        table = SimpleNamespace(branch_cdf=cdf, weights=(0.25, 0.25, 0.5),
-                                posteriors=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                            (0.0, 0.0, 1.0)))
+        table = SimpleNamespace(branch_cdf=cdf,
+                                probabilities=(0.25, 0.25, 0.5))
         u = float(u)
         assert branch == min(int(np.searchsorted(cdf, u, side="right")), 2)
         assert sample_collapse(table, u) == CollapseEvent(
-            branch, table.weights[branch], u, table.posteriors[branch])
+            branch, table.probabilities[branch], u)
 
-    def test_cdf_and_weights_cached_as_tuples(self, cat_decomp, monkeypatch):
-        cdf, weights = cat_decomp.branch_cdf, cat_decomp.weights
-        assert isinstance(cdf, tuple) and isinstance(weights, tuple)
+    def test_cdf_and_probabilities_cached_as_tuples(self, cat_decomp,
+                                                    monkeypatch):
+        cdf, probs = cat_decomp.branch_cdf, cat_decomp.probabilities
+        assert isinstance(cdf, tuple) and isinstance(probs, tuple)
         assert cdf == pytest.approx([0.36, 1.0], abs=1e-8)
-        assert weights == pytest.approx((0.36, 0.64), abs=1e-8)
+        assert probs == pytest.approx((0.36, 0.64), abs=1e-8)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cat_decomp.branch_cdf = (1.0, 1.0)
 
@@ -287,20 +281,17 @@ class TestSampling:
         for u in draws:
             sample_collapse(cat_decomp, u)
         assert cat_decomp.branch_cdf is cdf
-        assert cat_decomp.weights is weights
+        assert cat_decomp.probabilities is probs
 
     def test_event_is_an_immutable_named_tuple(self, cat_decomp):
         u = np.random.default_rng(3).random()
         e = sample_collapse(cat_decomp, u)
-        assert CollapseEvent._fields == ("branch_index", "probability", "u",
-                                         "a_posteriori")
-        assert tuple(e) == (e.branch_index, e.probability, e.u,
-                            e.a_posteriori)
+        assert CollapseEvent._fields == ("branch_index", "probability", "u")
+        assert tuple(e) == (e.branch_index, e.probability, e.u)
         with pytest.raises(AttributeError):
             e.branch_index = 1 - e.branch_index
-        assert CollapseEvent(branch_index=1, probability=0.64, u=0.5,
-                             a_posteriori=(0.0, 1.0)) == \
-            CollapseEvent(1, 0.64, 0.5, (0.0, 1.0))
+        assert CollapseEvent(branch_index=1, probability=0.64, u=0.5) == \
+            CollapseEvent(1, 0.64, 0.5)
         assert e._replace(branch_index=0).branch_index == 0
         assert e == sample_collapse(cat_decomp, u)
         # Equality alone would also pass a plain tuple of the same fields.
@@ -329,15 +320,14 @@ class TestApplySelfCollapse:
         assert l2_distance(out, target) <= 1e-10
 
     def test_index_out_of_range(self, cat_decomp):
-        bad = CollapseEvent(branch_index=5, probability=0.0, u=0.0,
-                            a_posteriori=(0.0, 0.0))
+        bad = CollapseEvent(branch_index=5, probability=0.0, u=0.0)
         with pytest.raises(IndexOutOfRange):
             apply_self_collapse(cat_decomp, bad)
         assert isinstance(IndexOutOfRange("x"), IndexError)
 
     def test_decomposition_untouched(self, cat_decomp):
         before = [s.amplitudes.copy() for s in cat_decomp.states]
-        p_before = cat_decomp.probabilities.copy()
+        p_before = np.array(cat_decomp.probabilities)
         e = sample_collapse(cat_decomp, np.random.default_rng(3).random())
         apply_self_collapse(cat_decomp, e)
         for old, new in zip(before, cat_decomp.states):

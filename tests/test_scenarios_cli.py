@@ -239,7 +239,7 @@ def oracle_lines(decomp, seed, n):
     branch from `oracle_branches` and the Born weight of the decomposition
     the ensemble samples."""
     return [json.dumps({"event": i, "branch": int(b),
-                        "p": decomp.weights[b]}) + "\n"
+                        "p": decomp.probabilities[b]}) + "\n"
             for i, b in enumerate(oracle_branches(decomp, seed, n))]
 
 
@@ -534,6 +534,18 @@ class TestScenarioRuns:
         assert doc["frequencies"] == [branches.count(i) / 1500
                                       for i in range(2)]
         assert_canonical_jsonl(run_dir / "outcomes.jsonl")
+
+    @pytest.mark.parametrize("coefficients", ["[0.0, 1.0]", "[1.0, 0.0]"])
+    def test_born_ensemble_of_an_eigenstate(self, tmp_path, coefficients):
+        """Measuring an eigenstate: the re-extracted weight of the |c| = 1
+        branch can round above 1, yet its binomial band is zero wide and
+        every event picks it."""
+        cfg = parse_config(check_text("born_ensemble").replace(
+            "[0.6, 0.8]", coefficients))
+        manifest = run(cfg, str(tmp_path))
+        assert manifest.ok, [a.detail for a in manifest.assertions]
+        doc = json.loads((Path(manifest.run_dir) / "summary.json").read_text())
+        assert doc["frequencies"] == json.loads(coefficients)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("coefficients", [
