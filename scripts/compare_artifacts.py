@@ -6,8 +6,12 @@
 `hash` imports qcollapse from the source directory SRC (a checkout's
 `src/`), runs every scenario on its `qcollapse check` config plus any
 CONFIG files given, and writes the sha256 of every artifact except
-`manifest.json`, with each run's ok flag, to OUT.json.  `diff` prints a
-Markdown report of the runs and files whose hashes or ok flags differ.  It
+`manifest.json`, with each run's ok flag, its assertions as [name, passed]
+and the name of the error type that ended it (null if none), to OUT.json.
+`diff` prints a Markdown report of the runs and files whose hashes or ok
+flags differ, and of each run's assertions that were added, removed or
+flipped and its changed error type; a run recorded without assertions (by
+an older version of this script) has them left out of the comparison.  It
 only reports: it exits 0 whatever it finds.
 """
 from __future__ import annotations
@@ -35,14 +39,40 @@ def _hash_runs(src: Path, configs) -> dict:
             manifest = run(parse_config(text), f"{tmp}/{label}")
             runs[label] = {
                 "ok": manifest.ok,
+                "assertions": [[a.name, a.passed]
+                               for a in manifest.assertions],
+                "error_type": (manifest.error_type
+                               and manifest.error_type.__name__),
                 "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                           for p in sorted(Path(manifest.run_dir).iterdir())
                           if p.name != "manifest.json"}}
     return runs
 
 
+def _check_changes(label: str, a: dict, b: dict) -> list:
+    """Report lines for the assertions of run `label` that were added,
+    removed or flipped from `a` to `b`, and for a changed error type."""
+    old, new = dict(a["assertions"]), dict(b["assertions"])
+    verdict = {True: "PASS", False: "FAIL"}
+    lines = []
+    if a["error_type"] != b["error_type"]:
+        lines.append(f"- `{label}`: error type {a['error_type']} -> "
+                     f"{b['error_type']}")
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            change = f"removed (was {verdict[old[name]]})"
+        elif name not in old:
+            change = f"added ({verdict[new[name]]})"
+        elif old[name] != new[name]:
+            change = f"{verdict[old[name]]} -> {verdict[new[name]]}"
+        else:
+            continue
+        lines.append(f"- `{label}`: assertion `{name}` {change}")
+    return lines
+
+
 def _diff(base: dict, head: dict) -> str:
-    lines, total = [], 0
+    lines, checks, total, compared = [], [], 0, 0
     for label in sorted(base.keys() | head.keys()):
         a, b = base.get(label), head.get(label)
         if a is None or b is None:
@@ -55,11 +85,21 @@ def _diff(base: dict, head: dict) -> str:
         total += len(names)
         lines += [f"- `{label}/{name}`" for name in sorted(names)
                   if a["files"].get(name) != b["files"].get(name)]
-    head_line = "### Artifacts against the base commit\n\n"
+        if "assertions" in a and "assertions" in b:
+            compared += 1
+            checks += _check_changes(label, a, b)
+    report = "### Artifacts against the base commit\n\n"
     if not lines:
-        return (head_line + f"All {total} artifacts of {len(head)} runs are "
-                "sha256-identical (manifest.json excluded).\n")
-    return head_line + "Differing:\n\n" + "\n".join(lines) + "\n"
+        report += (f"All {total} artifacts of {len(head)} runs are "
+                   "sha256-identical (manifest.json excluded).\n")
+    else:
+        report += "Differing:\n\n" + "\n".join(lines) + "\n"
+    if checks:
+        return report + "\nAssertions and error types:\n\n" + "\n".join(
+            checks) + "\n"
+    return report + (f"\nAssertions and error types: no change in the "
+                     f"{compared} of {len(head)} runs both files record them "
+                     "for.\n")
 
 
 def main(argv) -> int:

@@ -41,7 +41,6 @@ from .measurement import (
     apparatus_decomposition,
     detect_transition,
     measure,
-    pointer_distinguishability,
     premeasurement,
     von_neumann_evolve,
 )

@@ -355,7 +355,7 @@ def ehrenfest_residual(trajectory: Sequence[Tuple[float, WaveFunction]],
     dt = float(dts[0])
 
     grid = trajectory[0][1].grid
-    grad = v.gradient(grid, params)
+    grad = v.gradient_at(grid.x, params)
     exp_x = np.empty(len(trajectory))
     exp_p = np.empty(len(trajectory))
     exp_f = np.empty(len(trajectory))

@@ -30,7 +30,7 @@ from .diagnostics import (GateConfig, order_parameters, packet_summary,
                           position_gate)
 from .errors import ApparatusNotReady, TransitionNotReached, ValidationError
 from .grid import (NORM_TOL, PhysicalParams, WaveFunction, check_edge_mass,
-                   check_unit_weights, overlap_matrix, superpose)
+                   check_unit_weights, superpose)
 from .propagate import EvolutionConfig, Potential, step, translate
 
 # Relative rounding slack of a measured width: a sigma0 = 1 packet at x = 20
@@ -74,10 +74,6 @@ class CompositeState:
     @property
     def apparatus_states(self) -> List[WaveFunction]:
         return [s for _, _, s in self.branches]
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 * s.norm() ** 2
-                             for _, c, s in self.branches))
 
 
 @dataclass(frozen=True)
@@ -223,8 +219,3 @@ def measure(state: CompositeState, report: TransitionReport, seed: int,
     mixture = tuple(float(abs(c) ** 2) for c in state.coefficients)
     return MeasurementOutcome(event=event, apparatus_state=realized,
                               object_mixture=mixture)
-
-
-def pointer_distinguishability(state: CompositeState) -> np.ndarray:
-    """|(apparatus_n, apparatus_m)| for all branch pairs (`overlap_matrix`)."""
-    return overlap_matrix(state.apparatus_states)

@@ -102,12 +102,6 @@ class Potential:
             return self.barrier_height * 4.0 * (x / a**2) * ((x / a) ** 2 - 1.0)
         raise ValidationError("a tabulated potential has no analytic gradient")
 
-    def gradient(self, grid: Grid1D, params: PhysicalParams) -> np.ndarray:
-        """dV/dx on the grid; spectral for a tabulated potential."""
-        if self.kind != "tabulated":
-            return self.gradient_at(grid.x, params)
-        return np.fft.ifft(1j * grid.k * np.fft.fft(self.values(grid, params))).real
-
 
 @dataclass(frozen=True)
 class EvolutionConfig:

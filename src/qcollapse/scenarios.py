@@ -23,8 +23,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import yaml
 
-from .collapse import (RNG_ALGORITHM, decompose, overlap_limit,
-                       sample_collapse)
+from .collapse import RNG_ALGORITHM, decompose, sample_collapse
 from .diagnostics import GateConfig, packet_summary, position_gate
 from .errors import ParseError, QCollapseError, ValidationError
 from .grid import (
@@ -42,7 +41,6 @@ from .measurement import (
     ObjectState,
     apparatus_decomposition,
     measure,
-    pointer_distinguishability,
     premeasurement,
     von_neumann_evolve,
 )
@@ -103,8 +101,9 @@ class ScenarioConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.n_samples < 1:
             raise ValidationError("n_samples must be positive")
-        if not isinstance(self.output_dir, (str, type(None))):
-            raise ParseError(f"output_dir {self.output_dir!r} is not a string")
+        out = self.output_dir
+        if out == "" or not isinstance(out, (str, type(None))):
+            raise ParseError(f"output_dir {out!r} is not a non-empty string")
 
 
 # Where a run happened, for manifest.json.  platform.platform() is avoided:
@@ -561,11 +560,6 @@ def _write_chain_summary(cfg, manifest, report, **fields):
 
 def _run_measurement(cfg, manifest):
     evolved, report = _run_measurement_core(cfg, manifest)
-    offdiag = pointer_distinguishability(evolved)
-    worst = float(np.max(np.abs(offdiag - np.eye(len(offdiag)))))
-    limit = overlap_limit(len(offdiag))
-    _check(manifest, "pointer_distinguishability", worst <= limit,
-           f"max off-diagonal overlap {worst:.3g} (limit {limit:.3g})")
     outcome = measure(evolved, report, cfg.seed, cfg.physics)
     _write_chain_summary(cfg, manifest, report,
                          outcome_branch=outcome.event.branch_index)

@@ -26,7 +26,6 @@ from qcollapse import (
     make_gaussian,
     measure,
     packet_summary,
-    pointer_distinguishability,
     premeasurement,
     sample_collapse,
     superpose,
@@ -34,6 +33,7 @@ from qcollapse import (
     wave_packet_gate,
 )
 from qcollapse.errors import TransitionNotReached
+from qcollapse.grid import overlap_matrix
 from qcollapse.scenarios import parse_config, run
 
 from oracles import coefficient_moduli, expm_step_oracle
@@ -239,7 +239,7 @@ def test_acceptance_7_measurement_chain():
     final, report = _run_measurement_chain()
     t_err = abs(report.t_star - 1.0)  # kinematic oracle: critical/velocity
 
-    off = pointer_distinguishability(final)
+    off = overlap_matrix(final.apparatus_states)
     offdiag = float(np.max(np.abs(off - np.eye(len(off)))))
 
     prefix = tuple(s for s in report.series if s[1] < s[2])

@@ -21,13 +21,13 @@ from qcollapse import (
     measure,
     order_parameters,
     packet_summary,
-    pointer_distinguishability,
     premeasurement,
     superpose,
     translate,
     von_neumann_evolve,
 )
 from qcollapse.collapse import SuperpositionDecomposition
+from qcollapse.grid import overlap_matrix
 from qcollapse.errors import (
     ApparatusNotReady,
     BoundaryClipping,
@@ -122,7 +122,8 @@ class TestPremeasurement:
         assert all(s is apparatus for s in comp.apparatus_states)
         assert len(comp) == 2
         assert np.allclose(comp.coefficients, [0.6, 0.8])
-        assert comp.norm() == pytest.approx(1.0, abs=1e-10)
+        assert (np.abs(comp.coefficients) ** 2).sum() == pytest.approx(
+            1.0, abs=1e-10)
 
     def test_certain_object(self, apparatus, params):
         comp = premeasurement(ObjectState(np.array([1.0])), apparatus,
@@ -320,7 +321,10 @@ class TestVonNeumannEvolve:
     def test_composite_recoverable_from_branches(self, evolved):
         final, _ = evolved
         rebuilt = CompositeState(branches=final.branches)
-        assert rebuilt.norm() == pytest.approx(1.0, abs=1e-8)
+        assert (np.abs(rebuilt.coefficients) ** 2).sum() == pytest.approx(
+            1.0, abs=1e-8)
+        assert all(s.norm() == pytest.approx(1.0, abs=1e-8)
+                   for s in rebuilt.apparatus_states)
         a0, a1 = final.apparatus_states
         assert not np.array_equal(a0.amplitudes, a1.amplitudes)
 
@@ -423,8 +427,8 @@ class TestWidthsAndOverlapsUnderCoupling:
 
     @pytest.mark.parametrize("d, tau", [(3, 4.0), (2, 12.0)])
     def test_pointer_overlap_is_the_gaussian_of_the_shift(self, d, tau):
-        overlaps = pointer_distinguishability(
-            self._chain(d, tau, Potential.free()))
+        overlaps = overlap_matrix(
+            self._chain(d, tau, Potential.free()).apparatus_states)
         for n, m in zip(*np.triu_indices(d, k=1)):
             want = math.exp(-((m - n) * tau) ** 2 / 8.0)
             assert overlaps[n, m] == pytest.approx(want, rel=1e-5)
@@ -460,9 +464,9 @@ class TestMeasure:
     def test_pointer_matrix(self, evolved, obj, apparatus, params):
         final, _ = evolved
         product = premeasurement(obj, apparatus, params=params)
-        pre = pointer_distinguishability(product)
+        pre = overlap_matrix(product.apparatus_states)
         assert np.allclose(pre, 1.0, atol=1e-10)
-        post = pointer_distinguishability(final)
+        post = overlap_matrix(final.apparatus_states)
         assert np.allclose(np.diag(post), 1.0, atol=1e-10)
         off = post[~np.eye(len(final), dtype=bool)]
         assert off.max() <= 1e-6

@@ -356,29 +356,11 @@ class TestDoubleWell:
         imin = np.argmin(np.abs(grid.x - 2.0))
         assert vals[imin] == pytest.approx(0.0, abs=1e-10)
         # analytic gradient matches a finite difference of values
-        grad = v.gradient(grid, params)
+        grad = v.gradient_at(grid.x, params)
         fd = np.gradient(vals, grid.dx)
         assert np.allclose(grad[5:-5], fd[5:-5], atol=5e-2)
-
-    @pytest.mark.parametrize("v", [
-        Potential.free(), Potential.harmonic(omega=1.3, center=0.7),
-        Potential.double_well(barrier_height=2.0, well_separation=4.0)],
-        ids=["free", "harmonic", "double_well"])
-    def test_grid_gradient_is_gradient_at(self, v, params):
-        grid = Grid1D(-8.0, 8.0, 256)
-        grad = v.gradient(grid, params)
-        assert np.array_equal(v.gradient_at(grid.x, params), grad)
-        assert v.gradient_at(grid.x[37], params) == grad[37]
 
     def test_tabulated_has_no_gradient_at(self, params):
         v = Potential.tabulated(np.zeros(256))
         with pytest.raises(ValidationError):
             v.gradient_at(0.0, params)
-
-    def test_tabulated_gradient_is_spectral(self, params):
-        grid = Grid1D(-8.0, 8.0, 256)
-        smooth = np.exp(-grid.x**2)
-        v = Potential.tabulated(smooth)
-        grad = v.gradient(grid, params)
-        analytic = -2.0 * grid.x * smooth
-        assert np.allclose(grad, analytic, atol=1e-10)

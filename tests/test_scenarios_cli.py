@@ -709,16 +709,17 @@ class TestScenarioRuns:
         """Under free coupling the pointers overlap by exp(-(v tau)^2 /
         (8 sigma^2)) = exp(-18) = 1.52e-8 at v = 1, tau = 12: inside 1e-6,
         but above the limit of 1e-8 at d = 2 that measure applies, so the
-        check fails as the run does."""
+        run fails there, and only there."""
         manifest = run(parse_config(FREE_CHAIN), str(tmp_path))
         assert manifest.error_type is NotWeaklyInterfering
-        [check] = [a for a in manifest.assertions
-                   if a.name == "pointer_distinguishability"]
-        assert not check.passed
-        assert check.detail.endswith("(limit 1e-08)")
-        worst = float(re.search(r"overlap (\S+) ", check.detail)[1])
-        assert 1e-8 < worst < 1e-6
-        assert worst == pytest.approx(math.exp(-18.0), rel=0.01)
+        assert manifest.error.endswith("(limit 1e-08)")
+        pair, worst = re.search(r"branches (\S+) overlap by (\S+) ",
+                                manifest.error).groups()
+        assert pair == "0,1"
+        assert 1e-8 < float(worst) < 1e-6
+        assert float(worst) == pytest.approx(math.exp(-18.0), rel=0.01)
+        assert not [a for a in manifest.assertions
+                    if a.name == "pointer_distinguishability"]
 
     def test_failed_chain_keeps_its_diagnostics_rows(self, tmp_path):
         manifest = run(parse_config(WRAPAROUND), str(tmp_path))
@@ -858,7 +859,7 @@ class TestCli:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("value", ["5", "[a, b]", "{a: 1}", "true"])
+    @pytest.mark.parametrize("value", ["5", "[a, b]", "{a: 1}", "true", '""'])
     def test_simulate_non_string_output_dir_exit_2(
             self, tmp_path, monkeypatch, capsys, value):
         monkeypatch.chdir(tmp_path)
