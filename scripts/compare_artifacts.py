@@ -4,10 +4,14 @@
     python scripts/compare_artifacts.py diff BASE.json HEAD.json
 
 `hash` imports qcollapse from the source directory SRC (a checkout's
-`src/`), runs every scenario on its `qcollapse check` config plus any
-CONFIG files given, and writes the sha256 of every artifact except
-`manifest.json`, with each run's ok flag, its assertions as [name, passed]
-and the name of the error type that ended it (null if none), to OUT.json.
+`src/`) and runs the standard verification set: every scenario on its
+`qcollapse check` config, labelled by the scenario's name, and the
+benchmark workload configs of BENCH_RUNS, written by this checkout's
+`bench/workloads.py` and labelled `bench_<workload><suffix>`.  Any CONFIG
+files given run too, labelled by their stem.  It writes the sha256 of every
+artifact except `manifest.json`, with each run's ok flag, its assertions as
+[name, passed] and the name of the error type that ended it (null if
+none), to OUT.json.
 `diff` prints a Markdown report of the runs and files whose hashes or ok
 flags differ, and of each run's assertions that were added, removed or
 flipped and its changed error type; a run recorded without assertions (by
@@ -22,6 +26,32 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+# (label suffix, workload, seed, small) of each benchmark config in the set:
+# all three workloads at small size and seed 1; the full-size ensemble at
+# seeds 1 and 3, whose 40 000 events span many buffered writes of
+# collapse.jsonl (the small config's 2000 do not); the full-size chain and
+# trajectory at seed 1, which write diagnostics.csv through packet_summary
+# at full size; and the full-size chain at seed 5, a second seeded pick.
+BENCH_RUNS = ([("", w, 1, True) for w in ("chain", "ensemble", "trajectory")]
+              + [(f"_full_seed{s}", "ensemble", s, False) for s in (1, 3)]
+              + [("_full_seed1", w, 1, False) for w in ("chain", "trajectory")]
+              + [("_full_seed5", "chain", 5, False)])
+
+
+def standard_configs(registry) -> dict:
+    """Label -> config text of the standard verification set, given the
+    scenario registry of the qcollapse under test."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import WORKLOADS, config_text
+
+    texts = {name: f"scenario: {name}\n{s.check_config}"
+             for name, s in registry.items()}
+    texts.update((f"bench_{w}{suffix}",
+                  config_text(WORKLOADS[w].config(seed, small)))
+                 for suffix, w, seed, small in BENCH_RUNS)
+    return texts
+
 
 def _hash_runs(src: Path, configs) -> dict:
     sys.path.insert(0, str(src))
@@ -30,8 +60,7 @@ def _hash_runs(src: Path, configs) -> dict:
 
     if src not in Path(qcollapse.__file__).resolve().parents:
         raise SystemExit(f"imported {qcollapse.__file__}, not from {src}")
-    texts = {name: f"scenario: {name}\n{s.check_config}"
-             for name, s in REGISTRY.items()}
+    texts = standard_configs(REGISTRY)
     texts.update((Path(c).stem, Path(c).read_text()) for c in configs)
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:

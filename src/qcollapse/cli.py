@@ -28,14 +28,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one scenario from a config file")
     sim.add_argument("config", type=Path)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--out", type=Path, default=None)
+    sim.add_argument("--out", default=None)
 
     samp = sub.add_parser("sample", help="run a scenario K times, member k "
                           "with stream seed seed + k * n_samples, and "
                           "aggregate")
     samp.add_argument("config", type=Path)
     samp.add_argument("--n-runs", type=int, required=True)
-    samp.add_argument("--out", type=Path, default=None)
+    samp.add_argument("--out", default=None)
 
     sub.add_parser("check", help="run every scenario twice on a tiny "
                    "built-in config and compare the artifacts")
@@ -63,7 +63,7 @@ def _simulate(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed,
                                   echo={**cfg.echo, "seed": args.seed})
-    manifest = run(cfg, str(args.out) if args.out else None)
+    manifest = run(cfg, args.out)
     _print_manifest(manifest)
     return _exit_code(manifest)
 
@@ -81,12 +81,12 @@ def _sample(args) -> int:
         seed_k = cfg.seed + k * cfg.n_samples
         member = dataclasses.replace(cfg, seed=seed_k,
                                      echo={**cfg.echo, "seed": seed_k})
-        manifest = run(member, str(args.out) if args.out else None)
+        manifest = run(member, args.out)
         results.append(manifest)
         _print_manifest(manifest)
         if _exit_code(manifest) == 2:
             break  # every later member would repeat the config error
-    root = resolve_output_root(cfg, str(args.out) if args.out else None)
+    root = resolve_output_root(cfg, args.out)
     root.mkdir(parents=True, exist_ok=True)
     path = root / f"aggregate-{cfg.scenario}.json"
     path.write_text(json_text({"n_runs": len(results),
@@ -128,6 +128,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"simulate": _simulate, "sample": _sample, "check": _check}
     try:
+        if vars(args).get("out") == "":
+            raise ParseError("--out must be a non-empty path")
         return handler[args.command](args)
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

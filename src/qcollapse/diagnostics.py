@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -42,6 +42,8 @@ class ObservableSpec:
     def __post_init__(self):
         if self.kind not in ("position_poly", "momentum", "momentum_squared"):
             raise ValidationError(f"unknown observable kind {self.kind!r}")
+        if self.kind != "position_poly" and len(self.coefficients):
+            raise ValidationError(f"{self.kind} takes no coefficients")
         if self.kind == "position_poly":
             coeffs = tuple(float(c) for c in self.coefficients)
             if not coeffs or len(coeffs) > 9:
@@ -111,10 +113,12 @@ class GateConfig:
 
 @dataclass(frozen=True)
 class GateVerdict:
+    """The gate's decision and the evidence for each of its criteria."""
+
     is_wave_packet: bool
-    per_observable: Tuple[Tuple[ObservableSpec, float, float], ...]
-    uncertainty_product: float
-    mass_in_support: float
+    ratio: float            # |<A>| / std A, vs eta
+    taylor_error: float     # |<A> - A(<x>)| / |<A>|, vs taylor_tol
+    mass_in_support: float  # in the containment interval, vs mass_threshold
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,7 @@ def std_dev(psi: WaveFunction, a: ObservableSpec,
     return _clamped_std(second, mean)
 
 
-def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
+def packet_summary(psi: WaveFunction, k: float = 1.0,
                    params: PhysicalParams = PhysicalParams()) -> PacketSummary:
     """Moments, the support interval (<x> +- k std x / 2) and its mass.
 
@@ -228,7 +232,7 @@ def packet_summary(psi: WaveFunction, cfg: GateConfig = GateConfig(),
                              grid.dx / grid.n_points)
     sp = _clamped_std(p2, exp_p)
 
-    half = 0.5 * cfg.k * sx
+    half = 0.5 * k * sx
     lo, hi = exp_x - half, exp_x + half
     inside = a[_support_slice(grid.x, lo, hi)]
     mass = float(np.vdot(inside, inside).real) * grid.dx
@@ -255,52 +259,43 @@ def position_gate(psi: WaveFunction, cfg: GateConfig = GateConfig(),
     """The wave-packet gate on the one observable positive_position(summary)
     of psi's own summary: the readiness test of the apparatus packet and of
     each `cat_gate` state."""
-    summary = packet_summary(psi, cfg, params)
-    return wave_packet_gate(psi, [positive_position(summary)], cfg, params)
+    summary = packet_summary(psi, cfg.k, params)
+    return wave_packet_gate(psi, positive_position(summary), cfg, params)
 
 
-def wave_packet_gate(psi: WaveFunction, observables: Sequence[ObservableSpec],
+def wave_packet_gate(psi: WaveFunction, obs: ObservableSpec,
                      cfg: GateConfig = GateConfig(),
                      params: PhysicalParams = PhysicalParams()) -> GateVerdict:
     """Classicality gate: dominance ratio, Taylor closure and containment.
 
-    Every position polynomial must be strictly positive on the support
+    A position polynomial must be strictly positive on the support
     interval, which is the choosability condition that makes a failed ratio
     test meaningful.
     """
-    observables = list(observables)
-    if not observables:
-        raise ValidationError("need at least one observable")
-    summary = packet_summary(psi, cfg, params)
+    summary = packet_summary(psi, cfg.k, params)
     # Containment is judged on a wide interval regardless of cfg.k; see
     # GATE_CONTAINMENT_K.
-    wide = packet_summary(psi, replace(cfg, k=max(cfg.k, GATE_CONTAINMENT_K)),
-                          params)
-    lo, hi = summary.support
-    grid_pts = psi.grid.x[_support_slice(psi.grid.x, lo, hi)]
-    probe = np.append(grid_pts, summary.exp_x)
-
-    rows = []
-    passed = wide.mass_in_support >= cfg.mass_threshold
-    for obs in observables:
-        if obs.kind == "position_poly":
-            if np.any(obs.classical_value(probe) <= 0.0):
-                raise ObservableNotPositiveOnSupport(
-                    f"A(x) not strictly positive on support ({lo}, {hi})")
-            classical = float(obs.classical_value(summary.exp_x))
-        elif obs.kind == "momentum":
-            classical = summary.exp_p
-        else:
-            classical = summary.exp_p**2
-        mean, second = _moments(psi, obs, params)
-        spread = _clamped_std(second, mean)
-        ratio = abs(mean) / spread if spread > 0 else np.inf
-        taylor_err = abs(mean - classical) / abs(mean) if mean != 0 else np.inf
-        rows.append((obs, ratio, taylor_err))
-        passed = passed and ratio >= cfg.eta and taylor_err <= cfg.taylor_tol
-    return GateVerdict(is_wave_packet=passed, per_observable=tuple(rows),
-                       uncertainty_product=summary.uncertainty_product,
-                       mass_in_support=wide.mass_in_support)
+    mass = packet_summary(psi, max(cfg.k, GATE_CONTAINMENT_K),
+                          params).mass_in_support
+    if obs.kind == "position_poly":
+        lo, hi = summary.support
+        x = psi.grid.x
+        probe = np.append(x[_support_slice(x, lo, hi)], summary.exp_x)
+        if np.any(obs.classical_value(probe) <= 0.0):
+            raise ObservableNotPositiveOnSupport(
+                f"A(x) not strictly positive on support ({lo}, {hi})")
+        classical = float(obs.classical_value(summary.exp_x))
+    elif obs.kind == "momentum":
+        classical = summary.exp_p
+    else:
+        classical = summary.exp_p**2
+    mean, second = _moments(psi, obs, params)
+    spread = _clamped_std(second, mean)
+    ratio = abs(mean) / spread if spread > 0 else np.inf
+    taylor_err = abs(mean - classical) / abs(mean) if mean != 0 else np.inf
+    passed = (mass >= cfg.mass_threshold and ratio >= cfg.eta
+              and taylor_err <= cfg.taylor_tol)
+    return GateVerdict(passed, ratio, taylor_err, mass)
 
 
 def weak_interference(summaries: Sequence[PacketSummary]) -> np.ndarray:

@@ -22,14 +22,17 @@ STEP_NORM_TOL = 1e-9
 # Entries in the phase-factor cache: a run reuses a handful of
 # (grid, potential, params, dt) keys, and one entry is 32 * n_points bytes.
 PHASE_CACHE_SIZE = 16
+POTENTIAL_FIELDS = {"free": (), "harmonic": ("omega", "center"),
+                    "double_well": ("barrier_height", "well_separation"),
+                    "tabulated": ("table",)}
 
 
 @dataclass(frozen=True)
 class Potential:
     """Time-independent potential V(x): free, harmonic, double-well or tabulated.
 
-    Only the tabulated kind takes a table, which must be finite and 1-D and
-    is stored as a tuple of floats, so dataclass equality compares values.
+    Each kind takes only its POTENTIAL_FIELDS.  A table must be finite and
+    1-D, stored as a tuple of floats so dataclass equality compares values.
     """
 
     kind: str
@@ -42,18 +45,20 @@ class Potential:
     table: Optional[Tuple[float, ...]] = field(default=None, hash=False)
 
     def __post_init__(self):
-        if self.kind not in ("free", "harmonic", "double_well", "tabulated"):
+        if self.kind not in POTENTIAL_FIELDS:
             raise ValidationError(f"unknown potential kind {self.kind!r}")
-        if not all(map(math.isfinite, (self.omega, self.center,
-                                       self.barrier_height,
-                                       self.well_separation))):
+        numbers = ("omega", "center", "barrier_height", "well_separation")
+        if not all(math.isfinite(getattr(self, name)) for name in numbers):
             raise ValidationError("potential parameters must be finite")
         if self.kind == "harmonic" and self.omega <= 0:
             raise ValidationError("harmonic potential needs omega > 0")
         if self.kind == "double_well" and self.well_separation <= 0:
             raise ValidationError("double well needs well_separation > 0")
-        if self.table is not None and self.kind != "tabulated":
-            raise ValidationError(f"a {self.kind} potential takes no table")
+        given = ("table",) * (self.table is not None) + tuple(
+            name for name in numbers if getattr(self, name))
+        stray = [n for n in given if n not in POTENTIAL_FIELDS[self.kind]]
+        if stray:
+            raise ValidationError(f"{self.kind} takes no {', '.join(stray)}")
         if self.kind == "tabulated":
             table = np.asarray(self.table, dtype=np.float64)
             if table.ndim != 1 or not np.all(np.isfinite(table)):

@@ -82,7 +82,7 @@ class ScenarioConfig:
     scenario: str
     grid: Grid1D
     physics: PhysicalParams
-    gate: GateConfig
+    gate: Optional[GateConfig]
     packet: PacketSpec
     evolution: Optional[EvolutionConfig]
     coupling: Optional[CouplingConfig]
@@ -147,8 +147,8 @@ class RunManifest:
 class Scenario(NamedTuple):
     """A scenario's runner, the inputs it reads beyond ACCEPTED (top-level
     keys, sections or `section.key`s) and the body of its check config.
-    parse_config builds `evolution` and `coupling` only where read, requires
-    a read key with no default, and rejects any input neither list names."""
+    parse_config builds a section only where read, requires a read key with
+    no default, and rejects any input neither list names."""
     runner: Callable[[ScenarioConfig, RunManifest], None]
     reads: Tuple[str, ...]
     check_config: str
@@ -162,16 +162,15 @@ ACCEPTED = ("scenario", "grid", "physics", "packet.sigma", "packet.center",
             "seed", "output_dir")
 # Config section -> its constructor, whose keyword defaults are the section's
 # keys and defaults: an int default makes an integer key, any other a float
-# key, only a key whose default is None may be null, and a section in
-# _BUILT_WHERE_READ is None where the scenario does not read it.  A dict maps
-# the section's `kind`, which has no default, to the constructor.
+# key, only a key whose default is None may be null, and a section is None
+# where the scenario does not read it.  A dict maps the section's `kind`,
+# which has no default, to the constructor.
 _SECTIONS = {"grid": Grid1D, "physics": PhysicalParams, "gate": GateConfig,
              "packet": PacketSpec, "evolution": EvolutionConfig,
              "coupling": CouplingConfig,
              "potential": {"free": Potential.free,
                            "harmonic": Potential.harmonic,
                            "double_well": Potential.double_well}}
-_BUILT_WHERE_READ = ("evolution", "coupling")
 
 
 def _coerce(name: str, value: Any, kind: type) -> Any:
@@ -275,9 +274,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if scenario not in SCENARIOS:
         raise ParseError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     reads = REGISTRY[scenario].reads
-    read = {r.split(".")[0] for r in reads}
-    values = {name: _build(name, raw.pop(name, None), factory,
-                           name in read or name not in _BUILT_WHERE_READ)
+    read = {r.split(".")[0] for r in ACCEPTED + reads}
+    values = {name: _build(name, raw.pop(name, None), factory, name in read)
               for name, factory in _SECTIONS.items()}
     values.update((key, parse(raw.pop(key)) if key in raw else absent)
                   for key, (parse, absent) in _KEYS.items())
@@ -407,7 +405,7 @@ def _evolve_and_record(cfg, manifest, psi: WaveFunction,
     with _diagnostics_csv(manifest) as row:
 
         def observer(t, state):
-            summary = packet_summary(state, cfg.gate, cfg.physics)
+            summary = packet_summary(state, params=cfg.physics)
             records.append((t, summary))
             row(t, state.norm(), summary)
 
@@ -426,7 +424,7 @@ def _run_free_spread(cfg, manifest):
     expected = sigma * math.sqrt(1.0 + rate**2)
     t_last, last = records[-1]
     got = (last if t_last == t_final
-           else packet_summary(final, cfg.gate, cfg.physics)).std_x
+           else packet_summary(final, params=cfg.physics)).std_x
     _check(manifest, "spreading_law", abs(got - expected) <= 1e-6,
            f"std_x(t={t_final}) = {got:.12g}, analytic {expected:.12g}")
 
@@ -453,7 +451,7 @@ def _run_cat_gate(cfg, manifest):
         verdict = position_gate(p, cfg.gate, cfg.physics)
         verdicts[f"branch_{i}"] = verdict.is_wave_packet
         _check(manifest, f"branch_{i}_is_packet", verdict.is_wave_packet,
-               f"ratio rows: {[(r, e) for _, r, e in verdict.per_observable]}")
+               f"ratio {verdict.ratio:.6g}, taylor {verdict.taylor_error:.3g}")
     cat_verdict = position_gate(cat, cfg.gate, cfg.physics)
     verdicts["superposition"] = cat_verdict.is_wave_packet
     _check(manifest, "superposition_not_packet", not cat_verdict.is_wave_packet,

@@ -105,9 +105,9 @@ def test_acceptance_3_wave_packet_gate():
     """Narrow packets pass the gate at ratio 100; split states never do."""
     grid = Grid1D(0.0, 20.0, 2048)
     psi = make_gaussian(grid, 10.0, 0.1, 0.0, PARAMS)
-    verdict = wave_packet_gate(psi, [ObservableSpec.position()], params=PARAMS)
-    _, ratio, _ = verdict.per_observable[0]
-    up = verdict.uncertainty_product
+    verdict = wave_packet_gate(psi, ObservableSpec.position(), params=PARAMS)
+    ratio = verdict.ratio
+    up = packet_summary(psi, params=PARAMS).uncertainty_product
 
     cat_grid = Grid1D(-40.0, 40.0, 1024)
     rng = np.random.default_rng(2026)
@@ -126,7 +126,7 @@ def test_acceptance_3_wave_packet_gate():
         s = packet_summary(cat, params=PARAMS)
         lo, _ = s.support
         shift = max(0.0, 0.1 * s.std_x - lo) + s.std_x
-        cat_verdict = wave_packet_gate(cat, [ObservableSpec.position(shift)],
+        cat_verdict = wave_packet_gate(cat, ObservableSpec.position(shift),
                                        params=PARAMS)
         false_negatives += int(cat_verdict.is_wave_packet)
 

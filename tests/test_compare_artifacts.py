@@ -1,12 +1,36 @@
-"""The report of `scripts/compare_artifacts.py diff` on synthetic hash
-files: artifact hashes, ok flags, and each run's assertions and error
-type."""
+"""The standard verification set of `scripts/compare_artifacts.py hash`,
+and the report of its `diff` on synthetic hash files: artifact hashes, ok
+flags, and each run's assertions and error type."""
 import sys
 from pathlib import Path
 
+from qcollapse.scenarios import REGISTRY, parse_config
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-from compare_artifacts import _diff  # noqa: E402
+from compare_artifacts import _diff, standard_configs  # noqa: E402
+
+
+def test_standard_set_is_the_check_and_bench_configs_and_parses():
+    """Six check configs and eight bench configs under the labels older
+    hash files use; each text parses, and nothing runs."""
+    texts = standard_configs(REGISTRY)
+    assert sorted(texts) == sorted([
+        "free_spread", "harmonic_coherent", "cat_gate", "collapse_sample",
+        "measurement_run", "born_ensemble",
+        "bench_chain", "bench_ensemble", "bench_trajectory",
+        "bench_ensemble_full_seed1", "bench_ensemble_full_seed3",
+        "bench_chain_full_seed1", "bench_trajectory_full_seed1",
+        "bench_chain_full_seed5"])
+    scenario_of = {"chain": "measurement_run", "ensemble": "collapse_sample",
+                   "trajectory": "harmonic_coherent"}
+    for label, text in texts.items():
+        cfg = parse_config(text)
+        if label in REGISTRY:
+            assert cfg.scenario == label
+        else:
+            assert cfg.scenario == scenario_of[label.split("_")[1]]
+            assert (cfg.grid.n_points == 1024) == ("_full_" not in label)
 
 
 def _runs(**assertions):

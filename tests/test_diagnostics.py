@@ -60,6 +60,16 @@ class TestObservableSpec:
         with pytest.raises(ValidationError):
             ObservableSpec.momentum().classical_value(1.0)
 
+    @pytest.mark.parametrize("kind", ["momentum", "momentum_squared"])
+    def test_momentum_kinds_take_no_coefficients(self, kind):
+        """A coefficient a momentum observable never reads is refused, not
+        silently dropped."""
+        assert ObservableSpec(kind) == ObservableSpec(kind, ())
+        for coefficients in ((5.0,), [0.0, 1.0], np.array([2.0])):
+            with pytest.raises(ValidationError,
+                               match=f"{kind} takes no coefficients"):
+                ObservableSpec(kind, coefficients)
+
 
 class TestExpectation:
     def test_position_moments_vs_quadrature(self, grid, gaussian, params):
@@ -102,7 +112,7 @@ class TestExpectation:
 class TestPacketSummary:
     def test_support_interval_and_mass(self, gaussian, params):
         psi = gaussian(center=5.0, sigma=0.5)
-        s = packet_summary(psi, GateConfig(k=2.0), params=params)
+        s = packet_summary(psi, 2.0, params=params)
         lo, hi = s.support
         assert lo == pytest.approx(4.5, abs=1e-8)
         assert hi == pytest.approx(5.5, abs=1e-8)
@@ -111,7 +121,7 @@ class TestPacketSummary:
                                                   abs=0.01)
 
     def test_wide_interval_mass(self, gaussian, params):
-        s = packet_summary(gaussian(), GateConfig(k=6.0), params=params)
+        s = packet_summary(gaussian(), 6.0, params=params)
         assert s.mass_in_support >= 0.997
 
     def test_uncertainty_bound(self, gaussian, params):
@@ -197,7 +207,7 @@ class TestFusedPacketSummary:
                               second)])
         else:
             psi = first
-        s = packet_summary(psi, GateConfig(k=k), params)
+        s = packet_summary(psi, k, params)
 
         x_obs, p_obs = ObservableSpec.position(), ObservableSpec.momentum()
         exp_x = expectation(psi, x_obs, params)
@@ -243,7 +253,7 @@ class TestFusedPacketSummary:
             if kind == "cat":
                 psi = superpose([(0.6, psi), (0.8j, make_gaussian(
                     grid, 21.0, 0.9, -1.1, params))])
-        s = packet_summary(psi, GateConfig(k=k), params)
+        s = packet_summary(psi, k, params)
         want = packet_summary_oracle(psi.amplitudes, grid, k, hbar)
         got = (s.exp_x, s.std_x, s.exp_p, s.std_p, *s.support,
                s.mass_in_support)
@@ -289,7 +299,7 @@ class TestPositivePosition:
         params = PhysicalParams()
         gate = GateConfig(k=k)
         psi = make_gaussian(self.GRID, center, sigma, 0.0, params)
-        summary = packet_summary(psi, gate, params)
+        summary = packet_summary(psi, k, params)
         lo, hi = summary.support
         x = self.GRID.x
         probe = np.append(x[(x >= lo) & (x <= hi)], summary.exp_x)
@@ -309,38 +319,35 @@ class TestWavePacketGate:
     def test_narrow_far_packet_passes(self, params):
         grid = Grid1D(0.0, 20.0, 2048)
         psi = make_gaussian(grid, 10.0, 0.1, 0.0, params)
-        verdict = wave_packet_gate(psi, [ObservableSpec.position()],
+        verdict = wave_packet_gate(psi, ObservableSpec.position(),
                                    params=params)
-        _, ratio, taylor = verdict.per_observable[0]
-        assert ratio == pytest.approx(100.0, rel=1e-6)
-        assert taylor <= 1e-10
+        assert verdict.ratio == pytest.approx(100.0, rel=1e-6)
+        assert verdict.taylor_error <= 1e-10
         assert verdict.is_wave_packet
 
     def test_cat_fails_ratio(self, grid, gaussian, params):
         cat = superpose([(1 / math.sqrt(2), gaussian(center=-10.0)),
                          (1 / math.sqrt(2), gaussian(center=10.0))])
         a = ObservableSpec.position(20.0)
-        verdict = wave_packet_gate(cat, [a], params=params)
+        verdict = wave_packet_gate(cat, a, params=params)
         assert not verdict.is_wave_packet
-        _, ratio, _ = verdict.per_observable[0]
         # spread ~ 10, mean ~ 20 -> ratio ~ 2, far below eta = 10
-        assert ratio < 3.0
+        assert verdict.ratio < 3.0
 
     def test_observable_must_be_positive(self, gaussian, params):
         psi = gaussian(center=10.0, sigma=0.5)
         a = ObservableSpec.position_poly([100.0, -20.0, 1.0])  # (x - 10)^2
         with pytest.raises(ObservableNotPositiveOnSupport):
-            wave_packet_gate(psi, [a], params=params)
+            wave_packet_gate(psi, a, params=params)
 
     def test_momentum_observable(self, params):
         grid = Grid1D(-40.0, 40.0, 2048)
         psi = make_gaussian(grid, 0.0, 4.0, 2.0, params)
         # std p = 1/8, <p> = 2 -> ratio 16 >= eta
-        verdict = wave_packet_gate(psi, [ObservableSpec.momentum()],
+        verdict = wave_packet_gate(psi, ObservableSpec.momentum(),
                                    params=params)
-        _, ratio, taylor = verdict.per_observable[0]
-        assert ratio == pytest.approx(16.0, rel=1e-6)
-        assert taylor <= 1e-10
+        assert verdict.ratio == pytest.approx(16.0, rel=1e-6)
+        assert verdict.taylor_error <= 1e-10
         assert verdict.is_wave_packet
 
     def test_marginal_ratio_fails(self, params):
@@ -348,10 +355,9 @@ class TestWavePacketGate:
         psi = make_gaussian(grid, 5.0, 1.0, 0.0, params)
         # ratio ~ 5+shift but with a bare A(x) = x probe at center 5, sigma 1
         # the dominance ratio is 5 < 10
-        verdict = wave_packet_gate(psi, [ObservableSpec.position()],
+        verdict = wave_packet_gate(psi, ObservableSpec.position(),
                                    params=params)
-        _, ratio, _ = verdict.per_observable[0]
-        assert ratio == pytest.approx(5.0, rel=1e-6)
+        assert verdict.ratio == pytest.approx(5.0, rel=1e-6)
         assert not verdict.is_wave_packet
 
     @pytest.mark.parametrize("obs", [ObservableSpec.position(3.0),
@@ -361,9 +367,8 @@ class TestWavePacketGate:
         grid = Grid1D(-40.0, 40.0, 2048)
         for center, sigma, momentum in ((10.0, 0.5, 2.0), (1.0, 2.0, 0.3)):
             psi = make_gaussian(grid, center, sigma, momentum, params)
-            verdict = wave_packet_gate(psi, [obs], params=params)
-            _, ratio, _ = verdict.per_observable[0]
-            assert ratio == (abs(expectation(psi, obs, params))
+            verdict = wave_packet_gate(psi, obs, params=params)
+            assert verdict.ratio == (abs(expectation(psi, obs, params))
                              / std_dev(psi, obs, params))
 
     @settings(deadline=None, max_examples=25)
@@ -380,7 +385,7 @@ class TestWavePacketGate:
             (c2, make_gaussian(grid, mid + d / 2, sigma, 0.0, params)),
         ])
         summary = packet_summary(cat, params=params)
-        verdict = wave_packet_gate(cat, [positive_position(summary)],
+        verdict = wave_packet_gate(cat, positive_position(summary),
                                    params=params)
         assert not verdict.is_wave_packet
 

@@ -338,6 +338,24 @@ class TestPotentialValueSemantics:
             Potential(kind=kind, omega=1.0, well_separation=4.0,
                       table=[1.0, 2.0])
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("free", "omega", 2.0), ("free", "center", 1.0),
+        ("harmonic", "barrier_height", 1.0),
+        ("harmonic", "well_separation", 4.0),
+        ("double_well", "center", 3.0), ("double_well", "omega", 1.0),
+        ("tabulated", "omega", 1.0), ("tabulated", "center", -2.0)])
+    def test_a_field_the_kind_never_reads_is_refused(self, kind, field,
+                                                     value):
+        """A stray field would otherwise be ignored: a double well given
+        center 3 would sit at 0."""
+        reads = {"harmonic": {"omega": 1.0},
+                 "double_well": {"well_separation": 4.0},
+                 "tabulated": {"table": np.zeros(4)}}.get(kind, {})
+        Potential(kind=kind, **reads)
+        with pytest.raises(ValidationError,
+                           match=f"{kind} takes no {field}"):
+            Potential(kind=kind, **reads, **{field: value})
+
     def test_analytic_kinds_keep_field_equality(self):
         assert Potential.harmonic(1.0) == Potential.harmonic(1.0)
         assert hash(Potential.harmonic(1.0)) == hash(Potential.harmonic(1.0))

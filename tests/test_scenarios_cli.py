@@ -155,9 +155,9 @@ def check_text(scenario):
 
 def parsed_before_reads(text):
     """The ScenarioConfig that a config setting only inputs its scenario
-    reads parsed to before `Scenario.reads`: grid, physics, gate and packet
-    built from their keys, evolution only in the scenarios that evolve,
-    coupling only in the chain, no potential."""
+    reads parsed to before `Scenario.reads`: grid, physics and packet built
+    from their keys, gate only in cat_gate and the chain, evolution only in
+    the scenarios that evolve, coupling only in the chain, no potential."""
     raw = yaml.safe_load(text)
     name = raw["scenario"]
     chain = name in ("measurement_run", "born_ensemble")
@@ -166,7 +166,8 @@ def parsed_before_reads(text):
     return ScenarioConfig(
         scenario=name, grid=Grid1D(**raw.get("grid", {})),
         physics=PhysicalParams(**raw.get("physics", {})),
-        gate=GateConfig(**raw.get("gate", {})),
+        gate=GateConfig(**raw.get("gate", {}))
+        if chain or name == "cat_gate" else None,
         packet=PacketSpec(**raw.get("packet", {})),
         evolution=EvolutionConfig(**raw.get("evolution", {})) if evolves
         else None,
@@ -423,9 +424,9 @@ class TestScenarioRuns:
         seen = []
         real = scenarios.packet_summary
 
-        def counting(psi, *args):
+        def counting(psi, *args, **kwargs):
             seen.append(psi)
-            return real(psi, *args)
+            return real(psi, *args, **kwargs)
 
         monkeypatch.setattr(scenarios, "packet_summary", counting)
         text = ("scenario: free_spread\n"
@@ -866,6 +867,18 @@ class TestCli:
         path = self._write(tmp_path, f"{FREE}output_dir: {value}\n")
         assert main(["simulate", path]) == 2
         assert capsys.readouterr().err.startswith("config error: output_dir ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["sample", "--n-runs", "1"]])
+    def test_an_empty_out_exits_2_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, command):
+        """--out "" is refused like output_dir: "", not read as the
+        working directory."""
+        monkeypatch.chdir(tmp_path)
+        path = self._write(tmp_path, COLLAPSE)
+        assert main([command[0], path, *command[1:], "--out", ""]) == 2
+        assert capsys.readouterr().err.startswith("config error: --out ")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
     def test_simulate_writes_into_a_string_output_dir(self, tmp_path,
