@@ -10,13 +10,11 @@ from .grid import (
 )
 from .propagate import EvolutionConfig, Potential, evolve, step, translate
 from .diagnostics import (
-    EhrenfestResiduals,
     GateConfig,
     GateVerdict,
     ObservableSpec,
     OrderParameters,
     PacketSummary,
-    ehrenfest_residual,
     expectation,
     order_parameters,
     packet_summary,

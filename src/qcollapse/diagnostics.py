@@ -1,4 +1,4 @@
-"""Expectation values, packet summaries, classicality gates and residuals.
+"""Expectation values, packet summaries, classicality gates, order parameters.
 
 Everything here is a pure read-only function over immutable states.  The
 wave-packet gate quantifies the usual ">>" dominance condition as a
@@ -16,13 +16,11 @@ import numpy as np
 
 from .errors import (
     NonHermitianResidue,
-    NonUniformSampling,
     ObservableNotPositiveOnSupport,
     TooFewPackets,
     ValidationError,
 )
 from .grid import PhysicalParams, WaveFunction
-from .propagate import Potential
 
 HERMITICITY_TOL = 1e-6
 VARIANCE_CLAMP_TOL = 1e-9
@@ -46,8 +44,9 @@ class ObservableSpec:
             raise ValidationError(f"{self.kind} takes no coefficients")
         if self.kind == "position_poly":
             coeffs = tuple(float(c) for c in self.coefficients)
-            if not coeffs or len(coeffs) > 9:
-                raise ValidationError("position_poly degree must be <= 8")
+            if not 1 <= len(coeffs) <= 9:
+                raise ValidationError("position_poly needs 1 to 9 "
+                                      f"coefficients, got {len(coeffs)}")
             if not all(np.isfinite(coeffs)):
                 raise ValidationError("coefficients must be finite")
             object.__setattr__(self, "coefficients", coeffs)
@@ -131,16 +130,6 @@ class OrderParameters:
     @property
     def transition(self) -> bool:
         return self.min_pairwise_separation >= self.critical_value
-
-
-@dataclass(frozen=True)
-class EhrenfestResiduals:
-    """Ehrenfest and Newtonian-limit residuals at interior sample times."""
-
-    times: np.ndarray
-    residual_x: np.ndarray       # |m d<x>/dt - <p>|
-    residual_p: np.ndarray       # |d<p>/dt + <dV/dx>|
-    residual_newton: np.ndarray  # |d<p>/dt + dV(<x>)/d<x>|
 
 
 def _support_slice(x: np.ndarray, lo: float, hi: float) -> slice:
@@ -329,41 +318,3 @@ def order_parameters(branch_summaries: Sequence[PacketSummary]) -> OrderParamete
         min_pairwise_separation=float(min(
             hi - lo for lo, hi in zip(centers, centers[1:]))),
         critical_value=float(0.5 * (widths[-1] + widths[-2])))
-
-
-def ehrenfest_residual(trajectory: Sequence[Tuple[float, WaveFunction]],
-                       v: Potential,
-                       params: PhysicalParams = PhysicalParams()
-                       ) -> EhrenfestResiduals:
-    """Centered-difference residuals of the Ehrenfest relations.
-
-    residual_x and residual_p test the exact relations; residual_newton uses
-    the classical force at <x> instead of the averaged force, which only
-    agrees within the wave-packet approximation (or for linear forces).
-    """
-    if len(trajectory) < 3:
-        raise ValidationError("need at least three trajectory samples")
-    times = np.array([t for t, _ in trajectory])
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise NonUniformSampling("trajectory samples must be uniformly spaced")
-    dt = float(dts[0])
-
-    grid = trajectory[0][1].grid
-    grad = v.gradient_at(grid.x, params)
-    exp_x = np.empty(len(trajectory))
-    exp_p = np.empty(len(trajectory))
-    exp_f = np.empty(len(trajectory))
-    for i, (_, psi) in enumerate(trajectory):
-        s = packet_summary(psi, params=params)
-        exp_x[i], exp_p[i] = s.exp_x, s.exp_p
-        exp_f[i] = float(np.sum(grad * psi.probability_density())) * grid.dx
-
-    dxdt = (exp_x[2:] - exp_x[:-2]) / (2.0 * dt)
-    dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)
-    return EhrenfestResiduals(
-        times=times[1:-1],
-        residual_x=np.abs(params.mass * dxdt - exp_p[1:-1]),
-        residual_p=np.abs(dpdt + exp_f[1:-1]),
-        residual_newton=np.abs(dpdt + v.gradient_at(exp_x[1:-1], params)),
-    )

@@ -45,10 +45,6 @@ class TooFewPackets(QCollapseError):
     """Pairwise packet comparisons need at least two packets."""
 
 
-class NonUniformSampling(QCollapseError):
-    """Trajectory samples are not uniformly spaced in time."""
-
-
 class NotWeaklyInterfering(QCollapseError):
     """Branch packets overlap too much for collapse semantics to apply."""
 

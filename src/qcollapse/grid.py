@@ -9,7 +9,6 @@ noticeable mass near the boundary, at construction and during evolution.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +19,6 @@ from .errors import (
     EmptySuperposition,
     GridMismatch,
     GridTooCoarse,
-    ParseError,
     ValidationError,
 )
 
@@ -29,8 +27,6 @@ NORM_TOL = 1e-10
 # the grid, since periodic wrap-around would corrupt weak-interference tests.
 EDGE_MASS_TOL = 1e-8
 EDGE_FRACTION = 0.05
-# Snapshot line 2; np.loadtxt skips it as a comment.
-_GRID_LINE = re.compile(r"# grid x_min=(\S+) x_max=(\S+) n_points=(\d+)")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -223,17 +219,3 @@ def write_snapshot(psi: WaveFunction, path) -> None:
                  f"n_points={g.n_points}\n")
         for x, a in zip(g.x, psi.amplitudes):
             fh.write(f"{x:.17g},{a.real:.17g},{a.imag:.17g}\n")
-
-
-def read_snapshot(path) -> WaveFunction:
-    """Read a CSV snapshot written by write_snapshot."""
-    with open(path) as fh:
-        fh.readline()
-        grid_line = fh.readline().rstrip("\n")
-    match = _GRID_LINE.fullmatch(grid_line)
-    if match is None:
-        raise ParseError(f"{path}: line 2 is not a grid line: {grid_line!r}")
-    grid = Grid1D(x_min=float(match[1]), x_max=float(match[2]),
-                  n_points=int(match[3]))
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return WaveFunction(grid, data[:, 1] + 1j * data[:, 2])

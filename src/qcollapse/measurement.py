@@ -134,8 +134,8 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     Branch n drifts at velocity n * shift_velocity inside the potential,
     which rides along with it.  Since T(a) S_{V(x-a)} = S_V T(a) for a rigid
     shift T and a split step S, branch n is evolved in its co-moving frame
-    under the one static potential, for every kind including tabulated, and
-    is seen in the lab frame as that state translated by
+    under the one static potential, of any kind, and is seen in the lab
+    frame as that state translated by
     n * shift_velocity * t.  Confining potentials therefore hold the packet
     shape while its center translates.  The coefficients are carried
     unchanged.  `observer`, if given, receives (t, per-branch PacketSummary

@@ -6,7 +6,7 @@ which preserves the norm by construction (every factor is a pure phase).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
@@ -23,16 +23,14 @@ STEP_NORM_TOL = 1e-9
 # (grid, potential, params, dt) keys, and one entry is 32 * n_points bytes.
 PHASE_CACHE_SIZE = 16
 POTENTIAL_FIELDS = {"free": (), "harmonic": ("omega", "center"),
-                    "double_well": ("barrier_height", "well_separation"),
-                    "tabulated": ("table",)}
+                    "double_well": ("barrier_height", "well_separation")}
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Time-independent potential V(x): free, harmonic, double-well or tabulated.
+    """Time-independent potential V(x): free, harmonic or double-well.
 
-    Each kind takes only its POTENTIAL_FIELDS.  A table must be finite and
-    1-D, stored as a tuple of floats so dataclass equality compares values.
+    Each kind takes only its POTENTIAL_FIELDS.
     """
 
     kind: str
@@ -40,9 +38,6 @@ class Potential:
     center: float = 0.0
     barrier_height: float = 0.0
     well_separation: float = 0.0
-    # Left out of the hash, which every step's cached phase-factor lookup
-    # computes: hashing N floats costs about what the cache saves.
-    table: Optional[Tuple[float, ...]] = field(default=None, hash=False)
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_FIELDS:
@@ -54,16 +49,10 @@ class Potential:
             raise ValidationError("harmonic potential needs omega > 0")
         if self.kind == "double_well" and self.well_separation <= 0:
             raise ValidationError("double well needs well_separation > 0")
-        given = ("table",) * (self.table is not None) + tuple(
-            name for name in numbers if getattr(self, name))
-        stray = [n for n in given if n not in POTENTIAL_FIELDS[self.kind]]
+        stray = [name for name in numbers if getattr(self, name)
+                 and name not in POTENTIAL_FIELDS[self.kind]]
         if stray:
             raise ValidationError(f"{self.kind} takes no {', '.join(stray)}")
-        if self.kind == "tabulated":
-            table = np.asarray(self.table, dtype=np.float64)
-            if table.ndim != 1 or not np.all(np.isfinite(table)):
-                raise ValidationError("tabulated potential must be finite and 1-D")
-            object.__setattr__(self, "table", tuple(table.tolist()))
 
     @staticmethod
     def free() -> "Potential":
@@ -79,33 +68,14 @@ class Potential:
         return Potential(kind="double_well", barrier_height=barrier_height,
                          well_separation=well_separation)
 
-    @staticmethod
-    def tabulated(values) -> "Potential":
-        return Potential(kind="tabulated", table=values)
-
     def values(self, grid: Grid1D, params: PhysicalParams) -> np.ndarray:
         x = grid.x
-        if self.kind == "free":
-            return np.zeros(grid.n_points)
         if self.kind == "harmonic":
             return 0.5 * params.mass * self.omega**2 * (x - self.center) ** 2
         if self.kind == "double_well":
             a = 0.5 * self.well_separation
             return self.barrier_height * ((x / a) ** 2 - 1.0) ** 2
-        if len(self.table) != grid.n_points:
-            raise ValidationError("tabulated potential does not match grid")
-        return np.array(self.table)
-
-    def gradient_at(self, x, params: PhysicalParams) -> np.ndarray:
-        """Analytic dV/dx at any x; a tabulated potential has none."""
-        if self.kind == "free":
-            return np.zeros(np.shape(x))
-        if self.kind == "harmonic":
-            return params.mass * self.omega**2 * (x - self.center)
-        if self.kind == "double_well":
-            a = 0.5 * self.well_separation
-            return self.barrier_height * 4.0 * (x / a**2) * ((x / a) ** 2 - 1.0)
-        raise ValidationError("a tabulated potential has no analytic gradient")
+        return np.zeros(grid.n_points)
 
 
 @dataclass(frozen=True)
@@ -128,10 +98,10 @@ class EvolutionConfig:
                 f"dt={self.dt} exceeds 0.1 * (2 pi / omega) for omega={v.omega}")
 
 
-# Keyed on (grid, potential, params, dt), all hashable values; a tabulated
-# Potential hashes and compares by its table's values.  Every caller steps
-# under one static potential (the measurement chain evolves each branch
-# in its co-moving frame), so a run hits one entry per (potential, dt).
+# Keyed on (grid, potential, params, dt), all hashable values.  Every
+# caller steps under one static potential (the measurement chain evolves
+# each branch in its co-moving frame), so a run hits one entry per
+# (potential, dt).
 @lru_cache(maxsize=PHASE_CACHE_SIZE)
 def _phase_factors(grid: Grid1D, v: Potential, params: PhysicalParams,
                    dt: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -44,9 +44,8 @@ from .measurement import (
     premeasurement,
     von_neumann_evolve,
 )
-from .propagate import EvolutionConfig, Potential, evolve
+from .propagate import POTENTIAL_FIELDS, EvolutionConfig, Potential, evolve
 
-OUTPUT_ENV_VAR = "QCOLLAPSE_OUT"
 # Chance per run that the branch-frequency check fails a correct sampler.
 FREQUENCY_FALSE_ALARM = 1e-6
 # Doubles an ensemble takes from its stream per rng.random(m) call.
@@ -168,9 +167,8 @@ ACCEPTED = ("scenario", "grid", "physics", "packet.sigma", "packet.center",
 _SECTIONS = {"grid": Grid1D, "physics": PhysicalParams, "gate": GateConfig,
              "packet": PacketSpec, "evolution": EvolutionConfig,
              "coupling": CouplingConfig,
-             "potential": {"free": Potential.free,
-                           "harmonic": Potential.harmonic,
-                           "double_well": Potential.double_well}}
+             "potential": {kind: getattr(Potential, kind)
+                           for kind in POTENTIAL_FIELDS}}
 
 
 def _coerce(name: str, value: Any, kind: type) -> Any:
@@ -347,8 +345,7 @@ def _config_hash(cfg: ScenarioConfig) -> str:
 
 def resolve_output_root(cfg: ScenarioConfig,
                         out_override: Optional[str]) -> Path:
-    root = out_override or cfg.output_dir or os.environ.get(OUTPUT_ENV_VAR)
-    return Path(root) if root else Path.cwd() / "runs"
+    return Path(out_override or cfg.output_dir or Path.cwd() / "runs")
 
 
 def _packets(cfg: ScenarioConfig, default_center: float,

@@ -4,9 +4,18 @@ translation and packet-summary kernels.
 
 These deliberately avoid the code paths they check (no FFT propagator, no
 grid inner products on the states under test, no cached factors).
+
+Below them are the analyses only tests run, built on the package's public
+API: the analytic force dV/dx, the Ehrenfest residuals of a trajectory
+(acceptance criteria 2 and 4), and the reader of `write_snapshot` files.
 """
+import re
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
+
+from qcollapse import Grid1D, WaveFunction, packet_summary
 
 
 def gaussian_moment_oracle(center, sigma, momentum, x_min, x_max, n_points,
@@ -87,3 +96,78 @@ def packet_summary_oracle(amps, grid, k, hbar):
     inside = (x >= lo) & (x <= hi)
     mass = min(np.sum(rho[inside]) * dx, 1.0)
     return exp_x, std_x, exp_p, std_p, lo, hi, mass
+
+
+def potential_gradient(v, x, params):
+    """Analytic dV/dx of the Potential `v` at any x."""
+    if v.kind == "harmonic":
+        return params.mass * v.omega**2 * (x - v.center)
+    if v.kind == "double_well":
+        a = 0.5 * v.well_separation
+        return v.barrier_height * 4.0 * (x / a**2) * ((x / a) ** 2 - 1.0)
+    return np.zeros(np.shape(x))
+
+
+class EhrenfestResiduals(NamedTuple):
+    """Ehrenfest and Newtonian-limit residuals at interior sample times."""
+
+    times: np.ndarray
+    residual_x: np.ndarray       # |m d<x>/dt - <p>|
+    residual_p: np.ndarray       # |d<p>/dt + <dV/dx>|
+    residual_newton: np.ndarray  # |d<p>/dt + dV(<x>)/d<x>|
+
+
+def ehrenfest_residual(trajectory, v, params):
+    """Centered-difference residuals of the Ehrenfest relations over
+    uniformly spaced (t, state) samples.
+
+    residual_x and residual_p test the exact relations; residual_newton uses
+    the classical force at <x> instead of the averaged force, which only
+    agrees within the wave-packet approximation (or for linear forces).
+    """
+    if len(trajectory) < 3:
+        raise ValueError("need at least three trajectory samples")
+    times = np.array([t for t, _ in trajectory])
+    dts = np.diff(times)
+    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
+        raise ValueError("trajectory samples must be uniformly spaced")
+    dt = float(dts[0])
+
+    grid = trajectory[0][1].grid
+    grad = potential_gradient(v, grid.x, params)
+    exp_x = np.empty(len(trajectory))
+    exp_p = np.empty(len(trajectory))
+    exp_f = np.empty(len(trajectory))
+    for i, (_, psi) in enumerate(trajectory):
+        s = packet_summary(psi, params=params)
+        exp_x[i], exp_p[i] = s.exp_x, s.exp_p
+        exp_f[i] = float(np.sum(grad * psi.probability_density())) * grid.dx
+
+    dxdt = (exp_x[2:] - exp_x[:-2]) / (2.0 * dt)
+    dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)
+    return EhrenfestResiduals(
+        times=times[1:-1],
+        residual_x=np.abs(params.mass * dxdt - exp_p[1:-1]),
+        residual_p=np.abs(dpdt + exp_f[1:-1]),
+        residual_newton=np.abs(
+            dpdt + potential_gradient(v, exp_x[1:-1], params)),
+    )
+
+
+# Snapshot line 2, which np.loadtxt skips as a comment.
+_GRID_LINE = re.compile(r"# grid x_min=(\S+) x_max=(\S+) n_points=(\d+)")
+
+
+def read_snapshot(path):
+    """The WaveFunction of a CSV snapshot written by `write_snapshot`, on the
+    exact grid its line 2 names."""
+    with open(path) as fh:
+        fh.readline()
+        grid_line = fh.readline().rstrip("\n")
+    match = _GRID_LINE.fullmatch(grid_line)
+    if match is None:
+        raise ValueError(f"{path}: line 2 is not a grid line: {grid_line!r}")
+    grid = Grid1D(x_min=float(match[1]), x_max=float(match[2]),
+                  n_points=int(match[3]))
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return WaveFunction(grid, data[:, 1] + 1j * data[:, 2])

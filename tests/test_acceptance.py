@@ -20,7 +20,6 @@ from qcollapse import (
     Potential,
     decompose,
     detect_transition,
-    ehrenfest_residual,
     evolve,
     expectation,
     make_gaussian,
@@ -36,7 +35,7 @@ from qcollapse.errors import TransitionNotReached
 from qcollapse.grid import overlap_matrix
 from qcollapse.scenarios import parse_config, run
 
-from oracles import coefficient_moduli, expm_step_oracle
+from oracles import coefficient_moduli, ehrenfest_residual, expm_step_oracle
 
 PARAMS = PhysicalParams()
 

@@ -15,7 +15,6 @@ from qcollapse import (
     PhysicalParams,
     Potential,
     WaveFunction,
-    ehrenfest_residual,
     evolve,
     expectation,
     make_gaussian,
@@ -36,22 +35,21 @@ from qcollapse.diagnostics import (
 from qcollapse.errors import (
     ApparatusNotReady,
     NonHermitianResidue,
-    NonUniformSampling,
     ObservableNotPositiveOnSupport,
     TooFewPackets,
     ValidationError,
 )
 
-from oracles import (coefficient_moduli, gaussian_moment_oracle,
-                     packet_summary_oracle)
+from oracles import (coefficient_moduli, ehrenfest_residual,
+                     gaussian_moment_oracle, packet_summary_oracle)
 
 
 class TestObservableSpec:
     def test_degree_cap(self):
         ObservableSpec.position_poly([0.0] * 9)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="1 to 9 coefficients, got 10"):
             ObservableSpec.position_poly([0.0] * 10)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="1 to 9 coefficients, got 0"):
             ObservableSpec.position_poly([])
 
     def test_classical_value(self):
@@ -527,18 +525,17 @@ class TestEhrenfest:
             maxima.append(ehrenfest_residual(traj, v, params).residual_p.max())
         assert maxima[0] / maxima[1] >= 3.5  # ~ O(dt^2)
 
-    def test_tabulated_potential_has_no_newton_residual(self, grid, gaussian,
-                                                        params):
-        v = Potential.tabulated(0.01 * grid.x**2)
-        traj = self._trajectory(gaussian(), v, params, 1e-3, 20, 10)
-        with pytest.raises(ValidationError):
-            ehrenfest_residual(traj, v, params)
-
     def test_nonuniform_sampling_rejected(self, gaussian, params):
         psi = gaussian()
         traj = [(0.0, psi), (0.1, psi), (0.3, psi)]
-        with pytest.raises(NonUniformSampling):
+        with pytest.raises(ValueError, match="uniformly spaced"):
             ehrenfest_residual(traj, Potential.free(), params)
+
+    def test_fewer_than_three_samples_rejected(self, gaussian, params):
+        psi = gaussian()
+        with pytest.raises(ValueError, match="at least three"):
+            ehrenfest_residual([(0.0, psi), (0.1, psi)], Potential.free(),
+                               params)
 
 
 class TestCoefficientModuli:

@@ -20,13 +20,12 @@ from qcollapse.errors import (
     EmptySuperposition,
     GridMismatch,
     GridTooCoarse,
-    ParseError,
     ValidationError,
 )
-from qcollapse.grid import check_unit_weights, read_snapshot, write_snapshot
+from qcollapse.grid import check_unit_weights, write_snapshot
 from qcollapse.scenarios import PacketSpec
 
-from oracles import gaussian_moment_oracle, gaussian_overlap
+from oracles import gaussian_moment_oracle, gaussian_overlap, read_snapshot
 
 
 class TestGrid1D:
@@ -311,5 +310,5 @@ class TestSnapshot:
         write_snapshot(gaussian(), path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text(lines[0] + "".join(lines[2:]))
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="not a grid line"):
             read_snapshot(path)

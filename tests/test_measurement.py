@@ -227,16 +227,6 @@ class TestVonNeumannEvolve:
             / self.CFG.shift_velocity
         assert crossing - 1e-12 <= report.t_star <= crossing + dt + 1e-12
 
-    def test_tabulated_trap_co_moves_like_the_analytic_trap(
-            self, obj, apparatus, trap, params):
-        table = Potential.tabulated(trap.values(APPARATUS_GRID, params))
-        final, report = self._coupled(obj, apparatus, trap, params, dt=0.05)
-        final_tab, report_tab = self._coupled(obj, apparatus, table, params,
-                                              dt=0.05)
-        for a, b in zip(final.apparatus_states, final_tab.apparatus_states):
-            assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert report_tab == report
-
     def test_branch_is_the_shifted_static_evolution(self, apparatus, trap,
                                                     params):
         dt, cfg = 0.05, self.CFG

@@ -23,7 +23,8 @@ from qcollapse.errors import BoundaryClipping, UnstableStep, ValidationError
 from qcollapse.propagate import _apply, _phase_factors
 
 from conftest import l2_distance
-from oracles import expm_step_oracle, split_step_oracle, translate_oracle
+from oracles import (expm_step_oracle, potential_gradient, split_step_oracle,
+                     translate_oracle)
 
 X = ObservableSpec.position()
 
@@ -168,8 +169,8 @@ class TestConfigs:
     def test_potential_invariants(self):
         with pytest.raises(ValidationError):
             Potential.harmonic(omega=-1.0)
-        with pytest.raises(ValidationError):
-            Potential.tabulated([np.inf] * 64)
+        with pytest.raises(ValidationError, match="must be finite"):
+            Potential.double_well(barrier_height=np.inf)
 
 
 def _random_amps(n, seed):
@@ -178,8 +179,7 @@ def _random_amps(n, seed):
 
 
 KERNEL_POTENTIALS = [Potential.free(), Potential.harmonic(1.3, center=2.0),
-                     Potential.double_well(2.0, 6.0),
-                     Potential.tabulated(np.linspace(-1.0, 3.0, 256) ** 2)]
+                     Potential.double_well(2.0, 6.0)]
 
 
 class TestKernelsMatchDenseFormulas:
@@ -253,8 +253,7 @@ def _half_v(grid, v, params, dt):
 
 class TestPhaseCaches:
     def test_cached_factors_are_read_only(self, grid, params):
-        table = Potential.tabulated(np.zeros(grid.n_points))
-        for v in (Potential.harmonic(1.0), table):
+        for v in (Potential.harmonic(1.0), Potential.double_well()):
             for factor in _phase_factors(grid, v, params, 0.01):
                 assert not factor.flags.writeable
                 with pytest.raises(ValueError):
@@ -273,9 +272,6 @@ class TestPhaseCaches:
                 assert a.shape != b.shape or not np.array_equal(a, b)
         assert np.array_equal(kinetic[3], np.conj(kinetic[0]))
 
-        table = np.linspace(0.0, 2.0, grid.n_points)
-        bumped = table.copy()
-        bumped[7] += 0.5
         trap = Potential.harmonic(1.0)
         potential = [_half_v(grid, trap, params, 0.01),
                      _half_v(grid, Potential.harmonic(1.0, center=0.5),
@@ -283,9 +279,7 @@ class TestPhaseCaches:
                      _half_v(grid, Potential.harmonic(2.0), params, 0.01),
                      _half_v(grid, trap, heavy, 0.01),
                      _half_v(grid, trap, params, 0.03),
-                     _half_v(other_grid, trap, params, 0.01),
-                     _half_v(grid, Potential.tabulated(table), params, 0.01),
-                     _half_v(grid, Potential.tabulated(bumped), params, 0.01)]
+                     _half_v(other_grid, trap, params, 0.01)]
         for i, a in enumerate(potential):
             for b in potential[i + 1:]:
                 assert a is not b
@@ -296,11 +290,6 @@ class TestPhaseCaches:
         assert (_phase_factors(grid, Potential.harmonic(1.0), params, 0.02)
                 is _phase_factors(same_grid, Potential.harmonic(1.0),
                                   PhysicalParams(), 0.02))
-        # a tabulated key compares by its table's bytes, not its identity
-        table = np.linspace(0.0, 2.0, grid.n_points)
-        assert (_phase_factors(grid, Potential.tabulated(table), params, 0.02)
-                is _phase_factors(grid, Potential.tabulated(table.copy()),
-                                  params, 0.02))
 
     def test_translate_round_trip(self, gaussian):
         psi = gaussian(center=-3.0, sigma=1.2, momentum=0.8)
@@ -312,49 +301,27 @@ class TestPhaseCaches:
 
 
 class TestPotentialValueSemantics:
-    def test_tabulated_equality_and_hash(self):
-        table = np.linspace(0.0, 1.0, 64)
-        a = Potential.tabulated(table)
-        b = Potential.tabulated(table.copy())
-        assert a == b and hash(a) == hash(b)
-        assert len({a, b}) == 1
-        assert a != Potential.tabulated(table + 1.0)
-        with pytest.raises(ValidationError, match="1-D"):
-            Potential.tabulated(table.reshape(8, 8))
-        assert a != Potential.free()
-
-    def test_tabulated_table_is_a_tuple_returned_bit_for_bit(self, params):
-        grid = Grid1D(-8.0, 8.0, 256)
-        table = np.random.default_rng(3).normal(size=grid.n_points)
-        v = Potential.tabulated(table)
-        assert isinstance(v.table, tuple)
-        assert v.values(grid, params).tobytes() == table.tobytes()
-        with pytest.raises(ValidationError, match="does not match grid"):
-            v.values(Grid1D(-8.0, 8.0, 128), params)
-
-    @pytest.mark.parametrize("kind", ["free", "harmonic", "double_well"])
-    def test_table_refused_on_analytic_kinds(self, kind):
-        with pytest.raises(ValidationError, match="takes no table"):
-            Potential(kind=kind, omega=1.0, well_separation=4.0,
-                      table=[1.0, 2.0])
-
     @pytest.mark.parametrize("kind, field, value", [
         ("free", "omega", 2.0), ("free", "center", 1.0),
         ("harmonic", "barrier_height", 1.0),
         ("harmonic", "well_separation", 4.0),
-        ("double_well", "center", 3.0), ("double_well", "omega", 1.0),
-        ("tabulated", "omega", 1.0), ("tabulated", "center", -2.0)])
+        ("free", "barrier_height", 1.0), ("free", "well_separation", 4.0),
+        ("double_well", "center", 3.0), ("double_well", "omega", 1.0)])
     def test_a_field_the_kind_never_reads_is_refused(self, kind, field,
                                                      value):
         """A stray field would otherwise be ignored: a double well given
         center 3 would sit at 0."""
         reads = {"harmonic": {"omega": 1.0},
-                 "double_well": {"well_separation": 4.0},
-                 "tabulated": {"table": np.zeros(4)}}.get(kind, {})
+                 "double_well": {"well_separation": 4.0}}.get(kind, {})
         Potential(kind=kind, **reads)
         with pytest.raises(ValidationError,
                            match=f"{kind} takes no {field}"):
             Potential(kind=kind, **reads, **{field: value})
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValidationError,
+                           match="unknown potential kind 'tabulated'"):
+            Potential(kind="tabulated")
 
     def test_analytic_kinds_keep_field_equality(self):
         assert Potential.harmonic(1.0) == Potential.harmonic(1.0)
@@ -374,11 +341,19 @@ class TestDoubleWell:
         imin = np.argmin(np.abs(grid.x - 2.0))
         assert vals[imin] == pytest.approx(0.0, abs=1e-10)
         # analytic gradient matches a finite difference of values
-        grad = v.gradient_at(grid.x, params)
+        grad = potential_gradient(v, grid.x, params)
         fd = np.gradient(vals, grid.dx)
         assert np.allclose(grad[5:-5], fd[5:-5], atol=5e-2)
 
-    def test_tabulated_has_no_gradient_at(self, params):
-        v = Potential.tabulated(np.zeros(256))
-        with pytest.raises(ValidationError):
-            v.gradient_at(0.0, params)
+    @pytest.mark.parametrize("v", [Potential.free(),
+                                   Potential.harmonic(1.3, center=2.0)],
+                             ids=["free", "harmonic"])
+    def test_force_is_the_derivative_of_values(self, v):
+        """The oracle force the Ehrenfest residuals use is dV/dx of `values`
+        for the other kinds too, sign and trap center included."""
+        params = PhysicalParams(mass=2.0)
+        grid = Grid1D(-8.0, 8.0, 256)
+        fd = np.gradient(v.values(grid, params), grid.dx)
+        grad = potential_gradient(v, grid.x, params)
+        assert grad.shape == grid.x.shape
+        assert np.allclose(grad[1:-1], fd[1:-1], rtol=0.0, atol=1e-9)

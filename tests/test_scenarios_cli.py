@@ -19,6 +19,7 @@ from qcollapse.cli import main
 from qcollapse.errors import (BoundaryClipping, NotWeaklyInterfering,
                               ParseError, TransitionNotReached,
                               ValidationError)
+from qcollapse.propagate import POTENTIAL_FIELDS, Potential
 from qcollapse.scenarios import (
     DIAG_HEADER,
     CouplingConfig,
@@ -349,6 +350,27 @@ class TestParseConfig:
             cfg = parse_config(text)
             assert cfg == parsed_before_reads(text), text
             assert cfg.echo == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("kind", POTENTIAL_FIELDS)
+    def test_each_potential_kind_parses_to_its_factory(self, kind):
+        fields = {name: 2.0 + i
+                  for i, name in enumerate(POTENTIAL_FIELDS[kind])}
+        section = yaml.safe_dump({"kind": kind, **fields},
+                                 default_flow_style=True)
+        cfg = parse_config("scenario: measurement_run\nseed: 1\n"
+                           f"coefficients: [0.6, 0.8]\npotential: {section}")
+        assert cfg.potential == getattr(Potential, kind)(**fields)
+
+    @pytest.mark.parametrize("section, kind", [
+        ("{kind: tabulated}", "'tabulated'"),
+        ("{kind: Harmonic, omega: 1.0}", "'Harmonic'"),
+        ("{omega: 1.0}", "None")])
+    def test_a_potential_kind_outside_the_fields_is_refused(self, section,
+                                                           kind):
+        with pytest.raises(ParseError,
+                           match=f"unknown potential kind {kind}"):
+            parse_config("scenario: measurement_run\nseed: 1\n"
+                         f"coefficients: [0.6, 0.8]\npotential: {section}\n")
 
     def test_complex_coefficient_forms(self):
         cfg = parse_config(
@@ -888,6 +910,19 @@ class TestCli:
         assert main(["simulate", path]) == 0
         (run_dir,) = (tmp_path / "out").iterdir()
         assert (run_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("env", ["", "elsewhere"])
+    def test_simulate_output_root_ignores_the_environment(
+            self, tmp_path, monkeypatch, env):
+        """With neither --out nor output_dir the run goes under ./runs,
+        whatever QCOLLAPSE_OUT holds: the root has those two names only."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("QCOLLAPSE_OUT", env)
+        assert main(["simulate", self._write(tmp_path, FREE)]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert (run_dir / "manifest.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["cfg.yaml", "runs"]
 
     def test_simulate_seed_override(self, tmp_path, capsys):
         rc = main(["simulate", self._write(tmp_path, COLLAPSE),
