@@ -12,13 +12,10 @@ from .propagate import EvolutionConfig, Potential, evolve, step, translate
 from .diagnostics import (
     GateConfig,
     GateVerdict,
-    ObservableSpec,
     OrderParameters,
     PacketSummary,
-    expectation,
     order_parameters,
     packet_summary,
-    std_dev,
     wave_packet_gate,
     weak_interference,
 )

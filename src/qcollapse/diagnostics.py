@@ -1,9 +1,8 @@
-"""Expectation values, packet summaries, classicality gates, order parameters.
+"""Packet summaries, the classicality gate and order parameters.
 
 Everything here is a pure read-only function over immutable states.  The
 wave-packet gate quantifies the usual ">>" dominance condition as a
-configurable ratio threshold and the Taylor-closure condition as a relative
-tolerance, so verdicts are reproducible.
+configurable ratio threshold, so verdicts are reproducible.
 """
 from __future__ import annotations
 
@@ -31,50 +30,6 @@ GATE_CONTAINMENT_K = 6.0
 
 
 @dataclass(frozen=True)
-class ObservableSpec:
-    """Position polynomial A(x) = sum a_k x^k, momentum, or momentum squared."""
-
-    kind: str
-    coefficients: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("position_poly", "momentum", "momentum_squared"):
-            raise ValidationError(f"unknown observable kind {self.kind!r}")
-        if self.kind != "position_poly" and len(self.coefficients):
-            raise ValidationError(f"{self.kind} takes no coefficients")
-        if self.kind == "position_poly":
-            coeffs = tuple(float(c) for c in self.coefficients)
-            if not 1 <= len(coeffs) <= 9:
-                raise ValidationError("position_poly needs 1 to 9 "
-                                      f"coefficients, got {len(coeffs)}")
-            if not all(np.isfinite(coeffs)):
-                raise ValidationError("coefficients must be finite")
-            object.__setattr__(self, "coefficients", coeffs)
-
-    @staticmethod
-    def position_poly(coefficients: Sequence[float]) -> "ObservableSpec":
-        return ObservableSpec("position_poly", tuple(coefficients))
-
-    @staticmethod
-    def position(shift: float = 0.0) -> "ObservableSpec":
-        """A(x) = x + shift."""
-        return ObservableSpec("position_poly", (shift, 1.0))
-
-    @staticmethod
-    def momentum() -> "ObservableSpec":
-        return ObservableSpec("momentum")
-
-    @staticmethod
-    def momentum_squared() -> "ObservableSpec":
-        return ObservableSpec("momentum_squared")
-
-    def classical_value(self, x: np.ndarray | float):
-        if self.kind != "position_poly":
-            raise ValidationError("classical_value only defined for position_poly")
-        return np.polynomial.polynomial.polyval(x, self.coefficients)
-
-
-@dataclass(frozen=True)
 class PacketSummary:
     """Position/momentum moments plus the support interval of a state."""
 
@@ -96,7 +51,6 @@ class GateConfig:
 
     eta: float = 10.0          # dominance ratio standing in for ">>"
     k: float = 1.0             # support interval width multiplier
-    taylor_tol: float = 0.05   # relative tolerance for <A> ~ A(<x>)
     mass_threshold: float = 0.99
 
     def __post_init__(self):
@@ -104,8 +58,6 @@ class GateConfig:
             raise ValidationError("eta must exceed 1 and be finite")
         if not 0 < self.k < math.inf:
             raise ValidationError("k must be positive and finite")
-        if not 0 < self.taylor_tol < 1:
-            raise ValidationError("taylor_tol must lie in (0, 1)")
         if not 0.5 < self.mass_threshold < 1:
             raise ValidationError("mass_threshold must lie in (0.5, 1)")
 
@@ -115,8 +67,7 @@ class GateVerdict:
     """The gate's decision and the evidence for each of its criteria."""
 
     is_wave_packet: bool
-    ratio: float            # |<A>| / std A, vs eta
-    taylor_error: float     # |<A> - A(<x>)| / |<A>|, vs taylor_tol
+    ratio: float            # <A> / std A, vs eta
     mass_in_support: float  # in the containment interval, vs mass_threshold
 
 
@@ -151,34 +102,12 @@ def _hermitian_real(val: complex) -> float:
 def _moment_pair(u: np.ndarray, au: np.ndarray, scale: float,
                  weight: float) -> Tuple[float, float]:
     """(<A>, <A^2>) = (Re vdot(u, au) scale weight, |au|^2 scale^2 weight),
-    <A>'s imaginary residue checked: the one place the first two moments of
-    an observable A = scale * (u -> au) are formed.  A position polynomial
-    reads u = a (psi's amplitudes), au = A(x) a, scale 1 and weight dx; a
-    momentum power p^n reads u = phi = psi.spectrum, au = k^n phi, scale
-    hbar^n and the Parseval weight dx/N (sum |phi|^2 dx/N = sum |a|^2 dx)."""
+    <A>'s imaginary residue checked, for A = scale * (u -> au).  Position
+    reads u = a (psi's amplitudes), au = x a, scale 1 and weight dx;
+    momentum reads u = phi = psi.spectrum, au = k phi, scale hbar and the
+    Parseval weight dx/N (sum |phi|^2 dx/N = sum |a|^2 dx)."""
     mean = _hermitian_real(complex(np.vdot(u, au)) * scale * weight)
     return mean, float(np.vdot(au, au).real) * scale**2 * weight
-
-
-def _moments(psi: WaveFunction, a: ObservableSpec,
-             params: PhysicalParams) -> Tuple[float, float]:
-    """(<A>, <A^2>) by `_moment_pair`; a momentum power by Parseval on
-    psi.spectrum, with no inverse FFT."""
-    grid = psi.grid
-    if a.kind == "position_poly":
-        amps = psi.amplitudes
-        return _moment_pair(amps, a.classical_value(grid.x) * amps, 1.0,
-                            grid.dx)
-    power = 1 if a.kind == "momentum" else 2
-    phi = psi.spectrum
-    return _moment_pair(phi, grid.k**power * phi, params.hbar**power,
-                        grid.dx / grid.n_points)
-
-
-def expectation(psi: WaveFunction, a: ObservableSpec,
-                params: PhysicalParams = PhysicalParams()) -> float:
-    """<A> = (psi, A psi) with the hermiticity residue checked and discarded."""
-    return _moments(psi, a, params)[0]
 
 
 def _clamped_std(second_moment: float, mean: float) -> float:
@@ -194,23 +123,14 @@ def _clamped_std(second_moment: float, mean: float) -> float:
     return float(np.sqrt(var))
 
 
-def std_dev(psi: WaveFunction, a: ObservableSpec,
-            params: PhysicalParams = PhysicalParams()) -> float:
-    """sqrt(<A^2> - <A>^2), clamped at zero with a warning on real excursions."""
-    mean, second = _moments(psi, a, params)
-    return _clamped_std(second, mean)
-
-
 def packet_summary(psi: WaveFunction, k: float = 1.0,
                    params: PhysicalParams = PhysicalParams()) -> PacketSummary:
     """Moments, the support interval (<x> +- k std x / 2) and its mass.
 
     One `_moment_pair` each for x, on psi's amplitudes a, and for p = hbar k,
     on phi = psi.spectrum (F a, computed once per state, or handed on by
-    `translate`), so the moments equal `expectation` and `std_dev` of
-    ObservableSpec.position() and .momentum() bit for bit.  The support
-    mass is |a|^2 dx summed over the grid points inside the closed support
-    interval.
+    `translate`).  The support mass is |a|^2 dx summed over the grid points
+    inside the closed support interval.
     """
     a = psi.amplitudes
     grid = psi.grid
@@ -229,62 +149,63 @@ def packet_summary(psi: WaveFunction, k: float = 1.0,
                          support=(lo, hi), mass_in_support=min(mass, 1.0))
 
 
-def positive_position(summary: PacketSummary) -> ObservableSpec:
-    """A(x) = x + C with the smallest C (plus one width) keeping A positive.
+def positive_position(summary: PacketSummary) -> float:
+    """The shift C of the gate observable A(x) = x + C: the smallest C (plus
+    one width) keeping A positive on the gate's support interval.
 
     C = max(0, std x / 10 - lo) + std x, where lo = summary.support[0] is the
-    lower end of the interval the gate probes, so `summary` must be taken
-    with the gate's own config.  Keeping the shift minimal is what lets the
-    dominance ratio discriminate: a narrow packet at center >> width passes,
-    while a broad or multi-humped state has |<A>| comparable to its own
-    width and fails.
+    lower end of that interval, so `summary` must be taken with the gate's
+    own config.  Keeping the shift minimal is what lets the dominance ratio
+    discriminate: a narrow packet at center >> width passes, while a broad
+    or multi-humped state has <A> comparable to its own width and fails.
     """
     lo, sx = summary.support[0], summary.std_x
-    return ObservableSpec.position(max(0.0, 0.1 * sx - lo) + sx)
+    return max(0.0, 0.1 * sx - lo) + sx
 
 
 def position_gate(psi: WaveFunction, cfg: GateConfig = GateConfig(),
                   params: PhysicalParams = PhysicalParams()) -> GateVerdict:
-    """The wave-packet gate on the one observable positive_position(summary)
-    of psi's own summary: the readiness test of the apparatus packet and of
-    each `cat_gate` state."""
+    """The wave-packet gate on A(x) = x + positive_position(summary) of
+    psi's own summary: the readiness test of the apparatus packet and of
+    each `cat_gate` state.
+
+    The verdict depends on where the coordinate origin lies, as the paper's
+    condition <A> >> std A for a positive A does.  With lo = <x> - k std x / 2,
+    the ratio is <x> / std x + 1 when lo >= std x / 10 and 1.1 + k / 2
+    otherwise.  So a std x = 1 Gaussian on [-40, 120], N = 2048, fails at
+    centers -20, 0 and 5 (ratios 1.6, 1.6 and 6) and passes at 10, 20 and
+    60 (11, 21 and 61) against eta = 10; moving grid and packet together by
+    15 turns the ratio 6 into 21.  At the origin, k = 17 fails at 9.6 and
+    k = 18 passes at 10.1.  At center 9 the ratio is eta in exact
+    arithmetic, so rounding decides that verdict.
+    """
     summary = packet_summary(psi, cfg.k, params)
     return wave_packet_gate(psi, positive_position(summary), cfg, params)
 
 
-def wave_packet_gate(psi: WaveFunction, obs: ObservableSpec,
+def wave_packet_gate(psi: WaveFunction, shift: float,
                      cfg: GateConfig = GateConfig(),
                      params: PhysicalParams = PhysicalParams()) -> GateVerdict:
-    """Classicality gate: dominance ratio, Taylor closure and containment.
+    """Classicality gate on A(x) = x + shift: the dominance ratio
+    <A> / std A = (<x> + shift) / std x against cfg.eta, and containment.
 
-    A position polynomial must be strictly positive on the support
-    interval, which is the choosability condition that makes a failed ratio
-    test meaningful.
+    A must be strictly positive on the support interval, which is the
+    choosability condition that makes a failed ratio test meaningful; A is
+    increasing, so that is A(lo) > 0 at its lower end lo.
     """
     summary = packet_summary(psi, cfg.k, params)
     # Containment is judged on a wide interval regardless of cfg.k; see
     # GATE_CONTAINMENT_K.
     mass = packet_summary(psi, max(cfg.k, GATE_CONTAINMENT_K),
                           params).mass_in_support
-    if obs.kind == "position_poly":
-        lo, hi = summary.support
-        x = psi.grid.x
-        probe = np.append(x[_support_slice(x, lo, hi)], summary.exp_x)
-        if np.any(obs.classical_value(probe) <= 0.0):
-            raise ObservableNotPositiveOnSupport(
-                f"A(x) not strictly positive on support ({lo}, {hi})")
-        classical = float(obs.classical_value(summary.exp_x))
-    elif obs.kind == "momentum":
-        classical = summary.exp_p
-    else:
-        classical = summary.exp_p**2
-    mean, second = _moments(psi, obs, params)
-    spread = _clamped_std(second, mean)
-    ratio = abs(mean) / spread if spread > 0 else np.inf
-    taylor_err = abs(mean - classical) / abs(mean) if mean != 0 else np.inf
-    passed = (mass >= cfg.mass_threshold and ratio >= cfg.eta
-              and taylor_err <= cfg.taylor_tol)
-    return GateVerdict(passed, ratio, taylor_err, mass)
+    lo, hi = summary.support
+    if not lo + shift > 0.0:
+        raise ObservableNotPositiveOnSupport(
+            f"x + {shift} not strictly positive on support ({lo}, {hi})")
+    sx = summary.std_x
+    ratio = (summary.exp_x + shift) / sx if sx > 0 else math.inf
+    return GateVerdict(mass >= cfg.mass_threshold and ratio >= cfg.eta,
+                       ratio, mass)
 
 
 def weak_interference(summaries: Sequence[PacketSummary]) -> np.ndarray:

@@ -145,12 +145,14 @@ class RunManifest:
 
 class Scenario(NamedTuple):
     """A scenario's runner, the inputs it reads beyond ACCEPTED (top-level
-    keys, sections or `section.key`s) and the body of its check config.
-    parse_config builds a section only where read, requires a read key with
-    no default, and rejects any input neither list names."""
+    keys, sections or `section.key`s), the body of its check config and the
+    fewest coefficients it runs on.  parse_config builds a section only
+    where read, requires a read key with no default, rejects any input
+    neither list names and refuses fewer coefficients."""
     runner: Callable[[ScenarioConfig, RunManifest], None]
     reads: Tuple[str, ...]
     check_config: str
+    min_coefficients: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,10 @@ def parse_config(text: str) -> ScenarioConfig:
     for key in reads:
         if key in _KEYS and values[key] is None:
             raise ValidationError(f"scenario {scenario!r} requires {key}")
+    least = REGISTRY[scenario].min_coefficients
+    if len(cfg.coefficients or ()) < least:
+        raise ValidationError(f"scenario {scenario!r} needs at least {least} "
+                              f"coefficients, got {len(cfg.coefficients)}")
     ignored = next(_ignored(echo, ACCEPTED + reads), None)
     if ignored:
         raise ParseError(f"scenario {scenario!r} ignores {ignored}")
@@ -448,7 +454,7 @@ def _run_cat_gate(cfg, manifest):
         verdict = position_gate(p, cfg.gate, cfg.physics)
         verdicts[f"branch_{i}"] = verdict.is_wave_packet
         _check(manifest, f"branch_{i}_is_packet", verdict.is_wave_packet,
-               f"ratio {verdict.ratio:.6g}, taylor {verdict.taylor_error:.3g}")
+               f"ratio {verdict.ratio:.6g}")
     cat_verdict = position_gate(cat, cfg.gate, cfg.physics)
     verdicts["superposition"] = cat_verdict.is_wave_packet
     _check(manifest, "superposition_not_packet", not cat_verdict.is_wave_packet,
@@ -583,13 +589,16 @@ REGISTRY: Dict[str, Scenario] = {
         "evolution: {n_steps: 1000, record_every: 50}\n"),
     "cat_gate": Scenario(_run_cat_gate, _BRANCHES + ("gate",),
                          "coefficients: [0.6, 0.8]\n"
-                         "packet: {center: 12.0, separation: 14.0}\n"),
+                         "packet: {center: 12.0, separation: 14.0}\n",
+                         min_coefficients=2),
     "collapse_sample": Scenario(
         _run_collapse_sample, _BRANCHES + ("seed", "n_samples"),
         "coefficients: [0.6, 0.8]\nseed: 7\nn_samples: 400\n"),
     "measurement_run": Scenario(_run_measurement, _CHAIN,
-                                _CHAIN_CHECK + "seed: 3\n"),
+                                _CHAIN_CHECK + "seed: 3\n",
+                                min_coefficients=2),
     "born_ensemble": Scenario(_run_born_ensemble, _CHAIN + ("n_samples",),
-                              _CHAIN_CHECK + "seed: 11\nn_samples: 1500\n"),
+                              _CHAIN_CHECK + "seed: 11\nn_samples: 1500\n",
+                              min_coefficients=2),
 }
 SCENARIOS = tuple(REGISTRY)

@@ -15,13 +15,11 @@ from qcollapse import (
     EvolutionConfig,
     Grid1D,
     ObjectState,
-    ObservableSpec,
     PhysicalParams,
     Potential,
     decompose,
     detect_transition,
     evolve,
-    expectation,
     make_gaussian,
     measure,
     packet_summary,
@@ -104,7 +102,7 @@ def test_acceptance_3_wave_packet_gate():
     """Narrow packets pass the gate at ratio 100; split states never do."""
     grid = Grid1D(0.0, 20.0, 2048)
     psi = make_gaussian(grid, 10.0, 0.1, 0.0, PARAMS)
-    verdict = wave_packet_gate(psi, ObservableSpec.position(), params=PARAMS)
+    verdict = wave_packet_gate(psi, 0.0, params=PARAMS)
     ratio = verdict.ratio
     up = packet_summary(psi, params=PARAMS).uncertainty_product
 
@@ -125,8 +123,7 @@ def test_acceptance_3_wave_packet_gate():
         s = packet_summary(cat, params=PARAMS)
         lo, _ = s.support
         shift = max(0.0, 0.1 * s.std_x - lo) + s.std_x
-        cat_verdict = wave_packet_gate(cat, ObservableSpec.position(shift),
-                                       params=PARAMS)
+        cat_verdict = wave_packet_gate(cat, shift, params=PARAMS)
         false_negatives += int(cat_verdict.is_wave_packet)
 
     ok = (verdict.is_wave_packet and ratio >= 100.0 - 1e-6
@@ -145,7 +142,7 @@ def test_acceptance_4_classical_limit():
 
     def observer(t, state):
         nonlocal worst
-        got = expectation(state, ObservableSpec.position(), PARAMS)
+        got = packet_summary(state, params=PARAMS).exp_x
         worst = max(worst, abs(got - 3.0 * math.cos(t)))
 
     evolve(psi, v, PARAMS,

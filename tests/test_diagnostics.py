@@ -11,17 +11,14 @@ from qcollapse import (
     GateConfig,
     Grid1D,
     ObjectState,
-    ObservableSpec,
     PhysicalParams,
     Potential,
     WaveFunction,
     evolve,
-    expectation,
     make_gaussian,
     order_parameters,
     packet_summary,
     premeasurement,
-    std_dev,
     superpose,
     wave_packet_gate,
     weak_interference,
@@ -30,6 +27,7 @@ from qcollapse.diagnostics import (
     _clamped_std,
     _hermitian_real,
     _support_slice,
+    position_gate,
     positive_position,
 )
 from qcollapse.errors import (
@@ -44,67 +42,25 @@ from oracles import (coefficient_moduli, ehrenfest_residual,
                      gaussian_moment_oracle, packet_summary_oracle)
 
 
-class TestObservableSpec:
-    def test_degree_cap(self):
-        ObservableSpec.position_poly([0.0] * 9)
-        with pytest.raises(ValidationError, match="1 to 9 coefficients, got 10"):
-            ObservableSpec.position_poly([0.0] * 10)
-        with pytest.raises(ValidationError, match="1 to 9 coefficients, got 0"):
-            ObservableSpec.position_poly([])
-
-    def test_classical_value(self):
-        a = ObservableSpec.position_poly([1.0, 0.0, 2.0])  # 1 + 2 x^2
-        assert a.classical_value(3.0) == pytest.approx(19.0)
-        with pytest.raises(ValidationError):
-            ObservableSpec.momentum().classical_value(1.0)
-
-    @pytest.mark.parametrize("kind", ["momentum", "momentum_squared"])
-    def test_momentum_kinds_take_no_coefficients(self, kind):
-        """A coefficient a momentum observable never reads is refused, not
-        silently dropped."""
-        assert ObservableSpec(kind) == ObservableSpec(kind, ())
-        for coefficients in ((5.0,), [0.0, 1.0], np.array([2.0])):
-            with pytest.raises(ValidationError,
-                               match=f"{kind} takes no coefficients"):
-                ObservableSpec(kind, coefficients)
-
-
 class TestExpectation:
     def test_position_moments_vs_quadrature(self, grid, gaussian, params):
         psi = gaussian(center=2.0, sigma=1.5, momentum=0.3)
         ex, sx, ep, sp = gaussian_moment_oracle(2.0, 1.5, 0.3, grid.x_min,
                                                 grid.x_max, grid.n_points)
-        assert expectation(psi, ObservableSpec.position(), params) == \
-            pytest.approx(ex, abs=1e-8)
-        assert std_dev(psi, ObservableSpec.position(), params) == \
-            pytest.approx(sx, abs=1e-6)
-        assert expectation(psi, ObservableSpec.momentum(), params) == \
-            pytest.approx(ep, abs=1e-8)
-        assert std_dev(psi, ObservableSpec.momentum(), params) == \
-            pytest.approx(sp, abs=1e-6)
-
-    def test_momentum_squared(self, gaussian, params):
-        # <p^2> = <p>^2 + (hbar / 2 sigma)^2
-        psi = gaussian(sigma=1.0, momentum=0.5)
-        got = expectation(psi, ObservableSpec.momentum_squared(), params)
-        assert got == pytest.approx(0.25 + 0.25, rel=1e-8)
-
-    def test_quadratic_position_observable(self, gaussian, params):
-        # <x^2> = center^2 + sigma^2
-        psi = gaussian(center=3.0, sigma=2.0)
-        a = ObservableSpec.position_poly([0.0, 0.0, 1.0])
-        assert expectation(psi, a, params) == pytest.approx(13.0, rel=1e-8)
+        s = packet_summary(psi, params=params)
+        assert s.exp_x == pytest.approx(ex, abs=1e-8)
+        assert s.std_x == pytest.approx(sx, abs=1e-6)
+        assert s.exp_p == pytest.approx(ep, abs=1e-8)
+        assert s.std_p == pytest.approx(sp, abs=1e-6)
 
     def test_basis_independence(self, grid, params):
         # translating the whole frame shifts <x> by exactly the offset
-        psi_a = make_gaussian(grid, -5.0, 1.0, 0.4, params)
-        psi_b = make_gaussian(grid, 5.0, 1.0, 0.4, params)
-        xa = expectation(psi_a, ObservableSpec.position(), params)
-        xb = expectation(psi_b, ObservableSpec.position(), params)
-        assert xb - xa == pytest.approx(10.0, abs=1e-7)
-        assert std_dev(psi_a, ObservableSpec.position(), params) == \
-            pytest.approx(std_dev(psi_b, ObservableSpec.position(), params),
-                          abs=1e-9)
+        sa = packet_summary(make_gaussian(grid, -5.0, 1.0, 0.4, params),
+                            params=params)
+        sb = packet_summary(make_gaussian(grid, 5.0, 1.0, 0.4, params),
+                            params=params)
+        assert sb.exp_x - sa.exp_x == pytest.approx(10.0, abs=1e-7)
+        assert sa.std_x == pytest.approx(sb.std_x, abs=1e-9)
 
 
 class TestPacketSummary:
@@ -137,22 +93,10 @@ class TestNonFiniteMoments:
     def overflowing(self):
         return WaveFunction(Grid1D(-20.0, 20.0, 256), np.full(256, 1e200 + 0j))
 
-    def test_summary_and_position_moments_raise(self, overflowing):
-        x = ObservableSpec.position()
+    def test_summary_moments_raise(self, overflowing):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonHermitianResidue):
                 packet_summary(overflowing)
-            with pytest.raises(NonHermitianResidue):
-                expectation(overflowing, x)
-            with pytest.raises(NonHermitianResidue):
-                std_dev(overflowing, x)
-            # Boosted off k = 0: the constant field's spectrum is one k = 0
-            # spike, whose momentum moments are exactly zero.
-            grid = overflowing.grid
-            boosted = WaveFunction(grid, overflowing.amplitudes
-                                   * np.exp(1j * grid.k[3] * grid.x))
-            with pytest.raises(NonHermitianResidue):
-                std_dev(boosted, ObservableSpec.momentum())
 
     @pytest.mark.parametrize("val", [complex(1.0, math.nan),
                                      complex(math.nan, math.nan)])
@@ -180,7 +124,8 @@ def _close(got, want, tol=1e-12):
 
 
 class TestFusedPacketSummary:
-    """The one-FFT packet_summary against the expectation/std_dev path."""
+    """The one-FFT packet_summary against the dense formulas of
+    `packet_summary_oracle`."""
 
     @settings(deadline=None, max_examples=40)
     @given(c1=st.floats(-12.0, 12.0), s1=st.floats(0.4, 3.0),
@@ -206,35 +151,11 @@ class TestFusedPacketSummary:
         else:
             psi = first
         s = packet_summary(psi, k, params)
-
-        x_obs, p_obs = ObservableSpec.position(), ObservableSpec.momentum()
-        exp_x = expectation(psi, x_obs, params)
-        std_x = std_dev(psi, x_obs, params)
-        assert _close(s.exp_x, exp_x)
-        assert _close(s.std_x, std_x)
-        assert _close(s.exp_p, expectation(psi, p_obs, params))
-        assert _close(s.std_p, std_dev(psi, p_obs, params))
-
-        lo, hi = exp_x - 0.5 * k * std_x, exp_x + 0.5 * k * std_x
-        assert _close(s.support[0], lo) and _close(s.support[1], hi)
-        inside = (grid.x >= lo) & (grid.x <= hi)
-        mass = float(np.sum(psi.probability_density()[inside])) * grid.dx
-        assert _close(s.mass_in_support, min(mass, 1.0))
-
-    @pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5])
-    def test_equals_expectation_and_std_dev_bit_for_bit(self, hbar):
-        """One moments kernel: the summary's moments are those of
-        ObservableSpec.position() and .momentum(), to the last bit."""
-        grid = Grid1D(-40.0, 120.0, 2048)
-        params = PhysicalParams(hbar=hbar)
-        psi = superpose([
-            (0.6, make_gaussian(grid, 3.7, 1.3, 0.8, params)),
-            (0.8j, make_gaussian(grid, 21.0, 0.9, -1.1, params))])
-        s = packet_summary(psi, params=params)
-        x, p = ObservableSpec.position(), ObservableSpec.momentum()
-        assert (s.exp_x, s.std_x, s.exp_p, s.std_p) == (
-            expectation(psi, x, params), std_dev(psi, x, params),
-            expectation(psi, p, params), std_dev(psi, p, params))
+        want = packet_summary_oracle(psi.amplitudes, grid, k, hbar)
+        got = (s.exp_x, s.std_x, s.exp_p, s.std_p, *s.support,
+               s.mass_in_support)
+        for g, w in zip(got, want):
+            assert _close(g, w)
 
     @pytest.mark.parametrize("k", [0.25, 1.0, 6.0])
     @pytest.mark.parametrize("hbar", [1.0, 0.5])
@@ -301,7 +222,7 @@ class TestPositivePosition:
         lo, hi = summary.support
         x = self.GRID.x
         probe = np.append(x[(x >= lo) & (x <= hi)], summary.exp_x)
-        assert np.all(positive_position(summary).classical_value(probe) > 0)
+        assert np.all(probe + positive_position(summary) > 0)
         try:
             premeasurement(ObjectState(np.array([0.6, 0.8])), psi, gate,
                            params)
@@ -310,64 +231,51 @@ class TestPositivePosition:
 
     def test_minimal_shift_far_from_zero(self, gaussian, params):
         s = packet_summary(gaussian(center=12.0, sigma=0.5), params=params)
-        assert positive_position(s) == ObservableSpec.position(s.std_x)
+        assert positive_position(s) == s.std_x
 
 
 class TestWavePacketGate:
     def test_narrow_far_packet_passes(self, params):
         grid = Grid1D(0.0, 20.0, 2048)
         psi = make_gaussian(grid, 10.0, 0.1, 0.0, params)
-        verdict = wave_packet_gate(psi, ObservableSpec.position(),
-                                   params=params)
+        verdict = wave_packet_gate(psi, 0.0, params=params)
         assert verdict.ratio == pytest.approx(100.0, rel=1e-6)
-        assert verdict.taylor_error <= 1e-10
         assert verdict.is_wave_packet
 
     def test_cat_fails_ratio(self, grid, gaussian, params):
         cat = superpose([(1 / math.sqrt(2), gaussian(center=-10.0)),
                          (1 / math.sqrt(2), gaussian(center=10.0))])
-        a = ObservableSpec.position(20.0)
-        verdict = wave_packet_gate(cat, a, params=params)
+        verdict = wave_packet_gate(cat, 20.0, params=params)
         assert not verdict.is_wave_packet
         # spread ~ 10, mean ~ 20 -> ratio ~ 2, far below eta = 10
         assert verdict.ratio < 3.0
 
     def test_observable_must_be_positive(self, gaussian, params):
         psi = gaussian(center=10.0, sigma=0.5)
-        a = ObservableSpec.position_poly([100.0, -20.0, 1.0])  # (x - 10)^2
-        with pytest.raises(ObservableNotPositiveOnSupport):
-            wave_packet_gate(psi, a, params=params)
-
-    def test_momentum_observable(self, params):
-        grid = Grid1D(-40.0, 40.0, 2048)
-        psi = make_gaussian(grid, 0.0, 4.0, 2.0, params)
-        # std p = 1/8, <p> = 2 -> ratio 16 >= eta
-        verdict = wave_packet_gate(psi, ObservableSpec.momentum(),
-                                   params=params)
-        assert verdict.ratio == pytest.approx(16.0, rel=1e-6)
-        assert verdict.taylor_error <= 1e-10
-        assert verdict.is_wave_packet
+        lo = packet_summary(psi, params=params).support[0]
+        for shift in (-lo, -lo - 5.0):  # A(lo) = 0 and A(lo) < 0
+            with pytest.raises(ObservableNotPositiveOnSupport):
+                wave_packet_gate(psi, shift, params=params)
+        assert not wave_packet_gate(psi, 1e-6 - lo,
+                                    params=params).is_wave_packet
 
     def test_marginal_ratio_fails(self, params):
         grid = Grid1D(-12.0, 20.0, 1024)
         psi = make_gaussian(grid, 5.0, 1.0, 0.0, params)
-        # ratio ~ 5+shift but with a bare A(x) = x probe at center 5, sigma 1
-        # the dominance ratio is 5 < 10
-        verdict = wave_packet_gate(psi, ObservableSpec.position(),
-                                   params=params)
+        # with a bare A(x) = x probe at center 5, sigma 1 the dominance
+        # ratio is 5 < 10
+        verdict = wave_packet_gate(psi, 0.0, params=params)
         assert verdict.ratio == pytest.approx(5.0, rel=1e-6)
         assert not verdict.is_wave_packet
 
-    @pytest.mark.parametrize("obs", [ObservableSpec.position(3.0),
-                                     ObservableSpec.momentum()],
-                             ids=["position", "momentum"])
-    def test_ratio_is_mean_over_std_dev(self, obs, params):
+    def test_ratio_is_mean_over_std_dev(self, params):
         grid = Grid1D(-40.0, 40.0, 2048)
         for center, sigma, momentum in ((10.0, 0.5, 2.0), (1.0, 2.0, 0.3)):
             psi = make_gaussian(grid, center, sigma, momentum, params)
-            verdict = wave_packet_gate(psi, obs, params=params)
-            assert verdict.ratio == (abs(expectation(psi, obs, params))
-                             / std_dev(psi, obs, params))
+            verdict = wave_packet_gate(psi, 3.0, params=params)
+            exp_x, std_x = packet_summary_oracle(psi.amplitudes, grid, 1.0,
+                                                 params.hbar)[:2]
+            assert _close(verdict.ratio, (exp_x + 3.0) / std_x)
 
     @settings(deadline=None, max_examples=25)
     @given(sigma=st.floats(0.5, 1.5), d=st.floats(12.0, 20.0),
@@ -386,6 +294,42 @@ class TestWavePacketGate:
         verdict = wave_packet_gate(cat, positive_position(summary),
                                    params=params)
         assert not verdict.is_wave_packet
+
+
+class TestPositionGateOrigin:
+    """position_gate reads the coordinate origin, as <A> >> std A for a
+    positive A does: a std x = 1 Gaussian's verdict follows its distance
+    from x = 0 in widths, not its shape."""
+
+    GRID = Grid1D(-40.0, 120.0, 2048)
+
+    @staticmethod
+    def _gate(grid, center, cfg=GateConfig()):
+        return position_gate(make_gaussian(grid, center, 1.0, 0.0,
+                                           PhysicalParams()), cfg)
+
+    @pytest.mark.parametrize("center, ratio, passed", [
+        (-20.0, 1.6, False), (0.0, 1.6, False), (5.0, 6.0, False),
+        (10.0, 11.0, True), (20.0, 21.0, True), (60.0, 61.0, True)])
+    def test_verdict_follows_the_center(self, center, ratio, passed):
+        verdict = self._gate(self.GRID, center)
+        assert verdict.ratio == pytest.approx(ratio, rel=1e-9)
+        assert verdict.is_wave_packet == passed
+
+    def test_moving_grid_and_packet_together_changes_the_verdict(self):
+        here = self._gate(self.GRID, 5.0)
+        moved = self._gate(Grid1D(-25.0, 135.0, 2048), 20.0)
+        assert here.ratio == pytest.approx(6.0, rel=1e-9)
+        assert moved.ratio == pytest.approx(21.0, rel=1e-9)
+        assert not here.is_wave_packet and moved.is_wave_packet
+
+    @pytest.mark.parametrize("k, ratio, passed", [(17.0, 9.6, False),
+                                                  (18.0, 10.1, True)])
+    def test_at_the_origin_the_ratio_is_1_1_plus_half_k(self, k, ratio,
+                                                         passed):
+        verdict = self._gate(self.GRID, 0.0, GateConfig(k=k))
+        assert verdict.ratio == pytest.approx(ratio, rel=1e-9)
+        assert verdict.is_wave_packet == passed
 
 
 class TestWeakInterference:

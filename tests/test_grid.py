@@ -144,11 +144,10 @@ class TestWaveFunction:
 class TestMakeGaussian:
     def test_centered_packet_has_symmetric_moments(self, gaussian, params):
         psi = gaussian(center=0.0, sigma=1.0)
-        from qcollapse import ObservableSpec, expectation
-        assert expectation(psi, ObservableSpec.position(), params) == \
-            pytest.approx(0.0, abs=1e-10)
-        assert expectation(psi, ObservableSpec.momentum(), params) == \
-            pytest.approx(0.0, abs=1e-10)
+        from qcollapse import packet_summary
+        s = packet_summary(psi, params=params)
+        assert s.exp_x == pytest.approx(0.0, abs=1e-10)
+        assert s.exp_p == pytest.approx(0.0, abs=1e-10)
 
     def test_uncertainty_product_matches_quadrature_oracle(self, grid, params):
         from qcollapse import packet_summary

@@ -6,15 +6,13 @@ import pytest
 from qcollapse import (
     EvolutionConfig,
     Grid1D,
-    ObservableSpec,
     PhysicalParams,
     Potential,
     WaveFunction,
     evolve,
-    expectation,
     make_gaussian,
     inner_product,
-    std_dev,
+    packet_summary,
     step,
     superpose,
     translate,
@@ -26,13 +24,11 @@ from conftest import l2_distance
 from oracles import (expm_step_oracle, potential_gradient, split_step_oracle,
                      translate_oracle)
 
-X = ObservableSpec.position()
-
 
 class TestStep:
     def test_free_step_keeps_center(self, gaussian, params):
         psi = step(gaussian(), Potential.free(), params, 0.01)
-        assert expectation(psi, X, params) == pytest.approx(0.0, abs=1e-10)
+        assert packet_summary(psi, params=params).exp_x == pytest.approx(0.0, abs=1e-10)
 
     def test_harmonic_half_period_flips_center(self, grid, params):
         # coherent-state trajectory <x>(t) = 3 cos(t)
@@ -40,15 +36,15 @@ class TestStep:
         v = Potential.harmonic(omega=1.0)
         dt = math.pi / 3200
         final = evolve(psi, v, params, EvolutionConfig(dt=dt, n_steps=3200))
-        assert expectation(final, X, params) == pytest.approx(-3.0, abs=1e-6)
+        assert packet_summary(final, params=params).exp_x == pytest.approx(-3.0, abs=1e-6)
 
     def test_free_spreading_law(self, gaussian, params):
         # sigma(t)^2 = sigma0^2 (1 + (hbar t / 2 m sigma0^2)^2); t=2 -> sqrt(2)
         psi = gaussian(sigma=1.0)
         final = evolve(psi, Potential.free(), params,
                        EvolutionConfig(dt=0.01, n_steps=200))
-        assert std_dev(final, X, params) == pytest.approx(math.sqrt(2.0),
-                                                          abs=1e-6)
+        assert packet_summary(final, params=params).std_x == \
+            pytest.approx(math.sqrt(2.0), abs=1e-6)
 
     def test_matches_dense_expm_oracle(self, params):
         grid = Grid1D(-8.0, 8.0, 64)
@@ -295,7 +291,7 @@ class TestPhaseCaches:
         psi = gaussian(center=-3.0, sigma=1.2, momentum=0.8)
         for s in (0.37, 5.0, -2.25):
             moved = translate(psi, s)
-            assert expectation(moved, X) == pytest.approx(-3.0 + s, abs=1e-9)
+            assert packet_summary(moved).exp_x == pytest.approx(-3.0 + s, abs=1e-9)
             back = translate(moved, -s)
             assert np.max(np.abs(back.amplitudes - psi.amplitudes)) <= 1e-12
 

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -126,9 +127,8 @@ WORKLOADS = sys.modules["bench_workloads"] = \
 _spec.loader.exec_module(WORKLOADS)
 
 GATE_KEYS = [("gate: {eta: 5.0}", "gate.eta"), ("gate: {k: 2.0}", "gate.k"),
-             ("gate: {taylor_tol: 0.1}", "gate.taylor_tol"),
              ("gate: {mass_threshold: 0.95}", "gate.mass_threshold")]
-# The 25 (scenario, input, key) cases of a value the scenario's runner never
+# The 22 (scenario, input, key) cases of a value the scenario's runner never
 # reads.  Added to the scenario's check config, each is a ParseError.
 IGNORED = (
     [("free_spread", snippet, key) for snippet, key in GATE_KEYS]
@@ -381,6 +381,25 @@ class TestParseConfig:
     def test_stochastic_requires_seed(self):
         with pytest.raises(ValidationError):
             parse_config("scenario: collapse_sample\ncoefficients: [1.0]\n")
+
+    def test_readme_config_block_lists_every_key(self):
+        """The yaml block under "Config format" in README.md shows every key
+        the parser accepts: each single-constructor section its
+        constructor's keys, `potential` its kind's, and every top-level key."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md"
+                  ).read_text()
+        section = readme.split("## Config format", 1)[1]
+        block = yaml.safe_load(section.split("```yaml\n", 1)[1]
+                               .split("```", 1)[0])
+        assert set(block) == ({"scenario"} | set(scenarios._SECTIONS)
+                              | set(scenarios._KEYS))
+        for name, factory in scenarios._SECTIONS.items():
+            if isinstance(factory, dict):
+                fields = POTENTIAL_FIELDS[block[name]["kind"]]
+                assert set(block[name]) == {"kind", *fields}, name
+            else:
+                keys = inspect.signature(factory).parameters
+                assert set(block[name]) == set(keys), name
 
     def test_measurement_requires_coefficients(self):
         with pytest.raises(ValidationError):
@@ -982,6 +1001,34 @@ class TestCli:
         assert rc == 2
         assert "--n-runs" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["cat_gate", "measurement_run",
+                                          "born_ensemble"])
+    def test_one_coefficient_is_refused_where_branches_are_compared(
+            self, tmp_path, capsys, scenario):
+        """With one branch there is no order parameter and no cat: the
+        config is refused before anything runs."""
+        text = check_text(scenario).replace("[0.6, 0.8]", "[1.0]")
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: scenario {scenario!r} needs at least 2 "
+            "coefficients, got 1\n")
+        assert not (tmp_path / "runs").exists()
+
+    def test_one_coefficient_collapse_sample_runs(self, tmp_path):
+        text = check_text("collapse_sample").replace("[0.6, 0.8]", "[1.0]")
+        assert main(["simulate", self._write(tmp_path, text),
+                     "--out", str(tmp_path / "runs")]) == 0
+
+    def test_taylor_tol_is_an_unknown_gate_key(self, tmp_path, capsys):
+        text = check_text("cat_gate") + "gate: {taylor_tol: 0.05}\n"
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert "unknown keys in 'gate': ['taylor_tol']" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario, snippet, key", IGNORED)
     def test_an_input_the_scenario_ignores_exits_2(
