@@ -34,7 +34,6 @@ from .measurement import (
     ObjectState,
     TransitionReport,
     apparatus_decomposition,
-    detect_transition,
     measure,
     premeasurement,
     von_neumann_evolve,

@@ -59,7 +59,7 @@ class SuperpositionDecomposition:
         branches = tuple((complex(c), s, m) for c, s, m in self.branches)
         object.__setattr__(self, "branches", branches)
         _check_overlaps(self.states)
-        if len(self) > 1 and not np.all(weak_interference(self.summaries)[
+        if not np.all(weak_interference(self.summaries)[
                 np.triu_indices(len(self), k=1)]):
             raise NotWeaklyInterfering(
                 "some branch pair fails the support-separation condition")

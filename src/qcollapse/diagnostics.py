@@ -13,12 +13,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    NonHermitianResidue,
-    ObservableNotPositiveOnSupport,
-    TooFewPackets,
-    ValidationError,
-)
+from .errors import (NonHermitianResidue, ObservableNotPositiveOnSupport,
+                     ValidationError)
 from .grid import PhysicalParams, WaveFunction
 
 HERMITICITY_TOL = 1e-6
@@ -212,10 +208,8 @@ def weak_interference(summaries: Sequence[PacketSummary]) -> np.ndarray:
     """Pairwise weak-interference matrix.
 
     Entry (n, m) is True iff |<x>_n - <x>_m| >= (std_n + std_m)/2 (inclusive).
-    Diagonal is False by definition.
+    Diagonal is False by definition, so one packet gives [[False]].
     """
-    if len(summaries) < 2:
-        raise TooFewPackets("need at least two packet summaries")
     centers = np.array([s.exp_x for s in summaries])
     widths = np.array([s.std_x for s in summaries])
     out = (np.abs(centers[:, None] - centers[None, :])
@@ -225,14 +219,12 @@ def weak_interference(summaries: Sequence[PacketSummary]) -> np.ndarray:
 
 
 def order_parameters(branch_summaries: Sequence[PacketSummary]) -> OrderParameters:
-    """Min pairwise separation vs the max pairwise half-width-sum threshold.
+    """Min pairwise separation vs max pairwise half-width sum, of 2+ packets.
 
     The closest pair of centers is adjacent in sorted order and the largest
     half-width sum belongs to the two widest packets.  Rounding is monotone,
     so both equal the extremes over all pairs bit for bit.
     """
-    if len(branch_summaries) < 2:
-        raise TooFewPackets("need at least two packet summaries")
     centers = sorted(s.exp_x for s in branch_summaries)
     widths = sorted(s.std_x for s in branch_summaries)
     return OrderParameters(

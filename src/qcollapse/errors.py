@@ -25,10 +25,6 @@ class GridMismatch(QCollapseError):
     """Two states live on different grids."""
 
 
-class EmptySuperposition(QCollapseError):
-    """A superposition needs at least one branch."""
-
-
 class UnstableStep(QCollapseError):
     """Norm drifted beyond tolerance during a propagation step."""
 
@@ -39,10 +35,6 @@ class NonHermitianResidue(QCollapseError):
 
 class ObservableNotPositiveOnSupport(QCollapseError):
     """Gate observable is not strictly positive on the support interval."""
-
-
-class TooFewPackets(QCollapseError):
-    """Pairwise packet comparisons need at least two packets."""
 
 
 class NotWeaklyInterfering(QCollapseError):

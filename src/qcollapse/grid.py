@@ -14,13 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BoundaryClipping,
-    EmptySuperposition,
-    GridMismatch,
-    GridTooCoarse,
-    ValidationError,
-)
+from .errors import (BoundaryClipping, GridMismatch, GridTooCoarse,
+                     ValidationError)
 
 NORM_TOL = 1e-10
 # check_edge_mass rejects > this much probability mass in the outer 5% of
@@ -125,10 +120,6 @@ class WaveFunction:
             raise ValidationError("cannot normalize the zero state")
         return WaveFunction(self.grid, self.amplitudes / n)
 
-    def probability_density(self) -> np.ndarray:
-        a = self.amplitudes
-        return a.real**2 + a.imag**2
-
 
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
     """Grid inner product sum(conj(a)*b)*dx; antilinear in `a`."""
@@ -193,10 +184,8 @@ def make_gaussian(grid: Grid1D, center: float, sigma: float,
 
 
 def superpose(branches) -> WaveFunction:
-    """Renormalized sum(c_n * psi_n) over (coefficient, state) pairs."""
+    """Renormalized sum(c_n * psi_n) over one or more (c_n, psi_n) pairs."""
     branches = list(branches)
-    if not branches:
-        raise EmptySuperposition("need at least one branch")
     grid = branches[0][1].grid
     total = np.zeros(grid.n_points, dtype=np.complex128)
     for c, psi in branches:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .collapse import (
     decompose,
     sample_collapse,
 )
-from .diagnostics import (GateConfig, order_parameters, packet_summary,
-                          position_gate)
+from .diagnostics import (GateConfig, OrderParameters, order_parameters,
+                          packet_summary, position_gate)
 from .errors import ApparatusNotReady, TransitionNotReached, ValidationError
 from .grid import (NORM_TOL, PhysicalParams, WaveFunction, check_edge_mass,
                    check_unit_weights, superpose)
@@ -92,18 +92,30 @@ class CouplingConfig:
             raise ValidationError(
                 "coupling too short: tau * shift_velocity < d_sep")
 
+    def n_steps(self, dt: float) -> int:
+        """The fewest steps n with n * dt >= tau, to 1e-9 of a step."""
+        return math.ceil(self.tau / dt - 1e-9)
+
     def validate_apparatus(self, sigma: float) -> None:
         if self.d_sep < 3.0 * sigma * (1.0 - _WIDTH_RTOL):
             raise ValidationError(
                 f"d_sep={self.d_sep} below 3 * apparatus sigma={sigma}")
 
 
-@dataclass(frozen=True)
-class TransitionReport:
-    """Earliest persistent order-parameter crossing, if any, plus the series."""
+class TransitionReport(NamedTuple):
+    """t_star, the time since which the order parameter has stayed at or
+    above its critical value (None while below), and the latest critical
+    value; both None before any order parameter is folded in."""
 
-    t_star: Optional[float]
-    series: Tuple[Tuple[float, float, float], ...]  # (t, min_sep, critical)
+    t_star: Optional[float] = None
+    critical_value: Optional[float] = None
+
+    def after(self, t: float, ops: OrderParameters) -> "TransitionReport":
+        """This report with `ops` at time t folded in: a step at or above
+        critical keeps t_star or starts it at t, one below discards it."""
+        start = t if self.t_star is None else self.t_star
+        return TransitionReport(start if ops.transition else None,
+                                ops.critical_value)
 
 
 @dataclass(frozen=True)
@@ -127,34 +139,32 @@ def premeasurement(obj: ObjectState, apparatus_ready: WaveFunction,
 def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
                        v: Potential, params: PhysicalParams, dt: float,
                        observer=None) -> Tuple[CompositeState, TransitionReport]:
-    """Couple object and apparatus for the least whole number of steps n with
-    n * dt >= tau (to 1e-9 of a step's rounding slack), so the branches end
-    at least the d_sep apart that CouplingConfig validated.
+    """Couple object and apparatus for `cfg.n_steps(dt)` steps, so the
+    branches end at least the d_sep apart that CouplingConfig validated.
 
     Branch n drifts at velocity n * shift_velocity inside the potential,
     which rides along with it.  Since T(a) S_{V(x-a)} = S_V T(a) for a rigid
     shift T and a split step S, branch n is evolved in its co-moving frame
     under the one static potential, of any kind, and is seen in the lab
-    frame as that state translated by
-    n * shift_velocity * t.  Confining potentials therefore hold the packet
-    shape while its center translates.  The coefficients are carried
-    unchanged.  `observer`, if given, receives (t, per-branch PacketSummary
-    list, OrderParameters or None for a single branch) at every step.  As in
-    `evolve`, dt must be positive and resolve a harmonic period, and
-    `check_edge_mass` guards every lab-frame branch at every step.  The
-    summaries and the apparatus width check take `params`, so momentum
-    moments follow physics.hbar.
+    frame as that state translated by n * shift_velocity * t.  Confining
+    potentials therefore hold the packet shape while its center translates.
+    The coefficients are carried unchanged.  `observer`, if given, receives
+    (t, per-branch PacketSummary list, OrderParameters or None for a single
+    branch) at every step, and the returned TransitionReport is `after`
+    folded over the same steps.  As in `evolve`, dt must be positive and
+    resolve a harmonic period, and `check_edge_mass` guards every lab-frame
+    branch at every step.  The summaries and the apparatus width check take
+    `params`, so momentum moments follow physics.hbar.
     """
     EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
     cfg.validate_apparatus(
         packet_summary(state.apparatus_states[0], params=params).std_x)
-    n_steps = math.ceil(cfg.tau / dt - 1e-9)
     frames = list(state.branches)  # (n, c_n, branch n in its co-moving frame)
-    series: list = []
-
-    def sample(t: float) -> list:
-        """The lab-frame branches at time t, guarded, summarised, observed."""
-        lab = []
+    report = TransitionReport()
+    for i in range(cfg.n_steps(dt) + 1):
+        if i:
+            frames = [(n, c, step(phi, v, params, dt)) for n, c, phi in frames]
+        t, lab = i * dt, []  # the lab-frame branches at t, each guarded
         for n, c, phi in frames:
             shift = n * cfg.shift_velocity * t
             psi = translate(phi, shift) if shift != 0.0 else phi
@@ -166,28 +176,8 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
         if observer is not None:
             observer(t, summaries, ops)
         if ops is not None:
-            series.append((t, ops.min_pairwise_separation, ops.critical_value))
-        return lab
-
-    branches = sample(0.0)
-    for i in range(1, n_steps + 1):
-        frames = [(n, c, step(phi, v, params, dt)) for n, c, phi in frames]
-        branches = sample(i * dt)
-    final = CompositeState(branches=tuple(branches))
-    return final, detect_transition(series)
-
-
-def detect_transition(series: Sequence[Tuple[float, float, float]]
-                      ) -> TransitionReport:
-    """Earliest crossing min_sep >= critical that persists to the end."""
-    series = tuple(series)
-    t_star = None
-    for t, sep, crit in reversed(series):
-        if sep >= crit:
-            t_star = t
-        else:
-            break
-    return TransitionReport(t_star=t_star, series=series)
+            report = report.after(t, ops)
+    return CompositeState(branches=tuple(lab)), report
 
 
 def apparatus_decomposition(state: CompositeState,

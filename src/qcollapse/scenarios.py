@@ -25,12 +25,14 @@ import yaml
 
 from .collapse import RNG_ALGORITHM, decompose, sample_collapse
 from .diagnostics import GateConfig, packet_summary, position_gate
-from .errors import ParseError, QCollapseError, ValidationError
+from .errors import (BoundaryClipping, ParseError, QCollapseError,
+                     ValidationError)
 from .grid import (
     NORM_TOL,
     Grid1D,
     PhysicalParams,
     WaveFunction,
+    check_edge_mass,
     check_unit_weights,
     make_gaussian,
     superpose,
@@ -292,7 +294,39 @@ def parse_config(text: str) -> ScenarioConfig:
     ignored = next(_ignored(echo, ACCEPTED + reads), None)
     if ignored:
         raise ParseError(f"scenario {scenario!r} ignores {ignored}")
+    if cfg.coupling is not None:
+        _refuse_overrun(cfg)
     return cfg
+
+
+def _chain_center(cfg: ScenarioConfig) -> float:
+    """The chain's apparatus center: packet.center, else 20 sigma."""
+    return 20.0 * cfg.packet.sigma if cfg.packet.center is None \
+        else cfg.packet.center
+
+
+def _refuse_overrun(cfg: ScenarioConfig) -> None:
+    """ValidationError if the chain's first or last branch would end where
+    check_edge_mass fails, judged where the final branches are Gaussians:
+    under the default coherent trap or a free potential."""
+    if cfg.potential not in (None, Potential.free()):
+        return  # left to the run-time guard
+    grid, phys, s = cfg.grid, cfg.physics, cfg.packet.sigma
+    t = cfg.coupling.n_steps(cfg.evolution.dt) * cfg.evolution.dt
+    if cfg.potential is not None:  # free: sigma spreads over t
+        s = math.hypot(s, phys.hbar * t / (2.0 * phys.mass * s))
+    period = grid.x_max - grid.x_min
+    for n in (0, len(cfg.coefficients) - 1):
+        center = _chain_center(cfg) + n * cfg.coupling.shift_velocity * t
+        # |psi| of the final branch, each point at its nearest periodic copy
+        u = (grid.x - center + 0.5 * period) % period - 0.5 * period
+        try:
+            check_edge_mass(np.exp(-(u / (2.0 * s)) ** 2)
+                            / (2.0 * math.pi * s * s) ** 0.25, grid)
+        except BoundaryClipping as exc:
+            raise ValidationError(
+                f"coupling overruns the grid: branch {n} ends at x={center:g} "
+                f"with width {s:g}: {exc}") from exc
 
 
 def load_config(path) -> ScenarioConfig:
@@ -521,7 +555,7 @@ def _run_measurement_core(cfg, manifest):
     parameters) per record, and the transition check."""
     obj = ObjectState(np.array(cfg.coefficients))
     sigma = cfg.packet.sigma
-    center = 20.0 * sigma if cfg.packet.center is None else cfg.packet.center
+    center = _chain_center(cfg)
     (apparatus,) = _packets(cfg, center)
     # Default confinement: the trap whose coherent width equals sigma, so the
     # pointer packets keep their shape while translating.
@@ -554,7 +588,7 @@ def _write_chain_summary(cfg, manifest, report, **fields):
         "object_dim": len(cfg.coefficients),
         "coefficients": [[c.real, c.imag] for c in cfg.coefficients],
         "t_star": report.t_star,
-        "critical_value": report.series[-1][2] if report.series else None,
+        "critical_value": report.critical_value,
         "seed": cfg.seed,
         **fields}))
 

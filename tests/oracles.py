@@ -141,7 +141,8 @@ def ehrenfest_residual(trajectory, v, params):
     for i, (_, psi) in enumerate(trajectory):
         s = packet_summary(psi, params=params)
         exp_x[i], exp_p[i] = s.exp_x, s.exp_p
-        exp_f[i] = float(np.sum(grad * psi.probability_density())) * grid.dx
+        density = psi.amplitudes.real**2 + psi.amplitudes.imag**2
+        exp_f[i] = float(np.sum(grad * density)) * grid.dx
 
     dxdt = (exp_x[2:] - exp_x[:-2]) / (2.0 * dt)
     dpdt = (exp_p[2:] - exp_p[:-2]) / (2.0 * dt)

@@ -17,8 +17,8 @@ from qcollapse import (
     ObjectState,
     PhysicalParams,
     Potential,
+    TransitionReport,
     decompose,
-    detect_transition,
     evolve,
     make_gaussian,
     measure,
@@ -219,29 +219,36 @@ def test_acceptance_6_collapse_statistics():
              f"chi2={chi2:.2f} (<{chi2_crit:.2f}) t={elapsed:.1f}s")
 
 
-def _run_measurement_chain():
+def _run_measurement_chain(observer=None):
     grid = Grid1D(-40.0, 120.0, 2048)
     apparatus = make_gaussian(grid, 20.0, 1.0, 0.0, PARAMS)
     trap = Potential.harmonic(omega=0.5, center=20.0)
     cfg = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=15.0)
     comp = premeasurement(ObjectState(np.array([0.6, 0.8])), apparatus,
                           params=PARAMS)
-    final, report = von_neumann_evolve(comp, cfg, trap, PARAMS, 0.01)
+    final, report = von_neumann_evolve(comp, cfg, trap, PARAMS, 0.01,
+                                       observer=observer)
     return final, report
 
 
 def test_acceptance_7_measurement_chain():
     """Coupling drives the transition; measurement reproduces the mixture."""
-    final, report = _run_measurement_chain()
+    steps = []
+    final, report = _run_measurement_chain(
+        lambda t, s, ops: steps.append((t, ops)))
     t_err = abs(report.t_star - 1.0)  # kinematic oracle: critical/velocity
 
     off = overlap_matrix(final.apparatus_states)
     offdiag = float(np.max(np.abs(off - np.eye(len(off)))))
 
-    prefix = tuple(s for s in report.series if s[1] < s[2])
+    # the report folded over the steps strictly before the crossing
+    early = TransitionReport()
+    for t, ops in steps:
+        if not ops.transition:
+            early = early.after(t, ops)
     premature = False
     try:
-        measure(final, detect_transition(prefix), seed=0, params=PARAMS)
+        measure(final, early, seed=0, params=PARAMS)
     except TransitionNotReached:
         premature = True
 

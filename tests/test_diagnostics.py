@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcollapse import (
+    CouplingConfig,
     EvolutionConfig,
     GateConfig,
     Grid1D,
@@ -20,9 +21,11 @@ from qcollapse import (
     packet_summary,
     premeasurement,
     superpose,
+    von_neumann_evolve,
     wave_packet_gate,
     weak_interference,
 )
+from qcollapse import measurement
 from qcollapse.diagnostics import (
     _clamped_std,
     _hermitian_real,
@@ -34,7 +37,6 @@ from qcollapse.errors import (
     ApparatusNotReady,
     NonHermitianResidue,
     ObservableNotPositiveOnSupport,
-    TooFewPackets,
     ValidationError,
 )
 
@@ -366,8 +368,9 @@ class TestWeakInterference:
         assert not weak_interference(s)[0, 1]
 
     def test_too_few(self, gaussian, params):
-        with pytest.raises(TooFewPackets):
-            weak_interference([packet_summary(gaussian(), params=params)])
+        # one packet has no pair: a one-branch decomposition passes
+        out = weak_interference([packet_summary(gaussian(), params=params)])
+        assert out.tolist() == [[False]]
 
 
 class TestOrderParameters:
@@ -408,10 +411,22 @@ class TestOrderParameters:
             assert op.min_pairwise_separation == float(sep.min())
             assert op.critical_value == float(crit.max())
 
-    def test_too_few(self):
-        mk = lambda c, w: type("S", (), {"exp_x": c, "std_x": w})()
-        with pytest.raises(TooFewPackets):
-            order_parameters([mk(0.0, 1.0)])
+    @pytest.mark.parametrize("amplitudes", [[1.0], [0.6, 0.8]],
+                             ids=["one_branch", "two_branches"])
+    def test_too_few(self, monkeypatch, params, amplitudes):
+        """The chain asks for order parameters only across two or more
+        branches: never for one, once per step for two."""
+        calls, seen = [], []
+        monkeypatch.setattr(measurement, "order_parameters", calls.append)
+        grid = Grid1D(-40.0, 40.0, 512)
+        comp = premeasurement(ObjectState(np.array(amplitudes)),
+                              make_gaussian(grid, 20.0, 1.0, 0.0, params),
+                              params=params)
+        von_neumann_evolve(comp, CouplingConfig(1.0, 3.0, 3.0),
+                           Potential.harmonic(0.5, 20.0), params, 0.1,
+                           observer=lambda t, s, ops: seen.append(ops))
+        assert len(seen) == 31
+        assert [len(s) for s in calls] == [2] * 31 * (len(amplitudes) - 1)
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e3)),

@@ -17,13 +17,14 @@ from qcollapse import (
 )
 from qcollapse.errors import (
     BoundaryClipping,
-    EmptySuperposition,
     GridMismatch,
     GridTooCoarse,
+    ParseError,
     ValidationError,
 )
 from qcollapse.grid import check_unit_weights, write_snapshot
-from qcollapse.scenarios import PacketSpec
+from qcollapse.measurement import ObjectState
+from qcollapse.scenarios import PacketSpec, parse_config
 
 from oracles import gaussian_moment_oracle, gaussian_overlap, read_snapshot
 
@@ -261,9 +262,15 @@ class TestSuperpose:
         out = superpose([(c, psi), (c, psi)])
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
-    def test_empty(self):
-        with pytest.raises(EmptySuperposition):
-            superpose([])
+    @pytest.mark.parametrize("scenario", ["cat_gate", "collapse_sample",
+                                          "measurement_run", "born_ensemble"])
+    def test_empty(self, scenario):
+        # no run superposes nothing: every scenario that superposes refuses
+        # empty coefficients before it builds a packet
+        with pytest.raises(ParseError, match="non-empty list"):
+            parse_config(f"scenario: {scenario}\ncoefficients: []\nseed: 1\n")
+        with pytest.raises(ValidationError, match="1-D vector"):
+            ObjectState(np.array([]))
 
     @settings(deadline=None, max_examples=30)
     @given(re1=st.floats(-1, 1), im1=st.floats(-1, 1),

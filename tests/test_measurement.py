@@ -1,6 +1,7 @@
 import math
 import pickle
 from bisect import bisect_right
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from qcollapse import (
     EvolutionConfig,
     Grid1D,
     ObjectState,
+    OrderParameters,
     PhysicalParams,
     Potential,
+    TransitionReport,
     apparatus_decomposition,
-    detect_transition,
     evolve,
     make_gaussian,
     measure,
@@ -56,19 +58,34 @@ def obj():
     return ObjectState(np.array([0.6, 0.8]))
 
 
+def fold(steps, report=TransitionReport()):
+    """`report` with each (t, OrderParameters) of `steps` folded in."""
+    return reduce(lambda r, step: r.after(*step), steps, report)
+
+
 @pytest.fixture(scope="module")
-def evolved():
+def chain_run():
     """The 1500-step chain of `obj` and `apparatus` under CHAIN in `trap` at
-    dt = 0.01, built once per module: states are immutable, and
-    test_measure_leaves_composite_untouched checks that `measure` leaves
-    this one as it was."""
+    dt = 0.01 and the (t, OrderParameters) its observer saw, built once per
+    module: states are immutable, and test_measure_leaves_composite_untouched
+    checks that `measure` leaves this one as it was."""
     params = PhysicalParams()
     apparatus = make_gaussian(APPARATUS_GRID, APPARATUS_CENTER, 1.0, 0.0,
                               params)
     comp = premeasurement(ObjectState(np.array([0.6, 0.8])), apparatus,
                           params=params)
     trap = Potential.harmonic(omega=0.5, center=APPARATUS_CENTER)
-    return von_neumann_evolve(comp, CHAIN, trap, params, 0.01)
+    steps = []
+    final, report = von_neumann_evolve(
+        comp, CHAIN, trap, params, 0.01,
+        observer=lambda t, s, ops: steps.append((t, ops)))
+    return final, report, steps
+
+
+@pytest.fixture(scope="module")
+def evolved(chain_run):
+    """(final state, TransitionReport) of `chain_run`."""
+    return chain_run[:2]
 
 
 class TestObjectState:
@@ -189,13 +206,13 @@ class TestVonNeumannEvolve:
         return von_neumann_evolve(comp, cfg or self.CFG, trap, params, dt,
                                   observer=observer)
 
-    def test_single_branch_no_series(self, apparatus, trap, params):
+    def test_single_branch_reports_no_transition(self, apparatus, trap,
+                                                 params):
         comp = premeasurement(ObjectState(np.array([1.0])), apparatus,
                               params=params)
         cfg = CouplingConfig(shift_velocity=1.0, d_sep=3.0, tau=3.0)
         final, report = von_neumann_evolve(comp, cfg, trap, params, 0.01)
-        assert report.t_star is None
-        assert report.series == ()
+        assert report == TransitionReport(None, None)
         assert len(final) == 1
 
     def test_coefficients_carried_unchanged(self, evolved):
@@ -239,8 +256,10 @@ class TestVonNeumannEvolve:
             assert np.max(np.abs(branch.amplitudes - want.amplitudes)) <= 1e-12
 
     def test_order_parameter_continuity(self, obj, apparatus, trap, params):
-        _, report = self._coupled(obj, apparatus, trap, params, dt=0.05)
-        seps = np.array([s for _, s, _ in report.series])
+        seps = []
+        self._coupled(obj, apparatus, trap, params, dt=0.05,
+                      observer=lambda t, s, ops: seps.append(
+                          ops.min_pairwise_separation))
         jumps = np.abs(np.diff(seps))
         assert jumps.max() <= 1.1 * self.CFG.shift_velocity * 0.05
 
@@ -272,8 +291,8 @@ class TestVonNeumannEvolve:
             cfg=CouplingConfig(1.0, 10.0, 11.0),
             observer=lambda t, s, ops: seen.append((t, s, ops)))
         assert all(ops == order_parameters(s) for _, s, ops in seen)
-        assert [(t, ops.min_pairwise_separation, ops.critical_value)
-                for t, _, ops in seen] == list(report.series)
+        assert report == fold((t, ops) for t, _, ops in seen)
+        assert report.critical_value == seen[-1][2].critical_value
         single = premeasurement(ObjectState(np.array([1.0])), apparatus,
                                 params=params)
         seen.clear()
@@ -319,24 +338,37 @@ class TestVonNeumannEvolve:
         assert not np.array_equal(a0.amplitudes, a1.amplitudes)
 
 
-class TestDetectTransition:
+class TestTransitionFold:
+    """TransitionReport.after on synthetic order parameters: the earliest
+    crossing that lasts to the end, where a dip discards an earlier one."""
+
+    @staticmethod
+    def _steps(*rows):
+        return [(t, OrderParameters(sep, crit)) for t, sep, crit in rows]
+
     def test_earliest_persistent_crossing(self):
-        series = [(0.0, 0.2, 1.0), (0.5, 0.8, 1.0), (1.0, 1.4, 1.0),
-                  (1.5, 2.0, 1.0)]
-        assert detect_transition(series).t_star == 1.0
+        steps = self._steps((0.0, 0.2, 1.0), (0.5, 0.8, 1.0), (1.0, 1.4, 1.0),
+                            (1.5, 2.0, 1.0))
+        assert fold(steps) == TransitionReport(1.0, 1.0)
 
     def test_no_crossing(self):
-        series = [(0.0, 0.2, 1.0), (0.5, 0.4, 1.0)]
-        assert detect_transition(series).t_star is None
+        steps = self._steps((0.0, 0.2, 1.0), (0.5, 0.4, 1.0))
+        assert fold(steps) == TransitionReport(None, 1.0)
 
     def test_regression_postpones_transition(self):
         # a dip back below threshold discards the earlier crossing
-        series = [(0.0, 1.5, 1.0), (0.5, 0.5, 1.0), (1.0, 1.2, 1.0),
-                  (1.5, 1.8, 1.0)]
-        assert detect_transition(series).t_star == 1.0
+        steps = self._steps((0.0, 1.5, 1.0), (0.5, 0.5, 1.0), (1.0, 1.2, 1.0),
+                            (1.5, 1.8, 1.0))
+        assert fold(steps).t_star == 1.0
+        assert fold(steps[:1]).t_star == 0.0
+        assert fold(steps[:2]).t_star is None
 
     def test_empty_series(self):
-        assert detect_transition([]).t_star is None
+        assert fold([]) == TransitionReport(None, None)
+
+    def test_critical_value_is_the_last_step_s(self):
+        steps = self._steps((0.0, 0.2, 1.0), (0.5, 1.4, 1.2), (1.0, 1.4, 0.9))
+        assert fold(steps) == TransitionReport(0.5, 0.9)
 
 
 class TestCriticalValueUnderFreeCoupling:
@@ -425,11 +457,10 @@ class TestWidthsAndOverlapsUnderCoupling:
 
 
 class TestMeasure:
-    def test_pre_transition_raises(self, evolved, params):
-        final, report = evolved
-        # truncate the series to strictly before the crossing
-        prefix = tuple(s for s in report.series if s[1] < s[2])
-        early = detect_transition(prefix)
+    def test_pre_transition_raises(self, chain_run, params):
+        final, _, steps = chain_run
+        # fold only the steps strictly before the crossing
+        early = fold(step for step in steps if not step[1].transition)
         assert early.t_star is None
         with pytest.raises(TransitionNotReached):
             measure(final, early, seed=1, params=params)

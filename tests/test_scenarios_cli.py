@@ -79,6 +79,28 @@ evolution: {dt: 0.05, record_every: 10}
 coupling: {shift_velocity: 1.0, tau: 40.0}
 """
 
+# The check config of measurement_run with d=8 equal coefficients: branch 7
+# would end at 20 + 7 * 15 = 125, past x_max = 120.  Without a parse-time
+# check it ran 247 of 300 steps into BoundaryClipping in branch 7.
+OVERRUN = f"""
+scenario: measurement_run
+grid: {{x_min: -40.0, x_max: 120.0, n_points: 1024}}
+coefficients: {[math.sqrt(1 / 8)] * 8}
+seed: 3
+evolution: {{dt: 0.05, record_every: 10}}
+"""
+
+# A chain whose branch 1 moves at v = 5 to 20 + 5 tau, and whose last step
+# first puts more than EDGE_MASS_TOL on the grid edge at tau = 17.3.
+FAST_CHAIN = """
+scenario: measurement_run
+grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}
+coefficients: [0.6, 0.8]
+seed: 3
+evolution: {dt: 0.05, record_every: 10}
+coupling: {shift_velocity: 5.0, tau: TAU}
+"""
+
 # A free-coupling chain: its pointers spread and never stop overlapping.
 FREE_CHAIN = """
 scenario: measurement_run
@@ -341,6 +363,43 @@ class TestParseConfig:
                            match=f"{scenario!r} ignores {section}"):
             parse_config(f"{text}{snippet}\n")
 
+    def test_a_coupling_that_overruns_the_grid_is_refused(self):
+        with pytest.raises(ValidationError, match=(
+                r"^coupling overruns the grid: branch 7 ends at x=125 with "
+                r"width 1: boundary mass ")):
+            parse_config(OVERRUN)
+
+    @pytest.mark.parametrize("potential, refused", [
+        ("", False),
+        ("potential: {kind: free}\n", True),
+        ("potential: {kind: harmonic, omega: 0.5, center: 20.0}\n", False)])
+    def test_free_coupling_is_judged_at_its_spread_width(self, potential,
+                                                        refused):
+        """At tau = 40 the trap's branches keep width 1 and end at 20 and 60;
+        free ones spread to width hypot(1, 20), which puts branch 0 on the
+        lower edge.  An explicit trap is left to the run-time guard."""
+        text = check_text("measurement_run") + "coupling: {tau: 40.0}\n"
+        if refused:
+            with pytest.raises(ValidationError, match="branch 0 ends at x=20 "
+                               "with width 20.02"):
+                parse_config(text + potential)
+        else:
+            parse_config(text + potential)
+
+    def test_no_standard_config_is_refused_as_an_overrun(self):
+        """Every check config, and every benchmark workload config at both
+        sizes, parses; the chain configs pass through the overrun check."""
+        texts = {name: check_text(name) for name in scenarios.SCENARIOS}
+        texts.update((f"{name}-{small}-{seed}",
+                      WORKLOADS.config_text(w.config(seed, small)))
+                     for name, w in WORKLOADS.WORKLOADS.items()
+                     for small in (True, False) for seed in (1, 5))
+        chains = [label for label, text in texts.items()
+                  if parse_config(text).coupling is not None]
+        assert sorted(chains) == ["born_ensemble", "chain-False-1",
+                                  "chain-False-5", "chain-True-1",
+                                  "chain-True-5", "measurement_run"]
+
     def test_configs_of_inputs_read_parse_as_before(self):
         texts = [check_text(name) for name in scenarios.SCENARIOS]
         texts += [WORKLOADS.config_text(w.config(seed, small))
@@ -357,8 +416,9 @@ class TestParseConfig:
                   for i, name in enumerate(POTENTIAL_FIELDS[kind])}
         section = yaml.safe_dump({"kind": kind, **fields},
                                  default_flow_style=True)
-        cfg = parse_config("scenario: measurement_run\nseed: 1\n"
-                           f"coefficients: [0.6, 0.8]\npotential: {section}")
+        # on the check grid, where the free chain's spread branches fit
+        cfg = parse_config(f"{check_text('measurement_run')}"
+                           f"potential: {section}")
         assert cfg.potential == getattr(Potential, kind)(**fields)
 
     @pytest.mark.parametrize("section, kind", [
@@ -763,6 +823,25 @@ class TestScenarioRuns:
         assert not [a for a in manifest.assertions
                     if a.name == "pointer_distinguishability"]
 
+    @pytest.mark.parametrize("tau, fits", [(17.25, True), (17.3, False)])
+    def test_the_overrun_refusal_agrees_with_the_run_time_guard(
+            self, tmp_path, tau, fits):
+        """parse_config refuses exactly the chain whose run, under the same
+        trap given explicitly, ends in BoundaryClipping at its last step."""
+        text = FAST_CHAIN.replace("TAU", str(tau))
+        if not fits:
+            with pytest.raises(ValidationError, match="branch 1 ends at"):
+                parse_config(text)
+        else:
+            parse_config(text)
+        manifest = run(parse_config(
+            text + "potential: {kind: harmonic, omega: 0.5, center: 20.0}\n"),
+            str(tmp_path))
+        assert manifest.ok is fits
+        if not fits:
+            assert manifest.error.startswith("BoundaryClipping")
+            assert manifest.error.endswith(f"in branch 1 at t={tau}")
+
     def test_failed_chain_keeps_its_diagnostics_rows(self, tmp_path):
         manifest = run(parse_config(WRAPAROUND), str(tmp_path))
         assert manifest.error.startswith("BoundaryClipping")
@@ -1001,6 +1080,15 @@ class TestCli:
         assert rc == 2
         assert "--n-runs" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_coupling_that_overruns_the_grid_exits_2_before_any_step(
+            self, tmp_path, capsys):
+        rc = main(["simulate", self._write(tmp_path, OVERRUN),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: coupling overruns the grid: branch 7 ends at x=125")
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("scenario", ["cat_gate", "measurement_run",
                                           "born_ensemble"])
