@@ -31,7 +31,6 @@ from .measurement import (
     CompositeState,
     CouplingConfig,
     MeasurementOutcome,
-    ObjectState,
     TransitionReport,
     apparatus_decomposition,
     measure,

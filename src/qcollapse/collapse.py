@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     NotWeaklyInterfering,
     ValidationError,
 )
-from .grid import (PhysicalParams, WaveFunction, check_unit_weights,
+from .grid import (PhysicalParams, WaveFunction, _frozen, check_unit_weights,
                    inner_product, overlap_matrix)
 
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -47,38 +47,38 @@ _new_tuple = tuple.__new__
 
 @dataclass(frozen=True, eq=False)
 class SuperpositionDecomposition:
-    """Branches (c_n, state_n, summary_n) of weakly interfering packets.
+    """Weakly interfering packets: coefficient c_n, packet and summary of
+    each branch n, the coefficients as a read-only complex128 array.
 
-    Construction raises NotWeaklyInterfering for the first pair overlapping
-    above `overlap_limit(d)`, then for a pair that is not support-separated
-    (`weak_interference`), before it checks that sum |c_n|^2 = 1."""
+    Construction raises ValidationError unless there is one packet and one
+    summary per coefficient, then NotWeaklyInterfering for the first pair
+    overlapping above `overlap_limit(d)`, then for a pair that is not
+    support-separated (`weak_interference`), before it checks that
+    sum |c_n|^2 = 1."""
 
-    branches: Tuple[Tuple[complex, WaveFunction, PacketSummary], ...]
+    coefficients: np.ndarray
+    states: Tuple[WaveFunction, ...]
+    summaries: Tuple[PacketSummary, ...]
 
     def __post_init__(self):
-        branches = tuple((complex(c), s, m) for c, s, m in self.branches)
-        object.__setattr__(self, "branches", branches)
-        _check_overlaps(self.states)
-        if not np.all(weak_interference(self.summaries)[
+        coeffs = _frozen(np.array(self.coefficients, dtype=np.complex128))
+        states, summaries = tuple(self.states), tuple(self.summaries)
+        if not coeffs.shape == (len(states),) == (len(summaries),):
+            raise ValidationError(
+                f"{coeffs.size} coefficients for {len(states)} packets and "
+                f"{len(summaries)} summaries")
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "summaries", summaries)
+        _check_overlaps(states)
+        if not np.all(weak_interference(summaries)[
                 np.triu_indices(len(self), k=1)]):
             raise NotWeaklyInterfering(
                 "some branch pair fails the support-separation condition")
-        check_unit_weights(self.coefficients, COEFF_NORM_TOL, "sum |c_n|^2")
+        check_unit_weights(coeffs, COEFF_NORM_TOL, "sum |c_n|^2")
 
     def __len__(self) -> int:
-        return len(self.branches)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for c, _, _ in self.branches])
-
-    @property
-    def states(self) -> List[WaveFunction]:
-        return [s for _, s, _ in self.branches]
-
-    @property
-    def summaries(self) -> List[PacketSummary]:
-        return [m for _, _, m in self.branches]
+        return len(self.states)
 
     @cached_property
     def probabilities(self) -> Tuple[float, ...]:
@@ -106,8 +106,7 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
     basis = list(basis)
     coeffs = np.array([inner_product(b, psi) for b in basis])
     summaries = [packet_summary(b, params=params) for b in basis]
-    decomp = SuperpositionDecomposition(
-        branches=tuple(zip(coeffs, basis, summaries)))
+    decomp = SuperpositionDecomposition(coeffs, basis, summaries)
     if expected_coefficients is not None:
         expected = np.asarray(expected_coefficients, dtype=complex).ravel()
         if expected.size != len(basis):
@@ -169,4 +168,4 @@ def apply_self_collapse(decomp: SuperpositionDecomposition,
     if not 0 <= event.branch_index < len(decomp):
         raise IndexOutOfRange(
             f"branch {event.branch_index} out of range for {len(decomp)} branches")
-    return decomp.branches[event.branch_index][1].normalize()
+    return decomp.states[event.branch_index].normalize()

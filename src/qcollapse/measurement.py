@@ -1,7 +1,9 @@
 """Object + apparatus measurement chain.
 
 The object is a finite-dimensional system expanded in the eigenbasis of the
-measured observable; the apparatus is a grid wave packet.  The coupling
+measured observable; the apparatus is a grid wave packet.  The composite
+sum_n c_n |n> x |a_n> is held as columns: the object's amplitudes c_n and one
+apparatus packet a_n per branch, branch n at position n.  The coupling
 translates the branch-n pointer packet at velocity n * shift_velocity: each
 branch evolves in its own co-moving frame under the one potential and is
 moved rigidly into the lab frame.  The inter-branch separation (the order
@@ -14,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .collapse import (
-    COEFF_NORM_TOL,
     CollapseEvent,
     SuperpositionDecomposition,
     apply_self_collapse,
@@ -29,8 +30,8 @@ from .collapse import (
 from .diagnostics import (GateConfig, OrderParameters, order_parameters,
                           packet_summary, position_gate)
 from .errors import ApparatusNotReady, TransitionNotReached, ValidationError
-from .grid import (NORM_TOL, PhysicalParams, WaveFunction, check_edge_mass,
-                   check_unit_weights, superpose)
+from .grid import (NORM_TOL, PhysicalParams, WaveFunction, _frozen,
+                   check_edge_mass, check_unit_weights, superpose)
 from .propagate import EvolutionConfig, Potential, step, translate
 
 # Relative rounding slack of a measured width: a sigma0 = 1 packet at x = 20
@@ -39,41 +40,28 @@ _WIDTH_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class ObjectState:
-    """Finite-dimensional state in the measured observable's eigenbasis."""
+class CompositeState:
+    """sum_n c_n |n> x |a_n>: the object's amplitudes c_n in the measured
+    observable's eigenbasis, a read-only 1-D complex128 array of unit norm,
+    and the apparatus packet a_n of each branch n."""
 
-    amplitudes: np.ndarray
+    coefficients: np.ndarray
+    apparatus_states: Tuple[WaveFunction, ...]
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.coefficients, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 1:
             raise ValidationError("object amplitudes must be a 1-D vector")
         check_unit_weights(amps, NORM_TOL, "object norm^2")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True, eq=False)
-class CompositeState:
-    """Branches (object index n, c_n, apparatus packet) of sum c_n |n> x |a_n>."""
-
-    branches: Tuple[Tuple[int, complex, WaveFunction], ...]
-
-    def __post_init__(self):
-        branches = tuple((int(n), complex(c), s) for n, c, s in self.branches)
-        object.__setattr__(self, "branches", branches)
-        check_unit_weights(self.coefficients, COEFF_NORM_TOL, "sum |c_n|^2")
+        states = tuple(self.apparatus_states)
+        if len(states) != amps.size:
+            raise ValidationError(f"{len(states)} apparatus packets for "
+                                  f"{amps.size} coefficients")
+        object.__setattr__(self, "coefficients", _frozen(amps))
+        object.__setattr__(self, "apparatus_states", states)
 
     def __len__(self) -> int:
-        return len(self.branches)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for _, c, _ in self.branches])
-
-    @property
-    def apparatus_states(self) -> List[WaveFunction]:
-        return [s for _, _, s in self.branches]
+        return len(self.apparatus_states)
 
 
 @dataclass(frozen=True)
@@ -125,15 +113,16 @@ class MeasurementOutcome:
     object_mixture: Tuple[float, ...]
 
 
-def premeasurement(obj: ObjectState, apparatus_ready: WaveFunction,
+def premeasurement(amplitudes, apparatus_ready: WaveFunction,
                    gate_cfg: GateConfig = GateConfig(),
                    params: PhysicalParams = PhysicalParams()) -> CompositeState:
-    """Product state: every object branch shares the ready apparatus packet,
-    which must pass `position_gate`."""
+    """Product state: every object branch of `amplitudes` shares the ready
+    apparatus packet, which must pass `position_gate`."""
+    composite = CompositeState(
+        amplitudes, (apparatus_ready,) * np.size(amplitudes))
     if not position_gate(apparatus_ready, gate_cfg, params).is_wave_packet:
         raise ApparatusNotReady("apparatus state fails the wave-packet gate")
-    return CompositeState(branches=tuple(
-        (n, c, apparatus_ready) for n, c in enumerate(obj.amplitudes)))
+    return composite
 
 
 def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
@@ -159,33 +148,32 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
     cfg.validate_apparatus(
         packet_summary(state.apparatus_states[0], params=params).std_x)
-    frames = list(state.branches)  # (n, c_n, branch n in its co-moving frame)
+    frames = state.apparatus_states  # branch n in its co-moving frame
     report = TransitionReport()
     for i in range(cfg.n_steps(dt) + 1):
         if i:
-            frames = [(n, c, step(phi, v, params, dt)) for n, c, phi in frames]
+            frames = [step(phi, v, params, dt) for phi in frames]
         t, lab = i * dt, []  # the lab-frame branches at t, each guarded
-        for n, c, phi in frames:
+        for n, phi in enumerate(frames):
             shift = n * cfg.shift_velocity * t
             psi = translate(phi, shift) if shift != 0.0 else phi
             check_edge_mass(psi.amplitudes, psi.grid, " in branch %d at t=%r",
                             n, t)
-            lab.append((n, c, psi))
-        summaries = [packet_summary(s, params=params) for _, _, s in lab]
+            lab.append(psi)
+        summaries = [packet_summary(s, params=params) for s in lab]
         ops = order_parameters(summaries) if len(summaries) >= 2 else None
         if observer is not None:
             observer(t, summaries, ops)
         if ops is not None:
             report = report.after(t, ops)
-    return CompositeState(branches=tuple(lab)), report
+    return CompositeState(state.coefficients, lab), report
 
 
 def apparatus_decomposition(state: CompositeState,
                             params: PhysicalParams = PhysicalParams()
                             ) -> SuperpositionDecomposition:
     """`decompose` of the apparatus superposition over its branch packets."""
-    coeffs = state.coefficients
-    basis = state.apparatus_states
+    coeffs, basis = state.coefficients, state.apparatus_states
     psi2 = superpose(zip(coeffs, basis))
     return decompose(psi2, basis, params, expected_coefficients=coeffs)
 

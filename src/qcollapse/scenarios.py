@@ -25,14 +25,13 @@ import yaml
 
 from .collapse import RNG_ALGORITHM, decompose, sample_collapse
 from .diagnostics import GateConfig, packet_summary, position_gate
-from .errors import (BoundaryClipping, ParseError, QCollapseError,
-                     ValidationError)
+from .errors import (BoundaryClipping, GridTooCoarse, ParseError,
+                     QCollapseError, ValidationError)
 from .grid import (
     NORM_TOL,
     Grid1D,
     PhysicalParams,
     WaveFunction,
-    check_edge_mass,
     check_unit_weights,
     make_gaussian,
     superpose,
@@ -40,7 +39,6 @@ from .grid import (
 )
 from .measurement import (
     CouplingConfig,
-    ObjectState,
     apparatus_decomposition,
     measure,
     premeasurement,
@@ -305,25 +303,36 @@ def _chain_center(cfg: ScenarioConfig) -> float:
         else cfg.packet.center
 
 
+def _chain_potential(cfg: ScenarioConfig) -> Potential:
+    """The chain's default confinement: the trap whose coherent width is
+    packet.sigma, so the pointer packets keep their shape while translating."""
+    return Potential.harmonic(
+        omega=cfg.physics.hbar / (2.0 * cfg.physics.mass * cfg.packet.sigma**2),
+        center=_chain_center(cfg))
+
+
 def _refuse_overrun(cfg: ScenarioConfig) -> None:
     """ValidationError if the chain's first or last branch would end where
-    check_edge_mass fails, judged where the final branches are Gaussians:
-    under the default coherent trap or a free potential."""
-    if cfg.potential not in (None, Potential.free()):
+    make_gaussian's boundary guard fails, judged where the final branches
+    are Gaussians: under the default coherent trap, given or not, or a free
+    potential.  Branches move right and free ones only spread, so the final
+    branches 0 and d - 1, placed at their unwrapped centers, reach furthest
+    towards the edges: a branch that crosses x_max mid-run is refused too.
+    A packet the grid cannot resolve is left to the run-time GridTooCoarse."""
+    if cfg.potential not in (None, _chain_potential(cfg), Potential.free()):
         return  # left to the run-time guard
-    grid, phys, s = cfg.grid, cfg.physics, cfg.packet.sigma
+    phys, s = cfg.physics, cfg.packet.sigma
     t = cfg.coupling.n_steps(cfg.evolution.dt) * cfg.evolution.dt
-    if cfg.potential is not None:  # free: sigma spreads over t
+    if cfg.potential == Potential.free():  # sigma spreads over t
         s = math.hypot(s, phys.hbar * t / (2.0 * phys.mass * s))
-    period = grid.x_max - grid.x_min
     for n in (0, len(cfg.coefficients) - 1):
         center = _chain_center(cfg) + n * cfg.coupling.shift_velocity * t
-        # |psi| of the final branch, each point at its nearest periodic copy
-        u = (grid.x - center + 0.5 * period) % period - 0.5 * period
         try:
-            check_edge_mass(np.exp(-(u / (2.0 * s)) ** 2)
-                            / (2.0 * math.pi * s * s) ** 0.25, grid)
-        except BoundaryClipping as exc:
+            make_gaussian(cfg.grid, center, s, params=phys)
+        except GridTooCoarse:
+            return
+        except (BoundaryClipping, ValidationError) as exc:
+            # ValidationError: no amplitude of the branch is left on the grid
             raise ValidationError(
                 f"coupling overruns the grid: branch {n} ends at x={center:g} "
                 f"with width {s:g}: {exc}") from exc
@@ -553,18 +562,12 @@ def _run_measurement_core(cfg, manifest):
     """The chain up to its transition: premeasurement of the apparatus
     packet, coupling with one diagnostics row (branch 0 and the order
     parameters) per record, and the transition check."""
-    obj = ObjectState(np.array(cfg.coefficients))
-    sigma = cfg.packet.sigma
-    center = _chain_center(cfg)
-    (apparatus,) = _packets(cfg, center)
-    # Default confinement: the trap whose coherent width equals sigma, so the
-    # pointer packets keep their shape while translating.
-    v = cfg.potential or Potential.harmonic(
-        omega=cfg.physics.hbar / (2.0 * cfg.physics.mass * sigma**2),
-        center=center)
-    composite = premeasurement(obj, apparatus, cfg.gate, cfg.physics)
+    (apparatus,) = _packets(cfg, _chain_center(cfg))
+    v = cfg.potential or _chain_potential(cfg)
+    composite = premeasurement(cfg.coefficients, apparatus, cfg.gate,
+                               cfg.physics)
     # Branch packets are normalized: the composite norm is the coefficients'.
-    norm = float(np.sqrt((np.abs(obj.amplitudes) ** 2).sum()))
+    norm = float(np.sqrt((np.abs(composite.coefficients) ** 2).sum()))
     ticks = itertools.count()
     with _diagnostics_csv(manifest) as row:
 

@@ -14,7 +14,6 @@ from qcollapse import (
     CouplingConfig,
     EvolutionConfig,
     Grid1D,
-    ObjectState,
     PhysicalParams,
     Potential,
     TransitionReport,
@@ -224,8 +223,7 @@ def _run_measurement_chain(observer=None):
     apparatus = make_gaussian(grid, 20.0, 1.0, 0.0, PARAMS)
     trap = Potential.harmonic(omega=0.5, center=20.0)
     cfg = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=15.0)
-    comp = premeasurement(ObjectState(np.array([0.6, 0.8])), apparatus,
-                          params=PARAMS)
+    comp = premeasurement([0.6, 0.8], apparatus, params=PARAMS)
     final, report = von_neumann_evolve(comp, cfg, trap, PARAMS, 0.01,
                                        observer=observer)
     return final, report

@@ -94,10 +94,19 @@ class TestDecompose:
                       expected_coefficients=expected)
 
     def test_decomposition_rejects_nan_coefficient(self, cat_decomp):
-        (_, s0, m0), (_, s1, m1) = cat_decomp.branches
         with pytest.raises(ValidationError):
-            SuperpositionDecomposition(
-                branches=((np.nan, s0, m0), (1.0, s1, m1)))
+            SuperpositionDecomposition((np.nan, 1.0), cat_decomp.states,
+                                       cat_decomp.summaries)
+
+    @pytest.mark.parametrize("n_states, n_summaries", [(1, 2), (2, 1)])
+    def test_decomposition_needs_one_packet_and_summary_per_coefficient(
+            self, cat_decomp, n_states, n_summaries):
+        with pytest.raises(ValidationError, match=(
+                f"^2 coefficients for {n_states} packets and {n_summaries} "
+                "summaries$")):
+            SuperpositionDecomposition(cat_decomp.coefficients,
+                                       cat_decomp.states[:n_states],
+                                       cat_decomp.summaries[:n_summaries])
 
 
 class TestWeakInterference:
@@ -105,9 +114,8 @@ class TestWeakInterference:
     def _direct_decomp(coeffs, basis, params):
         from qcollapse import packet_summary
         from qcollapse.collapse import SuperpositionDecomposition
-        return SuperpositionDecomposition(branches=tuple(
-            (c, b, packet_summary(b, params=params))
-            for c, b in zip(coeffs, basis)))
+        return SuperpositionDecomposition(
+            coeffs, basis, [packet_summary(b, params=params) for b in basis])
 
     def test_overlapping_branches_rejected(self, gaussian, params):
         basis = [gaussian(center=-0.5, sigma=2.0), gaussian(center=0.5, sigma=2.0)]
@@ -174,10 +182,9 @@ class TestGeometricProbabilities:
         0.36000000000000004, |c|^2 to 0.36; the CDF and the event must both
         read the one |c_n|^2."""
         basis = _separated_packets(4)[1::2]  # the packets at -16 and +16
-        decomp = SuperpositionDecomposition(branches=tuple(
-            (c, b, dataclasses.replace(packet_summary(b, params=params),
-                                       std_x=1.5))
-            for c, b in zip((0.6, 0.8), basis)))
+        decomp = SuperpositionDecomposition((0.6, 0.8), basis, [
+            dataclasses.replace(packet_summary(b, params=params), std_x=1.5)
+            for b in basis])
         assert list(decomp.probabilities) == [
             abs(c) ** 2 for c in decomp.coefficients]
         assert decomp.branch_cdf[0] == sample_collapse(decomp, 0.0).probability
@@ -276,8 +283,9 @@ class TestSampling:
 
         draws = np.random.default_rng(0).random(10).tolist()
         monkeypatch.setattr(np, "cumsum", fail)
+        # a data descriptor on the class shadows the instance's column
         monkeypatch.setattr(SuperpositionDecomposition, "coefficients",
-                            property(fail))
+                            property(fail), raising=False)
         for u in draws:
             sample_collapse(cat_decomp, u)
         assert cat_decomp.branch_cdf is cdf

@@ -11,7 +11,6 @@ from qcollapse import (
     EvolutionConfig,
     GateConfig,
     Grid1D,
-    ObjectState,
     PhysicalParams,
     Potential,
     WaveFunction,
@@ -226,8 +225,7 @@ class TestPositivePosition:
         probe = np.append(x[(x >= lo) & (x <= hi)], summary.exp_x)
         assert np.all(probe + positive_position(summary) > 0)
         try:
-            premeasurement(ObjectState(np.array([0.6, 0.8])), psi, gate,
-                           params)
+            premeasurement([0.6, 0.8], psi, gate, params)
         except ApparatusNotReady:
             pass
 
@@ -419,7 +417,7 @@ class TestOrderParameters:
         calls, seen = [], []
         monkeypatch.setattr(measurement, "order_parameters", calls.append)
         grid = Grid1D(-40.0, 40.0, 512)
-        comp = premeasurement(ObjectState(np.array(amplitudes)),
+        comp = premeasurement(amplitudes,
                               make_gaussian(grid, 20.0, 1.0, 0.0, params),
                               params=params)
         von_neumann_evolve(comp, CouplingConfig(1.0, 3.0, 3.0),

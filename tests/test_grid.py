@@ -23,7 +23,7 @@ from qcollapse.errors import (
     ValidationError,
 )
 from qcollapse.grid import check_unit_weights, write_snapshot
-from qcollapse.measurement import ObjectState
+from qcollapse.measurement import CompositeState
 from qcollapse.scenarios import PacketSpec, parse_config
 
 from oracles import gaussian_moment_oracle, gaussian_overlap, read_snapshot
@@ -270,7 +270,7 @@ class TestSuperpose:
         with pytest.raises(ParseError, match="non-empty list"):
             parse_config(f"scenario: {scenario}\ncoefficients: []\nseed: 1\n")
         with pytest.raises(ValidationError, match="1-D vector"):
-            ObjectState(np.array([]))
+            CompositeState(np.array([]), ())
 
     @settings(deadline=None, max_examples=30)
     @given(re1=st.floats(-1, 1), im1=st.floats(-1, 1),

@@ -12,7 +12,6 @@ from qcollapse import (
     CouplingConfig,
     EvolutionConfig,
     Grid1D,
-    ObjectState,
     OrderParameters,
     PhysicalParams,
     Potential,
@@ -28,6 +27,7 @@ from qcollapse import (
     translate,
     von_neumann_evolve,
 )
+from qcollapse import measurement
 from qcollapse.collapse import SuperpositionDecomposition
 from qcollapse.grid import overlap_matrix
 from qcollapse.errors import (
@@ -55,7 +55,7 @@ def trap():
 
 @pytest.fixture
 def obj():
-    return ObjectState(np.array([0.6, 0.8]))
+    return np.array([0.6, 0.8])
 
 
 def fold(steps, report=TransitionReport()):
@@ -72,8 +72,7 @@ def chain_run():
     params = PhysicalParams()
     apparatus = make_gaussian(APPARATUS_GRID, APPARATUS_CENTER, 1.0, 0.0,
                               params)
-    comp = premeasurement(ObjectState(np.array([0.6, 0.8])), apparatus,
-                          params=params)
+    comp = premeasurement([0.6, 0.8], apparatus, params=params)
     trap = Potential.harmonic(omega=0.5, center=APPARATUS_CENTER)
     steps = []
     final, report = von_neumann_evolve(
@@ -88,41 +87,57 @@ def evolved(chain_run):
     return chain_run[:2]
 
 
-class TestObjectState:
-    def test_norm_check(self):
+class TestCompositeState:
+    """The object amplitudes, a unit vector to NORM_TOL, and one apparatus
+    packet per coefficient."""
+
+    @staticmethod
+    def _build(coefficients, apparatus):
+        return CompositeState(coefficients,
+                              (apparatus,) * np.size(coefficients))
+
+    def test_norm_check(self, apparatus):
         with pytest.raises(ValidationError):
-            ObjectState(np.array([0.6, 0.7]))
+            self._build(np.array([0.6, 0.7]), apparatus)
 
-    def test_rejects_matrix(self):
+    def test_rejects_matrix(self, apparatus):
+        with pytest.raises(ValidationError, match="1-D vector"):
+            self._build(np.eye(2), apparatus)
+
+    def test_rejects_nan_coefficient(self, apparatus):
         with pytest.raises(ValidationError):
-            ObjectState(np.eye(2))
+            self._build(np.array([np.nan, 1.0]), apparatus)
 
-    def test_rejects_nan_coefficient(self):
-        with pytest.raises(ValidationError):
-            ObjectState(np.array([np.nan, 1.0]))
+    @pytest.mark.parametrize("n_packets", [1, 3])
+    def test_needs_one_packet_per_coefficient(self, apparatus, n_packets):
+        with pytest.raises(ValidationError, match=(
+                f"^{n_packets} apparatus packets for 2 coefficients$")):
+            CompositeState([0.6, 0.8], (apparatus,) * n_packets)
+
+    def test_coefficients_are_a_read_only_complex_copy(self, apparatus):
+        amplitudes = np.array([0.6, 0.8])
+        comp = self._build(amplitudes, apparatus)
+        amplitudes[0] = 1.0
+        assert comp.coefficients.dtype == np.complex128
+        assert comp.coefficients.tolist() == [0.6, 0.8]
+        with pytest.raises(ValueError):
+            comp.coefficients[0] = 1.0
 
 
-def test_composite_state_rejects_nan_coefficient(apparatus):
-    with pytest.raises(ValidationError):
-        CompositeState(branches=((0, np.nan, apparatus), (1, 1.0, apparatus)))
-
-
-@pytest.mark.parametrize("excess, object_ok, branches_ok", [
+@pytest.mark.parametrize("excess, object_ok, decomposition_ok", [
     (2e-9, False, True), (1e-8, False, False)])
 def test_each_coefficient_vector_keeps_its_tolerance_and_stem(
-        apparatus, params, excess, object_ok, branches_ok):
-    """|sum |c|^2 - 1| = 1.6 * excess: ObjectState holds it to NORM_TOL
-    (1e-10), the branch containers to COEFF_NORM_TOL (1e-8)."""
+        apparatus, params, excess, object_ok, decomposition_ok):
+    """|sum |c|^2 - 1| = 1.6 * excess: the composite state holds it to
+    NORM_TOL (1e-10), the decomposition to COEFF_NORM_TOL (1e-8)."""
     coefficients = (0.6, 0.8 + excess)
     pointers = (apparatus, translate(apparatus, 16.0))
     cases = [
         (object_ok, "object norm^2",
-         lambda: ObjectState(np.array(coefficients))),
-        (branches_ok, "sum |c_n|^2", lambda: CompositeState(branches=tuple(
-            (n, c, apparatus) for n, c in enumerate(coefficients)))),
-        (branches_ok, "sum |c_n|^2", lambda: SuperpositionDecomposition(
-            branches=tuple((c, a, packet_summary(a, params=params))
-                           for c, a in zip(coefficients, pointers)))),
+         lambda: CompositeState(coefficients, (apparatus,) * 2)),
+        (decomposition_ok, "sum |c_n|^2", lambda: SuperpositionDecomposition(
+            coefficients, pointers,
+            [packet_summary(a, params=params) for a in pointers])),
     ]
     for ok, stem, build in cases:
         if ok:
@@ -143,7 +158,7 @@ class TestPremeasurement:
             1.0, abs=1e-10)
 
     def test_certain_object(self, apparatus, params):
-        comp = premeasurement(ObjectState(np.array([1.0])), apparatus,
+        comp = premeasurement([1.0], apparatus,
                               params=params)
         assert len(comp) == 1
 
@@ -155,12 +170,12 @@ class TestPremeasurement:
              make_gaussian(APPARATUS_GRID, 26.0, 1.0, 0.0, params)),
         ])
         with pytest.raises(ApparatusNotReady):
-            premeasurement(ObjectState(np.array([1.0])), double, params=params)
+            premeasurement([1.0], double, params=params)
 
     def test_broad_apparatus_not_ready(self, params):
         broad = make_gaussian(APPARATUS_GRID, 3.0, 2.0, 0.0, params)
         with pytest.raises(ApparatusNotReady):
-            premeasurement(ObjectState(np.array([1.0])), broad, params=params)
+            premeasurement([1.0], broad, params=params)
 
 
 class TestCouplingConfig:
@@ -208,7 +223,7 @@ class TestVonNeumannEvolve:
 
     def test_single_branch_reports_no_transition(self, apparatus, trap,
                                                  params):
-        comp = premeasurement(ObjectState(np.array([1.0])), apparatus,
+        comp = premeasurement([1.0], apparatus,
                               params=params)
         cfg = CouplingConfig(shift_velocity=1.0, d_sep=3.0, tau=3.0)
         final, report = von_neumann_evolve(comp, cfg, trap, params, 0.01)
@@ -247,13 +262,36 @@ class TestVonNeumannEvolve:
     def test_branch_is_the_shifted_static_evolution(self, apparatus, trap,
                                                     params):
         dt, cfg = 0.05, self.CFG
-        obj3 = ObjectState(np.array([0.48, 0.6, 0.64]))
+        obj3 = [0.48, 0.6, 0.64]
         final, _ = self._coupled(obj3, apparatus, trap, params, dt=dt)
         n_steps = int(round(cfg.tau / dt))
         phi = evolve(apparatus, trap, params, EvolutionConfig(dt, n_steps))
-        for n, _, branch in final.branches:
+        for n, branch in enumerate(final.apparatus_states):
             want = translate(phi, n * cfg.shift_velocity * cfg.tau)
             assert np.max(np.abs(branch.amplitudes - want.amplitudes)) <= 1e-12
+
+    def test_the_co_moving_frames_are_bitwise_equal_at_every_step(
+            self, monkeypatch, params):
+        """Every branch starts as the one ready packet and steps under the
+        one potential and dt, so on the measurement_run check grid (d = 3,
+        dt = 0.05, 300 steps) the d frames that `step` returns agree bit for
+        bit: one split step per time step would do for all d."""
+        stepped, split_step = [], measurement.step
+
+        def recording_step(*args):
+            stepped.append(split_step(*args))
+            return stepped[-1]
+
+        monkeypatch.setattr(measurement, "step", recording_step)
+        grid = Grid1D(-40.0, 120.0, 1024)
+        apparatus = make_gaussian(grid, APPARATUS_CENTER, 1.0, 0.0, params)
+        comp = premeasurement([0.48, 0.6, 0.64], apparatus, params=params)
+        trap = Potential.harmonic(omega=0.5, center=APPARATUS_CENTER)
+        von_neumann_evolve(comp, self.CFG, trap, params, 0.05)
+        assert len(stepped) == 3 * 300
+        for i in range(0, len(stepped), 3):
+            frames = {frame.amplitudes.tobytes() for frame in stepped[i:i + 3]}
+            assert len(frames) == 1, f"frames differ at step {i // 3 + 1}"
 
     def test_order_parameter_continuity(self, obj, apparatus, trap, params):
         seps = []
@@ -293,7 +331,7 @@ class TestVonNeumannEvolve:
         assert all(ops == order_parameters(s) for _, s, ops in seen)
         assert report == fold((t, ops) for t, _, ops in seen)
         assert report.critical_value == seen[-1][2].critical_value
-        single = premeasurement(ObjectState(np.array([1.0])), apparatus,
+        single = premeasurement([1.0], apparatus,
                                 params=params)
         seen.clear()
         von_neumann_evolve(single, CouplingConfig(1.0, 3.0, 3.0), trap,
@@ -316,7 +354,7 @@ class TestVonNeumannEvolve:
         # from x = 20 and would otherwise wrap round the periodic grid.
         grid = Grid1D(-20.0, 60.0, 512)
         apparatus = make_gaussian(grid, 20.0, 1.0, 0.0, params)
-        comp = premeasurement(ObjectState(np.array([0.48, 0.6, 0.64])),
+        comp = premeasurement([0.48, 0.6, 0.64],
                               apparatus, params=params)
         trap = Potential.harmonic(omega=0.5, center=20.0)
         times = []
@@ -327,9 +365,9 @@ class TestVonNeumannEvolve:
         # branch 2 is at 20 + 2 t, about 6 widths below the edge region
         assert 14.0 < times[-1] < 16.0
 
-    def test_composite_recoverable_from_branches(self, evolved):
+    def test_composite_recoverable_from_its_columns(self, evolved):
         final, _ = evolved
-        rebuilt = CompositeState(branches=final.branches)
+        rebuilt = CompositeState(final.coefficients, final.apparatus_states)
         assert (np.abs(rebuilt.coefficients) ** 2).sum() == pytest.approx(
             1.0, abs=1e-8)
         assert all(s.norm() == pytest.approx(1.0, abs=1e-8)
@@ -386,7 +424,7 @@ class TestCriticalValueUnderFreeCoupling:
         params = PhysicalParams(hbar=hbar)
         apparatus = make_gaussian(APPARATUS_GRID, APPARATUS_CENTER, 1.0,
                                   0.0, params)
-        comp = premeasurement(ObjectState(np.array([0.6, 0.8])), apparatus,
+        comp = premeasurement([0.6, 0.8], apparatus,
                               params=params)
         # the shortest coupling CouplingConfig accepts for this d_sep
         cfg = CouplingConfig(shift_velocity=v, d_sep=self.D_SEP,
@@ -424,7 +462,7 @@ class TestWidthsAndOverlapsUnderCoupling:
         params = PhysicalParams()
         apparatus = make_gaussian(self.GRID, APPARATUS_CENTER, 1.0, 0.0,
                                   params)
-        comp = premeasurement(ObjectState(np.full(d, d**-0.5)), apparatus,
+        comp = premeasurement(np.full(d, d**-0.5), apparatus,
                               params=params)
         cfg = CouplingConfig(shift_velocity=1.0, d_sep=3.1, tau=tau)
         final, _ = von_neumann_evolve(comp, cfg, potential, params, self.DT,
@@ -508,10 +546,9 @@ class TestMeasure:
         plus = superpose([(1 / math.sqrt(2), a1), (1 / math.sqrt(2), a2)])
         minus = superpose([(1 / math.sqrt(2), a1), (-1 / math.sqrt(2), a2)])
         c = final.coefficients
-        rotated = CompositeState(branches=(
-            (0, complex((c[0] + c[1]) / math.sqrt(2)), plus),
-            (1, complex((c[0] - c[1]) / math.sqrt(2)), minus),
-        ))
+        rotated = CompositeState(
+            [(c[0] + c[1]) / math.sqrt(2), (c[0] - c[1]) / math.sqrt(2)],
+            (plus, minus))
         from qcollapse.errors import NotWeaklyInterfering
         with pytest.raises((NotWeaklyInterfering, ValidationError)):
             decomp = apparatus_decomposition(rotated, params=params)

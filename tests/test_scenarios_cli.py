@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -69,7 +70,7 @@ evolution: {dt: 0.01, record_every: 50}
 """
 
 # The d=4, v=1, tau=40 chain on a 1024-point grid: branch 3 reaches the grid
-# edge at t=28.8, long before tau.
+# edge at t=28.8, long before tau, and would end at 140, wrapped round to -20.
 WRAPAROUND = """
 scenario: measurement_run
 grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}
@@ -92,6 +93,7 @@ evolution: {{dt: 0.05, record_every: 10}}
 
 # A chain whose branch 1 moves at v = 5 to 20 + 5 tau, and whose last step
 # first puts more than EDGE_MASS_TOL on the grid edge at tau = 17.3.
+# DEFAULT_TRAP is its default coherent trap (sigma = 1), written out.
 FAST_CHAIN = """
 scenario: measurement_run
 grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}
@@ -100,6 +102,7 @@ seed: 3
 evolution: {dt: 0.05, record_every: 10}
 coupling: {shift_velocity: 5.0, tau: TAU}
 """
+DEFAULT_TRAP = "potential: {kind: harmonic, omega: 0.5, center: 20.0}\n"
 
 # A free-coupling chain: its pointers spread and never stop overlapping.
 FREE_CHAIN = """
@@ -327,7 +330,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("scenario", ["cat_gate", "measurement_run"])
     def test_coefficient_norm_tolerance_is_the_object_states(self, scenario):
-        # |sum |c|^2 - 1| = 6.8e-9 exceeds NORM_TOL, which ObjectState
+        # |sum |c|^2 - 1| = 6.8e-9 exceeds NORM_TOL, which CompositeState
         # applies inside run; parsing must reject what run would.
         with pytest.raises(ValidationError, match="coefficient norm"):
             parse_config(f"scenario: {scenario}\nseed: 1\n"
@@ -372,12 +375,12 @@ class TestParseConfig:
     @pytest.mark.parametrize("potential, refused", [
         ("", False),
         ("potential: {kind: free}\n", True),
-        ("potential: {kind: harmonic, omega: 0.5, center: 20.0}\n", False)])
+        (DEFAULT_TRAP, False)])
     def test_free_coupling_is_judged_at_its_spread_width(self, potential,
                                                         refused):
-        """At tau = 40 the trap's branches keep width 1 and end at 20 and 60;
-        free ones spread to width hypot(1, 20), which puts branch 0 on the
-        lower edge.  An explicit trap is left to the run-time guard."""
+        """At tau = 40 the trap's branches, given or not, keep width 1 and
+        end at 20 and 60; free ones spread to width hypot(1, 20), which puts
+        branch 0 on the lower edge."""
         text = check_text("measurement_run") + "coupling: {tau: 40.0}\n"
         if refused:
             with pytest.raises(ValidationError, match="branch 0 ends at x=20 "
@@ -385,6 +388,30 @@ class TestParseConfig:
                 parse_config(text + potential)
         else:
             parse_config(text + potential)
+
+    @pytest.mark.parametrize("text, branch, end", [
+        (WRAPAROUND, 3, 140), (FAST_CHAIN.replace("TAU", "30"), 1, 170),
+        (FAST_CHAIN.replace("TAU", "17.3") + DEFAULT_TRAP, 1, 106.5)],
+        ids=["wraparound", "wraps_back_inside", "explicit_default_trap"])
+    def test_an_overrun_is_refused_however_the_branch_ends(self, text,
+                                                           branch, end):
+        """A branch is judged at its unwrapped final center, so one that
+        crosses x_max mid-run is refused even where the periodic grid would
+        bring it back inside (140 is -20 and 170 is 10 on [-40, 120]), and
+        the default trap written out is judged like the default."""
+        with pytest.raises(ValidationError, match=(
+                f"^coupling overruns the grid: branch {branch} ends at "
+                f"x={end:g} with width 1: ")):
+            parse_config(text)
+
+    def test_a_packet_too_narrow_for_the_grid_is_left_to_the_run(
+            self, tmp_path):
+        """sigma < 4 dx: the parse check leaves the chain to the run-time
+        GridTooCoarse, which the manifest records (exit 1)."""
+        cfg = parse_config(FAST_CHAIN.replace("TAU", "30")
+                           + "packet: {sigma: 0.3}\n")
+        manifest = run(cfg, str(tmp_path))
+        assert manifest.error.startswith("GridTooCoarse: sigma=0.3 below")
 
     def test_no_standard_config_is_refused_as_an_overrun(self):
         """Every check config, and every benchmark workload config at both
@@ -826,16 +853,18 @@ class TestScenarioRuns:
     @pytest.mark.parametrize("tau, fits", [(17.25, True), (17.3, False)])
     def test_the_overrun_refusal_agrees_with_the_run_time_guard(
             self, tmp_path, tau, fits):
-        """parse_config refuses exactly the chain whose run, under the same
-        trap given explicitly, ends in BoundaryClipping at its last step."""
+        """parse_config refuses exactly the chain whose run, with its
+        coupling set after parsing, ends in BoundaryClipping at its last
+        step."""
         text = FAST_CHAIN.replace("TAU", str(tau))
         if not fits:
             with pytest.raises(ValidationError, match="branch 1 ends at"):
                 parse_config(text)
         else:
             parse_config(text)
-        manifest = run(parse_config(
-            text + "potential: {kind: harmonic, omega: 0.5, center: 20.0}\n"),
+        cfg = parse_config(FAST_CHAIN.replace("TAU", "17.25"))
+        manifest = run(dataclasses.replace(
+            cfg, coupling=CouplingConfig(shift_velocity=5.0, tau=tau)),
             str(tmp_path))
         assert manifest.ok is fits
         if not fits:
@@ -843,7 +872,12 @@ class TestScenarioRuns:
             assert manifest.error.endswith(f"in branch 1 at t={tau}")
 
     def test_failed_chain_keeps_its_diagnostics_rows(self, tmp_path):
-        manifest = run(parse_config(WRAPAROUND), str(tmp_path))
+        """WRAPAROUND, which parse_config refuses, with its tau = 40
+        coupling set after parsing an in-grid tau."""
+        cfg = parse_config(WRAPAROUND.replace("tau: 40.0", "tau: 15.0"))
+        manifest = run(dataclasses.replace(
+            cfg, coupling=CouplingConfig(shift_velocity=1.0, tau=40.0)),
+            str(tmp_path))
         assert manifest.error.startswith("BoundaryClipping")
         assert "t=28.8" in manifest.error
         assert "diagnostics.csv" in manifest.artifacts
@@ -1088,6 +1122,18 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "config error: coupling overruns the grid: branch 7 ends at x=125")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("text, branch", [
+        (WRAPAROUND, 3), (FAST_CHAIN.replace("TAU", "17.3") + DEFAULT_TRAP, 1)],
+        ids=["wraparound", "explicit_default_trap"])
+    def test_a_branch_that_crosses_the_edge_exits_2_before_any_step(
+            self, tmp_path, capsys, text, branch):
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: coupling overruns the grid: branch {branch} ")
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("scenario", ["cat_gate", "measurement_run",
