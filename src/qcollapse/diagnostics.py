@@ -95,17 +95,6 @@ def _hermitian_real(val: complex) -> float:
     return val.real
 
 
-def _moment_pair(u: np.ndarray, au: np.ndarray, scale: float,
-                 weight: float) -> Tuple[float, float]:
-    """(<A>, <A^2>) = (Re vdot(u, au) scale weight, |au|^2 scale^2 weight),
-    <A>'s imaginary residue checked, for A = scale * (u -> au).  Position
-    reads u = a (psi's amplitudes), au = x a, scale 1 and weight dx;
-    momentum reads u = phi = psi.spectrum, au = k phi, scale hbar and the
-    Parseval weight dx/N (sum |phi|^2 dx/N = sum |a|^2 dx)."""
-    mean = _hermitian_real(complex(np.vdot(u, au)) * scale * weight)
-    return mean, float(np.vdot(au, au).real) * scale**2 * weight
-
-
 def _clamped_std(second_moment: float, mean: float) -> float:
     """sqrt(<A^2> - <A>^2), clamped at zero with a warning on real excursions."""
     var = second_moment - mean**2
@@ -116,31 +105,35 @@ def _clamped_std(second_moment: float, mean: float) -> float:
             warnings.warn(
                 f"negative variance {var:.3g} clamped to zero", RuntimeWarning)
         var = 0.0
-    return float(np.sqrt(var))
+    return math.sqrt(var)
 
 
 def packet_summary(psi: WaveFunction, k: float = 1.0,
                    params: PhysicalParams = PhysicalParams()) -> PacketSummary:
     """Moments, the support interval (<x> +- k std x / 2) and its mass.
 
-    One `_moment_pair` each for x, on psi's amplitudes a, and for p = hbar k,
-    on phi = psi.spectrum (F a, computed once per state, or handed on by
-    `translate`).  The support mass is |a|^2 dx summed over the grid points
-    inside the closed support interval.
+    Position reads psi's amplitudes a: <x> = Re vdot(a, x a) dx and
+    <x^2> = |x a|^2 dx.  Momentum p = hbar k reads phi = psi.spectrum (F a,
+    computed once per state, or handed on by `translate`) with the Parseval
+    weight dx/N (sum |phi|^2 dx/N = sum |a|^2 dx): <p> = Re vdot(phi, k phi)
+    hbar dx/N and <p^2> = |k phi|^2 hbar^2 dx/N.  Each mean has its
+    imaginary residue checked.  The support mass is |a|^2 dx summed over
+    the grid points inside the closed support interval.
     """
-    a = psi.amplitudes
-    grid = psi.grid
-    exp_x, x2 = _moment_pair(a, grid.x * a, 1.0, grid.dx)
-    sx = _clamped_std(x2, exp_x)
-    phi = psi.spectrum
-    exp_p, p2 = _moment_pair(phi, grid.k * phi, params.hbar,
-                             grid.dx / grid.n_points)
-    sp = _clamped_std(p2, exp_p)
+    a, grid = psi.amplitudes, psi.grid
+    dx, xa = grid.dx, grid.x * a
+    exp_x = _hermitian_real(complex(np.vdot(a, xa)) * dx)
+    sx = _clamped_std(float(np.vdot(xa, xa).real) * dx, exp_x)
+    phi, hbar, weight = psi.spectrum, params.hbar, dx / grid.n_points
+    kphi = grid.k * phi
+    exp_p = _hermitian_real(complex(np.vdot(phi, kphi)) * hbar * weight)
+    sp = _clamped_std(float(np.vdot(kphi, kphi).real) * hbar**2 * weight,
+                      exp_p)
 
     half = 0.5 * k * sx
     lo, hi = exp_x - half, exp_x + half
     inside = a[_support_slice(grid.x, lo, hi)]
-    mass = float(np.vdot(inside, inside).real) * grid.dx
+    mass = float(np.vdot(inside, inside).real) * dx
     return PacketSummary(exp_x=exp_x, std_x=sx, exp_p=exp_p, std_p=sp,
                          support=(lo, hi), mass_in_support=min(mass, 1.0))
 

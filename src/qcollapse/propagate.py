@@ -111,8 +111,11 @@ def _phase_factors(grid: Grid1D, v: Potential, params: PhysicalParams,
     return _frozen(half_v), _frozen(kinetic)
 
 
-def _apply(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
-    """half_v * F^-1(kinetic * F(half_v * amps)) in one fresh read-only buffer.
+def _apply(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
+           dx: float, where: str, *args) -> np.ndarray:
+    """half_v * F^-1(kinetic * F(half_v * amps)) in one fresh read-only
+    buffer; UnstableStep if its norm drifts from 1 beyond STEP_NORM_TOL, the
+    message ending in `where % args`, built on failure.
 
     Each factor stays the left operand: numpy's complex multiply is not
     bitwise commutative, and this order gives the same bits as evaluating
@@ -124,17 +127,18 @@ def _apply(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndar
     np.multiply(kinetic, buf, out=buf)
     np.fft.ifft(buf, out=buf)
     np.multiply(half_v, buf, out=buf)
+    norm = _amplitude_norm(buf, dx)
+    if not abs(norm - 1.0) <= STEP_NORM_TOL:  # also catches a nan norm
+        raise UnstableStep(f"norm drifted to {norm}{where % args}")
     return _frozen(buf)
 
 
 def step(psi: WaveFunction, v: Potential, params: PhysicalParams,
          dt: float) -> WaveFunction:
     """One Strang-split step; negative dt steps backwards in time."""
-    amps = _apply(psi.amplitudes, *_phase_factors(psi.grid, v, params, dt))
-    norm = _amplitude_norm(amps, psi.grid.dx)
-    if not abs(norm - 1.0) <= STEP_NORM_TOL:  # also catches a nan norm
-        raise UnstableStep(f"norm drifted to {norm} in one step")
-    return WaveFunction(psi.grid, amps)
+    return WaveFunction(psi.grid, _apply(
+        psi.amplitudes, *_phase_factors(psi.grid, v, params, dt),
+        psi.grid.dx, " in one step"))
 
 
 def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
@@ -147,13 +151,9 @@ def evolve(psi: WaveFunction, v: Potential, params: PhysicalParams,
     if cfg.n_steps == 0:
         return psi
     half_v, kinetic = _phase_factors(psi.grid, v, params, cfg.dt)
-    amps = psi.amplitudes
-    dx = psi.grid.dx
+    amps, dx = psi.amplitudes, psi.grid.dx
     for i in range(1, cfg.n_steps + 1):
-        amps = _apply(amps, half_v, kinetic)
-        norm = _amplitude_norm(amps, dx)
-        if not abs(norm - 1.0) <= STEP_NORM_TOL:
-            raise UnstableStep(f"norm drifted to {norm} at step {i}")
+        amps = _apply(amps, half_v, kinetic, dx, " at step %d", i)
         check_edge_mass(amps, psi.grid, " at step %d", i)
         if observer is not None and i % cfg.record_every == 0:
             observer(i * cfg.dt, WaveFunction(psi.grid, amps))

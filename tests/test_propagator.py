@@ -189,9 +189,17 @@ class TestKernelsMatchDenseFormulas:
         half_v = np.exp(-0.5j * v.values(grid, params) * dt / params.hbar)
         kinetic = np.exp(-0.5j * params.hbar * grid.k**2 * dt / params.mass)
         amps = _random_amps(grid.n_points, 1)
-        got = _apply(amps, *_phase_factors(grid, v, params, dt))
+        amps /= math.sqrt(np.vdot(amps, amps).real * grid.dx)
+        got = _apply(amps, *_phase_factors(grid, v, params, dt), grid.dx,
+                     " in one step")
         want = split_step_oracle(amps, half_v, kinetic)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # The guard reads the kernel's own buffer, here of norm 2, and its
+        # message ends in `where % args`.
+        with pytest.raises(UnstableStep, match=" at step 7$") as err:
+            _apply(2.0 * amps, *_phase_factors(grid, v, params, dt), grid.dx,
+                   " at step %d", 7)
+        assert float(str(err.value).split()[3]) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("shift", [0.37, -5.0, 1e-3, 60.0])
     @pytest.mark.parametrize("n", [16, 2048])
