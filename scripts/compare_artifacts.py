@@ -9,14 +9,16 @@
 benchmark workload configs of BENCH_RUNS, written by this checkout's
 `bench/workloads.py` and labelled `bench_<workload><suffix>`.  Any CONFIG
 files given run too, labelled by their stem.  It writes the sha256 of every
-artifact except `manifest.json`, with each run's ok flag, its assertions as
-[name, passed] and the name of the error type that ended it (null if
-none), to OUT.json.
+artifact except `manifest.json`, and of every column of each `.csv`
+artifact (its values, `#` comment lines skipped), with each run's ok flag,
+its assertions as [name, passed] and the name of the error type that ended
+it (null if none), to OUT.json.
 `diff` prints a Markdown report of the runs and files whose hashes or ok
-flags differ, and of each run's assertions that were added, removed or
-flipped and its changed error type; a run recorded without assertions (by
-an older version of this script) has them left out of the comparison.  It
-only reports: it exits 0 whatever it finds.
+flags differ, the changed columns under each differing CSV, and each run's
+assertions that were added, removed or flipped and its changed error type.
+A run recorded without assertions or column hashes (by an older version of
+this script) has them left out of the comparison, so its CSVs compare as
+whole files.  It only reports: it exits 0 whatever it finds.
 """
 from __future__ import annotations
 
@@ -53,6 +55,19 @@ def standard_configs(registry) -> dict:
     return texts
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _column_hashes(path: Path) -> dict:
+    """Column name -> sha256 of its values, one per line, of a CSV file
+    whose first non-comment line is the header; `#` lines are skipped."""
+    rows = [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+    return {col[0]: _sha256("\n".join(col[1:]).encode())
+            for col in zip(*rows)}
+
+
 def _hash_runs(src: Path, configs) -> dict:
     sys.path.insert(0, str(src))
     import qcollapse
@@ -66,15 +81,17 @@ def _hash_runs(src: Path, configs) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for label, text in texts.items():
             manifest = run(parse_config(text), f"{tmp}/{label}")
+            paths = sorted(Path(manifest.run_dir).iterdir())
             runs[label] = {
                 "ok": manifest.ok,
                 "assertions": [[a.name, a.passed]
                                for a in manifest.assertions],
                 "error_type": (manifest.error_type
                                and manifest.error_type.__name__),
-                "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                          for p in sorted(Path(manifest.run_dir).iterdir())
-                          if p.name != "manifest.json"}}
+                "files": {p.name: _sha256(p.read_bytes()) for p in paths
+                          if p.name != "manifest.json"},
+                "columns": {p.name: _column_hashes(p) for p in paths
+                            if p.suffix == ".csv"}}
     return runs
 
 
@@ -100,6 +117,19 @@ def _check_changes(label: str, a: dict, b: dict) -> list:
     return lines
 
 
+def _column_changes(a: dict, b: dict, name: str) -> list:
+    """The report line naming the columns of CSV `name` whose hashes differ
+    from run `a` to run `b`, or none if either run lacks its column hashes."""
+    old, new = (run.get("columns", {}).get(name) for run in (a, b))
+    if old is None or new is None:
+        return []
+    changed = [c for c in sorted(old.keys() | new.keys())
+               if old.get(c) != new.get(c)]
+    if not changed:
+        return ["  - no column differs (a `#` line does)"]
+    return ["  - columns: " + ", ".join(f"`{c}`" for c in changed)]
+
+
 def _diff(base: dict, head: dict) -> str:
     lines, checks, total, compared = [], [], 0, 0
     for label in sorted(base.keys() | head.keys()):
@@ -112,8 +142,10 @@ def _diff(base: dict, head: dict) -> str:
             lines.append(f"- `{label}`: ok {a['ok']} -> {b['ok']}")
         names = a["files"].keys() | b["files"].keys()
         total += len(names)
-        lines += [f"- `{label}/{name}`" for name in sorted(names)
-                  if a["files"].get(name) != b["files"].get(name)]
+        for name in sorted(names):
+            if a["files"].get(name) != b["files"].get(name):
+                lines.append(f"- `{label}/{name}`")
+                lines += _column_changes(a, b, name)
         if "assertions" in a and "assertions" in b:
             compared += 1
             checks += _check_changes(label, a, b)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (NonHermitianResidue, ObservableNotPositiveOnSupport,
                      ValidationError)
-from .grid import PhysicalParams, WaveFunction
+from .grid import PhysicalParams, WaveFunction, _amplitude_norm
 
 HERMITICITY_TOL = 1e-6
 VARIANCE_CLAMP_TOL = 1e-9
@@ -27,7 +27,8 @@ GATE_CONTAINMENT_K = 6.0
 
 @dataclass(frozen=True)
 class PacketSummary:
-    """Position/momentum moments plus the support interval of a state."""
+    """Position/momentum moments plus the support interval of a state, and
+    its norm sqrt(sum |a|^2 dx), as `WaveFunction.norm` computes it."""
 
     exp_x: float
     std_x: float
@@ -35,6 +36,7 @@ class PacketSummary:
     std_p: float
     support: Tuple[float, float]
     mass_in_support: float
+    norm: float
 
     @property
     def uncertainty_product(self) -> float:
@@ -135,7 +137,8 @@ def packet_summary(psi: WaveFunction, k: float = 1.0,
     inside = a[_support_slice(grid.x, lo, hi)]
     mass = float(np.vdot(inside, inside).real) * dx
     return PacketSummary(exp_x=exp_x, std_x=sx, exp_p=exp_p, std_p=sp,
-                         support=(lo, hi), mass_in_support=min(mass, 1.0))
+                         support=(lo, hi), mass_in_support=min(mass, 1.0),
+                         norm=_amplitude_norm(a, dx))
 
 
 def positive_position(summary: PacketSummary) -> float:

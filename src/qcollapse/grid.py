@@ -52,6 +52,11 @@ class Grid1D:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_points
 
+    @property
+    def min_sigma(self) -> float:
+        """The narrowest packet width the grid resolves, 4 dx."""
+        return 4.0 * self.dx
+
     @cached_property
     def x(self) -> np.ndarray:
         return _frozen(self.x_min + self.dx * np.arange(self.n_points))
@@ -165,9 +170,9 @@ def make_gaussian(grid: Grid1D, center: float, sigma: float,
 
     Has <x> = center, std x = sigma, <p> = momentum, std p = hbar/(2 sigma).
     """
-    if sigma < 4.0 * grid.dx:
+    if sigma < grid.min_sigma:
         raise GridTooCoarse(
-            f"sigma={sigma} below 4*dx={4.0 * grid.dx}; packet unresolvable")
+            f"sigma={sigma} below 4*dx={grid.min_sigma}; packet unresolvable")
     p_max = 0.25 * math.pi * params.hbar / grid.dx
     if abs(momentum) > p_max:
         raise ValidationError(

@@ -25,8 +25,8 @@ import yaml
 
 from .collapse import RNG_ALGORITHM, decompose, sample_collapse
 from .diagnostics import GateConfig, packet_summary, position_gate
-from .errors import (BoundaryClipping, GridTooCoarse, ParseError,
-                     QCollapseError, ValidationError)
+from .errors import (BoundaryClipping, ParseError, QCollapseError,
+                     ValidationError)
 from .grid import (
     NORM_TOL,
     Grid1D,
@@ -313,14 +313,17 @@ def _chain_potential(cfg: ScenarioConfig) -> Potential:
 
 def _refuse_overrun(cfg: ScenarioConfig) -> None:
     """ValidationError if the chain's first or last branch would end where
-    make_gaussian's boundary guard fails, judged where the final branches
-    are Gaussians: under the default coherent trap, given or not, or a free
-    potential.  Branches move right and free ones only spread, so the final
-    branches 0 and d - 1, placed at their unwrapped centers, reach furthest
-    towards the edges: a branch that crosses x_max mid-run is refused too.
-    A packet the grid cannot resolve is left to the run-time GridTooCoarse."""
-    if cfg.potential not in (None, _chain_potential(cfg), Potential.free()):
-        return  # left to the run-time guard
+    make_gaussian's boundary guard fails, or with no amplitude left on the
+    grid, judged where the final branches are Gaussians: under the default
+    coherent trap, given or not, or a free potential.  Branches move right
+    and free ones only spread, so the final branches 0 and d - 1, placed at
+    their unwrapped centers, reach furthest towards the edges: a branch that
+    crosses x_max mid-run is refused too.  A packet.sigma below
+    make_gaussian's bound `grid.min_sigma` is left to the run-time
+    GridTooCoarse, whatever its spread width."""
+    if (cfg.potential not in (None, _chain_potential(cfg), Potential.free())
+            or cfg.packet.sigma < cfg.grid.min_sigma):
+        return  # left to the run-time guards
     phys, s = cfg.physics, cfg.packet.sigma
     t = cfg.coupling.n_steps(cfg.evolution.dt) * cfg.evolution.dt
     if cfg.potential == Potential.free():  # sigma spreads over t
@@ -329,13 +332,14 @@ def _refuse_overrun(cfg: ScenarioConfig) -> None:
         center = _chain_center(cfg) + n * cfg.coupling.shift_velocity * t
         try:
             make_gaussian(cfg.grid, center, s, params=phys)
-        except GridTooCoarse:
-            return
         except (BoundaryClipping, ValidationError) as exc:
-            # ValidationError: no amplitude of the branch is left on the grid
+            # A ValidationError: every amplitude underflowed, so the
+            # normalization met the zero state before the boundary guard.
+            reason = exc if isinstance(exc, BoundaryClipping) \
+                else "no amplitude is left on the grid"
             raise ValidationError(
                 f"coupling overruns the grid: branch {n} ends at x={center:g} "
-                f"with width {s:g}: {exc}") from exc
+                f"with width {s:g}: {reason}") from exc
 
 
 def load_config(path) -> ScenarioConfig:
@@ -453,7 +457,7 @@ def _evolve_and_record(cfg, manifest, psi: WaveFunction,
         def observer(t, state):
             summary = packet_summary(state, params=cfg.physics)
             records.append((t, summary))
-            row(t, state.norm(), summary)
+            row(t, summary.norm, summary)
 
         observer(0.0, psi)
         final = evolve(psi, v, cfg.physics, cfg.evolution, observer)
@@ -560,19 +564,21 @@ def _run_collapse_sample(cfg, manifest):
 
 def _run_measurement_core(cfg, manifest):
     """The chain up to its transition: premeasurement of the apparatus
-    packet, coupling with one diagnostics row (branch 0 and the order
-    parameters) per record, and the transition check."""
+    packet, coupling with one diagnostics row per record (the composite norm
+    sqrt(sum |c_n|^2 |a_n|^2) of the lab-frame branches a_n, branch 0's
+    moments and the order parameters), and the transition check."""
     (apparatus,) = _packets(cfg, _chain_center(cfg))
     v = cfg.potential or _chain_potential(cfg)
     composite = premeasurement(cfg.coefficients, apparatus, cfg.gate,
                                cfg.physics)
-    # Branch packets are normalized: the composite norm is the coefficients'.
-    norm = float(np.sqrt((np.abs(composite.coefficients) ** 2).sum()))
+    weights = np.abs(composite.coefficients) ** 2
     ticks = itertools.count()
     with _diagnostics_csv(manifest) as row:
 
         def observer(t, summaries, ops):
             if next(ticks) % cfg.evolution.record_every == 0:
+                norm = math.sqrt(sum(w * s.norm**2
+                                     for w, s in zip(weights, summaries)))
                 row(t, norm, summaries[0], *(() if ops is None else (
                     ops.min_pairwise_separation, ops.critical_value,
                     ops.transition)))

@@ -1,6 +1,8 @@
 """The standard verification set of `scripts/compare_artifacts.py hash`,
-and the report of its `diff` on synthetic hash files: artifact hashes, ok
-flags, and each run's assertions and error type."""
+its per-column CSV hashes, and the report of its `diff` on synthetic hash
+files: artifact hashes, changed CSV columns, ok flags, and each run's
+assertions and error type."""
+import copy
 import sys
 from pathlib import Path
 
@@ -8,7 +10,8 @@ from qcollapse.scenarios import REGISTRY, parse_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-from compare_artifacts import _diff, standard_configs  # noqa: E402
+from compare_artifacts import (_column_hashes, _diff,  # noqa: E402
+                               standard_configs)
 
 
 def test_standard_set_is_the_check_and_bench_configs_and_parses():
@@ -92,3 +95,33 @@ def test_base_without_assertions_compares_files_only():
     assert [line for line in report.splitlines() if line.startswith("- ")] \
         == ["- `cat_gate/verdicts.json`"]
     assert "no change in the 0 of 2 runs" in report
+
+
+def test_column_hashes_skip_comment_lines(tmp_path):
+    """One hash per header column; a `#` line is not a row, and a changed
+    value moves only its own column's hash."""
+    path = tmp_path / "snapshot.csv"
+    path.write_text("x,re,im\n# grid n_points=2\n0,1,2\n1,3,4\n")
+    base = _column_hashes(path)
+    path.write_text("x,re,im\n# grid n_points=16\n0,1,2\n1,3,5\n")
+    head = _column_hashes(path)
+    assert sorted(base) == ["im", "re", "x"]
+    assert [c for c in base if base[c] != head[c]] == ["im"]
+
+
+def test_a_differing_csv_lists_its_changed_columns():
+    base = _runs()
+    base["measurement_run"]["files"]["diagnostics.csv"] = "d1"
+    base["measurement_run"]["columns"] = {
+        "diagnostics.csv": {"t": "t1", "norm": "n1", "exp_x": "x1"}}
+    head = copy.deepcopy(base)
+    head["measurement_run"]["files"]["diagnostics.csv"] = "d2"
+    head["measurement_run"]["columns"]["diagnostics.csv"]["norm"] = "n2"
+    assert [line for line in _diff(base, head).splitlines()
+            if line.startswith(("- ", "  - "))] \
+        == ["- `measurement_run/diagnostics.csv`", "  - columns: `norm`"]
+    # A base recorded without column hashes compares the CSV as a whole.
+    del base["measurement_run"]["columns"]
+    assert [line for line in _diff(base, head).splitlines()
+            if line.startswith(("- ", "  - "))] \
+        == ["- `measurement_run/diagnostics.csv`"]

@@ -86,6 +86,14 @@ class TestPacketSummary:
             assert s.uncertainty_product == pytest.approx(0.5, rel=1e-6)
 
 
+    def test_norm_is_the_state_norm(self, gaussian, params):
+        """The summary's norm is `WaveFunction.norm`, bit for bit, also for
+        a state off unit norm."""
+        psi = gaussian(center=5.0, sigma=0.5)
+        for state in (psi, WaveFunction(psi.grid, 1.001 * psi.amplitudes)):
+            assert packet_summary(state, params=params).norm == state.norm()
+
+
 class TestNonFiniteMoments:
     """A state WaveFunction accepts can still overflow |a|^2; its moments
     must raise instead of coming out as inf or nan."""

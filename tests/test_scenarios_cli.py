@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qcollapse import scenarios
+from qcollapse import measurement, scenarios
 from qcollapse.cli import main
 from qcollapse.errors import (BoundaryClipping, NotWeaklyInterfering,
                               ParseError, TransitionNotReached,
@@ -31,6 +31,7 @@ from qcollapse.scenarios import (
     PacketSpec,
     PhysicalParams,
     ScenarioConfig,
+    WaveFunction,
     parse_config,
     run,
 )
@@ -888,6 +889,27 @@ class TestScenarioRuns:
         times = [float(line.split(",")[0]) for line in lines[1:]]
         assert times == pytest.approx([0.5 * i for i in range(58)])
 
+    def test_the_chain_norm_column_reads_the_evolved_branches(
+            self, tmp_path, monkeypatch):
+        """Each step scales every co-moving frame by 1 + 1e-10, so row i of
+        a record_every = 1 chain reads the composite norm (1 + 1e-10)^i,
+        until the step guard stops the run."""
+        real_step = measurement.step
+
+        def leaky_step(psi, *args):
+            out = real_step(psi, *args)
+            return WaveFunction(out.grid, out.amplitudes * (1.0 + 1e-10))
+
+        monkeypatch.setattr(measurement, "step", leaky_step)
+        cfg = parse_config(check_text("measurement_run").replace(
+            "record_every: 10", "record_every: 1"))
+        manifest = run(cfg, str(tmp_path))
+        with open(Path(manifest.run_dir) / "diagnostics.csv") as fh:
+            norms = [float(row["norm"]) for row in csv.DictReader(fh)]
+        assert len(norms) >= 2
+        assert norms == pytest.approx(
+            [(1.0 + 1e-10) ** i for i in range(len(norms))], rel=0, abs=1e-14)
+
     def test_chain_moments_follow_physics_hbar(self, tmp_path):
         # The sigma = 1 apparatus packet in its coherent trap keeps
         # std p = hbar / (2 sigma) = 0.25, up to the Strang error of
@@ -1123,6 +1145,36 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "config error: coupling overruns the grid: branch 7 ends at x=125")
         assert not (tmp_path / "runs").exists()
+
+    def test_a_branch_with_no_amplitude_left_is_refused_for_the_grid(
+            self, tmp_path, capsys):
+        """FAST_CHAIN at tau = 30 ends branch 1 at x = 170, so far past
+        x_max = 120 that every amplitude of it underflows to zero."""
+        text = FAST_CHAIN.replace("TAU", "30")
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == ("config error: coupling overruns the grid: branch 1 "
+                       "ends at x=170 with width 1: no amplitude is left on "
+                       "the grid\n")
+        assert "normalize" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("tau", [2, 20])
+    def test_an_unresolvable_free_packet_fails_at_run_time(
+            self, tmp_path, capsys, tau):
+        """sigma = 0.3 is below 4 dx = 0.625: a free chain leaves it to the
+        run's GridTooCoarse (exit 1), as the trap chain does, whether or not
+        its spread width (33.3 at tau = 20) would overrun the grid."""
+        text = (FAST_CHAIN.replace("TAU", str(tau))
+                + "potential: {kind: free}\npacket: {sigma: 0.3}\n")
+        parse_config(text)
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 1
+        assert "[ERROR] GridTooCoarse: sigma=0.3 below" \
+            in capsys.readouterr().out
 
     @pytest.mark.parametrize("text, branch", [
         (WRAPAROUND, 3), (FAST_CHAIN.replace("TAU", "17.3") + DEFAULT_TRAP, 1)],
