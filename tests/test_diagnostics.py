@@ -85,7 +85,6 @@ class TestPacketSummary:
             assert s.uncertainty_product >= 0.5 - 1e-9
             assert s.uncertainty_product == pytest.approx(0.5, rel=1e-6)
 
-
     def test_norm_is_the_state_norm(self, gaussian, params):
         """The summary's norm is `WaveFunction.norm`, bit for bit, also for
         a state off unit norm."""
