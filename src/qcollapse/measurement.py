@@ -64,30 +64,27 @@ class CompositeState:
         return len(self.apparatus_states)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CouplingConfig:
     shift_velocity: float = 1.0
-    d_sep: float = 10.0
     tau: float = 15.0
 
     def __post_init__(self):
-        if not 0 < self.shift_velocity < math.inf:
-            raise ValidationError("shift_velocity must be positive and finite")
-        if not (0 < self.d_sep < math.inf and 0 < self.tau < math.inf):
-            raise ValidationError("d_sep and tau must be positive and finite")
-        # not tau * v < d_sep, which rounds below d_sep at tau = d_sep / v
-        if self.tau < self.d_sep / self.shift_velocity:
+        if not (0 < self.shift_velocity < math.inf and 0 < self.tau < math.inf):
             raise ValidationError(
-                "coupling too short: tau * shift_velocity < d_sep")
+                "shift_velocity and tau must be positive and finite")
 
     def n_steps(self, dt: float) -> int:
         """The fewest steps n with n * dt >= tau, to 1e-9 of a step."""
         return math.ceil(self.tau / dt - 1e-9)
 
-    def validate_apparatus(self, sigma: float) -> None:
-        if self.d_sep < 3.0 * sigma * (1.0 - _WIDTH_RTOL):
-            raise ValidationError(
-                f"d_sep={self.d_sep} below 3 * apparatus sigma={sigma}")
+    def validate_apparatus(self, sigma: float, dt: float) -> None:
+        """Adjacent branches must end v * n_steps(dt) * dt >= 3 sigma apart."""
+        separation = self.shift_velocity * (self.n_steps(dt) * dt)
+        if separation < 3.0 * sigma * (1.0 - _WIDTH_RTOL):
+            raise ValidationError(f"coupling too short: branches end "
+                                  f"{separation:g} apart, below 3 * "
+                                  f"apparatus sigma={sigma}")
 
 
 class TransitionReport(NamedTuple):
@@ -128,8 +125,7 @@ def premeasurement(amplitudes, apparatus_ready: WaveFunction,
 def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
                        v: Potential, params: PhysicalParams, dt: float,
                        observer=None) -> Tuple[CompositeState, TransitionReport]:
-    """Couple object and apparatus for `cfg.n_steps(dt)` steps, so the
-    branches end at least the d_sep apart that CouplingConfig validated.
+    """Couple object and apparatus for `cfg.n_steps(dt)` steps.
 
     Branch n drifts at velocity n * shift_velocity inside the potential,
     which rides along with it.  Since T(a) S_{V(x-a)} = S_V T(a) for a rigid
@@ -147,7 +143,7 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     """
     EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
     cfg.validate_apparatus(
-        packet_summary(state.apparatus_states[0], params=params).std_x)
+        packet_summary(state.apparatus_states[0], params=params).std_x, dt)
     frames = state.apparatus_states  # branch n in its co-moving frame
     report = TransitionReport()
     for i in range(cfg.n_steps(dt) + 1):

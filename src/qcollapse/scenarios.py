@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import yaml
 
-from .collapse import RNG_ALGORITHM, decompose, sample_collapse
+from .collapse import RNG_ALGORITHM, decompose, overlap_limit, sample_collapse
 from .diagnostics import GateConfig, packet_summary, position_gate
 from .errors import (BoundaryClipping, ParseError, QCollapseError,
                      ValidationError)
@@ -293,7 +293,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if ignored:
         raise ParseError(f"scenario {scenario!r} ignores {ignored}")
     if cfg.coupling is not None:
-        _refuse_overrun(cfg)
+        _refuse_coupling(cfg)
     return cfg
 
 
@@ -311,25 +311,29 @@ def _chain_potential(cfg: ScenarioConfig) -> Potential:
         center=_chain_center(cfg))
 
 
-def _refuse_overrun(cfg: ScenarioConfig) -> None:
-    """ValidationError if the chain's first or last branch would end where
-    make_gaussian's boundary guard fails, or with no amplitude left on the
-    grid, judged where the final branches are Gaussians: under the default
-    coherent trap, given or not, or a free potential.  Branches move right
-    and free ones only spread, so the final branches 0 and d - 1, placed at
-    their unwrapped centers, reach furthest towards the edges: a branch that
-    crosses x_max mid-run is refused too.  A packet.sigma below
-    make_gaussian's bound `grid.min_sigma` is left to the run-time
-    GridTooCoarse, whatever its spread width."""
+def _refuse_coupling(cfg: ScenarioConfig) -> None:
+    """ValidationError for a chain that must fail, judged where its final
+    branches are Gaussians: under the default coherent trap, given or not,
+    or a free potential.  Neither moves |phi^|^2, so adjacent branches end
+    v T apart and overlap by exp(-(v T / sigma)^2 / 8), which `measure`
+    refuses above overlap_limit(d).  Branches move right and free ones only
+    spread, so branches 0 and d - 1, at their unwrapped final centers, must
+    pass make_gaussian with amplitude left on the grid.  A packet.sigma
+    below `grid.min_sigma` is left to the run-time GridTooCoarse."""
     if (cfg.potential not in (None, _chain_potential(cfg), Potential.free())
             or cfg.packet.sigma < cfg.grid.min_sigma):
         return  # left to the run-time guards
-    phys, s = cfg.physics, cfg.packet.sigma
+    phys, s, v = cfg.physics, cfg.packet.sigma, cfg.coupling.shift_velocity
     t = cfg.coupling.n_steps(cfg.evolution.dt) * cfg.evolution.dt
+    limit = overlap_limit(len(cfg.coefficients))
+    if v * t < s * math.sqrt(8.0 * math.log(1.0 / limit)):
+        raise ValidationError(
+            f"coupling can never collapse: branches {v * t:g} apart overlap "
+            f"by {math.exp(-(v * t / s)**2 / 8):.3g} (limit {limit:.3g})")
     if cfg.potential == Potential.free():  # sigma spreads over t
         s = math.hypot(s, phys.hbar * t / (2.0 * phys.mass * s))
     for n in (0, len(cfg.coefficients) - 1):
-        center = _chain_center(cfg) + n * cfg.coupling.shift_velocity * t
+        center = _chain_center(cfg) + n * v * t
         try:
             make_gaussian(cfg.grid, center, s, params=phys)
         except (BoundaryClipping, ValidationError) as exc:
@@ -494,7 +498,7 @@ def _run_harmonic_coherent(cfg, manifest):
 
 
 def _run_cat_gate(cfg, manifest):
-    packets = _packets(cfg, 0.0, len(cfg.coefficients))
+    packets = _packets(cfg, 12.0 * cfg.packet.sigma, len(cfg.coefficients))
     cat = superpose(zip(cfg.coefficients, packets))
     verdicts = {}
     for i, p in enumerate(packets):

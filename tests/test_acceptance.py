@@ -222,7 +222,7 @@ def _run_measurement_chain(observer=None):
     grid = Grid1D(-40.0, 120.0, 2048)
     apparatus = make_gaussian(grid, 20.0, 1.0, 0.0, PARAMS)
     trap = Potential.harmonic(omega=0.5, center=20.0)
-    cfg = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=15.0)
+    cfg = CouplingConfig(shift_velocity=1.0, tau=15.0)
     comp = premeasurement([0.6, 0.8], apparatus, params=PARAMS)
     final, report = von_neumann_evolve(comp, cfg, trap, PARAMS, 0.01,
                                        observer=observer)

@@ -427,7 +427,7 @@ class TestOrderParameters:
         comp = premeasurement(amplitudes,
                               make_gaussian(grid, 20.0, 1.0, 0.0, params),
                               params=params)
-        von_neumann_evolve(comp, CouplingConfig(1.0, 3.0, 3.0),
+        von_neumann_evolve(comp, CouplingConfig(shift_velocity=1.0, tau=3.0),
                            Potential.harmonic(0.5, 20.0), params, 0.1,
                            observer=lambda t, s, ops: seen.append(ops))
         assert len(seen) == 31

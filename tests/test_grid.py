@@ -66,7 +66,7 @@ NAN, INF = float("nan"), float("inf")
     (Potential.double_well, {"barrier_height": INF}),
     (CouplingConfig, {"shift_velocity": NAN}),
     (CouplingConfig, {"shift_velocity": INF}),
-    (CouplingConfig, {"d_sep": NAN}),
+    (CouplingConfig, {"tau": NAN}),
     (CouplingConfig, {"tau": INF}),
     (GateConfig, {"eta": NAN}),
     (GateConfig, {"eta": INF}),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from bisect import bisect_right
@@ -39,7 +40,7 @@ from qcollapse.errors import (
 
 APPARATUS_CENTER = 20.0
 APPARATUS_GRID = Grid1D(-40.0, 120.0, 2048)
-CHAIN = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=15.0)
+CHAIN = CouplingConfig(shift_velocity=1.0, tau=15.0)
 
 
 @pytest.fixture
@@ -181,23 +182,36 @@ class TestPremeasurement:
 class TestCouplingConfig:
     def test_invariants(self):
         with pytest.raises(ValidationError):
-            CouplingConfig(shift_velocity=0.0, d_sep=10.0, tau=15.0)
+            CouplingConfig(shift_velocity=0.0, tau=15.0)
         with pytest.raises(ValidationError):
-            CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=5.0)
+            CouplingConfig(shift_velocity=1.0, tau=0.0)
+
+    def test_fields_are_keyword_only(self):
+        """Fields are set by name only, so a positional call written for
+        another field order fails instead of setting tau."""
+        assert [f.name for f in dataclasses.fields(CouplingConfig)] == [
+            "shift_velocity", "tau"]
+        with pytest.raises(TypeError):
+            CouplingConfig(1.0, 10.0)
 
     def test_apparatus_width_bound(self):
-        cfg = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=15.0)
-        cfg.validate_apparatus(1.0)
-        with pytest.raises(ValidationError):
-            cfg.validate_apparatus(4.0)
+        # 1500 steps of dt = 0.01 move adjacent branches 15 apart
+        cfg = CouplingConfig(shift_velocity=1.0, tau=15.0)
+        cfg.validate_apparatus(1.0, 0.01)
+        cfg.validate_apparatus(4.9, 0.01)
+        with pytest.raises(ValidationError, match="below 3"):
+            cfg.validate_apparatus(5.1, 0.01)
 
-    @pytest.mark.parametrize("v, d_sep", [(0.7, 3.0), (1.1, 3.3)])
-    def test_shortest_coupling_is_accepted(self, v, d_sep):
-        # tau = d_sep / v passes, though 3.0 / 0.7 * 0.7 = 2.9999999999999996
-        CouplingConfig(shift_velocity=v, d_sep=d_sep, tau=d_sep / v)
+    @pytest.mark.parametrize("v", [0.7, 1.1])
+    def test_shortest_coupling_is_accepted(self, v):
+        # v * n_steps * dt = 3 sigma passes up to rounding (3.0 / 0.7 * 0.7
+        # = 2.9999999999999996); a width 1e-6 wider is refused.
+        cfg = CouplingConfig(shift_velocity=v, tau=3.0 / v)
+        dt = cfg.tau / 10
+        assert cfg.n_steps(dt) == 10
+        cfg.validate_apparatus(1.0, dt)
         with pytest.raises(ValidationError, match="too short"):
-            CouplingConfig(shift_velocity=v, d_sep=d_sep,
-                           tau=math.nextafter(d_sep / v, 0.0))
+            cfg.validate_apparatus(1.0 + 1e-6, dt)
 
     def test_measured_unit_width_allows_three_of_it(self, params):
         # A sigma0 = 1 packet on this grid measures std x = 1 + 2.8e-14.
@@ -205,11 +219,11 @@ class TestCouplingConfig:
                                   APPARATUS_CENTER, 1.0, 0.0, params)
         sigma = packet_summary(apparatus, params=params).std_x
         assert sigma > 1.0
-        cfg = CouplingConfig(shift_velocity=1.0, d_sep=3.0, tau=3.0)
-        cfg.validate_apparatus(sigma)
+        cfg = CouplingConfig(shift_velocity=1.0, tau=3.0)
+        cfg.validate_apparatus(sigma, 0.01)
         with pytest.raises(ValidationError, match="below 3"):
-            CouplingConfig(shift_velocity=1.0, d_sep=2.99,
-                           tau=3.0).validate_apparatus(sigma)
+            CouplingConfig(shift_velocity=1.0,
+                           tau=2.99).validate_apparatus(sigma, 0.01)
 
 
 class TestVonNeumannEvolve:
@@ -225,7 +239,7 @@ class TestVonNeumannEvolve:
                                                  params):
         comp = premeasurement([1.0], apparatus,
                               params=params)
-        cfg = CouplingConfig(shift_velocity=1.0, d_sep=3.0, tau=3.0)
+        cfg = CouplingConfig(shift_velocity=1.0, tau=3.0)
         final, report = von_neumann_evolve(comp, cfg, trap, params, 0.01)
         assert report == TransitionReport(None, None)
         assert len(final) == 1
@@ -304,29 +318,29 @@ class TestVonNeumannEvolve:
     def test_observer_sees_every_step(self, obj, apparatus, trap, params):
         times = []
         self._coupled(obj, apparatus, trap, params, dt=0.1,
-                      cfg=CouplingConfig(1.0, 10.0, 11.0),
+                      cfg=CouplingConfig(tau=11.0),
                       observer=lambda t, s, ops: times.append(t))
         assert len(times) == 111
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(11.0)
 
     def test_coupling_runs_at_least_tau(self, obj, apparatus, trap, params):
-        # round(tau / dt) = 33 steps would stop at t = 9.9, short of d_sep / v
-        cfg = CouplingConfig(shift_velocity=1.0, d_sep=10.0, tau=10.0)
+        # round(tau / dt) = 33 steps would stop at t = 9.9, short of tau
+        cfg = CouplingConfig(shift_velocity=1.0, tau=10.0)
         times = []
         final, _ = self._coupled(obj, apparatus, trap, params, dt=0.3,
                                  cfg=cfg,
                                  observer=lambda t, s, ops: times.append(t))
         assert times[-1] == pytest.approx(10.2)
         s = [packet_summary(a, params=params) for a in final.apparatus_states]
-        assert s[1].exp_x - s[0].exp_x >= cfg.d_sep
+        assert s[1].exp_x - s[0].exp_x >= cfg.shift_velocity * cfg.tau
 
     def test_observer_receives_the_step_order_parameters(
             self, obj, apparatus, trap, params):
         seen = []
         _, report = self._coupled(
             obj, apparatus, trap, params, dt=0.1,
-            cfg=CouplingConfig(1.0, 10.0, 11.0),
+            cfg=CouplingConfig(tau=11.0),
             observer=lambda t, s, ops: seen.append((t, s, ops)))
         assert all(ops == order_parameters(s) for _, s, ops in seen)
         assert report == fold((t, ops) for t, _, ops in seen)
@@ -334,7 +348,7 @@ class TestVonNeumannEvolve:
         single = premeasurement([1.0], apparatus,
                                 params=params)
         seen.clear()
-        von_neumann_evolve(single, CouplingConfig(1.0, 3.0, 3.0), trap,
+        von_neumann_evolve(single, CouplingConfig(tau=3.0), trap,
                            params, 0.1,
                            observer=lambda t, s, ops: seen.append(ops))
         assert len(seen) == 31 and set(seen) == {None}
@@ -359,7 +373,7 @@ class TestVonNeumannEvolve:
         trap = Potential.harmonic(omega=0.5, center=20.0)
         times = []
         with pytest.raises(BoundaryClipping, match="branch 2"):
-            von_neumann_evolve(comp, CouplingConfig(1.0, 10.0, 40.0), trap,
+            von_neumann_evolve(comp, CouplingConfig(tau=40.0), trap,
                                params, 0.05,
                                observer=lambda t, s, ops: times.append(t))
         # branch 2 is at 20 + 2 t, about 6 widths below the edge region
@@ -418,7 +432,7 @@ class TestCriticalValueUnderFreeCoupling:
     sigma0 / sqrt(v^2 - (sigma_p / m)^2), and never when v <= sigma_p / m.
     """
     DT = 0.01
-    D_SEP = 3.0
+    SEPARATION = 3.0
 
     def _t_star(self, v, hbar):
         params = PhysicalParams(hbar=hbar)
@@ -426,9 +440,8 @@ class TestCriticalValueUnderFreeCoupling:
                                   0.0, params)
         comp = premeasurement([0.6, 0.8], apparatus,
                               params=params)
-        # the shortest coupling CouplingConfig accepts for this d_sep
-        cfg = CouplingConfig(shift_velocity=v, d_sep=self.D_SEP,
-                             tau=self.D_SEP / v)
+        # the shortest coupling validate_apparatus accepts: v tau = 3 sigma0
+        cfg = CouplingConfig(shift_velocity=v, tau=self.SEPARATION / v)
         _, report = von_neumann_evolve(comp, cfg, Potential.free(), params,
                                        self.DT)
         return report.t_star
@@ -464,7 +477,7 @@ class TestWidthsAndOverlapsUnderCoupling:
                                   params)
         comp = premeasurement(np.full(d, d**-0.5), apparatus,
                               params=params)
-        cfg = CouplingConfig(shift_velocity=1.0, d_sep=3.1, tau=tau)
+        cfg = CouplingConfig(shift_velocity=1.0, tau=tau)
         final, _ = von_neumann_evolve(comp, cfg, potential, params, self.DT,
                                       observer)
         return final

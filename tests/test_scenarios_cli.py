@@ -18,6 +18,7 @@ import yaml
 
 from qcollapse import measurement, scenarios
 from qcollapse.cli import main
+from qcollapse.collapse import overlap_limit
 from qcollapse.errors import (BoundaryClipping, NotWeaklyInterfering,
                               ParseError, TransitionNotReached,
                               ValidationError)
@@ -58,7 +59,7 @@ grid: {x_min: -40.0, x_max: 120.0, n_points: 2048}
 coefficients: [0.6, 0.8]
 seed: 3
 evolution: {dt: 0.01, record_every: 50}
-coupling: {shift_velocity: 1.0, d_sep: 10.0, tau: 15.0}
+coupling: {shift_velocity: 1.0, tau: 15.0}
 """
 
 BORN = """
@@ -105,16 +106,12 @@ coupling: {shift_velocity: 5.0, tau: TAU}
 """
 DEFAULT_TRAP = "potential: {kind: harmonic, omega: 0.5, center: 20.0}\n"
 
-# A free-coupling chain: its pointers spread and never stop overlapping.
-FREE_CHAIN = """
-scenario: measurement_run
-grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}
-coefficients: [0.6, 0.8]
-seed: 3
-evolution: {dt: 0.05, record_every: 10}
-coupling: {shift_velocity: 1.0, tau: 12.0}
-potential: {kind: free}
-"""
+FREE_POTENTIAL = "potential: {kind: free}\n"
+# (coefficients, tau refused, tau that runs) on the check grid at v = 1: the
+# last whole step of dt = 0.05 on either side of sigma sqrt(8 ln(1 /
+# overlap_limit(d))), 12.14 at d = 2 and 12.37 at d = 3.
+COLLAPSE_BOUNDS = [("[0.6, 0.8]", 12.1, 12.2),
+                   ("[0.48, 0.6, 0.64]", 12.35, 12.4)]
 
 HBAR_HALF = """
 scenario: measurement_run
@@ -178,6 +175,21 @@ IGNORED = (
 
 def check_text(scenario):
     return f"scenario: {scenario}\n{scenarios.REGISTRY[scenario].check_config}"
+
+
+def breathing_trap(omega):
+    """A trap at the check config's center whose omega is not the default
+    0.5, so the sigma = 1 pointers breathe and the parse-time bounds leave
+    them alone."""
+    return f"potential: {{kind: harmonic, omega: {omega}, center: 20.0}}\n"
+
+
+def coupled(tau, potential="", coefficients="[0.6, 0.8]"):
+    """The measurement_run check config (d = 2, dt = 0.05, v = 1) coupled
+    for tau under `potential`, the default trap if empty, with
+    `coefficients`."""
+    return (check_text("measurement_run").replace("[0.6, 0.8]", coefficients)
+            + f"coupling: {{tau: {tau}}}\n" + potential)
 
 
 def parsed_before_reads(text):
@@ -373,9 +385,35 @@ class TestParseConfig:
                 r"width 1: boundary mass ")):
             parse_config(OVERRUN)
 
+    @pytest.mark.parametrize("potential", ["", DEFAULT_TRAP, FREE_POTENTIAL],
+                             ids=["default_trap", "explicit_trap", "free"])
+    @pytest.mark.parametrize("coefficients, short, long", COLLAPSE_BOUNDS,
+                             ids=["d2", "d3"])
+    def test_a_coupling_that_can_never_collapse_is_refused(
+            self, potential, coefficients, short, long):
+        """Under the default trap or a free potential, adjacent pointers
+        tau apart overlap by exp(-tau^2 / 8) at the end: above the limit
+        `measure` applies below sigma sqrt(8 ln(1 / overlap_limit(d)))."""
+        limit = overlap_limit(coefficients.count(",") + 1)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"coupling can never collapse: branches {short:g} apart "
+                f"overlap by {math.exp(-short**2 / 8):.3g} "
+                f"(limit {limit:.3g})")):
+            parse_config(coupled(short, potential, coefficients))
+        parse_config(coupled(long, potential, coefficients))
+
+    def test_the_collapse_bound_scales_with_packet_sigma(self):
+        """At sigma = 2 the d = 2 bound is 24.28: the free pointers' |phi^|^2
+        keeps its initial width while they spread."""
+        for potential in ("", FREE_POTENTIAL):
+            text = coupled("TAU", potential) + "packet: {sigma: 2.0}\n"
+            with pytest.raises(ValidationError, match="never collapse"):
+                parse_config(text.replace("TAU", "24.25"))
+            parse_config(text.replace("TAU", "24.3"))
+
     @pytest.mark.parametrize("potential, refused", [
         ("", False),
-        ("potential: {kind: free}\n", True),
+        (FREE_POTENTIAL, True),
         (DEFAULT_TRAP, False)])
     def test_free_coupling_is_judged_at_its_spread_width(self, potential,
                                                         refused):
@@ -825,10 +863,13 @@ class TestScenarioRuns:
         assert peak < 4 * 2**20
 
     def test_narrow_coupling_fails_before_stepping(self, tmp_path):
-        cfg = parse_config(MEASUREMENT.replace("d_sep: 10.0", "d_sep: 2.0"))
+        """Branches 2 apart, below 3 apparatus widths, in a trap that the
+        parse-time bounds do not judge: validate_apparatus refuses them."""
+        cfg = parse_config(coupled(2.0, breathing_trap(0.3)))
         manifest = run(cfg, str(tmp_path))
         assert not manifest.ok
-        assert manifest.error.startswith("ValidationError")
+        assert manifest.error.startswith(
+            "ValidationError: coupling too short: branches end 2 apart")
         # failure happens during setup: no diagnostics rows were produced
         run_dir = tmp_path / manifest.run_dir.split("/")[-1]
         diag = run_dir / "diagnostics.csv"
@@ -836,20 +877,33 @@ class TestScenarioRuns:
 
     def test_pointer_check_uses_the_overlap_limit_of_measure(self,
                                                             tmp_path):
-        """Under free coupling the pointers overlap by exp(-(v tau)^2 /
-        (8 sigma^2)) = exp(-18) = 1.52e-8 at v = 1, tau = 12: inside 1e-6,
-        but above the limit of 1e-8 at d = 2 that measure applies, so the
-        run fails there, and only there."""
-        manifest = run(parse_config(FREE_CHAIN), str(tmp_path))
+        """In the breathing trap at omega = 0.3 the sigma = 1 pointers have
+        the momentum width sigma_p^2 = cos^2(w t) / 4 + (w sin(w t))^2 at
+        t = 12, and branches 12 apart overlap by exp(-(12 sigma_p)^2 / 2)
+        = 1.44e-7: inside 1e-6, but above the limit of 1e-8 at d = 2 that
+        measure applies, so the run fails there, and only there."""
+        manifest = run(parse_config(coupled(12.0, breathing_trap(0.3))),
+                       str(tmp_path))
         assert manifest.error_type is NotWeaklyInterfering
         assert manifest.error.endswith("(limit 1e-08)")
         pair, worst = re.search(r"branches (\S+) overlap by (\S+) ",
                                 manifest.error).groups()
         assert pair == "0,1"
         assert 1e-8 < float(worst) < 1e-6
-        assert float(worst) == pytest.approx(math.exp(-18.0), rel=0.01)
+        wt = 0.3 * 12.0
+        sigma_p2 = math.cos(wt) ** 2 / 4 + (0.3 * math.sin(wt)) ** 2
+        assert float(worst) == pytest.approx(math.exp(-72.0 * sigma_p2),
+                                             rel=0.01)
         assert not [a for a in manifest.assertions
                     if a.name == "pointer_distinguishability"]
+
+    def test_a_trap_that_widens_the_momentum_collapses(self, tmp_path):
+        """At omega = 0.6 the pointers' momentum width has grown to 0.565
+        by t = 12, so branches 12 apart overlap by 1e-10 and measure
+        applies where the default trap's 12 would be refused."""
+        manifest = run(parse_config(coupled(12.0, breathing_trap(0.6))),
+                       str(tmp_path))
+        assert manifest.ok, manifest.error
 
     @pytest.mark.parametrize("tau, fits", [(17.25, True), (17.3, False)])
     def test_the_overrun_refusal_agrees_with_the_run_time_guard(
@@ -928,8 +982,7 @@ class TestScenarioRuns:
     def test_free_chain_widths_follow_the_spreading_law(self, tmp_path):
         # Branch 0 of a free-coupling chain spreads like a lone packet:
         # std x = sqrt(1 + (hbar t / (2 m sigma))^2) in every row.
-        cfg = parse_config(FREE_CHAIN.replace(
-            "tau: 12.0", "d_sep: 3.1, tau: 15.0"))
+        cfg = parse_config(coupled(15.0, FREE_POTENTIAL))
         manifest = run(cfg, str(tmp_path))
         assert manifest.ok, manifest.error
         with open(Path(manifest.run_dir) / "diagnostics.csv") as fh:
@@ -1003,10 +1056,55 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     def test_simulate_config_error_in_manifest_exit_2(self, tmp_path):
-        bad = MEASUREMENT.replace("d_sep: 10.0", "d_sep: 2.0")
+        bad = coupled(2.0, breathing_trap(0.3))
         rc = main(["simulate", self._write(tmp_path, bad),
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        doc = json.loads((run_dir / "manifest.json").read_text())
+        assert doc["error_type"] == "ValidationError"
+
+    @pytest.mark.parametrize("potential", ["", FREE_POTENTIAL],
+                             ids=["default_trap", "free"])
+    @pytest.mark.parametrize("coefficients, short, long", COLLAPSE_BOUNDS,
+                             ids=["d2", "d3"])
+    def test_a_coupling_that_can_never_collapse_exits_2_before_any_step(
+            self, tmp_path, capsys, potential, coefficients, short, long):
+        """The shorter coupling is refused before a run directory exists;
+        the next whole step longer runs to its measurement."""
+        out = str(tmp_path / "runs")
+        text = coupled(short, potential, coefficients)
+        assert main(["simulate", self._write(tmp_path, text), "--out",
+                     out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: coupling can never collapse: branches {short:g} "
+            "apart overlap by ")
+        assert not (tmp_path / "runs").exists()
+        text = coupled(long, potential, coefficients)
+        assert main(["simulate", self._write(tmp_path, text), "--out",
+                     out]) == 0
+        assert "[PASS] transition_detected" in capsys.readouterr().out
+
+    def test_d_sep_is_an_unknown_coupling_key(self, tmp_path, capsys):
+        text = check_text("measurement_run") + "coupling: {d_sep: 10.0}\n"
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown keys in 'coupling': ['d_sep']\n")
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.5])
+    def test_the_minimal_cat_gate_config_passes(self, tmp_path, capsys,
+                                                sigma):
+        """With packet.center unset, branch 0 sits at 12 sigma, the check
+        config's center, far enough from the origin to pass the gate."""
+        text = ("scenario: cat_gate\ncoefficients: [0.6, 0.8]\n"
+                f"packet: {{sigma: {sigma}}}\n")
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "[PASS] branch_0_is_packet" in out
 
     @pytest.mark.parametrize("error, code", [
         (ValidationError, 2), (ParseError, 2), (NarrowCoupling, 2),
