@@ -1,19 +1,17 @@
 """Command line entry points.
 
 Exit codes: 0 all assertions pass, 1 assertion failure or runtime error,
-2 configuration error; `sample` exits with its members' highest code.
+2 configuration error.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import tempfile
 from pathlib import Path
 
 from .errors import ParseError, QCollapseError, ValidationError
-from .scenarios import (REGISTRY, RNG_ALGORITHM, json_text, load_config,
-                        parse_config, resolve_output_root, run)
+from .scenarios import REGISTRY, load_config, parse_config, run
 
 # Exceptions that mean the configuration is wrong: exit code 2.
 CONFIG_ERRORS = (ParseError, ValidationError)
@@ -29,13 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("config", type=Path)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", default=None)
-
-    samp = sub.add_parser("sample", help="run a scenario K times, member k "
-                          "with stream seed seed + k * n_samples, and "
-                          "aggregate")
-    samp.add_argument("config", type=Path)
-    samp.add_argument("--n-runs", type=int, required=True)
-    samp.add_argument("--out", default=None)
 
     sub.add_parser("check", help="run every scenario twice on a tiny "
                    "built-in config and compare the artifacts")
@@ -59,42 +50,9 @@ def _exit_code(manifest) -> int:
 
 
 def _simulate(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed,
-                                  echo={**cfg.echo, "seed": args.seed})
-    manifest = run(cfg, args.out)
+    manifest = run(load_config(args.config, args.seed), args.out)
     _print_manifest(manifest)
     return _exit_code(manifest)
-
-
-def _sample(args) -> int:
-    if args.n_runs < 1:
-        raise ValidationError(f"--n-runs must be at least 1, got {args.n_runs}")
-    cfg = load_config(args.config)
-    if cfg.seed is None:
-        raise ValidationError("sample requires a seeded config")
-    results = []
-    # Each member draws its events from its own stream, default_rng(seed_k);
-    # seed + k * n_samples is simply a distinct seed per member.
-    for k in range(args.n_runs):
-        seed_k = cfg.seed + k * cfg.n_samples
-        member = dataclasses.replace(cfg, seed=seed_k,
-                                     echo={**cfg.echo, "seed": seed_k})
-        manifest = run(member, args.out)
-        results.append(manifest)
-        _print_manifest(manifest)
-        if _exit_code(manifest) == 2:
-            break  # every later member would repeat the config error
-    root = resolve_output_root(cfg, args.out)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"aggregate-{cfg.scenario}.json"
-    path.write_text(json_text({"n_runs": len(results),
-                               "n_pass": sum(1 for m in results if m.ok),
-                               "runs": [m.run_dir for m in results],
-                               "generator": RNG_ALGORITHM}))
-    print(f"aggregate: {path}")
-    return max(map(_exit_code, results))
 
 
 def _artifact_bytes(run_dir: str) -> dict:
@@ -126,7 +84,7 @@ def _check(_args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {"simulate": _simulate, "sample": _sample, "check": _check}
+    handler = {"simulate": _simulate, "check": _check}
     try:
         if vars(args).get("out") == "":
             raise ParseError("--out must be a non-empty path")

@@ -94,8 +94,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # np.random.default_rng would reject a negative seed only once the
-        # run builds its generator; a seed passed to dataclasses.replace
-        # (the CLI's --seed) comes through here too.
+        # run builds its generator; the CLI's --seed is parsed as a config
+        # seed, so it is refused here too.
         if self.seed is not None and self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.n_samples < 1:
@@ -158,9 +158,9 @@ class Scenario(NamedTuple):
 # ---------------------------------------------------------------------------
 # Config parsing
 
-# Inputs every scenario accepts; `seed` also names the run directory.
+# Inputs every scenario accepts.
 ACCEPTED = ("scenario", "grid", "physics", "packet.sigma", "packet.center",
-            "seed", "output_dir")
+            "output_dir")
 # Config section -> its constructor, whose keyword defaults are the section's
 # keys and defaults: an int default makes an integer key, any other a float
 # key, only a key whose default is None may be null, and a section is None
@@ -259,15 +259,16 @@ def _ignored(echo: Dict[str, Any], reads: Tuple[str, ...]):
             yield from (path for path in paths if path not in reads)
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Strictly parse a YAML config: unknown or ignored inputs are errors."""
+def parse_config(text: str, seed: Optional[int] = None) -> ScenarioConfig:
+    """Strictly parse a YAML config: unknown or ignored inputs are errors.
+    A `seed` given here replaces the config's before parsing."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("config must be a mapping")
-    raw = dict(raw)
+    raw = dict(raw) if seed is None else {**raw, "seed": seed}
     echo: Dict[str, Any] = json.loads(json.dumps(raw, default=str))
 
     scenario = raw.pop("scenario", None)
@@ -294,13 +295,40 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ParseError(f"scenario {scenario!r} ignores {ignored}")
     if cfg.coupling is not None:
         _refuse_coupling(cfg)
+    elif cfg.coefficients and cfg.packet.sigma >= cfg.grid.min_sigma:
+        _refuse_off_grid(cfg, "packets overrun the grid: branch {} sits at",
+                         enumerate(_centers(cfg, len(cfg.coefficients))),
+                         cfg.packet.sigma)
     return cfg
 
 
-def _chain_center(cfg: ScenarioConfig) -> float:
-    """The chain's apparatus center: packet.center, else 20 sigma."""
-    return 20.0 * cfg.packet.sigma if cfg.packet.center is None \
-        else cfg.packet.center
+def _centers(cfg: ScenarioConfig, count: int = 1) -> List[float]:
+    """Where the scenario puts `count` packets: the first at packet.center,
+    else 20 sigma for the chain, 12 sigma for cat_gate (clear of the gate's
+    origin dependence), 3 for harmonic_coherent and 0 elsewhere; each next
+    one packet.separation (else 16 sigma) to the right."""
+    p = cfg.packet
+    first = {"cat_gate": 12.0 * p.sigma, "harmonic_coherent": 3.0}.get(
+        cfg.scenario, 0.0 if cfg.coupling is None else 20.0 * p.sigma)
+    first = first if p.center is None else p.center
+    sep = 16.0 * p.sigma if p.separation is None else p.separation
+    return [first + n * sep for n in range(count)]
+
+
+def _refuse_off_grid(cfg: ScenarioConfig, what: str, centers,
+                     sigma: float) -> None:
+    """ValidationError naming the first (n, x) of `centers` where a Gaussian
+    of width sigma does not fit the grid; `what`.format(n) leads it."""
+    for n, x in centers:
+        try:
+            make_gaussian(cfg.grid, x, sigma, params=cfg.physics)
+        except (BoundaryClipping, ValidationError) as exc:
+            # A ValidationError: every amplitude underflowed, so the
+            # normalization met the zero state before the boundary guard.
+            reason = exc if isinstance(exc, BoundaryClipping) \
+                else "no amplitude is left on the grid"
+            raise ValidationError(f"{what.format(n)} x={x:g} with width "
+                                  f"{sigma:g}: {reason}") from exc
 
 
 def _chain_potential(cfg: ScenarioConfig) -> Potential:
@@ -308,7 +336,7 @@ def _chain_potential(cfg: ScenarioConfig) -> Potential:
     packet.sigma, so the pointer packets keep their shape while translating."""
     return Potential.harmonic(
         omega=cfg.physics.hbar / (2.0 * cfg.physics.mass * cfg.packet.sigma**2),
-        center=_chain_center(cfg))
+        center=_centers(cfg)[0])
 
 
 def _refuse_coupling(cfg: ScenarioConfig) -> None:
@@ -318,8 +346,8 @@ def _refuse_coupling(cfg: ScenarioConfig) -> None:
     v T apart and overlap by exp(-(v T / sigma)^2 / 8), which `measure`
     refuses above overlap_limit(d).  Branches move right and free ones only
     spread, so branches 0 and d - 1, at their unwrapped final centers, must
-    pass make_gaussian with amplitude left on the grid.  A packet.sigma
-    below `grid.min_sigma` is left to the run-time GridTooCoarse."""
+    pass _refuse_off_grid.  A packet.sigma below `grid.min_sigma` is left
+    to the run-time GridTooCoarse."""
     if (cfg.potential not in (None, _chain_potential(cfg), Potential.free())
             or cfg.packet.sigma < cfg.grid.min_sigma):
         return  # left to the run-time guards
@@ -332,22 +360,13 @@ def _refuse_coupling(cfg: ScenarioConfig) -> None:
             f"by {math.exp(-(v * t / s)**2 / 8):.3g} (limit {limit:.3g})")
     if cfg.potential == Potential.free():  # sigma spreads over t
         s = math.hypot(s, phys.hbar * t / (2.0 * phys.mass * s))
-    for n in (0, len(cfg.coefficients) - 1):
-        center = _chain_center(cfg) + n * v * t
-        try:
-            make_gaussian(cfg.grid, center, s, params=phys)
-        except (BoundaryClipping, ValidationError) as exc:
-            # A ValidationError: every amplitude underflowed, so the
-            # normalization met the zero state before the boundary guard.
-            reason = exc if isinstance(exc, BoundaryClipping) \
-                else "no amplitude is left on the grid"
-            raise ValidationError(
-                f"coupling overruns the grid: branch {n} ends at x={center:g} "
-                f"with width {s:g}: {reason}") from exc
+    _refuse_off_grid(cfg, "coupling overruns the grid: branch {} ends at",
+                     ((n, _centers(cfg)[0] + n * v * t)
+                      for n in (0, len(cfg.coefficients) - 1)), s)
 
 
-def load_config(path) -> ScenarioConfig:
-    return parse_config(Path(path).read_text())
+def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
+    return parse_config(Path(path).read_text(), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -400,27 +419,17 @@ def _config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:8]
 
 
-def resolve_output_root(cfg: ScenarioConfig,
-                        out_override: Optional[str]) -> Path:
-    return Path(out_override or cfg.output_dir or Path.cwd() / "runs")
-
-
-def _packets(cfg: ScenarioConfig, default_center: float,
-             count: int = 1) -> List[WaveFunction]:
-    """`count` Gaussians of the config's sigma and momentum: the first at
-    packet.center (else `default_center`), each next one packet.separation
-    (else 16 sigma) to the right."""
+def _packets(cfg: ScenarioConfig, count: int = 1) -> List[WaveFunction]:
+    """Gaussians of the config's sigma and momentum at _centers."""
     p = cfg.packet
-    center = default_center if p.center is None else p.center
-    sep = 16.0 * p.sigma if p.separation is None else p.separation
-    return [make_gaussian(cfg.grid, center + n * sep, p.sigma, p.momentum,
-                          cfg.physics) for n in range(count)]
+    return [make_gaussian(cfg.grid, x, p.sigma, p.momentum, cfg.physics)
+            for x in _centers(cfg, count)]
 
 
 def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
     """Execute the named scenario; the manifest is written even on failure,
     and an exception other than a QCollapseError is then re-raised."""
-    root = resolve_output_root(cfg, out_override)
+    root = Path(out_override or cfg.output_dir or Path.cwd() / "runs")
     seed_part = "noseed" if cfg.seed is None else f"seed{cfg.seed}"
     run_dir = root / f"{cfg.scenario}-{_config_hash(cfg)}-{seed_part}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -470,7 +479,7 @@ def _evolve_and_record(cfg, manifest, psi: WaveFunction,
 
 
 def _run_free_spread(cfg, manifest):
-    (psi,) = _packets(cfg, 0.0)
+    (psi,) = _packets(cfg)
     final, records = _evolve_and_record(cfg, manifest, psi, Potential.free())
     t_final = cfg.evolution.dt * cfg.evolution.n_steps
     sigma = cfg.packet.sigma
@@ -487,9 +496,8 @@ def _run_harmonic_coherent(cfg, manifest):
     v = cfg.potential or Potential.harmonic(omega=1.0)
     if v.kind != "harmonic":
         raise ValidationError("harmonic_coherent needs a harmonic potential")
-    center = 3.0 if cfg.packet.center is None else cfg.packet.center
-    (psi,) = _packets(cfg, center)
-    x0 = center - v.center
+    (psi,) = _packets(cfg)
+    x0 = _centers(cfg)[0] - v.center
     _, records = _evolve_and_record(cfg, manifest, psi, v)
     worst = max(abs(s.exp_x - (v.center + x0 * math.cos(v.omega * t)))
                 for t, s in records)
@@ -498,7 +506,7 @@ def _run_harmonic_coherent(cfg, manifest):
 
 
 def _run_cat_gate(cfg, manifest):
-    packets = _packets(cfg, 12.0 * cfg.packet.sigma, len(cfg.coefficients))
+    packets = _packets(cfg, len(cfg.coefficients))
     cat = superpose(zip(cfg.coefficients, packets))
     verdicts = {}
     for i, p in enumerate(packets):
@@ -552,7 +560,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
 
 
 def _run_collapse_sample(cfg, manifest):
-    packets = _packets(cfg, 0.0, len(cfg.coefficients))
+    packets = _packets(cfg, len(cfg.coefficients))
     psi = superpose(zip(cfg.coefficients, packets))
     decomp = decompose(psi, packets, cfg.physics,
                        expected_coefficients=cfg.coefficients)
@@ -571,7 +579,7 @@ def _run_measurement_core(cfg, manifest):
     packet, coupling with one diagnostics row per record (the composite norm
     sqrt(sum |c_n|^2 |a_n|^2) of the lab-frame branches a_n, branch 0's
     moments and the order parameters), and the transition check."""
-    (apparatus,) = _packets(cfg, _chain_center(cfg))
+    (apparatus,) = _packets(cfg)
     v = cfg.potential or _chain_potential(cfg)
     composite = premeasurement(cfg.coefficients, apparatus, cfg.gate,
                                cfg.physics)

@@ -346,7 +346,7 @@ class TestParseConfig:
         # |sum |c|^2 - 1| = 6.8e-9 exceeds NORM_TOL, which CompositeState
         # applies inside run; parsing must reject what run would.
         with pytest.raises(ValidationError, match="coefficient norm"):
-            parse_config(f"scenario: {scenario}\nseed: 1\n"
+            parse_config(f"scenario: {scenario}\n"
                          "coefficients: [0.70710678, 0.70710678]\n")
 
     @pytest.mark.parametrize("scenario, snippet, key", [
@@ -361,8 +361,17 @@ class TestParseConfig:
     ])
     def test_a_key_the_scenario_ignores_is_a_parse_error(
             self, scenario, snippet, key):
+        seed = "seed: 1\n" if "seed" in scenarios.REGISTRY[scenario].reads \
+            else ""
         with pytest.raises(ParseError, match=f"{scenario!r} ignores {key}"):
-            parse_config(f"scenario: {scenario}\nseed: 1\n{snippet}\n")
+            parse_config(f"scenario: {scenario}\n{seed}{snippet}\n")
+
+    @pytest.mark.parametrize("scenario", ["free_spread", "harmonic_coherent",
+                                          "cat_gate"])
+    def test_a_scenario_that_draws_nothing_refuses_a_seed(self, scenario):
+        parse_config(check_text(scenario))
+        with pytest.raises(ParseError, match=f"{scenario!r} ignores seed$"):
+            parse_config(f"{check_text(scenario)}seed: 1\n")
 
     @pytest.mark.parametrize("scenario, snippet, section", [
         ("cat_gate", "coupling: {tau: 99.0}", "coupling"),
@@ -558,11 +567,12 @@ class TestParseConfig:
     def test_numeric_strings_and_exact_integers(self):
         cfg = parse_config("scenario: free_spread\n"
                            "evolution: {dt: 1e-3, n_steps: 10}\n"
-                           "grid: {n_points: 1024.0}\n"
-                           "seed: 18446744073709551615\n")
+                           "grid: {n_points: 1024.0}\n")
         assert cfg.evolution.dt == 0.001
         assert cfg.grid.n_points == 1024
         assert isinstance(cfg.grid.n_points, int)
+        cfg = parse_config(f"{check_text('collapse_sample')}"
+                           "seed: 18446744073709551615\n")
         assert cfg.seed == 18446744073709551615
 
     def test_optional_sections_follow_the_registry(self):
@@ -1143,15 +1153,13 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: output_dir ")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
-    @pytest.mark.parametrize("command", [["simulate"],
-                                         ["sample", "--n-runs", "1"]])
     def test_an_empty_out_exits_2_and_writes_nothing(
-            self, tmp_path, monkeypatch, capsys, command):
+            self, tmp_path, monkeypatch, capsys):
         """--out "" is refused like output_dir: "", not read as the
         working directory."""
         monkeypatch.chdir(tmp_path)
         path = self._write(tmp_path, COLLAPSE)
-        assert main([command[0], path, *command[1:], "--out", ""]) == 2
+        assert main(["simulate", path, "--out", ""]) == 2
         assert capsys.readouterr().err.startswith("config error: --out ")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
@@ -1183,57 +1191,48 @@ class TestCli:
         (run_dir,) = (tmp_path / "runs").iterdir()
         assert run_dir.name.endswith("seed99")
 
-    def test_sample_aggregates(self, tmp_path, capsys):
-        small = COLLAPSE.replace("n_samples: 400", "n_samples: 200")
-        rc = main(["sample", self._write(tmp_path, small), "--n-runs", "3",
-                   "--out", str(tmp_path / "runs")])
-        assert rc == 0
-        doc = json.loads(
-            (tmp_path / "runs" / "aggregate-collapse_sample.json").read_text())
-        assert doc["n_runs"] == 3 and doc["n_pass"] == 3
-        assert len(doc["runs"]) == 3
-        # member k draws its 200 events from the stream seeded 7 + 200 k
-        seeds = [7 + 200 * k for k in range(3)]
-        assert [Path(r).name.rsplit("-", 1)[1] for r in doc["runs"]] == \
-            [f"seed{s}" for s in seeds]
-        members = [ensemble_branches(r) for r in doc["runs"]]
-        assert sum(map(len, members)) == 600
-        for seed, run_dir, branches in zip(seeds, doc["runs"], members):
-            assert branches == stream_branches(seed, run_dir, 200)
-        assert len({tuple(b) for b in members}) == 3
+    @pytest.mark.parametrize("scenario", ["free_spread", "harmonic_coherent",
+                                          "cat_gate"])
+    def test_simulate_seed_is_refused_where_nothing_draws(
+            self, tmp_path, capsys, scenario):
+        rc = main(["simulate", self._write(tmp_path, check_text(scenario)),
+                   "--seed", "5", "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: scenario {scenario!r} ignores seed\n")
+        assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("command", [["simulate"],
-                                         ["sample", "--n-runs", "2"]])
-    def test_config_error_inside_a_run_exits_2(self, tmp_path, command):
-        """simulate and sample give one config error the same exit code."""
-        text = ("scenario: harmonic_coherent\nseed: 1\n"
-                "potential: {kind: double_well}\n")
-        rc = main([command[0], self._write(tmp_path, text), *command[1:],
+    def test_sample_is_not_a_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", self._write(tmp_path, COLLAPSE), "--n-runs", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sample'" in capsys.readouterr().err
+
+    def test_config_error_inside_a_run_exits_2(self, tmp_path, capsys):
+        text = "scenario: harmonic_coherent\npotential: {kind: double_well}\n"
+        rc = main(["simulate", self._write(tmp_path, text),
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
+        assert "[ERROR] ValidationError: harmonic_coherent needs a harmonic " \
+            "potential" in capsys.readouterr().out
 
-    def test_sample_stops_after_a_config_error(self, tmp_path):
-        text = ("scenario: harmonic_coherent\nseed: 1\n"
-                "potential: {kind: double_well}\n")
-        out = tmp_path / "runs"
-        rc = main(["sample", self._write(tmp_path, text), "--n-runs", "3",
-                   "--out", str(out)])
+    @pytest.mark.parametrize("scenario, extra, center, mass", [
+        ("cat_gate", "", 44, "1"), ("collapse_sample", "seed: 1\n", 32,
+                                     "3.48e-05")],
+        ids=["cat_gate", "collapse_sample"])
+    def test_branch_packets_off_the_grid_exit_2_naming_the_branch(
+            self, tmp_path, capsys, scenario, extra, center, mass):
+        """Three branches 16 sigma apart from the scenario's first center
+        put branch 2 at or past the default grid's edge x = 40."""
+        text = (f"scenario: {scenario}\n{extra}"
+                "coefficients: [0.48, 0.6, 0.64]\n")
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
         assert rc == 2
-        (run_dir,) = [p for p in out.iterdir() if p.is_dir()]
-        doc = json.loads((out / "aggregate-harmonic_coherent.json")
-                         .read_text())
-        assert doc["runs"] == [str(run_dir)]
-        assert doc["n_runs"] == 1 and doc["n_pass"] == 0
-
-    @pytest.mark.parametrize("n_runs", ["0", "-1"])
-    def test_sample_rejects_non_positive_n_runs(self, tmp_path, capsys,
-                                                n_runs):
-        out = tmp_path / "runs"
-        rc = main(["sample", self._write(tmp_path, COLLAPSE),
-                   "--n-runs", n_runs, "--out", str(out)])
-        assert rc == 2
-        assert "--n-runs" in capsys.readouterr().err
-        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: packets overrun the grid: branch 2 sits at "
+            f"x={center} with width 1: boundary mass {mass} exceeds 1e-08\n")
+        assert not (tmp_path / "runs").exists()
 
     def test_a_coupling_that_overruns_the_grid_exits_2_before_any_step(
             self, tmp_path, capsys):
