@@ -10,15 +10,15 @@ benchmark workload configs of BENCH_RUNS, written by this checkout's
 `bench/workloads.py` and labelled `bench_<workload><suffix>`.  Any CONFIG
 files given run too, labelled by their stem.  It writes the sha256 of every
 artifact except `manifest.json`, and of every column of each `.csv`
-artifact (its values, `#` comment lines skipped), with each run's ok flag,
-its assertions as [name, passed] and the name of the error type that ended
-it (null if none), to OUT.json.
+artifact (its values, `#` comment lines skipped), with each run's
+directory name (`<scenario>-<confighash>-seed<N>`), ok flag, assertions as
+[name, passed] and the name of the error type that ended it (null if none),
+to OUT.json.
 `diff` prints a Markdown report of the runs and files whose hashes or ok
 flags differ, the changed columns under each differing CSV, and each run's
-assertions that were added, removed or flipped and its changed error type.
-A run recorded without assertions or column hashes (by an older version of
-this script) has them left out of the comparison, so its CSVs compare as
-whole files.  It only reports: it exits 0 whatever it finds.
+changed directory name, assertions that were added, removed or flipped and
+changed error type.  Both files must be written by this version of the
+script.  It only reports: it exits 0 whatever it finds.
 """
 from __future__ import annotations
 
@@ -83,6 +83,7 @@ def _hash_runs(src: Path, configs) -> dict:
             manifest = run(parse_config(text), f"{tmp}/{label}")
             paths = sorted(Path(manifest.run_dir).iterdir())
             runs[label] = {
+                "run_dir": Path(manifest.run_dir).name,
                 "ok": manifest.ok,
                 "assertions": [[a.name, a.passed]
                                for a in manifest.assertions],
@@ -95,12 +96,16 @@ def _hash_runs(src: Path, configs) -> dict:
     return runs
 
 
-def _check_changes(label: str, a: dict, b: dict) -> list:
-    """Report lines for the assertions of run `label` that were added,
-    removed or flipped from `a` to `b`, and for a changed error type."""
+def _run_changes(label: str, a: dict, b: dict) -> list:
+    """Report lines for run `label` from `a` to `b`: a renamed run
+    directory, a changed error type and each assertion that was added,
+    removed or flipped."""
     old, new = dict(a["assertions"]), dict(b["assertions"])
     verdict = {True: "PASS", False: "FAIL"}
     lines = []
+    if a["run_dir"] != b["run_dir"]:
+        lines.append(f"- `{label}`: run directory {a['run_dir']} -> "
+                     f"{b['run_dir']}")
     if a["error_type"] != b["error_type"]:
         lines.append(f"- `{label}`: error type {a['error_type']} -> "
                      f"{b['error_type']}")
@@ -119,8 +124,8 @@ def _check_changes(label: str, a: dict, b: dict) -> list:
 
 def _column_changes(a: dict, b: dict, name: str) -> list:
     """The report line naming the columns of CSV `name` whose hashes differ
-    from run `a` to run `b`, or none if either run lacks its column hashes."""
-    old, new = (run.get("columns", {}).get(name) for run in (a, b))
+    from run `a` to run `b`, or none unless both runs have that CSV."""
+    old, new = (run["columns"].get(name) for run in (a, b))
     if old is None or new is None:
         return []
     changed = [c for c in sorted(old.keys() | new.keys())
@@ -131,7 +136,7 @@ def _column_changes(a: dict, b: dict, name: str) -> list:
 
 
 def _diff(base: dict, head: dict) -> str:
-    lines, checks, total, compared = [], [], 0, 0
+    lines, checks, total = [], [], 0
     for label in sorted(base.keys() | head.keys()):
         a, b = base.get(label), head.get(label)
         if a is None or b is None:
@@ -146,21 +151,19 @@ def _diff(base: dict, head: dict) -> str:
             if a["files"].get(name) != b["files"].get(name):
                 lines.append(f"- `{label}/{name}`")
                 lines += _column_changes(a, b, name)
-        if "assertions" in a and "assertions" in b:
-            compared += 1
-            checks += _check_changes(label, a, b)
+        checks += _run_changes(label, a, b)
     report = "### Artifacts against the base commit\n\n"
     if not lines:
         report += (f"All {total} artifacts of {len(head)} runs are "
                    "sha256-identical (manifest.json excluded).\n")
     else:
         report += "Differing:\n\n" + "\n".join(lines) + "\n"
+    heading = "\nRun directories, assertions and error types:"
     if checks:
-        return report + "\nAssertions and error types:\n\n" + "\n".join(
-            checks) + "\n"
-    return report + (f"\nAssertions and error types: no change in the "
-                     f"{compared} of {len(head)} runs both files record them "
-                     "for.\n")
+        return report + heading + "\n\n" + "\n".join(checks) + "\n"
+    return report + (f"{heading} no change in the "
+                     f"{len(base.keys() & head.keys())} runs both files "
+                     "hold.\n")
 
 
 def main(argv) -> int:

@@ -89,7 +89,6 @@ class ScenarioConfig:
     coefficients: Optional[Tuple[complex, ...]]
     seed: Optional[int]
     n_samples: int
-    output_dir: Optional[str]
     echo: Dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -100,9 +99,6 @@ class ScenarioConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.n_samples < 1:
             raise ValidationError("n_samples must be positive")
-        out = self.output_dir
-        if out == "" or not isinstance(out, (str, type(None))):
-            raise ParseError(f"output_dir {out!r} is not a non-empty string")
 
 
 # Where a run happened, for manifest.json.  platform.platform() is avoided:
@@ -159,8 +155,8 @@ class Scenario(NamedTuple):
 # Config parsing
 
 # Inputs every scenario accepts.
-ACCEPTED = ("scenario", "grid", "physics", "packet.sigma", "packet.center",
-            "output_dir")
+ACCEPTED = ("scenario", "grid", "physics.hbar", "packet.sigma",
+            "packet.center")
 # Config section -> its constructor, whose keyword defaults are the section's
 # keys and defaults: an int default makes an integer key, any other a float
 # key, only a key whose default is None may be null, and a section is None
@@ -223,15 +219,10 @@ def _build(name: str, section: Any, factory, required: bool):
 
 
 def _coerce_complex(value: Any) -> complex:
-    """A coefficient: a number, an [re, im] pair or a string like "0.6+0j"."""
+    """A coefficient: a number or an [re, im] pair, each coerced as a float."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(*(_coerce("coefficients", v, float) for v in value))
-    if not isinstance(value, str):
-        return complex(_coerce("coefficients", value, float))
-    try:
-        return complex(value.replace(" ", ""))
-    except ValueError as exc:
-        raise ParseError(f"cannot parse complex number {value!r}") from exc
+    return complex(_coerce("coefficients", value, float))
 
 
 def _coefficients(value: Any) -> Tuple[complex, ...]:
@@ -245,8 +236,7 @@ def _coefficients(value: Any) -> Tuple[complex, ...]:
 # Top-level key -> (parser of a value set, value when absent).
 _KEYS = {"coefficients": (_coefficients, None),
          "seed": (lambda v: v if v is None else _coerce("seed", v, int), None),
-         "n_samples": (lambda v: _coerce("n_samples", v, int), 10000),
-         "output_dir": (lambda v: v, None)}
+         "n_samples": (lambda v: _coerce("n_samples", v, int), 10000)}
 
 
 def _ignored(echo: Dict[str, Any], reads: Tuple[str, ...]):
@@ -295,10 +285,10 @@ def parse_config(text: str, seed: Optional[int] = None) -> ScenarioConfig:
         raise ParseError(f"scenario {scenario!r} ignores {ignored}")
     if cfg.coupling is not None:
         _refuse_coupling(cfg)
-    elif cfg.coefficients and cfg.packet.sigma >= cfg.grid.min_sigma:
+    elif cfg.packet.sigma >= cfg.grid.min_sigma:
+        count = len(cfg.coefficients or [cfg.packet])  # else one packet
         _refuse_off_grid(cfg, "packets overrun the grid: branch {} sits at",
-                         enumerate(_centers(cfg, len(cfg.coefficients))),
-                         cfg.packet.sigma)
+                         enumerate(_centers(cfg, count)), cfg.packet.sigma)
     return cfg
 
 
@@ -429,7 +419,7 @@ def _packets(cfg: ScenarioConfig, count: int = 1) -> List[WaveFunction]:
 def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
     """Execute the named scenario; the manifest is written even on failure,
     and an exception other than a QCollapseError is then re-raised."""
-    root = Path(out_override or cfg.output_dir or Path.cwd() / "runs")
+    root = Path(out_override or Path.cwd() / "runs")
     seed_part = "noseed" if cfg.seed is None else f"seed{cfg.seed}"
     run_dir = root / f"{cfg.scenario}-{_config_hash(cfg)}-{seed_part}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -630,17 +620,18 @@ def _run_born_ensemble(cfg, manifest):
                          n_samples=cfg.n_samples, frequencies=freqs)
 
 
-_CHAIN = ("seed", "coefficients", "gate", "evolution.dt",
+_CHAIN = ("seed", "coefficients", "physics.mass", "gate", "evolution.dt",
           "evolution.record_every", "coupling", "potential")
 _CHAIN_CHECK = ("coefficients: [0.6, 0.8]\n"
                 "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"
                 "evolution: {dt: 0.05, record_every: 10}\n")
 _BRANCHES = ("coefficients", "packet.momentum", "packet.separation")
 REGISTRY: Dict[str, Scenario] = {
-    "free_spread": Scenario(_run_free_spread, ("evolution", "packet.momentum"),
-                            "evolution: {dt: 0.01, n_steps: 200}\n"),
+    "free_spread": Scenario(
+        _run_free_spread, ("physics.mass", "evolution", "packet.momentum"),
+        "evolution: {dt: 0.01, n_steps: 200}\n"),
     "harmonic_coherent": Scenario(
-        _run_harmonic_coherent, ("evolution", "potential"),
+        _run_harmonic_coherent, ("physics.mass", "evolution", "potential"),
         "evolution: {n_steps: 1000, record_every: 50}\n"),
     "cat_gate": Scenario(_run_cat_gate, _BRANCHES + ("gate",),
                          "coefficients: [0.6, 0.8]\n"

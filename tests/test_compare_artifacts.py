@@ -1,7 +1,7 @@
 """The standard verification set of `scripts/compare_artifacts.py hash`,
 its per-column CSV hashes, and the report of its `diff` on synthetic hash
 files: artifact hashes, changed CSV columns, ok flags, and each run's
-assertions and error type."""
+directory name, assertions and error type."""
 import copy
 import sys
 from pathlib import Path
@@ -38,30 +38,43 @@ def test_standard_set_is_the_check_and_bench_configs_and_parses():
 
 def _runs(**assertions):
     """Two runs with one artifact each; `assertions` overrides a run's
-    [name, passed] list, and None drops its assertions and error type."""
+    [name, passed] list."""
     runs = {
-        "cat_gate": {"ok": True, "files": {"verdicts.json": "aa"},
+        "cat_gate": {"run_dir": "cat_gate-0a1b2c3d-noseed", "ok": True,
+                     "files": {"verdicts.json": "aa"}, "columns": {},
                      "assertions": [["branch_0_is_packet", True],
                                     ["superposition_not_packet", True]],
                      "error_type": None},
-        "measurement_run": {"ok": True, "files": {"summary.json": "bb"},
+        "measurement_run": {"run_dir": "measurement_run-4e5f6a7b-seed3",
+                            "ok": True, "files": {"summary.json": "bb"},
+                            "columns": {},
                             "assertions": [["transition_detected", True],
                                            ["pointer_distinguishability",
                                             True]],
                             "error_type": None}}
     for label, checks in assertions.items():
-        if checks is None:
-            del runs[label]["assertions"], runs[label]["error_type"]
-        else:
-            runs[label]["assertions"] = checks
+        runs[label]["assertions"] = checks
     return runs
 
 
 def test_identical_runs():
     report = _diff(_runs(), _runs())
     assert "All 2 artifacts of 2 runs are sha256-identical" in report
-    assert "no change in the 2 of 2 runs" in report
+    assert ("Run directories, assertions and error types: no change in the "
+            "2 runs both files hold.") in report
     assert "- `" not in report
+
+
+def test_a_renamed_run_directory_is_reported_with_identical_artifacts():
+    """A config hash or seed part that moves renames the run directory,
+    which the artifact hashes alone do not show."""
+    head = _runs()
+    head["measurement_run"]["run_dir"] = "measurement_run-99999999-seed3"
+    report = _diff(_runs(), head)
+    assert "All 2 artifacts of 2 runs are sha256-identical" in report
+    assert [line for line in report.splitlines() if line.startswith("- ")] \
+        == ["- `measurement_run`: run directory measurement_run-4e5f6a7b-seed3"
+            " -> measurement_run-99999999-seed3"]
 
 
 def test_one_removed_assertion_is_listed_for_its_run_only():
@@ -87,16 +100,6 @@ def test_added_and_flipped_assertions_and_error_type():
         "- `cat_gate`: assertion `branch_1_is_packet` added (PASS)"]
 
 
-def test_base_without_assertions_compares_files_only():
-    base = _runs(cat_gate=None, measurement_run=None)
-    head = _runs(measurement_run=[])
-    head["cat_gate"]["files"]["verdicts.json"] = "cc"
-    report = _diff(base, head)
-    assert [line for line in report.splitlines() if line.startswith("- ")] \
-        == ["- `cat_gate/verdicts.json`"]
-    assert "no change in the 0 of 2 runs" in report
-
-
 def test_column_hashes_skip_comment_lines(tmp_path):
     """One hash per header column; a `#` line is not a row, and a changed
     value moves only its own column's hash."""
@@ -120,8 +123,3 @@ def test_a_differing_csv_lists_its_changed_columns():
     assert [line for line in _diff(base, head).splitlines()
             if line.startswith(("- ", "  - "))] \
         == ["- `measurement_run/diagnostics.csv`", "  - columns: `norm`"]
-    # A base recorded without column hashes compares the CSV as a whole.
-    del base["measurement_run"]["columns"]
-    assert [line for line in _diff(base, head).splitlines()
-            if line.startswith(("- ", "  - "))] \
-        == ["- `measurement_run/diagnostics.csv`"]

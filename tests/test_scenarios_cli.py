@@ -213,8 +213,7 @@ def parsed_before_reads(text):
         coupling=CouplingConfig(**raw.get("coupling", {})) if chain else None,
         potential=None,
         coefficients=coefficients and tuple(map(complex, coefficients)),
-        seed=raw.get("seed"), n_samples=raw.get("n_samples", 10000),
-        output_dir=None)
+        seed=raw.get("seed"), n_samples=raw.get("n_samples", 10000))
 
 
 # Ensemble sizes at the edges of the blocked draw: one block short, exactly
@@ -512,6 +511,10 @@ class TestParseConfig:
             "scenario: cat_gate\ncoefficients: [[0.0, 0.6], 0.8]\n")
         assert cfg.coefficients[0] == 0.6j
         assert cfg.coefficients[1] == 0.8
+        # PyYAML reads an unquoted 6e-1 as a string; it is the float 0.6.
+        cfg = parse_config("scenario: cat_gate\n"
+                           "coefficients: [6e-1, [0.0, 8e-1]]\n")
+        assert cfg.coefficients == (0.6, 0.8j)
 
     def test_stochastic_requires_seed(self):
         with pytest.raises(ValidationError):
@@ -560,9 +563,32 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=key):
             parse_config(f"scenario: free_spread\n{snippet}\n")
 
-    def test_nan_coefficient_string_fails_the_norm_check(self):
-        with pytest.raises(ValidationError):
+    def test_nan_coefficient_string_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^coefficients must be a "
+                           "finite number, got 'nan'$"):
             parse_config("scenario: cat_gate\ncoefficients: ['nan']\n")
+
+    @pytest.mark.parametrize("value", ['"0.6+0.8j"', '"1e400"'])
+    def test_a_coefficient_string_that_is_no_finite_number_is_refused(
+            self, value):
+        """A coefficient is a number or an [re, im] pair; a complex literal
+        is not a third spelling, and a string that overflows is refused like
+        `.inf`."""
+        with pytest.raises(ParseError, match="^coefficients must be a finite "
+                           "number, got '"):
+            parse_config(f"scenario: collapse_sample\nseed: 1\n"
+                         f"coefficients: [{value}]\n")
+
+    @pytest.mark.parametrize("scenario", scenarios.SCENARIOS)
+    def test_physics_mass_is_read_only_where_a_packet_evolves(self,
+                                                             scenario):
+        text = f"{check_text(scenario)}physics: {{mass: 2.0}}\n"
+        if scenario in ("cat_gate", "collapse_sample"):
+            with pytest.raises(ParseError, match=(
+                    f"^scenario '{scenario}' ignores physics.mass$")):
+                parse_config(text)
+        else:
+            assert parse_config(text).physics == PhysicalParams(mass=2.0)
 
     def test_numeric_strings_and_exact_integers(self):
         cfg = parse_config("scenario: free_spread\n"
@@ -1144,38 +1170,33 @@ class TestCli:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("value", ["5", "[a, b]", "{a: 1}", "true", '""'])
-    def test_simulate_non_string_output_dir_exit_2(
-            self, tmp_path, monkeypatch, capsys, value):
+    @pytest.mark.parametrize("args", [[], ["--out", "elsewhere"]],
+                             ids=["no_out", "out"])
+    def test_output_dir_is_an_unknown_key(self, tmp_path, monkeypatch,
+                                          capsys, args):
+        """The output root is --out, else ./runs; a config cannot name it."""
         monkeypatch.chdir(tmp_path)
-        path = self._write(tmp_path, f"{FREE}output_dir: {value}\n")
-        assert main(["simulate", path]) == 2
-        assert capsys.readouterr().err.startswith("config error: output_dir ")
+        path = self._write(tmp_path, f"{FREE}output_dir: out\n")
+        assert main(["simulate", path, *args]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown top-level keys: ['output_dir']\n")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
     def test_an_empty_out_exits_2_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys):
-        """--out "" is refused like output_dir: "", not read as the
-        working directory."""
+        """--out "" is a config error, not read as the working
+        directory."""
         monkeypatch.chdir(tmp_path)
         path = self._write(tmp_path, COLLAPSE)
         assert main(["simulate", path, "--out", ""]) == 2
         assert capsys.readouterr().err.startswith("config error: --out ")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]
 
-    def test_simulate_writes_into_a_string_output_dir(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        path = self._write(tmp_path, f"{FREE}output_dir: out\n")
-        assert main(["simulate", path]) == 0
-        (run_dir,) = (tmp_path / "out").iterdir()
-        assert (run_dir / "manifest.json").exists()
-
     @pytest.mark.parametrize("env", ["", "elsewhere"])
     def test_simulate_output_root_ignores_the_environment(
             self, tmp_path, monkeypatch, env):
-        """With neither --out nor output_dir the run goes under ./runs,
-        whatever QCOLLAPSE_OUT holds: the root has those two names only."""
+        """Without --out the run goes under ./runs, whatever QCOLLAPSE_OUT
+        holds: the root has those two names only."""
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("QCOLLAPSE_OUT", env)
         assert main(["simulate", self._write(tmp_path, FREE)]) == 0
@@ -1232,6 +1253,21 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"config error: packets overrun the grid: branch 2 sits at "
             f"x={center} with width 1: boundary mass {mass} exceeds 1e-08\n")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("scenario", ["free_spread",
+                                          "harmonic_coherent"])
+    def test_a_single_packet_off_the_grid_exits_2_naming_branch_0(
+            self, tmp_path, capsys, scenario):
+        """A packet at x = 39, 1 sigma inside the default grid's edge, is
+        refused at parsing, before the run's BoundaryClipping."""
+        text = f"scenario: {scenario}\npacket: {{center: 39.0}}\n"
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: packets overrun the grid: branch 0 sits at x=39 "
+            "with width 1: boundary mass ")
         assert not (tmp_path / "runs").exists()
 
     def test_a_coupling_that_overruns_the_grid_exits_2_before_any_step(
