@@ -20,7 +20,6 @@ from .diagnostics import (
     weak_interference,
 )
 from .collapse import (
-    CollapseEvent,
     SuperpositionDecomposition,
     apply_self_collapse,
     decompose,

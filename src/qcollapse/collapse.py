@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,17 +32,6 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 
 COEFF_NORM_TOL = 1e-8
 COEFF_EXTRACTION_TOL = 1e-6
-
-
-class CollapseEvent(NamedTuple):
-    """Realized branch, Born weight and draw; the posterior is one-hot there."""
-    branch_index: int
-    probability: float
-    u: float  # the uniform draw that picked the branch
-
-
-# Skips NamedTuple's generated __new__, a Python frame per collapse event.
-_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,27 +134,22 @@ def geometric_probabilities(decomp: SuperpositionDecomposition) -> np.ndarray:
     return np.array([abs(c) ** 2 for c in decomp.coefficients])
 
 
-def sample_collapse(decomp: SuperpositionDecomposition,
-                    u: float) -> CollapseEvent:
-    """The realized branch for the uniform draw u, by inverse CDF.
+def sample_collapse(decomp: SuperpositionDecomposition, u: float) -> int:
+    """The realized branch index for the uniform draw u, by inverse CDF.
 
     u is bisected in the first d - 1 entries of the cached branch CDF:
     intervals are half-open [lo, hi) in coefficient index order, and a u at
     or past the last entry picks branch d - 1.  The caller draws u, one
-    double of a seeded stream per event.  The event is built by
-    tuple.__new__ on its three fields, in field order, which gives the same
-    CollapseEvent as CollapseEvent(...) without the call frame of the named
-    tuple's generated __new__.
+    double of a seeded stream per event.
     """
     cdf = decomp.branch_cdf
-    idx = bisect_right(cdf, u, 0, len(cdf) - 1)
-    return _new_tuple(CollapseEvent, (idx, decomp.probabilities[idx], u))
+    return bisect_right(cdf, u, 0, len(cdf) - 1)
 
 
 def apply_self_collapse(decomp: SuperpositionDecomposition,
-                        event: CollapseEvent) -> WaveFunction:
+                        branch: int) -> WaveFunction:
     """The realized branch packet at unit norm; the decomposition is untouched."""
-    if not 0 <= event.branch_index < len(decomp):
+    if not 0 <= branch < len(decomp):
         raise IndexOutOfRange(
-            f"branch {event.branch_index} out of range for {len(decomp)} branches")
-    return decomp.states[event.branch_index].normalize()
+            f"branch {branch} out of range for {len(decomp)} branches")
+    return decomp.states[branch].normalize()

@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .collapse import (
-    CollapseEvent,
     SuperpositionDecomposition,
     apply_self_collapse,
     decompose,
@@ -105,7 +104,7 @@ class TransitionReport(NamedTuple):
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    event: CollapseEvent
+    branch: int
     apparatus_state: WaveFunction
     object_mixture: Tuple[float, ...]
 
@@ -188,8 +187,7 @@ def measure(state: CompositeState, report: TransitionReport, seed: int,
         raise TransitionNotReached(
             "order parameter never crossed its critical value")
     decomp = apparatus_decomposition(state, params)
-    event = sample_collapse(decomp, np.random.default_rng(seed).random())
-    realized = apply_self_collapse(decomp, event)
+    branch = sample_collapse(decomp, np.random.default_rng(seed).random())
     mixture = tuple(float(abs(c) ** 2) for c in state.coefficients)
-    return MeasurementOutcome(event=event, apparatus_state=realized,
-                              object_mixture=mixture)
+    return MeasurementOutcome(branch, apply_self_collapse(decomp, branch),
+                              mixture)

@@ -283,8 +283,11 @@ def parse_config(text: str, seed: Optional[int] = None) -> ScenarioConfig:
     ignored = next(_ignored(echo, ACCEPTED + reads), None)
     if ignored:
         raise ParseError(f"scenario {scenario!r} ignores {ignored}")
+    v = _potential(cfg)
+    if cfg.evolution is not None:
+        cfg.evolution.validate_against(v)
     if cfg.coupling is not None:
-        _refuse_coupling(cfg)
+        _refuse_coupling(cfg, v)
     elif cfg.packet.sigma >= cfg.grid.min_sigma:
         count = len(cfg.coefficients or [cfg.packet])  # else one packet
         _refuse_off_grid(cfg, "packets overrun the grid: branch {} sits at",
@@ -308,15 +311,18 @@ def _centers(cfg: ScenarioConfig, count: int = 1) -> List[float]:
 def _refuse_off_grid(cfg: ScenarioConfig, what: str, centers,
                      sigma: float) -> None:
     """ValidationError naming the first (n, x) of `centers` where a Gaussian
-    of width sigma does not fit the grid; `what`.format(n) leads it."""
+    of width sigma and the packet's momentum does not fit the grid;
+    `what`.format(n) leads it."""
     for n, x in centers:
         try:
-            make_gaussian(cfg.grid, x, sigma, params=cfg.physics)
+            make_gaussian(cfg.grid, x, sigma, cfg.packet.momentum, cfg.physics)
         except (BoundaryClipping, ValidationError) as exc:
-            # A ValidationError: every amplitude underflowed, so the
-            # normalization met the zero state before the boundary guard.
-            reason = exc if isinstance(exc, BoundaryClipping) \
-                else "no amplitude is left on the grid"
+            # The zero state, where every amplitude underflowed before the
+            # boundary guard; a momentum past the headroom is raised as is.
+            zero = "zero state" in str(exc)
+            if not (zero or isinstance(exc, BoundaryClipping)):
+                raise
+            reason = "no amplitude is left on the grid" if zero else exc
             raise ValidationError(f"{what.format(n)} x={x:g} with width "
                                   f"{sigma:g}: {reason}") from exc
 
@@ -329,16 +335,30 @@ def _chain_potential(cfg: ScenarioConfig) -> Potential:
         center=_centers(cfg)[0])
 
 
-def _refuse_coupling(cfg: ScenarioConfig) -> None:
-    """ValidationError for a chain that must fail, judged where its final
-    branches are Gaussians: under the default coherent trap, given or not,
-    or a free potential.  Neither moves |phi^|^2, so adjacent branches end
-    v T apart and overlap by exp(-(v T / sigma)^2 / 8), which `measure`
-    refuses above overlap_limit(d).  Branches move right and free ones only
-    spread, so branches 0 and d - 1, at their unwrapped final centers, must
-    pass _refuse_off_grid.  A packet.sigma below `grid.min_sigma` is left
-    to the run-time GridTooCoarse."""
-    if (cfg.potential not in (None, _chain_potential(cfg), Potential.free())
+def _potential(cfg: ScenarioConfig) -> Potential:
+    """The potential the scenario steps under: potential if given, else the
+    chain's `_chain_potential`, harmonic_coherent's omega = 1 trap, or free
+    space.  ValidationError unless harmonic_coherent's is harmonic."""
+    if cfg.coupling is not None:
+        return cfg.potential or _chain_potential(cfg)
+    if cfg.scenario != "harmonic_coherent":
+        return Potential.free()
+    v = cfg.potential or Potential.harmonic(omega=1.0)
+    if v.kind != "harmonic":
+        raise ValidationError("harmonic_coherent needs a harmonic potential")
+    return v
+
+
+def _refuse_coupling(cfg: ScenarioConfig, potential: Potential) -> None:
+    """ValidationError for a chain that must fail under `potential`, judged
+    where its final branches are Gaussians: under the default coherent trap,
+    given or not, or a free potential.  Neither moves |phi^|^2, so adjacent
+    branches end v T apart and overlap by exp(-(v T / sigma)^2 / 8), which
+    `measure` refuses above overlap_limit(d).  Branches move right and free
+    ones only spread, so branches 0 and d - 1, at their unwrapped final
+    centers, must pass _refuse_off_grid.  A packet.sigma below
+    `grid.min_sigma` is left to the run-time GridTooCoarse."""
+    if (potential not in (_chain_potential(cfg), Potential.free())
             or cfg.packet.sigma < cfg.grid.min_sigma):
         return  # left to the run-time guards
     phys, s, v = cfg.physics, cfg.packet.sigma, cfg.coupling.shift_velocity
@@ -348,7 +368,7 @@ def _refuse_coupling(cfg: ScenarioConfig) -> None:
         raise ValidationError(
             f"coupling can never collapse: branches {v * t:g} apart overlap "
             f"by {math.exp(-(v * t / s)**2 / 8):.3g} (limit {limit:.3g})")
-    if cfg.potential == Potential.free():  # sigma spreads over t
+    if potential == Potential.free():  # sigma spreads over t
         s = math.hypot(s, phys.hbar * t / (2.0 * phys.mass * s))
     _refuse_off_grid(cfg, "coupling overruns the grid: branch {} ends at",
                      ((n, _centers(cfg)[0] + n * v * t)
@@ -470,7 +490,7 @@ def _evolve_and_record(cfg, manifest, psi: WaveFunction,
 
 def _run_free_spread(cfg, manifest):
     (psi,) = _packets(cfg)
-    final, records = _evolve_and_record(cfg, manifest, psi, Potential.free())
+    final, records = _evolve_and_record(cfg, manifest, psi, _potential(cfg))
     t_final = cfg.evolution.dt * cfg.evolution.n_steps
     sigma = cfg.packet.sigma
     rate = cfg.physics.hbar * t_final / (2.0 * cfg.physics.mass * sigma**2)
@@ -483,9 +503,7 @@ def _run_free_spread(cfg, manifest):
 
 
 def _run_harmonic_coherent(cfg, manifest):
-    v = cfg.potential or Potential.harmonic(omega=1.0)
-    if v.kind != "harmonic":
-        raise ValidationError("harmonic_coherent needs a harmonic potential")
+    v = _potential(cfg)
     (psi,) = _packets(cfg)
     x0 = _centers(cfg)[0] - v.center
     _, records = _evolve_and_record(cfg, manifest, psi, v)
@@ -534,7 +552,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
             picks = []
             try:
                 for u in block:
-                    picks.append(sample_collapse(decomp, u).branch_index)
+                    picks.append(sample_collapse(decomp, u))
             finally:
                 fh.write("".join('{"event": ' + str(i) + tails[n]
                                  for i, n in enumerate(picks, start)))
@@ -570,7 +588,7 @@ def _run_measurement_core(cfg, manifest):
     sqrt(sum |c_n|^2 |a_n|^2) of the lab-frame branches a_n, branch 0's
     moments and the order parameters), and the transition check."""
     (apparatus,) = _packets(cfg)
-    v = cfg.potential or _chain_potential(cfg)
+    v = _potential(cfg)
     composite = premeasurement(cfg.coefficients, apparatus, cfg.gate,
                                cfg.physics)
     weights = np.abs(composite.coefficients) ** 2
@@ -608,7 +626,7 @@ def _run_measurement(cfg, manifest):
     evolved, report = _run_measurement_core(cfg, manifest)
     outcome = measure(evolved, report, cfg.seed, cfg.physics)
     _write_chain_summary(cfg, manifest, report,
-                         outcome_branch=outcome.event.branch_index)
+                         outcome_branch=outcome.branch)
     _emit(manifest, "snapshot_pointer.csv", outcome.apparatus_state)
 
 

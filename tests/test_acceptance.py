@@ -192,7 +192,7 @@ def test_acceptance_6_collapse_statistics():
     hits = 0
     rng = np.random.default_rng(0)
     for _ in range(n):
-        hits += sample_collapse(decomp, rng.random()).branch_index
+        hits += sample_collapse(decomp, rng.random())
     freq_err = abs(hits / n - 0.64)
     band = 3.0 * math.sqrt(0.64 * 0.36 / n)
 
@@ -206,7 +206,7 @@ def test_acceptance_6_collapse_statistics():
     counts = np.zeros(4)
     rng = np.random.default_rng(1)
     for _ in range(m):
-        counts[sample_collapse(decomp4, rng.random()).branch_index] += 1
+        counts[sample_collapse(decomp4, rng.random())] += 1
     expected = m * weights
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     chi2_crit = float(scipy.stats.chi2.ppf(0.999, df=3))

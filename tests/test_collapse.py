@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollapse import (
-    CollapseEvent,
     Grid1D,
     PhysicalParams,
     apply_self_collapse,
@@ -40,14 +38,10 @@ def _separated_packets(d):
                  for x0 in (-32.0, -16.0, 0.0, 16.0, 32.0)[:d])
 
 
-def _reference_event(decomp, u):
-    """The inverse-CDF event for draw u, with a CDF rebuilt by numpy."""
+def _reference_branch(decomp, u):
+    """The inverse-CDF branch for draw u, with a CDF rebuilt by numpy."""
     p = decomp.probabilities
-    idx = min(int(np.searchsorted(np.cumsum(p), u, side="right")), len(p) - 1)
-    return CollapseEvent(
-        branch_index=idx,
-        probability=float(abs(decomp.coefficients[idx]) ** 2),
-        u=u)
+    return min(int(np.searchsorted(np.cumsum(p), u, side="right")), len(p) - 1)
 
 
 @pytest.fixture
@@ -179,15 +173,16 @@ class TestGeometricProbabilities:
 
     def test_cdf_and_event_use_the_same_weight(self, params):
         """c = 0.6 on a branch of width 1.5: (0.36 * 1.5) / 1.5 rounds to
-        0.36000000000000004, |c|^2 to 0.36; the CDF and the event must both
-        read the one |c_n|^2."""
+        0.36000000000000004, |c|^2 to 0.36; the CDF and the weight of the
+        picked branch must both read the one |c_n|^2."""
         basis = _separated_packets(4)[1::2]  # the packets at -16 and +16
         decomp = SuperpositionDecomposition((0.6, 0.8), basis, [
             dataclasses.replace(packet_summary(b, params=params), std_x=1.5)
             for b in basis])
         assert list(decomp.probabilities) == [
             abs(c) ** 2 for c in decomp.coefficients]
-        assert decomp.branch_cdf[0] == sample_collapse(decomp, 0.0).probability
+        assert sample_collapse(decomp, 0.0) == 0
+        assert decomp.branch_cdf[0] == decomp.probabilities[0]
 
     @settings(deadline=None, max_examples=20)
     @given(w=st.floats(0.05, 0.95), phase=st.floats(0.0, 2.0 * math.pi))
@@ -206,13 +201,11 @@ class TestGeometricProbabilities:
 # in the test; an ensemble draws its events in turn from one stream.
 class TestSampling:
     def test_determinism(self, cat_decomp):
-        events = [sample_collapse(cat_decomp,
-                                  np.random.default_rng(42).random())
-                  for _ in range(5)]
-        assert all(e == events[0] for e in events)
-        assert events[0].u == np.random.default_rng(42).random()
-        assert events[0].probability == pytest.approx(
-            0.36 if events[0].branch_index == 0 else 0.64, abs=1e-8)
+        picks = [sample_collapse(cat_decomp,
+                                 np.random.default_rng(42).random())
+                 for _ in range(5)]
+        u = np.random.default_rng(42).random()
+        assert picks == [0 if u < 0.36 else 1] * 5
 
     def test_generator_identity_documented(self):
         assert RNG_ALGORITHM == "numpy.random.PCG64"
@@ -220,13 +213,13 @@ class TestSampling:
     def test_matches_inverse_cdf_oracle(self, cat_decomp):
         for u in np.random.default_rng(0).random(50).tolist():
             expected = 0 if u < 0.36 else 1
-            assert sample_collapse(cat_decomp, u).branch_index == expected
+            assert sample_collapse(cat_decomp, u) == expected
 
     def test_certain_branch_always_chosen(self, gaussian, params):
         psi = gaussian()
         decomp = decompose(psi, [psi], params=params)
         for u in np.random.default_rng(0).random(20).tolist():
-            assert sample_collapse(decomp, u).branch_index == 0
+            assert sample_collapse(decomp, u) == 0
 
     @settings(deadline=None, max_examples=30)
     @given(raw=st.lists(st.floats(0.02, 1.0), min_size=2, max_size=5),
@@ -240,7 +233,7 @@ class TestSampling:
         basis = _separated_packets(len(w))
         decomp = decompose(superpose(zip(c, basis)), basis)
         for u in np.random.default_rng(seed).random(n_events).tolist():
-            assert sample_collapse(decomp, u) == _reference_event(decomp, u)
+            assert sample_collapse(decomp, u) == _reference_branch(decomp, u)
 
     def test_cdf_boundaries_match_searchsorted(self):
         c = np.sqrt([0.2, 0.3, 0.5])
@@ -252,7 +245,7 @@ class TestSampling:
                  np.nextafter(1.0, 0.0)]
         for u in map(float, draws):
             assert sample_collapse(decomp, u) == \
-                _reference_event(decomp, u)
+                _reference_branch(decomp, u)
 
     @pytest.mark.parametrize("u, branch", [
         (0.0, 0), (np.nextafter(0.25, 0.0), 0), (0.25, 1), (0.5, 2),
@@ -262,12 +255,10 @@ class TestSampling:
         """A u equal to an interior CDF entry opens the next branch, and a u
         at or past a last entry below 1 picks branch d - 1."""
         cdf = (0.25, 0.5, 1.0 - 2.0**-40)
-        table = SimpleNamespace(branch_cdf=cdf,
-                                probabilities=(0.25, 0.25, 0.5))
         u = float(u)
         assert branch == min(int(np.searchsorted(cdf, u, side="right")), 2)
-        assert sample_collapse(table, u) == CollapseEvent(
-            branch, table.probabilities[branch], u)
+        pick = sample_collapse(SimpleNamespace(branch_cdf=cdf), u)
+        assert type(pick) is int and pick == branch
 
     def test_cdf_and_probabilities_cached_as_tuples(self, cat_decomp,
                                                     monkeypatch):
@@ -291,28 +282,9 @@ class TestSampling:
         assert cat_decomp.branch_cdf is cdf
         assert cat_decomp.probabilities is probs
 
-    def test_event_is_an_immutable_named_tuple(self, cat_decomp):
-        u = np.random.default_rng(3).random()
-        e = sample_collapse(cat_decomp, u)
-        assert CollapseEvent._fields == ("branch_index", "probability", "u")
-        assert tuple(e) == (e.branch_index, e.probability, e.u)
-        with pytest.raises(AttributeError):
-            e.branch_index = 1 - e.branch_index
-        assert CollapseEvent(branch_index=1, probability=0.64, u=0.5) == \
-            CollapseEvent(1, 0.64, 0.5)
-        assert e._replace(branch_index=0).branch_index == 0
-        assert e == sample_collapse(cat_decomp, u)
-        # Equality alone would also pass a plain tuple of the same fields.
-        assert type(e) is CollapseEvent and e.u == u
-        assert list(e._asdict()) == list(CollapseEvent._fields)
-        assert type(CollapseEvent(**e._asdict())) is CollapseEvent
-        assert type(e._replace(u=0.5)) is CollapseEvent
-        copy = pickle.loads(pickle.dumps(e))
-        assert type(copy) is CollapseEvent and copy == e
-
     def test_empirical_frequencies(self, cat_decomp):
         n = 2000
-        hits = sum(sample_collapse(cat_decomp, u).branch_index
+        hits = sum(sample_collapse(cat_decomp, u)
                    for u in np.random.default_rng(0).random(n).tolist())
         # 3 sigma binomial band around p = 0.64
         band = 3.0 * math.sqrt(0.64 * 0.36 / n)
@@ -321,23 +293,24 @@ class TestSampling:
 
 class TestApplySelfCollapse:
     def test_returns_normalized_branch(self, cat_decomp, gaussian):
-        e = sample_collapse(cat_decomp, np.random.default_rng(42).random())
-        out = apply_self_collapse(cat_decomp, e)
+        branch = sample_collapse(cat_decomp,
+                                 np.random.default_rng(42).random())
+        out = apply_self_collapse(cat_decomp, branch)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
-        target = gaussian(center=-18.0 if e.branch_index == 0 else 18.0)
+        target = gaussian(center=-18.0 if branch == 0 else 18.0)
         assert l2_distance(out, target) <= 1e-10
 
     def test_index_out_of_range(self, cat_decomp):
-        bad = CollapseEvent(branch_index=5, probability=0.0, u=0.0)
-        with pytest.raises(IndexOutOfRange):
-            apply_self_collapse(cat_decomp, bad)
+        for bad in (5, 2, -1):
+            with pytest.raises(IndexOutOfRange):
+                apply_self_collapse(cat_decomp, bad)
         assert isinstance(IndexOutOfRange("x"), IndexError)
 
     def test_decomposition_untouched(self, cat_decomp):
         before = [s.amplitudes.copy() for s in cat_decomp.states]
         p_before = np.array(cat_decomp.probabilities)
-        e = sample_collapse(cat_decomp, np.random.default_rng(3).random())
-        apply_self_collapse(cat_decomp, e)
+        branch = sample_collapse(cat_decomp, np.random.default_rng(3).random())
+        apply_self_collapse(cat_decomp, branch)
         for old, new in zip(before, cat_decomp.states):
             assert np.array_equal(old, new.amplitudes)
         assert np.array_equal(p_before, cat_decomp.probabilities)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 from bisect import bisect_right
 from functools import reduce
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from qcollapse import (
-    CollapseEvent,
     CompositeState,
     CouplingConfig,
     EvolutionConfig,
@@ -520,18 +518,26 @@ class TestMeasure:
         final, report = evolved
         out = measure(final, report, seed=42, params=params)
         assert out.object_mixture == pytest.approx((0.36, 0.64), abs=1e-12)
-        assert type(out.event) is CollapseEvent
-        assert type(pickle.loads(pickle.dumps(out.event))) is CollapseEvent
+        assert type(out.branch) is int and out.branch in (0, 1)
         assert out.apparatus_state.norm() == pytest.approx(1.0, abs=1e-10)
 
-    def test_draw_is_the_first_of_its_seeded_stream(self, evolved, params):
+    def test_draw_is_the_first_of_its_seeded_stream(self, evolved, params,
+                                                    monkeypatch):
         final, report = evolved
         cdf = apparatus_decomposition(final, params=params).branch_cdf
+        draws = []
+        real = measurement.sample_collapse
+
+        def recording_pick(decomp, u):
+            draws.append(u)
+            return real(decomp, u)
+
+        monkeypatch.setattr(measurement, "sample_collapse", recording_pick)
         for seed in (0, 1, 42, 2**32, 2**64 - 1):
             u = np.random.default_rng(seed).random()
             out = measure(final, report, seed=seed, params=params)
-            assert out.event.u == u
-            assert out.event.branch_index == bisect_right(cdf, u)
+            assert draws.pop() == u and not draws
+            assert out.branch == bisect_right(cdf, u)
 
     def test_pointer_matrix(self, evolved, obj, apparatus, params):
         final, _ = evolved

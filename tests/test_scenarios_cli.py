@@ -651,10 +651,9 @@ class TestScenarioRuns:
         real = scenarios.sample_collapse
 
         def shifted(decomp, u):
-            event = real(decomp, u)
-            moved = event.branch_index == 0 and event.u >= (
-                decomp.branch_cdf[0] - shift)
-            return event._replace(branch_index=1) if moved else event
+            branch = real(decomp, u)
+            moved = branch == 0 and u >= decomp.branch_cdf[0] - shift
+            return 1 if moved else branch
 
         monkeypatch.setattr(scenarios, "sample_collapse", shifted)
         manifest = run(parse_config(ENSEMBLE_451), str(tmp_path))
@@ -1229,13 +1228,29 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'sample'" in capsys.readouterr().err
 
-    def test_config_error_inside_a_run_exits_2(self, tmp_path, capsys):
-        text = "scenario: harmonic_coherent\npotential: {kind: double_well}\n"
+    @pytest.mark.parametrize("text, reason", [
+        ("scenario: harmonic_coherent\npotential: {kind: double_well}\n",
+         "harmonic_coherent needs a harmonic potential"),
+        ("scenario: harmonic_coherent\nevolution: {dt: 0.01}\n"
+         "potential: {kind: harmonic, omega: 100.0}\n",
+         "dt=0.01 exceeds 0.1 * (2 pi / omega) for omega=100.0"),
+        (check_text("measurement_run").replace("dt: 0.05", "dt: 0.5")
+         + "potential: {kind: harmonic, omega: 2.0, center: 20.0}\n",
+         "dt=0.5 exceeds 0.1 * (2 pi / omega) for omega=2.0"),
+        ("scenario: free_spread\npacket: {momentum: 20.0}\n",
+         "|momentum|=20.0 exceeds Nyquist headroom "
+         f"{math.pi / (4 * 80 / 1024)}")],
+        ids=["double_well", "harmonic_dt", "chain_dt", "momentum"])
+    def test_an_input_the_run_would_refuse_exits_2_before_the_run(
+            self, tmp_path, capsys, text, reason):
+        """The potential the scenario steps under and the packet's momentum
+        against the Nyquist headroom pi / (4 dx) (10.05 on the default grid)
+        are judged at parsing."""
         rc = main(["simulate", self._write(tmp_path, text),
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
-        assert "[ERROR] ValidationError: harmonic_coherent needs a harmonic " \
-            "potential" in capsys.readouterr().out
+        assert capsys.readouterr().err == f"config error: {reason}\n"
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("scenario, extra, center, mass", [
         ("cat_gate", "", 44, "1"), ("collapse_sample", "seed: 1\n", 32,
@@ -1385,12 +1400,7 @@ class TestCli:
         assert "FAIL" not in out
 
     def test_check_fails_on_a_broken_scenario(self, monkeypatch, capsys):
-        real = scenarios.sample_collapse
-
-        def always_first(decomp, u):
-            return real(decomp, u)._replace(branch_index=0)
-
-        monkeypatch.setattr(scenarios, "sample_collapse", always_first)
+        monkeypatch.setattr(scenarios, "sample_collapse", lambda d, u: 0)
         assert main(["check"]) == 1
         assert "[FAIL] branch_1_frequency" in capsys.readouterr().out
 
