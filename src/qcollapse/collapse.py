@@ -75,9 +75,10 @@ class SuperpositionDecomposition:
         return tuple(geometric_probabilities(self).tolist())
 
     @cached_property
-    def branch_cdf(self) -> Tuple[float, ...]:
-        """Cumulative geometric probabilities, the inverse-CDF table."""
-        return tuple(np.cumsum(self.probabilities).tolist())
+    def branch_cuts(self) -> Tuple[float, ...]:
+        """The inverse-CDF table: the d - 1 inner cut points, the first
+        d - 1 cumulative geometric probabilities; empty for one branch."""
+        return tuple(np.cumsum(self.probabilities)[:-1].tolist())
 
 
 def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
@@ -137,13 +138,12 @@ def geometric_probabilities(decomp: SuperpositionDecomposition) -> np.ndarray:
 def sample_collapse(decomp: SuperpositionDecomposition, u: float) -> int:
     """The realized branch index for the uniform draw u, by inverse CDF.
 
-    u is bisected in the first d - 1 entries of the cached branch CDF:
-    intervals are half-open [lo, hi) in coefficient index order, and a u at
-    or past the last entry picks branch d - 1.  The caller draws u, one
-    double of a seeded stream per event.
+    u is bisected in the cached d - 1 cut points `branch_cuts`: intervals
+    are half-open [lo, hi) in coefficient index order, a u at or past the
+    last cut picks branch d - 1, and one branch, with no cuts, is always
+    picked.  The caller draws u, one double of a seeded stream per event.
     """
-    cdf = decomp.branch_cdf
-    return bisect_right(cdf, u, 0, len(cdf) - 1)
+    return bisect_right(decomp.branch_cuts, u)
 
 
 def apply_self_collapse(decomp: SuperpositionDecomposition,

@@ -283,12 +283,16 @@ def parse_config(text: str, seed: Optional[int] = None) -> ScenarioConfig:
     ignored = next(_ignored(echo, ACCEPTED + reads), None)
     if ignored:
         raise ParseError(f"scenario {scenario!r} ignores {ignored}")
+    if cfg.packet.sigma < cfg.grid.min_sigma:
+        raise ValidationError(
+            f"packet sigma={cfg.packet.sigma:g} is below 4*dx="
+            f"{cfg.grid.min_sigma:g}; the grid cannot resolve the packet")
     v = _potential(cfg)
     if cfg.evolution is not None:
         cfg.evolution.validate_against(v)
     if cfg.coupling is not None:
         _refuse_coupling(cfg, v)
-    elif cfg.packet.sigma >= cfg.grid.min_sigma:
+    else:
         count = len(cfg.coefficients or [cfg.packet])  # else one packet
         _refuse_off_grid(cfg, "packets overrun the grid: branch {} sits at",
                          enumerate(_centers(cfg, count)), cfg.packet.sigma)
@@ -356,10 +360,8 @@ def _refuse_coupling(cfg: ScenarioConfig, potential: Potential) -> None:
     branches end v T apart and overlap by exp(-(v T / sigma)^2 / 8), which
     `measure` refuses above overlap_limit(d).  Branches move right and free
     ones only spread, so branches 0 and d - 1, at their unwrapped final
-    centers, must pass _refuse_off_grid.  A packet.sigma below
-    `grid.min_sigma` is left to the run-time GridTooCoarse."""
-    if (potential not in (_chain_potential(cfg), Potential.free())
-            or cfg.packet.sigma < cfg.grid.min_sigma):
+    centers, must pass _refuse_off_grid."""
+    if potential not in (_chain_potential(cfg), Potential.free()):
         return  # left to the run-time guards
     phys, s, v = cfg.physics, cfg.packet.sigma, cfg.coupling.shift_velocity
     t = cfg.coupling.n_steps(cfg.evolution.dt) * cfg.evolution.dt
@@ -534,11 +536,12 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
     """Sample cfg.n_samples collapse events from one PCG64 stream,
     np.random.default_rng(cfg.seed), in blocks of up to DRAW_BLOCK events:
     one rng.random(m) draw, one sample_collapse pick per double, one write
-    of the block's JSON lines to artifact `name` (also when a pick fails,
-    so a failed run keeps exactly its earlier events) and one count per
-    branch.  The stream ends where rng.random(n_samples) would.  Checks each
-    branch frequency against its binomial band, z sigma wide (z splits
-    FREQUENCY_FALSE_ALARM over the d branches); returns the frequencies."""
+    to artifact `name` of the block's JSON lines, one f-string each (also
+    when a pick fails, so a failed run keeps exactly its earlier events),
+    and one count per branch.  The stream ends where rng.random(n_samples)
+    would.  Checks each branch frequency against its binomial band, z sigma
+    wide (z splits FREQUENCY_FALSE_ALARM over the d branches); returns the
+    frequencies."""
     from statistics import NormalDist  # 5 ms to import; only needed here
     rng = np.random.default_rng(cfg.seed)
     counts = [0] * len(decomp)
@@ -554,8 +557,8 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
                 for u in block:
                     picks.append(sample_collapse(decomp, u))
             finally:
-                fh.write("".join('{"event": ' + str(i) + tails[n]
-                                 for i, n in enumerate(picks, start)))
+                fh.write("".join([f'{{"event": {i}{tails[n]}'
+                                  for i, n in enumerate(picks, start)]))
             counts = [c + picks.count(n) for n, c in enumerate(counts)]
     freqs = [c / cfg.n_samples for c in counts]
     z = NormalDist().inv_cdf(1.0 - FREQUENCY_FALSE_ALARM / (2 * len(freqs)))

@@ -182,7 +182,7 @@ class TestGeometricProbabilities:
         assert list(decomp.probabilities) == [
             abs(c) ** 2 for c in decomp.coefficients]
         assert sample_collapse(decomp, 0.0) == 0
-        assert decomp.branch_cdf[0] == decomp.probabilities[0]
+        assert decomp.branch_cuts == (decomp.probabilities[0],)
 
     @settings(deadline=None, max_examples=20)
     @given(w=st.floats(0.05, 0.95), phase=st.floats(0.0, 2.0 * math.pi))
@@ -216,10 +216,15 @@ class TestSampling:
             assert sample_collapse(cat_decomp, u) == expected
 
     def test_certain_branch_always_chosen(self, gaussian, params):
+        """d = 1: the cut table is empty and every u picks branch 0, also
+        the lowest and the highest double a draw can give."""
         psi = gaussian()
         decomp = decompose(psi, [psi], params=params)
-        for u in np.random.default_rng(0).random(20).tolist():
-            assert sample_collapse(decomp, u) == 0
+        assert decomp.branch_cuts == ()
+        draws = np.random.default_rng(0).random(20).tolist()
+        for u in draws + [0.0, float(np.nextafter(1.0, 0.0))]:
+            pick = sample_collapse(decomp, u)
+            assert type(pick) is int and pick == 0
 
     @settings(deadline=None, max_examples=30)
     @given(raw=st.lists(st.floats(0.02, 1.0), min_size=2, max_size=5),
@@ -236,13 +241,18 @@ class TestSampling:
             assert sample_collapse(decomp, u) == _reference_branch(decomp, u)
 
     def test_cdf_boundaries_match_searchsorted(self):
+        """The cuts are the first d - 1 entries of numpy's cumulative sum,
+        bit for bit, and a u on either side of each picks as searchsorted
+        does in the full CDF."""
         c = np.sqrt([0.2, 0.3, 0.5])
         basis = _separated_packets(3)
         decomp = decompose(superpose(zip(c, basis)), basis)
-        cdf = decomp.branch_cdf
-        draws = [0.0, cdf[0], np.nextafter(cdf[0], 0.0), cdf[1],
-                 cdf[-1], np.nextafter(cdf[-1], 2.0),
-                 np.nextafter(1.0, 0.0)]
+        cdf = np.cumsum(decomp.probabilities).tolist()
+        cuts = decomp.branch_cuts
+        assert cuts == tuple(cdf[:-1])
+        draws = [0.0, cuts[0], np.nextafter(cuts[0], 0.0), cuts[1],
+                 np.nextafter(cuts[1], 0.0), cdf[-1],
+                 np.nextafter(cdf[-1], 2.0), np.nextafter(1.0, 0.0)]
         for u in map(float, draws):
             assert sample_collapse(decomp, u) == \
                 _reference_branch(decomp, u)
@@ -252,22 +262,22 @@ class TestSampling:
         (1.0 - 2.0**-40, 2), (np.nextafter(1.0 - 2.0**-40, 1.0), 2),
         (np.nextafter(1.0, 0.0), 2)])
     def test_picks_at_the_cdf_bounds_match_searchsorted(self, u, branch):
-        """A u equal to an interior CDF entry opens the next branch, and a u
-        at or past a last entry below 1 picks branch d - 1."""
+        """A u equal to a cut opens the next branch, and a u at or past the
+        last cut picks branch d - 1, also past a last CDF entry below 1."""
         cdf = (0.25, 0.5, 1.0 - 2.0**-40)
         u = float(u)
         assert branch == min(int(np.searchsorted(cdf, u, side="right")), 2)
-        pick = sample_collapse(SimpleNamespace(branch_cdf=cdf), u)
+        pick = sample_collapse(SimpleNamespace(branch_cuts=cdf[:-1]), u)
         assert type(pick) is int and pick == branch
 
     def test_cdf_and_probabilities_cached_as_tuples(self, cat_decomp,
                                                     monkeypatch):
-        cdf, probs = cat_decomp.branch_cdf, cat_decomp.probabilities
-        assert isinstance(cdf, tuple) and isinstance(probs, tuple)
-        assert cdf == pytest.approx([0.36, 1.0], abs=1e-8)
+        cuts, probs = cat_decomp.branch_cuts, cat_decomp.probabilities
+        assert isinstance(cuts, tuple) and isinstance(probs, tuple)
+        assert cuts == pytest.approx([0.36], abs=1e-8)
         assert probs == pytest.approx((0.36, 0.64), abs=1e-8)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cat_decomp.branch_cdf = (1.0, 1.0)
+            cat_decomp.branch_cuts = (1.0,)
 
         def fail(*args, **kwargs):
             raise AssertionError("branch table rebuilt")
@@ -279,7 +289,7 @@ class TestSampling:
                             property(fail), raising=False)
         for u in draws:
             sample_collapse(cat_decomp, u)
-        assert cat_decomp.branch_cdf is cdf
+        assert cat_decomp.branch_cuts is cuts
         assert cat_decomp.probabilities is probs
 
     def test_empirical_frequencies(self, cat_decomp):

@@ -524,7 +524,7 @@ class TestMeasure:
     def test_draw_is_the_first_of_its_seeded_stream(self, evolved, params,
                                                     monkeypatch):
         final, report = evolved
-        cdf = apparatus_decomposition(final, params=params).branch_cdf
+        cuts = apparatus_decomposition(final, params=params).branch_cuts
         draws = []
         real = measurement.sample_collapse
 
@@ -537,7 +537,7 @@ class TestMeasure:
             u = np.random.default_rng(seed).random()
             out = measure(final, report, seed=seed, params=params)
             assert draws.pop() == u and not draws
-            assert out.branch == bisect_right(cdf, u)
+            assert out.branch == bisect_right(cuts, u)
 
     def test_pointer_matrix(self, evolved, obj, apparatus, params):
         final, _ = evolved

@@ -451,14 +451,19 @@ class TestParseConfig:
                 f"x={end:g} with width 1: ")):
             parse_config(text)
 
-    def test_a_packet_too_narrow_for_the_grid_is_left_to_the_run(
-            self, tmp_path):
-        """sigma < 4 dx: the parse check leaves the chain to the run-time
-        GridTooCoarse, which the manifest records (exit 1)."""
-        cfg = parse_config(FAST_CHAIN.replace("TAU", "30")
-                           + "packet: {sigma: 0.3}\n")
-        manifest = run(cfg, str(tmp_path))
-        assert manifest.error.startswith("GridTooCoarse: sigma=0.3 below")
+    @pytest.mark.parametrize("text", [
+        FAST_CHAIN.replace("TAU", "30"),
+        FAST_CHAIN.replace("TAU", "2") + FREE_POTENTIAL,
+        FAST_CHAIN.replace("TAU", "20") + FREE_POTENTIAL],
+        ids=["trap_tau30", "free_tau2", "free_tau20"])
+    def test_a_packet_too_narrow_for_the_grid_is_refused(self, text):
+        """sigma = 0.3 < 4 dx = 0.625 is refused before any other bound,
+        under the trap and under a free potential alike, whether or not its
+        spread width (33.3 at tau = 20) would overrun the grid."""
+        with pytest.raises(ValidationError, match=(
+                r"^packet sigma=0\.3 is below 4\*dx=0\.625; the grid cannot "
+                r"resolve the packet$")):
+            parse_config(text + "packet: {sigma: 0.3}\n")
 
     def test_no_standard_config_is_refused_as_an_overrun(self):
         """Every check config, and every benchmark workload config at both
@@ -652,7 +657,7 @@ class TestScenarioRuns:
 
         def shifted(decomp, u):
             branch = real(decomp, u)
-            moved = branch == 0 and u >= decomp.branch_cdf[0] - shift
+            moved = branch == 0 and u >= decomp.branch_cuts[0] - shift
             return 1 if moved else branch
 
         monkeypatch.setattr(scenarios, "sample_collapse", shifted)
@@ -764,14 +769,16 @@ class TestScenarioRuns:
         check_ensemble_lines(tmp_path, monkeypatch, base, name,
                              coefficients, seed, 400)
 
+    @pytest.mark.parametrize("n", [10000, 10001])
     @pytest.mark.parametrize("base, name", [(COLLAPSE, "collapse.jsonl"),
                                             (BORN, "outcomes.jsonl")],
                              ids=["collapse_sample", "born_ensemble"])
     def test_long_ensemble_lines_match_vectorized_oracle(
-            self, tmp_path, monkeypatch, base, name):
-        """10 000 events: the file is written across many buffer flushes."""
+            self, tmp_path, monkeypatch, base, name, n):
+        """10 000 events: the file is written across many buffer flushes;
+        10 001 also writes the first 5-digit event index."""
         check_ensemble_lines(tmp_path, monkeypatch, base, name,
-                             "[[0.0, 0.48], 0.6, [0.384, -0.512]]", 5, 10000)
+                             "[[0.0, 0.48], 0.6, [0.384, -0.512]]", 5, n)
 
     @pytest.mark.parametrize("n", BLOCK_EDGES, ids=BLOCK_EDGE_IDS)
     @pytest.mark.parametrize("base, name", [(COLLAPSE, "collapse.jsonl"),
@@ -1309,20 +1316,22 @@ class TestCli:
         assert "normalize" not in err
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("tau", [2, 20])
-    def test_an_unresolvable_free_packet_fails_at_run_time(
-            self, tmp_path, capsys, tau):
-        """sigma = 0.3 is below 4 dx = 0.625: a free chain leaves it to the
-        run's GridTooCoarse (exit 1), as the trap chain does, whether or not
-        its spread width (33.3 at tau = 20) would overrun the grid."""
-        text = (FAST_CHAIN.replace("TAU", str(tau))
-                + "potential: {kind: free}\npacket: {sigma: 0.3}\n")
-        parse_config(text)
+    @pytest.mark.parametrize("scenario", scenarios.SCENARIOS)
+    def test_an_unresolvable_packet_exits_2_before_the_run(
+            self, tmp_path, capsys, scenario):
+        """sigma = 0.3 is below 4 dx (0.3125 on the default grid, 0.625 on
+        the chain's): every scenario makes a packet of that width, so the
+        config is refused with no run directory, not left to the run's
+        GridTooCoarse."""
+        text = check_text(scenario)
+        text = (text.replace("packet: {", "packet: {sigma: 0.3, ")
+                if "packet: {" in text else text + "packet: {sigma: 0.3}\n")
         rc = main(["simulate", self._write(tmp_path, text),
                    "--out", str(tmp_path / "runs")])
-        assert rc == 1
-        assert "[ERROR] GridTooCoarse: sigma=0.3 below" \
-            in capsys.readouterr().out
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: packet sigma=0.3 is below 4*dx=")
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("text, branch", [
         (WRAPAROUND, 3), (FAST_CHAIN.replace("TAU", "17.3") + DEFAULT_TRAP, 1)],
