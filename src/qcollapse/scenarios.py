@@ -287,29 +287,36 @@ def parse_config(text: str, seed: Optional[int] = None) -> ScenarioConfig:
         raise ValidationError(
             f"packet sigma={cfg.packet.sigma:g} is below 4*dx="
             f"{cfg.grid.min_sigma:g}; the grid cannot resolve the packet")
-    v = _potential(cfg)
     if cfg.evolution is not None:
-        cfg.evolution.validate_against(v)
-    if cfg.coupling is not None:
-        _refuse_coupling(cfg, v)
-    else:
-        count = len(cfg.coefficients or [cfg.packet])  # else one packet
-        _refuse_off_grid(cfg, "packets overrun the grid: branch {} sits at",
-                         enumerate(_centers(cfg, count)), cfg.packet.sigma)
+        cfg.evolution.validate_against(_potential(cfg))
+    _refuse_forecast(cfg)
     return cfg
 
 
-def _centers(cfg: ScenarioConfig, count: int = 1) -> List[float]:
-    """Where the scenario puts `count` packets: the first at packet.center,
-    else 20 sigma for the chain, 12 sigma for cat_gate (clear of the gate's
-    origin dependence), 3 for harmonic_coherent and 0 elsewhere; each next
-    one packet.separation (else 16 sigma) to the right."""
-    p = cfg.packet
-    first = {"cat_gate": 12.0 * p.sigma, "harmonic_coherent": 3.0}.get(
-        cfg.scenario, 0.0 if cfg.coupling is None else 20.0 * p.sigma)
-    first = first if p.center is None else p.center
-    sep = 16.0 * p.sigma if p.separation is None else p.separation
-    return [first + n * sep for n in range(count)]
+def forecast(cfg: ScenarioConfig,
+             t: float = 0.0) -> Optional[Tuple[float, float, float]]:
+    """(center of packet 0, spacing to the next, common width) at time t:
+    at t = 0 packet.center, else 20 sigma (chain), 12 sigma (cat_gate, clear
+    of the gate's origin dependence), 3 (harmonic_coherent) or 0, spaced v t
+    (chain) or packet.separation, else 16 sigma; at t > 0 a Gaussian's closed
+    form in free space or a harmonic trap, None for the chain's other traps."""
+    p, phys, chain = cfg.packet, cfg.physics, cfg.coupling
+    center = p.center if p.center is not None else {
+        "cat_gate": 12.0 * p.sigma, "harmonic_coherent": 3.0}.get(
+        cfg.scenario, 0.0 if chain is None else 20.0 * p.sigma)
+    gap = (chain.shift_velocity * t if chain is not None
+           else 16.0 * p.sigma if p.separation is None else p.separation)
+    if t == 0.0:
+        return center, gap, p.sigma
+    v, rate = _potential(cfg), phys.hbar / (2.0 * phys.mass * p.sigma)
+    if v.kind == "free":
+        return (center + p.momentum * t / phys.mass, gap,
+                p.sigma * math.hypot(1.0, rate * t / p.sigma))
+    if v.kind != "harmonic" or chain and v != _chain_potential(cfg):
+        return None
+    wt = v.omega * t
+    return (v.center + (center - v.center) * math.cos(wt), gap,
+            math.hypot(p.sigma * math.cos(wt), rate * math.sin(wt) / v.omega))
 
 
 def _refuse_off_grid(cfg: ScenarioConfig, what: str, centers,
@@ -336,7 +343,7 @@ def _chain_potential(cfg: ScenarioConfig) -> Potential:
     packet.sigma, so the pointer packets keep their shape while translating."""
     return Potential.harmonic(
         omega=cfg.physics.hbar / (2.0 * cfg.physics.mass * cfg.packet.sigma**2),
-        center=_centers(cfg)[0])
+        center=forecast(cfg)[0])
 
 
 def _potential(cfg: ScenarioConfig) -> Potential:
@@ -353,28 +360,33 @@ def _potential(cfg: ScenarioConfig) -> Potential:
     return v
 
 
-def _refuse_coupling(cfg: ScenarioConfig, potential: Potential) -> None:
-    """ValidationError for a chain that must fail under `potential`, judged
-    where its final branches are Gaussians: under the default coherent trap,
-    given or not, or a free potential.  Neither moves |phi^|^2, so adjacent
-    branches end v T apart and overlap by exp(-(v T / sigma)^2 / 8), which
-    `measure` refuses above overlap_limit(d).  Branches move right and free
-    ones only spread, so branches 0 and d - 1, at their unwrapped final
-    centers, must pass _refuse_off_grid."""
-    if potential not in (_chain_potential(cfg), Potential.free()):
+def _refuse_forecast(cfg: ScenarioConfig) -> None:
+    """ValidationError where `forecast` says the run must fail: a start
+    packet off the grid, a chain below `validate_apparatus`; then, where the
+    forecast reaches the end T, branches whose |phi^|^2 keeps width sigma and
+    overlap by exp(-(gap / sigma)^2 / 8) above what `measure` or `decompose`
+    allows, or packet 0 or d - 1 off the grid at its unwrapped center at T."""
+    p, ev, chain = cfg.packet, cfg.evolution, cfg.coupling
+    d = len(cfg.coefficients or [p])  # else one packet
+    x, gap, s = forecast(cfg)
+    _refuse_off_grid(cfg, "packets overrun the grid: branch {} sits at",
+                     ((n, x + n * gap) for n in range(d if gap else 1)), s)
+    if chain is not None:
+        chain.validate_apparatus(p.sigma, ev.dt)
+    t = ev.dt * (chain.n_steps(ev.dt) if chain else ev.n_steps) if ev else 0.0
+    if (end := forecast(cfg, t)) is None:
         return  # left to the run-time guards
-    phys, s, v = cfg.physics, cfg.packet.sigma, cfg.coupling.shift_velocity
-    t = cfg.coupling.n_steps(cfg.evolution.dt) * cfg.evolution.dt
-    limit = overlap_limit(len(cfg.coefficients))
-    if v * t < s * math.sqrt(8.0 * math.log(1.0 / limit)):
-        raise ValidationError(
-            f"coupling can never collapse: branches {v * t:g} apart overlap "
-            f"by {math.exp(-(v * t / s)**2 / 8):.3g} (limit {limit:.3g})")
-    if potential == Potential.free():  # sigma spreads over t
-        s = math.hypot(s, phys.hbar * t / (2.0 * phys.mass * s))
-    _refuse_off_grid(cfg, "coupling overruns the grid: branch {} ends at",
-                     ((n, _centers(cfg)[0] + n * v * t)
-                      for n in (0, len(cfg.coefficients) - 1)), s)
+    x, gap, s = end
+    why, what = (("coupling can never collapse", "coupling overruns") if chain
+                 else ("packets cannot be decomposed", "packets overrun"))
+    limit, overlap = overlap_limit(d), math.exp(-(gap / p.sigma)**2 / 8)
+    if d > 1 and cfg.scenario != "cat_gate" and overlap > limit:
+        raise ValidationError(f"{why}: branches {gap:g} apart overlap by "
+                              f"{overlap:.3g} (limit {limit:.3g})")
+    if t:  # a packet 4 dx wide fits where a narrower one does
+        _refuse_off_grid(cfg, what + " the grid: branch {} ends at",
+                         ((n, x + n * gap) for n in sorted({0, d - 1})),
+                         max(s, cfg.grid.min_sigma))
 
 
 def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
@@ -432,10 +444,11 @@ def _config_hash(cfg: ScenarioConfig) -> str:
 
 
 def _packets(cfg: ScenarioConfig, count: int = 1) -> List[WaveFunction]:
-    """Gaussians of the config's sigma and momentum at _centers."""
-    p = cfg.packet
-    return [make_gaussian(cfg.grid, x, p.sigma, p.momentum, cfg.physics)
-            for x in _centers(cfg, count)]
+    """The first `count` Gaussians of the config's momentum where `forecast`
+    places them at t = 0."""
+    x, gap, sigma = forecast(cfg)
+    return [make_gaussian(cfg.grid, x + n * gap, sigma, cfg.packet.momentum,
+                          cfg.physics) for n in range(count)]
 
 
 def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
@@ -494,9 +507,7 @@ def _run_free_spread(cfg, manifest):
     (psi,) = _packets(cfg)
     final, records = _evolve_and_record(cfg, manifest, psi, _potential(cfg))
     t_final = cfg.evolution.dt * cfg.evolution.n_steps
-    sigma = cfg.packet.sigma
-    rate = cfg.physics.hbar * t_final / (2.0 * cfg.physics.mass * sigma**2)
-    expected = sigma * math.sqrt(1.0 + rate**2)
+    expected = forecast(cfg, t_final)[2]
     t_last, last = records[-1]
     got = (last if t_last == t_final
            else packet_summary(final, params=cfg.physics)).std_x
@@ -505,12 +516,9 @@ def _run_free_spread(cfg, manifest):
 
 
 def _run_harmonic_coherent(cfg, manifest):
-    v = _potential(cfg)
     (psi,) = _packets(cfg)
-    x0 = _centers(cfg)[0] - v.center
-    _, records = _evolve_and_record(cfg, manifest, psi, v)
-    worst = max(abs(s.exp_x - (v.center + x0 * math.cos(v.omega * t)))
-                for t, s in records)
+    _, records = _evolve_and_record(cfg, manifest, psi, _potential(cfg))
+    worst = max(abs(s.exp_x - forecast(cfg, t)[0]) for t, s in records)
     _check(manifest, "classical_trajectory", worst <= 1e-5,
            f"max |<x>(t) - x0 cos(w t)| = {worst:.3g}")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,13 @@ class TestWaveFunction:
         amps[3] = np.nan
         with pytest.raises(ValidationError):
             WaveFunction(grid, amps)
+
+    @pytest.mark.parametrize("shape", [(1023,), (1025,), (2, 512)])
+    def test_rejects_amplitudes_that_miss_the_grid(self, grid, shape):
+        with pytest.raises(ValidationError, match=(
+                rf"^amplitudes shape {re.escape(str(shape))} does not match "
+                r"grid \(1024,\)$")):
+            WaveFunction(grid, np.ones(shape, dtype=complex))
 
     def test_amplitudes_are_frozen(self, gaussian):
         psi = gaussian()
@@ -252,6 +261,12 @@ class TestSuperpose:
         p1, p2 = gaussian(center=-18.0), gaussian(center=18.0)
         raw = WaveFunction(grid, (0.6 * p1.amplitudes + 0.8 * p2.amplitudes))
         assert raw.norm() == pytest.approx(1.0, abs=1e-8)
+
+    def test_branches_on_different_grids_are_refused(self, gaussian, params):
+        other = make_gaussian(Grid1D(-20.0, 20.0, 512), 0.0, 1.0, 0.0, params)
+        with pytest.raises(GridMismatch, match=(
+                "^superposition branches on different grids$")):
+            superpose([(0.6, gaussian()), (0.8, other)])
 
     def test_overlapping_branches_renormalize(self, gaussian, grid):
         psi = gaussian()

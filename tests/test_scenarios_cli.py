@@ -18,11 +18,12 @@ import yaml
 
 from qcollapse import measurement, scenarios
 from qcollapse.cli import main
-from qcollapse.collapse import overlap_limit
+from qcollapse.collapse import decompose, overlap_limit
 from qcollapse.errors import (BoundaryClipping, NotWeaklyInterfering,
                               ParseError, TransitionNotReached,
                               ValidationError)
-from qcollapse.propagate import POTENTIAL_FIELDS, Potential
+from qcollapse.grid import make_gaussian, superpose
+from qcollapse.propagate import POTENTIAL_FIELDS, Potential, evolve
 from qcollapse.scenarios import (
     DIAG_HEADER,
     CouplingConfig,
@@ -171,6 +172,33 @@ IGNORED = (
        ("measurement_run", "n_samples: 7", "n_samples"),
        ("born_ensemble", "packet: {momentum: 1.5}", "packet.momentum"),
        ("born_ensemble", "packet: {separation: 30.0}", "packet.separation")])
+
+
+def yaml_error(text):
+    """The text of the YAMLError that yaml.safe_load raises on `text`."""
+    with pytest.raises(yaml.YAMLError) as exc:
+        yaml.safe_load(text)
+    return str(exc.value)
+
+
+BAD_YAML = "scenario: [free_spread\n"
+# (config, message) of a malformed document, section or value: each is
+# refused at parsing, before any scenario-specific check.
+MALFORMED = [
+    (BAD_YAML, f"malformed config: {yaml_error(BAD_YAML)}"),
+    ("- scenario: free_spread\n", "config must be a mapping"),
+    (FREE + "grid: 3\n", "section 'grid' must be a mapping"),
+    ("scenario: collapse_sample\ncoefficients: [0.6, 0.8]\nseed: 7\n"
+     "n_samples: 0\n", "n_samples must be positive"),
+    (FREE + "evolution: {n_steps: -1}\n", "n_steps must be non-negative"),
+    (FREE + "evolution: {record_every: 0}\n", "record_every must be >= 1"),
+    ("scenario: measurement_run\ncoefficients: [0.6, 0.8]\nseed: 3\n"
+     "potential: {kind: double_well, well_separation: 0.0}\n",
+     "double well needs well_separation > 0"),
+    ("scenario: cat_gate\ncoefficients: [0.6, 0.8]\n"
+     "gate: {mass_threshold: 1.0}\n", "mass_threshold must lie in (0.5, 1)")]
+MALFORMED_IDS = ["yaml", "not_a_mapping", "section", "n_samples", "n_steps",
+                 "record_every", "well_separation", "mass_threshold"]
 
 
 def check_text(scenario):
@@ -464,6 +492,15 @@ class TestParseConfig:
                 r"^packet sigma=0\.3 is below 4\*dx=0\.625; the grid cannot "
                 r"resolve the packet$")):
             parse_config(text + "packet: {sigma: 0.3}\n")
+
+    def test_a_packet_that_breathes_below_4_dx_is_judged_at_4_dx(self):
+        """sigma = 2 in the omega = 1 trap breathes to width 0.25 at
+        t = pi / 2, below 4 dx = 0.3125 on the default grid, and still
+        evolves to its forecast width: the end check judges a packet 4 dx
+        wide there instead of refusing to build a narrower one."""
+        cfg = parse_config("scenario: harmonic_coherent\npacket: {sigma: 2.0}"
+                           "\nevolution: {dt: 0.001, n_steps: 1571}\n")
+        assert scenarios.forecast(cfg, 1.571)[2] < cfg.grid.min_sigma
 
     def test_no_standard_config_is_refused_as_an_overrun(self):
         """Every check config, and every benchmark workload config at both
@@ -906,9 +943,13 @@ class TestScenarioRuns:
 
     def test_narrow_coupling_fails_before_stepping(self, tmp_path):
         """Branches 2 apart, below 3 apparatus widths, in a trap that the
-        parse-time bounds do not judge: validate_apparatus refuses them."""
-        cfg = parse_config(coupled(2.0, breathing_trap(0.3)))
-        manifest = run(cfg, str(tmp_path))
+        forecast does not judge: validate_apparatus refuses them, at
+        parsing and, with the coupling set after parsing, in the run."""
+        with pytest.raises(ValidationError, match="^coupling too short"):
+            parse_config(coupled(2.0, breathing_trap(0.3)))
+        cfg = parse_config(coupled(12.0, breathing_trap(0.3)))
+        manifest = run(dataclasses.replace(
+            cfg, coupling=CouplingConfig(tau=2.0)), str(tmp_path))
         assert not manifest.ok
         assert manifest.error.startswith(
             "ValidationError: coupling too short: branches end 2 apart")
@@ -1034,13 +1075,20 @@ class TestScenarioRuns:
             t = float(row["t"])
             assert abs(float(row["std_x"]) - math.hypot(1.0, 0.5 * t)) <= 1e-9
 
-    def test_free_packet_wrapping_the_grid_fails(self, tmp_path):
-        # At momentum 8 the packet reaches the edge region of [-20, 20]
-        # within two time units and wraps round the periodic grid, while
-        # spreading_law still holds.
-        manifest = run(parse_config(FREE_WRAP), str(tmp_path))
-        assert manifest.error_type is BoundaryClipping
-        assert not manifest.ok
+    def test_free_packet_wrapping_the_grid_fails(self):
+        """At momentum 8 the packet would end at x = 40, past x_max = 20, so
+        parse_config refuses it; `evolve`, given the same packet, stops
+        where it reaches the edge region of [-20, 20], within two time
+        units, rather than letting it wrap round the periodic grid."""
+        with pytest.raises(ValidationError, match=(
+                r"^packets overrun the grid: branch 0 ends at x=40 with "
+                r"width 2\.69258: boundary mass 1 exceeds 1e-08$")):
+            parse_config(FREE_WRAP)
+        cfg = parse_config(FREE_WRAP.replace("n_steps: 500", "n_steps: 100"))
+        (psi,) = scenarios._packets(cfg)
+        with pytest.raises(BoundaryClipping, match=r" at step 1\d\d$"):
+            evolve(psi, Potential.free(), cfg.physics,
+                   EvolutionConfig(dt=0.01, n_steps=500))
 
     def test_unexpected_error_leaves_manifest_and_propagates(
             self, tmp_path, monkeypatch):
@@ -1097,14 +1145,27 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
-    def test_simulate_config_error_in_manifest_exit_2(self, tmp_path):
-        bad = coupled(2.0, breathing_trap(0.3))
-        rc = main(["simulate", self._write(tmp_path, bad),
+    def test_simulate_config_error_in_manifest_exit_2(self, tmp_path,
+                                                      monkeypatch):
+        """A ValidationError raised in the run, here validate_apparatus on a
+        coupling the runner shortens after parsing, is written to the
+        manifest and exits 2."""
+        entry = scenarios.REGISTRY["measurement_run"]
+
+        def shortened(cfg, manifest):
+            entry.runner(dataclasses.replace(
+                cfg, coupling=CouplingConfig(tau=2.0)), manifest)
+
+        monkeypatch.setitem(scenarios.REGISTRY, "measurement_run",
+                            entry._replace(runner=shortened))
+        good = coupled(12.0, breathing_trap(0.3))
+        rc = main(["simulate", self._write(tmp_path, good),
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
         (run_dir,) = (tmp_path / "runs").iterdir()
         doc = json.loads((run_dir / "manifest.json").read_text())
         assert doc["error_type"] == "ValidationError"
+        assert doc["error"].startswith("ValidationError: coupling too short")
 
     @pytest.mark.parametrize("potential", ["", FREE_POTENTIAL],
                              ids=["default_trap", "free"])
@@ -1246,13 +1307,47 @@ class TestCli:
          "dt=0.5 exceeds 0.1 * (2 pi / omega) for omega=2.0"),
         ("scenario: free_spread\npacket: {momentum: 20.0}\n",
          "|momentum|=20.0 exceeds Nyquist headroom "
-         f"{math.pi / (4 * 80 / 1024)}")],
-        ids=["double_well", "harmonic_dt", "chain_dt", "momentum"])
+         f"{math.pi / (4 * 80 / 1024)}"),
+        (check_text("measurement_run").replace("x_max: 120.0", "x_max: 20.0")
+         + "potential: {kind: harmonic, omega: 0.5, center: 0.0}\n",
+         "packets overrun the grid: branch 0 sits at x=20 with width 1: "
+         "boundary mass 0.997 exceeds 1e-08"),
+        (coupled(2.0, breathing_trap(0.3)),
+         "coupling too short: branches end 2 apart, below 3 * apparatus "
+         "sigma=1.0"),
+        (FREE + "evolution: {dt: 0.2, n_steps: 100}\n",
+         "packets overrun the grid: branch 0 ends at x=0 with width 10.0499: "
+         "boundary mass 0.00027 exceeds 1e-08"),
+        ("scenario: harmonic_coherent\npacket: {sigma: 0.35}\n"
+         f"evolution: {{dt: {math.pi / 200!r}, n_steps: 100}}\n"
+         "potential: {kind: harmonic, omega: 1.0, center: 30.0}\n",
+         "packets overrun the grid: branch 0 ends at x=30 with width 1.42857: "
+         "boundary mass 1.43e-05 exceeds 1e-08")],
+        ids=["double_well", "harmonic_dt", "chain_dt", "momentum",
+             "chain_start_off_grid", "chain_too_short", "free_spread_at_T",
+             "harmonic_coherent_at_T"])
     def test_an_input_the_run_would_refuse_exits_2_before_the_run(
             self, tmp_path, capsys, text, reason):
         """The potential the scenario steps under and the packet's momentum
         against the Nyquist headroom pi / (4 dx) (10.05 on the default grid)
-        are judged at parsing."""
+        are judged at parsing, and so is what `forecast` says the run would
+        meet. Each of those four cases ran into a run-time guard: the
+        chain's start packet at 20 = x_max under a trap the forecast does
+        not judge (BoundaryClipping, exit 1); the chain whose branches end
+        2 apart (validate_apparatus, exit 2 after its run directory
+        existed); the free packet spread to width 10.05 at t = 20
+        (BoundaryClipping at step 57, exit 1); the sigma = 0.35 packet that
+        swings to the trap center 30 at t = pi / 2 and breathes to width
+        1 / 0.7 there (BoundaryClipping at step 96, exit 1)."""
+        rc = main(["simulate", self._write(tmp_path, text),
+                   "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {reason}\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("text, reason", MALFORMED, ids=MALFORMED_IDS)
+    def test_a_malformed_input_exits_2_with_its_message(
+            self, tmp_path, capsys, text, reason):
         rc = main(["simulate", self._write(tmp_path, text),
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
@@ -1386,21 +1481,28 @@ class TestCli:
                            match=re.escape(f"{scenario!r} ignores {key}")):
             parse_config(f"{check_text(scenario)}{snippet}\n")
 
-    @pytest.mark.parametrize("separation", [10.0, 11.0, 12.0])
-    def test_overlapping_branches_are_not_a_config_error(
-            self, tmp_path, separation):
-        """Branches 10 to 12 sigma apart overlap by 1.5e-8 to 3.7e-6: the
-        run passes or ends in NotWeaklyInterfering naming the pair (exit 1),
-        never in a sum |c_n|^2 or extraction ValidationError (exit 2)."""
+    @pytest.mark.parametrize("separation", [3.0, 10.0, 11.0, 12.0])
+    def test_overlapping_branches_are_refused_at_parsing(
+            self, tmp_path, capsys, params, separation):
+        """Branches 3 to 12 sigma apart overlap by exp(-sep^2 / 8), 0.325 to
+        1.52e-8, above overlap_limit(2) = 1e-8: the figure `decompose`
+        raises NotWeaklyInterfering with, so the config exits 2 with it and
+        no run directory, not 1 after the run."""
         path = self._write(tmp_path, check_text("collapse_sample")
                            + f"packet: {{separation: {separation}}}\n")
         rc = main(["simulate", path, "--out", str(tmp_path / "runs")])
-        (run_dir,) = (tmp_path / "runs").iterdir()
-        doc = json.loads((run_dir / "manifest.json").read_text())
-        assert (rc, doc["error_type"]) in [
-            (0, None), (1, NotWeaklyInterfering.__name__)]
-        if rc:
-            assert "branches 0,1 overlap" in doc["error"]
+        overlap = f"{math.exp(-separation**2 / 8):.3g}"
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: packets cannot be decomposed: branches "
+            f"{separation:g} apart overlap by {overlap} (limit 1e-08)\n")
+        assert not (tmp_path / "runs").exists()
+        grid = Grid1D()
+        packets = [make_gaussian(grid, x, 1.0, 0.0, params)
+                   for x in (0.0, separation)]
+        with pytest.raises(NotWeaklyInterfering, match=re.escape(
+                f"branches 0,1 overlap by {overlap} (limit 1e-08)")):
+            decompose(superpose(zip((0.6, 0.8), packets)), packets, params)
 
     def test_check_exit_0(self, capsys):
         assert main(["check"]) == 0
