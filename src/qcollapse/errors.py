@@ -13,8 +13,8 @@ class ParseError(QCollapseError):
     """A configuration document is malformed or contains unknown keys."""
 
 
-class GridTooCoarse(QCollapseError):
-    """Requested packet width is not resolvable on the grid."""
+class GridTooCoarse(ValidationError):
+    """A packet's width or momentum is not resolvable on the grid."""
 
 
 class BoundaryClipping(QCollapseError):

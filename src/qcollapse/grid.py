@@ -169,18 +169,22 @@ def make_gaussian(grid: Grid1D, center: float, sigma: float,
     """Normalized Gaussian packet exp(-(x-c)^2/(4 sigma^2) + i p x / hbar).
 
     Has <x> = center, std x = sigma, <p> = momentum, std p = hbar/(2 sigma).
+    GridTooCoarse where the grid cannot resolve it, BoundaryClipping off it.
     """
     if sigma < grid.min_sigma:
         raise GridTooCoarse(
-            f"sigma={sigma} below 4*dx={grid.min_sigma}; packet unresolvable")
+            f"packet sigma={sigma:g} is below 4*dx={grid.min_sigma:g}; the "
+            "grid cannot resolve the packet")
     p_max = 0.25 * math.pi * params.hbar / grid.dx
     if abs(momentum) > p_max:
-        raise ValidationError(
+        raise GridTooCoarse(
             f"|momentum|={abs(momentum)} exceeds Nyquist headroom {p_max}")
     x = grid.x
     amps = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)
                   + 1j * momentum * x / params.hbar)
-    psi = WaveFunction(grid, amps).normalize()
+    if not (norm := _amplitude_norm(amps, grid.dx)):  # all underflowed
+        raise BoundaryClipping("no amplitude is left on the grid")
+    psi = WaveFunction(grid, amps / norm)
     # Analytic tail beyond the grid, in case the grid truncates the packet.
     tail = 0.5 * (math.erfc((center - grid.x_min) / (math.sqrt(2) * sigma))
                   + math.erfc((grid.x_max - center) / (math.sqrt(2) * sigma)))

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 import yaml
 
-from .collapse import RNG_ALGORITHM, decompose, overlap_limit, sample_collapse
+from .collapse import RNG_ALGORITHM, overlap_limit, sample_collapse
 from .diagnostics import GateConfig, packet_summary, position_gate
 from .errors import (BoundaryClipping, ParseError, QCollapseError,
                      ValidationError)
@@ -38,6 +38,7 @@ from .grid import (
     write_snapshot,
 )
 from .measurement import (
+    CompositeState,
     CouplingConfig,
     apparatus_decomposition,
     measure,
@@ -283,12 +284,6 @@ def parse_config(text: str, seed: Optional[int] = None) -> ScenarioConfig:
     ignored = next(_ignored(echo, ACCEPTED + reads), None)
     if ignored:
         raise ParseError(f"scenario {scenario!r} ignores {ignored}")
-    if cfg.packet.sigma < cfg.grid.min_sigma:
-        raise ValidationError(
-            f"packet sigma={cfg.packet.sigma:g} is below 4*dx="
-            f"{cfg.grid.min_sigma:g}; the grid cannot resolve the packet")
-    if cfg.evolution is not None:
-        cfg.evolution.validate_against(_potential(cfg))
     _refuse_forecast(cfg)
     return cfg
 
@@ -323,19 +318,13 @@ def _refuse_off_grid(cfg: ScenarioConfig, what: str, centers,
                      sigma: float) -> None:
     """ValidationError naming the first (n, x) of `centers` where a Gaussian
     of width sigma and the packet's momentum does not fit the grid;
-    `what`.format(n) leads it."""
+    `what`.format(n) leads it.  make_gaussian's GridTooCoarse passes as is."""
     for n, x in centers:
         try:
             make_gaussian(cfg.grid, x, sigma, cfg.packet.momentum, cfg.physics)
-        except (BoundaryClipping, ValidationError) as exc:
-            # The zero state, where every amplitude underflowed before the
-            # boundary guard; a momentum past the headroom is raised as is.
-            zero = "zero state" in str(exc)
-            if not (zero or isinstance(exc, BoundaryClipping)):
-                raise
-            reason = "no amplitude is left on the grid" if zero else exc
+        except BoundaryClipping as exc:
             raise ValidationError(f"{what.format(n)} x={x:g} with width "
-                                  f"{sigma:g}: {reason}") from exc
+                                  f"{sigma:g}: {exc}") from exc
 
 
 def _chain_potential(cfg: ScenarioConfig) -> Potential:
@@ -362,31 +351,38 @@ def _potential(cfg: ScenarioConfig) -> Potential:
 
 def _refuse_forecast(cfg: ScenarioConfig) -> None:
     """ValidationError where `forecast` says the run must fail: a start
-    packet off the grid, a chain below `validate_apparatus`; then, where the
-    forecast reaches the end T, branches whose |phi^|^2 keeps width sigma and
-    overlap by exp(-(gap / sigma)^2 / 8) above what `measure` or `decompose`
-    allows, or packet 0 or d - 1 off the grid at its unwrapped center at T."""
+    packet the grid cannot resolve or hold, a dt `evolve` refuses, a chain
+    below `validate_apparatus`; where it reaches T, branches (|phi^|^2 of
+    width sigma) overlapping beyond what `measure` or `decompose` allows, or
+    packet 0 or d - 1 off the grid unwrapped at T or at a turn before T."""
     p, ev, chain = cfg.packet, cfg.evolution, cfg.coupling
     d = len(cfg.coefficients or [p])  # else one packet
     x, gap, s = forecast(cfg)
     _refuse_off_grid(cfg, "packets overrun the grid: branch {} sits at",
                      ((n, x + n * gap) for n in range(d if gap else 1)), s)
+    v = _potential(cfg)
+    if ev is not None:
+        ev.validate_against(v)
     if chain is not None:
         chain.validate_apparatus(p.sigma, ev.dt)
     t = ev.dt * (chain.n_steps(ev.dt) if chain else ev.n_steps) if ev else 0.0
     if (end := forecast(cfg, t)) is None:
         return  # left to the run-time guards
-    x, gap, s = end
+    gap = end[1]
     why, what = (("coupling can never collapse", "coupling overruns") if chain
                  else ("packets cannot be decomposed", "packets overrun"))
     limit, overlap = overlap_limit(d), math.exp(-(gap / p.sigma)**2 / 8)
     if d > 1 and cfg.scenario != "cat_gate" and overlap > limit:
         raise ValidationError(f"{why}: branches {gap:g} apart overlap by "
                               f"{overlap:.3g} (limit {limit:.3g})")
-    if t:  # a packet 4 dx wide fits where a narrower one does
-        _refuse_off_grid(cfg, what + " the grid: branch {} ends at",
-                         ((n, x + n * gap) for n in sorted({0, d - 1})),
-                         max(s, cfg.grid.min_sigma))
+    # A center is extreme at t = 0, T or a turn; 4 dx fits where less does.
+    turn = math.pi / v.omega if v.kind == "harmonic" and not chain else math.inf
+    for when, at in (("turns", turn), ("ends", t)):
+        if 0 < at <= t:
+            x, gap, s = forecast(cfg, at)
+            _refuse_off_grid(cfg, f"{what} the grid: branch {{}} {when} at",
+                             ((n, x + n * gap) for n in sorted({0, d - 1})),
+                             max(s, cfg.grid.min_sigma))
 
 
 def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
@@ -580,9 +576,8 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
 
 def _run_collapse_sample(cfg, manifest):
     packets = _packets(cfg, len(cfg.coefficients))
-    psi = superpose(zip(cfg.coefficients, packets))
-    decomp = decompose(psi, packets, cfg.physics,
-                       expected_coefficients=cfg.coefficients)
+    decomp = apparatus_decomposition(
+        CompositeState(cfg.coefficients, packets), cfg.physics)
     p = decomp.probabilities
     worst = max(abs(pn - abs(c) ** 2) for pn, c in zip(p, cfg.coefficients))
     _check(manifest, "geometric_probabilities", worst <= 1e-8,

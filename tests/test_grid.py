@@ -178,16 +178,26 @@ class TestMakeGaussian:
         assert s.std_p == pytest.approx(0.25, rel=1e-6)
 
     def test_too_coarse(self, grid, params):
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(GridTooCoarse, match=(
+                r"^packet sigma=0\.15625 is below 4\*dx=0\.3125; the grid "
+                r"cannot resolve the packet$")):
             make_gaussian(grid, 0.0, 2.0 * grid.dx, 0.0, params)
 
     def test_boundary_clipping(self, grid, params):
         with pytest.raises(BoundaryClipping):
             make_gaussian(grid, 39.0, 1.0, 0.0, params)
 
+    def test_a_packet_wholly_off_the_grid_is_clipped(self, grid, params):
+        """Every amplitude of a packet at 500 underflows to zero."""
+        with pytest.raises(BoundaryClipping,
+                           match="^no amplitude is left on the grid$"):
+            make_gaussian(grid, 500.0, 1.0, 0.0, params)
+
     def test_nyquist_guard(self, grid, params):
-        with pytest.raises(ValidationError):
+        """A momentum past the headroom is unresolvable, a config error."""
+        with pytest.raises(GridTooCoarse, match="exceeds Nyquist headroom"):
             make_gaussian(grid, 0.0, 1.0, 100.0, params)
+        assert issubclass(GridTooCoarse, ValidationError)
 
 
 class TestInnerProduct:
@@ -267,6 +277,12 @@ class TestSuperpose:
         with pytest.raises(GridMismatch, match=(
                 "^superposition branches on different grids$")):
             superpose([(0.6, gaussian()), (0.8, other)])
+
+    def test_branches_that_cancel_are_refused(self, gaussian):
+        psi = gaussian()
+        with pytest.raises(ValidationError,
+                           match="^cannot normalize the zero state$"):
+            superpose([(1.0, psi), (-1.0, psi)])
 
     def test_overlapping_branches_renormalize(self, gaussian, grid):
         psi = gaussian()

@@ -1,0 +1,141 @@
+"""The contract between `parse_config` and `run`: a config that parsing
+accepts is never refused as a config error once its run directory exists.
+
+The property is drawn over every key `scripts/config_keys.py` lists for the
+six scenarios, on small grids and short runs.
+"""
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qcollapse import scenarios
+from qcollapse.cli import CONFIG_ERRORS
+from qcollapse.propagate import POTENTIAL_FIELDS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+
+from config_keys import accepted_keys  # noqa: E402
+
+# A strategy for each accepted key but `scenario` and `potential.kind`,
+# which pick the scenario and the section's constructor.  The ranges keep
+# the grids small and the runs short (a chain takes at most 400 steps), and
+# reach past every parse-time bound: sigma below 4 dx, a momentum past the
+# Nyquist headroom, packets off the grid, a dt too long for a trap.
+VALUES = {
+    "grid.x_min": st.floats(-60.0, -5.0),
+    "grid.x_max": st.floats(5.0, 150.0),
+    "grid.n_points": st.sampled_from([256, 512, 1024, 128]),
+    "physics.hbar": st.floats(0.5, 2.0),
+    "physics.mass": st.floats(0.5, 2.0),
+    "packet.sigma": st.floats(0.1, 3.0),
+    "packet.center": st.none() | st.floats(-20.0, 30.0),
+    "packet.momentum": st.floats(-12.0, 12.0),
+    "packet.separation": st.none() | st.floats(1.0, 30.0),
+    "coefficients": st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4),
+    "seed": st.integers(0, 1000),
+    "n_samples": st.integers(1, 300),
+    "evolution.dt": st.floats(0.05, 0.5),
+    "evolution.n_steps": st.integers(0, 300),
+    "evolution.record_every": st.integers(1, 60),
+    "coupling.shift_velocity": st.floats(0.2, 3.0),
+    "coupling.tau": st.floats(0.5, 12.0),
+    "gate.eta": st.floats(1.5, 30.0),
+    "gate.k": st.floats(0.5, 3.0),
+    "gate.mass_threshold": st.floats(0.6, 0.999),
+    "potential.omega": st.floats(0.05, 10.0),
+    "potential.center": st.floats(-20.0, 40.0),
+    "potential.barrier_height": st.floats(0.1, 3.0),
+    "potential.well_separation": st.floats(1.0, 20.0),
+}
+# Inputs a scenario requires where it reads them, so always drawn.
+REQUIRED = ("coefficients", "seed")
+
+
+def keys_by_scenario():
+    keys = {}
+    for line in accepted_keys(scenarios):
+        name, key = line.split(": ")
+        keys.setdefault(name, []).append(key)
+    return keys
+
+
+KEYS = keys_by_scenario()
+
+
+@st.composite
+def configs(draw):
+    """A config document: a scenario and, each with even odds unless
+    required, a drawn value for each key it accepts; a potential, if set,
+    of a drawn kind with only that kind's keys.  Coefficients are
+    normalized, as parsing requires."""
+    name = draw(st.sampled_from(scenarios.SCENARIOS))
+    doc, fields = {"scenario": name}, ()
+    if "potential.kind" in KEYS[name] and draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(POTENTIAL_FIELDS)))
+        doc["potential"], fields = {"kind": kind}, POTENTIAL_FIELDS[kind]
+    for key in KEYS[name]:
+        section, _, field = key.rpartition(".")
+        if (key in ("scenario", "potential.kind")
+                or section == "potential" and field not in fields
+                or key not in REQUIRED and draw(st.booleans())):
+            continue
+        value = draw(VALUES[key])
+        if key == "coefficients":
+            norm = sum(c * c for c in value) ** 0.5
+            value = [c / norm for c in value]
+        if section:
+            doc.setdefault(section, {})[field] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+def test_the_strategy_draws_every_accepted_key():
+    drawn = set(VALUES) | {"scenario", "potential.kind"}
+    assert {key for keys in KEYS.values() for key in keys} == drawn
+
+
+@settings(deadline=None, max_examples=150)
+@given(doc=configs())
+@example(doc={"scenario": "harmonic_coherent", "packet": {"center": 15.0},
+              "grid": {"x_min": -20.0, "x_max": 40.0, "n_points": 1024},
+              "evolution": {"dt": 0.01, "n_steps": 600, "record_every": 50}})
+@example(doc={"scenario": "measurement_run", "seed": 1,
+              "coefficients": [0.6, 0.8], "packet": {"sigma": 0.3},
+              "grid": {"x_min": -40.0, "x_max": 120.0, "n_points": 256}})
+@example(doc={"scenario": "free_spread", "packet": {"momentum": 20.0},
+              "evolution": {"n_steps": 10}})
+@example(doc={"scenario": "collapse_sample", "seed": 1,
+              "coefficients": [0.6, 0.8], "packet": {"center": 500.0}})
+def test_a_config_parsing_accepts_is_not_refused_by_its_run(doc):
+    """Every config `parse_config` accepts runs without a ParseError or a
+    ValidationError, GridTooCoarse included: those exit 2, and after a run
+    directory exists they would leave one for a config error.  The pinned
+    examples are a packet that fits the grid at its start and end but
+    turns off it, a sigma below 4 dx, a momentum past the headroom and a
+    packet far off the grid; parsing refuses each.
+
+    Other run-time refusals still happen to accepted configs, so the
+    stronger property, that a config inside the closed-form forecast's
+    scope runs with no refusal at all, is not asserted yet:
+    - ApparatusNotReady: the apparatus gate's ratio fails below about 9
+      sigma from the origin, and judging it at parsing adds traced
+      `packet_summary` calls to the chain;
+    - BoundaryClipping from momentum aliasing in harmonic_coherent, which
+      waits for a spectral guard during evolution: on [-40, 40] with 512
+      points, sigma 2, center 20.4 and dt 0.01 for T = 3, |<p>| reaches
+      about 20.4 against a headroom of 5.0.
+    """
+    try:
+        cfg = scenarios.parse_config(json.dumps(doc))
+    except CONFIG_ERRORS:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = scenarios.run(cfg, tmp)
+    assert not (manifest.error_type
+                and issubclass(manifest.error_type, CONFIG_ERRORS)), (
+        manifest.error)

@@ -481,13 +481,15 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text", [
         FAST_CHAIN.replace("TAU", "30"),
+        FAST_CHAIN.replace("TAU", "30").replace("dt: 0.05", "dt: 0.2"),
         FAST_CHAIN.replace("TAU", "2") + FREE_POTENTIAL,
         FAST_CHAIN.replace("TAU", "20") + FREE_POTENTIAL],
-        ids=["trap_tau30", "free_tau2", "free_tau20"])
+        ids=["trap_tau30", "trap_dt", "free_tau2", "free_tau20"])
     def test_a_packet_too_narrow_for_the_grid_is_refused(self, text):
         """sigma = 0.3 < 4 dx = 0.625 is refused before any other bound,
         under the trap and under a free potential alike, whether or not its
-        spread width (33.3 at tau = 20) would overrun the grid."""
+        spread width (33.3 at tau = 20) would overrun the grid, and before
+        the dt bound of the omega = 5.56 trap that sigma sets (0.113)."""
         with pytest.raises(ValidationError, match=(
                 r"^packet sigma=0\.3 is below 4\*dx=0\.625; the grid cannot "
                 r"resolve the packet$")):
@@ -1322,23 +1324,31 @@ class TestCli:
          f"evolution: {{dt: {math.pi / 200!r}, n_steps: 100}}\n"
          "potential: {kind: harmonic, omega: 1.0, center: 30.0}\n",
          "packets overrun the grid: branch 0 ends at x=30 with width 1.42857: "
-         "boundary mass 1.43e-05 exceeds 1e-08")],
+         "boundary mass 1.43e-05 exceeds 1e-08"),
+        ("scenario: harmonic_coherent\npacket: {center: 15.0}\n"
+         "grid: {x_min: -20.0, x_max: 40.0, n_points: 1024}\n"
+         "evolution: {dt: 0.01, n_steps: 600, record_every: 50}\n",
+         "packets overrun the grid: branch 0 turns at x=-15 with width 1: "
+         "boundary mass 0.0206 exceeds 1e-08")],
         ids=["double_well", "harmonic_dt", "chain_dt", "momentum",
              "chain_start_off_grid", "chain_too_short", "free_spread_at_T",
-             "harmonic_coherent_at_T"])
+             "harmonic_coherent_at_T", "harmonic_coherent_turn"])
     def test_an_input_the_run_would_refuse_exits_2_before_the_run(
             self, tmp_path, capsys, text, reason):
         """The potential the scenario steps under and the packet's momentum
         against the Nyquist headroom pi / (4 dx) (10.05 on the default grid)
         are judged at parsing, and so is what `forecast` says the run would
-        meet. Each of those four cases ran into a run-time guard: the
+        meet. Each of those five cases ran into a run-time guard: the
         chain's start packet at 20 = x_max under a trap the forecast does
         not judge (BoundaryClipping, exit 1); the chain whose branches end
         2 apart (validate_apparatus, exit 2 after its run directory
         existed); the free packet spread to width 10.05 at t = 20
         (BoundaryClipping at step 57, exit 1); the sigma = 0.35 packet that
         swings to the trap center 30 at t = pi / 2 and breathes to width
-        1 / 0.7 there (BoundaryClipping at step 96, exit 1)."""
+        1 / 0.7 there (BoundaryClipping at step 96, exit 1); the packet at
+        15 that fits the grid [-20, 40] at its start and at its end
+        15 cos 6, but turns at -15 on the way (BoundaryClipping at step
+        253, exit 1)."""
         rc = main(["simulate", self._write(tmp_path, text),
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
