@@ -314,17 +314,25 @@ def forecast(cfg: ScenarioConfig,
             math.hypot(p.sigma * math.cos(wt), rate * math.sin(wt) / v.omega))
 
 
-def _refuse_off_grid(cfg: ScenarioConfig, what: str, centers,
-                     sigma: float) -> None:
-    """ValidationError naming the first (n, x) of `centers` where a Gaussian
-    of width sigma and the packet's momentum does not fit the grid;
-    `what`.format(n) leads it.  make_gaussian's GridTooCoarse passes as is."""
-    for n, x in centers:
+def _packets(cfg: ScenarioConfig, branches=range(1), t: float = 0.0,
+             when: str = "sits") -> List[WaveFunction]:
+    """The Gaussians of the config's momentum where `forecast` places
+    `branches` at time t, at least 4 dx wide after t = 0 (a narrower one
+    fits where that one does).  One off the grid is a ValidationError naming
+    its branch, `when`, x and width; GridTooCoarse passes as is."""
+    x, gap, s = forecast(cfg, t)
+    s = max(s, cfg.grid.min_sigma) if t else s
+    what = "coupling overruns" if cfg.coupling and t else "packets overrun"
+    packets = []
+    for n in branches:
         try:
-            make_gaussian(cfg.grid, x, sigma, cfg.packet.momentum, cfg.physics)
+            packets.append(make_gaussian(cfg.grid, x + n * gap, s,
+                                         cfg.packet.momentum, cfg.physics))
         except BoundaryClipping as exc:
-            raise ValidationError(f"{what.format(n)} x={x:g} with width "
-                                  f"{sigma:g}: {exc}") from exc
+            raise ValidationError(f"{what} the grid: branch {n} {when} at "
+                                  f"x={x + n * gap:g} with width {s:g}: "
+                                  f"{exc}") from exc
+    return packets
 
 
 def _chain_potential(cfg: ScenarioConfig) -> Potential:
@@ -354,12 +362,10 @@ def _refuse_forecast(cfg: ScenarioConfig) -> None:
     packet the grid cannot resolve or hold, a dt `evolve` refuses, a chain
     below `validate_apparatus`; where it reaches T, branches (|phi^|^2 of
     width sigma) overlapping beyond what `measure` or `decompose` allows, or
-    packet 0 or d - 1 off the grid unwrapped at T or at a turn before T."""
+    packet 0 or d - 1 off the grid at a turn, T or a quarter turn."""
     p, ev, chain = cfg.packet, cfg.evolution, cfg.coupling
     d = len(cfg.coefficients or [p])  # else one packet
-    x, gap, s = forecast(cfg)
-    _refuse_off_grid(cfg, "packets overrun the grid: branch {} sits at",
-                     ((n, x + n * gap) for n in range(d if gap else 1)), s)
+    _packets(cfg, range(1 if chain else d))  # a chain's branches start as one
     v = _potential(cfg)
     if ev is not None:
         ev.validate_against(v)
@@ -369,20 +375,17 @@ def _refuse_forecast(cfg: ScenarioConfig) -> None:
     if (end := forecast(cfg, t)) is None:
         return  # left to the run-time guards
     gap = end[1]
-    why, what = (("coupling can never collapse", "coupling overruns") if chain
-                 else ("packets cannot be decomposed", "packets overrun"))
+    why = ("coupling can never collapse" if chain
+           else "packets cannot be decomposed")
     limit, overlap = overlap_limit(d), math.exp(-(gap / p.sigma)**2 / 8)
     if d > 1 and cfg.scenario != "cat_gate" and overlap > limit:
         raise ValidationError(f"{why}: branches {gap:g} apart overlap by "
                               f"{overlap:.3g} (limit {limit:.3g})")
-    # A center is extreme at t = 0, T or a turn; 4 dx fits where less does.
+    # A center is extreme at a turn or T, a trapped width at a quarter turn.
     turn = math.pi / v.omega if v.kind == "harmonic" and not chain else math.inf
-    for when, at in (("turns", turn), ("ends", t)):
+    for when, at in (("turns", turn), ("ends", t), ("breathes", turn / 2)):
         if 0 < at <= t:
-            x, gap, s = forecast(cfg, at)
-            _refuse_off_grid(cfg, f"{what} the grid: branch {{}} {when} at",
-                             ((n, x + n * gap) for n in sorted({0, d - 1})),
-                             max(s, cfg.grid.min_sigma))
+            _packets(cfg, sorted({0, d - 1}), at, when)
 
 
 def load_config(path, seed: Optional[int] = None) -> ScenarioConfig:
@@ -437,14 +440,6 @@ def _diagnostics_csv(manifest: RunManifest):
 def _config_hash(cfg: ScenarioConfig) -> str:
     blob = json.dumps(cfg.echo, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:8]
-
-
-def _packets(cfg: ScenarioConfig, count: int = 1) -> List[WaveFunction]:
-    """The first `count` Gaussians of the config's momentum where `forecast`
-    places them at t = 0."""
-    x, gap, sigma = forecast(cfg)
-    return [make_gaussian(cfg.grid, x + n * gap, sigma, cfg.packet.momentum,
-                          cfg.physics) for n in range(count)]
 
 
 def run(cfg: ScenarioConfig, out_override: Optional[str] = None) -> RunManifest:
@@ -520,7 +515,7 @@ def _run_harmonic_coherent(cfg, manifest):
 
 
 def _run_cat_gate(cfg, manifest):
-    packets = _packets(cfg, len(cfg.coefficients))
+    packets = _packets(cfg, range(len(cfg.coefficients)))
     cat = superpose(zip(cfg.coefficients, packets))
     verdicts = {}
     for i, p in enumerate(packets):
@@ -575,7 +570,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
 
 
 def _run_collapse_sample(cfg, manifest):
-    packets = _packets(cfg, len(cfg.coefficients))
+    packets = _packets(cfg, range(len(cfg.coefficients)))
     decomp = apparatus_decomposition(
         CompositeState(cfg.coefficients, packets), cfg.physics)
     p = decomp.probabilities
@@ -605,9 +600,8 @@ def _run_measurement_core(cfg, manifest):
             if next(ticks) % cfg.evolution.record_every == 0:
                 norm = math.sqrt(sum(w * s.norm**2
                                      for w, s in zip(weights, summaries)))
-                row(t, norm, summaries[0], *(() if ops is None else (
-                    ops.min_pairwise_separation, ops.critical_value,
-                    ops.transition)))
+                row(t, norm, summaries[0], ops.min_pairwise_separation,
+                    ops.critical_value, ops.transition)
 
         evolved, report = von_neumann_evolve(composite, cfg.coupling, v,
                                              cfg.physics, cfg.evolution.dt,

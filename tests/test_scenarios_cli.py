@@ -1329,16 +1329,22 @@ class TestCli:
          "grid: {x_min: -20.0, x_max: 40.0, n_points: 1024}\n"
          "evolution: {dt: 0.01, n_steps: 600, record_every: 50}\n",
          "packets overrun the grid: branch 0 turns at x=-15 with width 1: "
-         "boundary mass 0.0206 exceeds 1e-08")],
+         "boundary mass 0.0206 exceeds 1e-08"),
+        ("scenario: harmonic_coherent\npacket: {sigma: 0.35, center: 27.0}\n"
+         f"evolution: {{dt: {math.pi / 200!r}, n_steps: 400}}\n"
+         "potential: {kind: harmonic, omega: 1.0, center: 30.0}\n",
+         "packets overrun the grid: branch 0 breathes at x=30 with width "
+         "1.42857: boundary mass 1.43e-05 exceeds 1e-08")],
         ids=["double_well", "harmonic_dt", "chain_dt", "momentum",
              "chain_start_off_grid", "chain_too_short", "free_spread_at_T",
-             "harmonic_coherent_at_T", "harmonic_coherent_turn"])
+             "harmonic_coherent_at_T", "harmonic_coherent_turn",
+             "harmonic_coherent_breathes"])
     def test_an_input_the_run_would_refuse_exits_2_before_the_run(
             self, tmp_path, capsys, text, reason):
         """The potential the scenario steps under and the packet's momentum
         against the Nyquist headroom pi / (4 dx) (10.05 on the default grid)
         are judged at parsing, and so is what `forecast` says the run would
-        meet. Each of those five cases ran into a run-time guard: the
+        meet. Each of those six cases ran into a run-time guard: the
         chain's start packet at 20 = x_max under a trap the forecast does
         not judge (BoundaryClipping, exit 1); the chain whose branches end
         2 apart (validate_apparatus, exit 2 after its run directory
@@ -1348,7 +1354,10 @@ class TestCli:
         1 / 0.7 there (BoundaryClipping at step 96, exit 1); the packet at
         15 that fits the grid [-20, 40] at its start and at its end
         15 cos 6, but turns at -15 on the way (BoundaryClipping at step
-        253, exit 1)."""
+        253, exit 1); the sigma = 0.35 packet at 27 that fits at its start,
+        its turn at 33 and its end, but breathes to width 1 / 0.7 as it
+        passes the trap center 30 at t = pi / 2 (BoundaryClipping at step
+        72, exit 1)."""
         rc = main(["simulate", self._write(tmp_path, text),
                    "--out", str(tmp_path / "runs")])
         assert rc == 2
