@@ -15,18 +15,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import (
-    PacketSummary,
-    packet_summary,
-    weak_interference,
-)
+from .diagnostics import packet_summary, weak_interference
 from .errors import (
     IndexOutOfRange,
     NotWeaklyInterfering,
     ValidationError,
 )
-from .grid import (PhysicalParams, WaveFunction, _frozen, check_unit_weights,
-                   inner_product, overlap_matrix)
+from .grid import (WaveFunction, _frozen, check_unit_weights, inner_product,
+                   overlap_matrix)
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -36,30 +32,28 @@ COEFF_EXTRACTION_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class SuperpositionDecomposition:
-    """Weakly interfering packets: coefficient c_n, packet and summary of
-    each branch n, the coefficients as a read-only complex128 array.
+    """Weakly interfering packets: coefficient c_n and packet of each
+    branch n, the coefficients as a read-only complex128 array.
 
-    Construction raises ValidationError unless there is one packet and one
-    summary per coefficient, then NotWeaklyInterfering for the first pair
-    overlapping above `overlap_limit(d)`, then for a pair that is not
-    support-separated (`weak_interference`), before it checks that
-    sum |c_n|^2 = 1."""
+    Construction raises ValidationError unless there is one packet per
+    coefficient, then NotWeaklyInterfering for the first pair overlapping
+    above `overlap_limit(d)`, then for a pair whose summaries (<x> and
+    std x) are not support-separated (`weak_interference`), before it
+    checks that sum |c_n|^2 = 1."""
 
     coefficients: np.ndarray
     states: Tuple[WaveFunction, ...]
-    summaries: Tuple[PacketSummary, ...]
 
     def __post_init__(self):
         coeffs = _frozen(np.array(self.coefficients, dtype=np.complex128))
-        states, summaries = tuple(self.states), tuple(self.summaries)
-        if not coeffs.shape == (len(states),) == (len(summaries),):
+        states = tuple(self.states)
+        if coeffs.shape != (len(states),):
             raise ValidationError(
-                f"{coeffs.size} coefficients for {len(states)} packets and "
-                f"{len(summaries)} summaries")
+                f"{coeffs.size} coefficients for {len(states)} packets")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "summaries", summaries)
         _check_overlaps(states)
+        summaries = [packet_summary(s) for s in states]
         if not np.all(weak_interference(summaries)[
                 np.triu_indices(len(self), k=1)]):
             raise NotWeaklyInterfering(
@@ -82,12 +76,10 @@ class SuperpositionDecomposition:
 
 
 def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
-              params: PhysicalParams = PhysicalParams(),
               expected_coefficients: Optional[Sequence[complex]] = None
               ) -> SuperpositionDecomposition:
     """Extract coefficients c_n = (psi_n, psi) by grid inner products.
 
-    The branch summaries take no gate config: only <x> and std x are read.
     Constructing the decomposition raises NotWeaklyInterfering first.
     Coefficients are re-extracted rather than trusted, so supplied ones that
     psi does not carry, or one per packet fewer or more, raise a
@@ -95,8 +87,7 @@ def decompose(psi: WaveFunction, basis: Sequence[WaveFunction],
     """
     basis = list(basis)
     coeffs = np.array([inner_product(b, psi) for b in basis])
-    summaries = [packet_summary(b, params=params) for b in basis]
-    decomp = SuperpositionDecomposition(coeffs, basis, summaries)
+    decomp = SuperpositionDecomposition(coeffs, basis)
     if expected_coefficients is not None:
         expected = np.asarray(expected_coefficients, dtype=complex).ravel()
         if expected.size != len(basis):

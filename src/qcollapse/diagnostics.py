@@ -87,11 +87,13 @@ def _support_slice(x: np.ndarray, lo: float, hi: float) -> slice:
                  int(x.searchsorted(hi, side="right")))
 
 
-def _hermitian_real(val: complex) -> float:
-    """Real part of an expectation value, its imaginary residue checked."""
-    if not abs(val.imag) <= HERMITICITY_TOL:  # also rejects nan
+def _hermitian_real(val: complex, scale: float = 1.0) -> float:
+    """Real part of an expectation value, its imaginary residue checked
+    against HERMITICITY_TOL * scale (hbar for <p>, so <k> is judged)."""
+    tol = HERMITICITY_TOL * scale
+    if not abs(val.imag) <= tol:  # also rejects nan
         raise NonHermitianResidue(
-            f"imaginary residue {val.imag:.3g} exceeds {HERMITICITY_TOL}")
+            f"imaginary residue {val.imag:.3g} exceeds {tol:.3g}")
     if not math.isfinite(val.real):
         raise ValidationError(f"expectation value {val.real} is not finite")
     return val.real
@@ -119,8 +121,8 @@ def packet_summary(psi: WaveFunction, k: float = 1.0,
     computed once per state, or handed on by `translate`) with the Parseval
     weight dx/N (sum |phi|^2 dx/N = sum |a|^2 dx): <p> = Re vdot(phi, k phi)
     hbar dx/N and <p^2> = |k phi|^2 hbar^2 dx/N.  Each mean has its
-    imaginary residue checked.  The support mass is |a|^2 dx summed over
-    the grid points inside the closed support interval.
+    imaginary residue checked, <p>'s in units of hbar.  The support mass is
+    |a|^2 dx summed over the grid points inside the closed support interval.
     """
     a, grid = psi.amplitudes, psi.grid
     dx, xa = grid.dx, grid.x * a
@@ -128,7 +130,7 @@ def packet_summary(psi: WaveFunction, k: float = 1.0,
     sx = _clamped_std(float(np.vdot(xa, xa).real) * dx, exp_x)
     phi, hbar, weight = psi.spectrum, params.hbar, dx / grid.n_points
     kphi = grid.k * phi
-    exp_p = _hermitian_real(complex(np.vdot(phi, kphi)) * hbar * weight)
+    exp_p = _hermitian_real(complex(np.vdot(phi, kphi)) * hbar * weight, hbar)
     sp = _clamped_std(float(np.vdot(kphi, kphi).real) * hbar**2 * weight,
                       exp_p)
 
@@ -155,8 +157,8 @@ def positive_position(summary: PacketSummary) -> float:
     return max(0.0, 0.1 * sx - lo) + sx
 
 
-def position_gate(psi: WaveFunction, cfg: GateConfig = GateConfig(),
-                  params: PhysicalParams = PhysicalParams()) -> GateVerdict:
+def position_gate(psi: WaveFunction,
+                  cfg: GateConfig = GateConfig()) -> GateVerdict:
     """The wave-packet gate on A(x) = x + positive_position(summary) of
     psi's own summary: the readiness test of the apparatus packet and of
     each `cat_gate` state.
@@ -171,13 +173,12 @@ def position_gate(psi: WaveFunction, cfg: GateConfig = GateConfig(),
     k = 18 passes at 10.1.  At center 9 the ratio is eta in exact
     arithmetic, so rounding decides that verdict.
     """
-    summary = packet_summary(psi, cfg.k, params)
-    return wave_packet_gate(psi, positive_position(summary), cfg, params)
+    summary = packet_summary(psi, cfg.k)
+    return wave_packet_gate(psi, positive_position(summary), cfg)
 
 
 def wave_packet_gate(psi: WaveFunction, shift: float,
-                     cfg: GateConfig = GateConfig(),
-                     params: PhysicalParams = PhysicalParams()) -> GateVerdict:
+                     cfg: GateConfig = GateConfig()) -> GateVerdict:
     """Classicality gate on A(x) = x + shift: the dominance ratio
     <A> / std A = (<x> + shift) / std x against cfg.eta, and containment.
 
@@ -185,11 +186,10 @@ def wave_packet_gate(psi: WaveFunction, shift: float,
     choosability condition that makes a failed ratio test meaningful; A is
     increasing, so that is A(lo) > 0 at its lower end lo.
     """
-    summary = packet_summary(psi, cfg.k, params)
+    summary = packet_summary(psi, cfg.k)
     # Containment is judged on a wide interval regardless of cfg.k; see
     # GATE_CONTAINMENT_K.
-    mass = packet_summary(psi, max(cfg.k, GATE_CONTAINMENT_K),
-                          params).mass_in_support
+    mass = packet_summary(psi, max(cfg.k, GATE_CONTAINMENT_K)).mass_in_support
     lo, hi = summary.support
     if not lo + shift > 0.0:
         raise ObservableNotPositiveOnSupport(

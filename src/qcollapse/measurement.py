@@ -110,13 +110,12 @@ class MeasurementOutcome:
 
 
 def premeasurement(amplitudes, apparatus_ready: WaveFunction,
-                   gate_cfg: GateConfig = GateConfig(),
-                   params: PhysicalParams = PhysicalParams()) -> CompositeState:
+                   gate_cfg: GateConfig = GateConfig()) -> CompositeState:
     """Product state: every object branch of `amplitudes` shares the ready
     apparatus packet, which must pass `position_gate`."""
     composite = CompositeState(
         amplitudes, (apparatus_ready,) * np.size(amplitudes))
-    if not position_gate(apparatus_ready, gate_cfg, params).is_wave_packet:
+    if not position_gate(apparatus_ready, gate_cfg).is_wave_packet:
         raise ApparatusNotReady("apparatus state fails the wave-packet gate")
     return composite
 
@@ -137,12 +136,11 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     branch) at every step, and the returned TransitionReport is `after`
     folded over the same steps.  As in `evolve`, dt must be positive and
     resolve a harmonic period, and `check_edge_mass` guards every lab-frame
-    branch at every step.  The summaries and the apparatus width check take
-    `params`, so momentum moments follow physics.hbar.
+    branch at every step.  The observer's summaries take `params`, so
+    their momentum moments follow physics.hbar.
     """
     EvolutionConfig(dt=dt, n_steps=0).validate_against(v)
-    cfg.validate_apparatus(
-        packet_summary(state.apparatus_states[0], params=params).std_x, dt)
+    cfg.validate_apparatus(packet_summary(state.apparatus_states[0]).std_x, dt)
     frames = state.apparatus_states  # branch n in its co-moving frame
     report = TransitionReport()
     for i in range(cfg.n_steps(dt) + 1):
@@ -164,21 +162,20 @@ def von_neumann_evolve(state: CompositeState, cfg: CouplingConfig,
     return CompositeState(state.coefficients, lab), report
 
 
-def apparatus_decomposition(state: CompositeState,
-                            params: PhysicalParams = PhysicalParams()
+def apparatus_decomposition(state: CompositeState
                             ) -> SuperpositionDecomposition:
     """`decompose` of the apparatus superposition over its branch packets."""
     coeffs, basis = state.coefficients, state.apparatus_states
     psi2 = superpose(zip(coeffs, basis))
-    return decompose(psi2, basis, params, expected_coefficients=coeffs)
+    return decompose(psi2, basis, expected_coefficients=coeffs)
 
 
-def measure(state: CompositeState, report: TransitionReport, seed: int,
-            params: PhysicalParams = PhysicalParams()) -> MeasurementOutcome:
+def measure(state: CompositeState, report: TransitionReport,
+            seed: int) -> MeasurementOutcome:
     """Self-collapse on the apparatus, relative collapse on the object.
 
     The realized branch is the sample_collapse pick of the first double of
-    np.random.default_rng(seed) on `apparatus_decomposition(state, params)`.
+    np.random.default_rng(seed) on `apparatus_decomposition(state)`.
     Requires a detected transition; before that the pointer packets are not
     weakly interfering and collapse semantics do not apply.  The composite
     state is read, never modified.
@@ -186,7 +183,7 @@ def measure(state: CompositeState, report: TransitionReport, seed: int,
     if report.t_star is None:
         raise TransitionNotReached(
             "order parameter never crossed its critical value")
-    decomp = apparatus_decomposition(state, params)
+    decomp = apparatus_decomposition(state)
     branch = sample_collapse(decomp, np.random.default_rng(seed).random())
     mixture = tuple(float(abs(c) ** 2) for c in state.coefficients)
     return MeasurementOutcome(branch, apply_self_collapse(decomp, branch),

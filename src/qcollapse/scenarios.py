@@ -81,7 +81,7 @@ class PacketSpec:
 class ScenarioConfig:
     scenario: str
     grid: Grid1D
-    physics: PhysicalParams
+    physics: Optional[PhysicalParams]
     gate: Optional[GateConfig]
     packet: PacketSpec
     evolution: Optional[EvolutionConfig]
@@ -156,8 +156,7 @@ class Scenario(NamedTuple):
 # Config parsing
 
 # Inputs every scenario accepts.
-ACCEPTED = ("scenario", "grid", "physics.hbar", "packet.sigma",
-            "packet.center")
+ACCEPTED = ("scenario", "grid", "packet.sigma", "packet.center")
 # Config section -> its constructor, whose keyword defaults are the section's
 # keys and defaults: an int default makes an integer key, any other a float
 # key, only a key whose default is None may be null, and a section is None
@@ -173,13 +172,19 @@ _SECTIONS = {"grid": Grid1D, "physics": PhysicalParams, "gate": GateConfig,
 def _coerce(name: str, value: Any, kind: type) -> Any:
     """`value` as `kind` (int or float), or a ParseError naming `name`.
 
-    Numeric strings count (PyYAML reads `1e-3` as a string).  Booleans,
+    Numeric strings count (PyYAML reads `1e-3` as a string), an int's
+    exactly when int() reads it, else through float ("1e3").  Booleans,
     non-finite numbers and, for an int, a fractional part do not: they are
     rejected rather than truncated.
     """
     what = "an integer" if kind is int else "a finite number"
     try:
-        number = kind(value) if isinstance(value, str) else value
+        number = value
+        if isinstance(value, str):
+            try:
+                number = kind(value)
+            except ValueError:
+                number = float(value)
         if (isinstance(number, int) and not isinstance(number, bool)
                 or isinstance(number, float) and math.isfinite(number)
                 and (kind is float or number.is_integer())):
@@ -318,8 +323,9 @@ def _packets(cfg: ScenarioConfig, branches=range(1), t: float = 0.0,
              when: str = "sits") -> List[WaveFunction]:
     """The Gaussians of the config's momentum where `forecast` places
     `branches` at time t, at least 4 dx wide after t = 0 (a narrower one
-    fits where that one does).  One off the grid is a ValidationError naming
-    its branch, `when`, x and width; GridTooCoarse passes as is."""
+    fits where that one does), in natural units where physics is not read.
+    One off the grid is a ValidationError naming its branch, `when`, x and
+    width; GridTooCoarse passes as is."""
     x, gap, s = forecast(cfg, t)
     s = max(s, cfg.grid.min_sigma) if t else s
     what = "coupling overruns" if cfg.coupling and t else "packets overrun"
@@ -327,7 +333,8 @@ def _packets(cfg: ScenarioConfig, branches=range(1), t: float = 0.0,
     for n in branches:
         try:
             packets.append(make_gaussian(cfg.grid, x + n * gap, s,
-                                         cfg.packet.momentum, cfg.physics))
+                                         cfg.packet.momentum,
+                                         cfg.physics or PhysicalParams()))
         except BoundaryClipping as exc:
             raise ValidationError(f"{what} the grid: branch {n} {when} at "
                                   f"x={x + n * gap:g} with width {s:g}: "
@@ -511,7 +518,7 @@ def _run_harmonic_coherent(cfg, manifest):
     _, records = _evolve_and_record(cfg, manifest, psi, _potential(cfg))
     worst = max(abs(s.exp_x - forecast(cfg, t)[0]) for t, s in records)
     _check(manifest, "classical_trajectory", worst <= 1e-5,
-           f"max |<x>(t) - x0 cos(w t)| = {worst:.3g}")
+           f"max |<x>(t) - c - (x0 - c) cos(w t)| = {worst:.3g}")
 
 
 def _run_cat_gate(cfg, manifest):
@@ -519,11 +526,11 @@ def _run_cat_gate(cfg, manifest):
     cat = superpose(zip(cfg.coefficients, packets))
     verdicts = {}
     for i, p in enumerate(packets):
-        verdict = position_gate(p, cfg.gate, cfg.physics)
+        verdict = position_gate(p, cfg.gate)
         verdicts[f"branch_{i}"] = verdict.is_wave_packet
         _check(manifest, f"branch_{i}_is_packet", verdict.is_wave_packet,
                f"ratio {verdict.ratio:.6g}")
-    cat_verdict = position_gate(cat, cfg.gate, cfg.physics)
+    cat_verdict = position_gate(cat, cfg.gate)
     verdicts["superposition"] = cat_verdict.is_wave_packet
     _check(manifest, "superposition_not_packet", not cat_verdict.is_wave_packet,
            f"cat verdict {cat_verdict.is_wave_packet}")
@@ -572,7 +579,7 @@ def _sample_ensemble(cfg, decomp, manifest, name: str) -> List[float]:
 def _run_collapse_sample(cfg, manifest):
     packets = _packets(cfg, range(len(cfg.coefficients)))
     decomp = apparatus_decomposition(
-        CompositeState(cfg.coefficients, packets), cfg.physics)
+        CompositeState(cfg.coefficients, packets))
     p = decomp.probabilities
     worst = max(abs(pn - abs(c) ** 2) for pn, c in zip(p, cfg.coefficients))
     _check(manifest, "geometric_probabilities", worst <= 1e-8,
@@ -590,8 +597,7 @@ def _run_measurement_core(cfg, manifest):
     moments and the order parameters), and the transition check."""
     (apparatus,) = _packets(cfg)
     v = _potential(cfg)
-    composite = premeasurement(cfg.coefficients, apparatus, cfg.gate,
-                               cfg.physics)
+    composite = premeasurement(cfg.coefficients, apparatus, cfg.gate)
     weights = np.abs(composite.coefficients) ** 2
     ticks = itertools.count()
     with _diagnostics_csv(manifest) as row:
@@ -624,7 +630,7 @@ def _write_chain_summary(cfg, manifest, report, **fields):
 
 def _run_measurement(cfg, manifest):
     evolved, report = _run_measurement_core(cfg, manifest)
-    outcome = measure(evolved, report, cfg.seed, cfg.physics)
+    outcome = measure(evolved, report, cfg.seed)
     _write_chain_summary(cfg, manifest, report,
                          outcome_branch=outcome.branch)
     _emit(manifest, "snapshot_pointer.csv", outcome.apparatus_state)
@@ -632,24 +638,25 @@ def _run_measurement(cfg, manifest):
 
 def _run_born_ensemble(cfg, manifest):
     evolved, report = _run_measurement_core(cfg, manifest)
-    decomp = apparatus_decomposition(evolved, cfg.physics)
+    decomp = apparatus_decomposition(evolved)
     freqs = _sample_ensemble(cfg, decomp, manifest, "outcomes.jsonl")
     _write_chain_summary(cfg, manifest, report,
                          n_samples=cfg.n_samples, frequencies=freqs)
 
 
-_CHAIN = ("seed", "coefficients", "physics.mass", "gate", "evolution.dt",
+_CHAIN = ("seed", "coefficients", "physics", "gate", "evolution.dt",
           "evolution.record_every", "coupling", "potential")
 _CHAIN_CHECK = ("coefficients: [0.6, 0.8]\n"
                 "grid: {x_min: -40.0, x_max: 120.0, n_points: 1024}\n"
                 "evolution: {dt: 0.05, record_every: 10}\n")
-_BRANCHES = ("coefficients", "packet.momentum", "packet.separation")
+_BRANCHES = ("coefficients", "packet.separation")
 REGISTRY: Dict[str, Scenario] = {
     "free_spread": Scenario(
-        _run_free_spread, ("physics.mass", "evolution", "packet.momentum"),
+        _run_free_spread, ("physics", "evolution", "packet.momentum"),
         "evolution: {dt: 0.01, n_steps: 200}\n"),
     "harmonic_coherent": Scenario(
-        _run_harmonic_coherent, ("physics.mass", "evolution", "potential"),
+        _run_harmonic_coherent, ("physics", "evolution", "potential.kind",
+                                 "potential.omega", "potential.center"),
         "evolution: {n_steps: 1000, record_every: 50}\n"),
     "cat_gate": Scenario(_run_cat_gate, _BRANCHES + ("gate",),
                          "coefficients: [0.6, 0.8]\n"

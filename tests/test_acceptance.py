@@ -101,7 +101,7 @@ def test_acceptance_3_wave_packet_gate():
     """Narrow packets pass the gate at ratio 100; split states never do."""
     grid = Grid1D(0.0, 20.0, 2048)
     psi = make_gaussian(grid, 10.0, 0.1, 0.0, PARAMS)
-    verdict = wave_packet_gate(psi, 0.0, params=PARAMS)
+    verdict = wave_packet_gate(psi, 0.0)
     ratio = verdict.ratio
     up = packet_summary(psi, params=PARAMS).uncertainty_product
 
@@ -122,7 +122,7 @@ def test_acceptance_3_wave_packet_gate():
         s = packet_summary(cat, params=PARAMS)
         lo, _ = s.support
         shift = max(0.0, 0.1 * s.std_x - lo) + s.std_x
-        cat_verdict = wave_packet_gate(cat, shift, params=PARAMS)
+        cat_verdict = wave_packet_gate(cat, shift)
         false_negatives += int(cat_verdict.is_wave_packet)
 
     ok = (verdict.is_wave_packet and ratio >= 100.0 - 1e-6
@@ -168,7 +168,7 @@ def test_acceptance_5_born_rule_identity():
         c /= np.linalg.norm(c)
         basis = [make_gaussian(grid, 16.0 * n, 1.0, 0.0, PARAMS)
                  for n in range(d)]
-        decomp = decompose(superpose(zip(c, basis)), basis, params=PARAMS)
+        decomp = decompose(superpose(zip(c, basis)), basis)
         p = np.asarray(decomp.probabilities)
         worst_p = max(worst_p, float(np.max(np.abs(p - np.abs(c) ** 2))))
         worst_sum = max(worst_sum, abs(float(p.sum()) - 1.0))
@@ -185,7 +185,7 @@ def test_acceptance_6_collapse_statistics():
     """
     grid = Grid1D(-40.0, 40.0, 1024)
     basis = [make_gaussian(grid, c, 1.0, 0.0, PARAMS) for c in (-18.0, 18.0)]
-    decomp = decompose(superpose(zip((0.6, 0.8), basis)), basis, params=PARAMS)
+    decomp = decompose(superpose(zip((0.6, 0.8), basis)), basis)
 
     start = time.perf_counter()
     n = 100_000
@@ -201,7 +201,7 @@ def test_acceptance_6_collapse_statistics():
     c4 = np.sqrt(weights)
     basis4 = [make_gaussian(wide, 16.0 * i, 1.0, 0.0, PARAMS)
               for i in range(4)]
-    decomp4 = decompose(superpose(zip(c4, basis4)), basis4, params=PARAMS)
+    decomp4 = decompose(superpose(zip(c4, basis4)), basis4)
     m = 10_000
     counts = np.zeros(4)
     rng = np.random.default_rng(1)
@@ -223,7 +223,7 @@ def _run_measurement_chain(observer=None):
     apparatus = make_gaussian(grid, 20.0, 1.0, 0.0, PARAMS)
     trap = Potential.harmonic(omega=0.5, center=20.0)
     cfg = CouplingConfig(shift_velocity=1.0, tau=15.0)
-    comp = premeasurement([0.6, 0.8], apparatus, params=PARAMS)
+    comp = premeasurement([0.6, 0.8], apparatus)
     final, report = von_neumann_evolve(comp, cfg, trap, PARAMS, 0.01,
                                        observer=observer)
     return final, report
@@ -246,11 +246,11 @@ def test_acceptance_7_measurement_chain():
             early = early.after(t, ops)
     premature = False
     try:
-        measure(final, early, seed=0, params=PARAMS)
+        measure(final, early, seed=0)
     except TransitionNotReached:
         premature = True
 
-    outcome = measure(final, report, seed=42, params=PARAMS)
+    outcome = measure(final, report, seed=42)
     mix_err = max(abs(a - b) for a, b in
                   zip(outcome.object_mixture, (0.36, 0.64)))
 
@@ -267,7 +267,7 @@ def test_acceptance_8_immutability_and_repeatability(tmp_path):
     before = [a.amplitudes.copy() for a in final.apparatus_states]
     coeffs = final.coefficients.copy()
     for seed in range(1000):
-        measure(final, report, seed=seed, params=PARAMS)
+        measure(final, report, seed=seed)
     untouched = all(np.array_equal(old, new.amplitudes)
                     for old, new in zip(before, final.apparatus_states))
     untouched = untouched and np.array_equal(coeffs, final.coefficients)

@@ -16,7 +16,6 @@ from qcollapse import (
     geometric_probabilities,
     inner_product,
     make_gaussian,
-    packet_summary,
     sample_collapse,
     superpose,
 )
@@ -45,10 +44,10 @@ def _reference_branch(decomp, u):
 
 
 @pytest.fixture
-def cat_decomp(gaussian, params):
+def cat_decomp(gaussian):
     basis = [gaussian(center=-18.0), gaussian(center=18.0)]
     cat = superpose(zip((0.6, 0.8), basis))
-    return decompose(cat, basis, params=params,
+    return decompose(cat, basis,
                      expected_coefficients=(0.6, 0.8))
 
 
@@ -56,82 +55,72 @@ class TestDecompose:
     def test_extracts_coefficients(self, cat_decomp):
         assert np.allclose(cat_decomp.coefficients, [0.6, 0.8], atol=1e-8)
 
-    def test_rejects_wrong_expected_coefficients(self, gaussian, params):
+    def test_rejects_wrong_expected_coefficients(self, gaussian):
         basis = [gaussian(center=-18.0), gaussian(center=18.0)]
         cat = superpose(zip((0.6, 0.8), basis))
         with pytest.raises(ValidationError):
-            decompose(cat, basis, params=params,
+            decompose(cat, basis,
                       expected_coefficients=(0.8, 0.6))
 
-    def test_rejects_non_unit_total(self, gaussian, params):
+    def test_rejects_non_unit_total(self, gaussian):
         basis = [gaussian(center=-18.0), gaussian(center=18.0)]
         cat = superpose(zip((0.6, 0.8), basis))
         with pytest.raises(ValidationError):
-            decompose(cat, basis[:1], params=params)
+            decompose(cat, basis[:1])
 
-    def test_rejects_nan_expected_coefficient(self, gaussian, params):
+    def test_rejects_nan_expected_coefficient(self, gaussian):
         basis = [gaussian(center=-18.0), gaussian(center=18.0)]
         cat = superpose(zip((0.6, 0.8), basis))
         with pytest.raises(ValidationError, match="deviate"):
-            decompose(cat, basis, params=params,
+            decompose(cat, basis,
                       expected_coefficients=(np.nan, 0.8))
 
     @pytest.mark.parametrize("expected", [(0.6, 0.8, 0.0), (1.0,)])
     def test_rejects_expected_coefficients_of_another_length(
-            self, gaussian, params, expected):
+            self, gaussian, expected):
         basis = [gaussian(center=-18.0), gaussian(center=18.0)]
         cat = superpose(zip((0.6, 0.8), basis))
         with pytest.raises(ValidationError,
                            match=f"{len(expected)} expected coefficients "
                                  "for 2 basis packets"):
-            decompose(cat, basis, params=params,
+            decompose(cat, basis,
                       expected_coefficients=expected)
 
     def test_decomposition_rejects_nan_coefficient(self, cat_decomp):
         with pytest.raises(ValidationError):
-            SuperpositionDecomposition((np.nan, 1.0), cat_decomp.states,
-                                       cat_decomp.summaries)
+            SuperpositionDecomposition((np.nan, 1.0), cat_decomp.states)
 
-    @pytest.mark.parametrize("n_states, n_summaries", [(1, 2), (2, 1)])
-    def test_decomposition_needs_one_packet_and_summary_per_coefficient(
-            self, cat_decomp, n_states, n_summaries):
+    @pytest.mark.parametrize("n_coefficients, n_states", [(1, 2), (2, 1)])
+    def test_decomposition_needs_one_packet_per_coefficient(
+            self, cat_decomp, n_coefficients, n_states):
         with pytest.raises(ValidationError, match=(
-                f"^2 coefficients for {n_states} packets and {n_summaries} "
-                "summaries$")):
-            SuperpositionDecomposition(cat_decomp.coefficients,
-                                       cat_decomp.states[:n_states],
-                                       cat_decomp.summaries[:n_summaries])
+                f"^{n_coefficients} coefficients for {n_states} packets$")):
+            SuperpositionDecomposition(cat_decomp.coefficients[:n_coefficients],
+                                       cat_decomp.states[:n_states])
 
 
 class TestWeakInterference:
-    @staticmethod
-    def _direct_decomp(coeffs, basis, params):
-        from qcollapse import packet_summary
-        from qcollapse.collapse import SuperpositionDecomposition
-        return SuperpositionDecomposition(
-            coeffs, basis, [packet_summary(b, params=params) for b in basis])
-
-    def test_overlapping_branches_rejected(self, gaussian, params):
+    def test_overlapping_branches_rejected(self, gaussian):
         basis = [gaussian(center=-0.5, sigma=2.0), gaussian(center=0.5, sigma=2.0)]
         with pytest.raises(NotWeaklyInterfering):
-            self._direct_decomp((1 / math.sqrt(2),) * 2, basis, params)
+            SuperpositionDecomposition((1 / math.sqrt(2),) * 2, basis)
 
-    def test_marginal_separation_still_rejected(self, gaussian, params):
+    def test_marginal_separation_still_rejected(self, gaussian):
         # separation 10 sigma passes the interval test but the residual
         # overlap 3.7e-6 still blocks collapse semantics
         basis = [gaussian(center=-5.0), gaussian(center=5.0)]
         with pytest.raises(NotWeaklyInterfering):
-            self._direct_decomp((0.6, 0.8), basis, params)
+            SuperpositionDecomposition((0.6, 0.8), basis)
 
-    def test_co_located_orthogonal_pair_cannot_be_constructed(self, params):
+    def test_co_located_orthogonal_pair_cannot_be_constructed(self):
         # (a1 + a2)/sqrt 2 and (a1 - a2)/sqrt 2 are orthogonal, but share
         # their center: only the support-separation condition refuses them
         _, a1, _, a2 = _separated_packets(4)
         basis = [superpose(((1.0, a1), (s, a2))) for s in (1.0, -1.0)]
         with pytest.raises(NotWeaklyInterfering, match="support-separation"):
-            self._direct_decomp((0.6, 0.8), basis, params)
+            SuperpositionDecomposition((0.6, 0.8), basis)
 
-    def test_overlaps_are_computed_once(self, gaussian, params, monkeypatch):
+    def test_overlaps_are_computed_once(self, gaussian, monkeypatch):
         calls = []
 
         def counted(states):
@@ -141,15 +130,15 @@ class TestWeakInterference:
         monkeypatch.setattr("qcollapse.collapse.overlap_matrix", counted)
         basis = [gaussian(center=-18.0), gaussian(center=18.0)]
         cat = superpose(zip((0.6, 0.8), basis))
-        decomp = decompose(cat, basis, params=params)
+        decomp = decompose(cat, basis)
         assert decomp.probabilities == pytest.approx([0.36, 0.64], abs=1e-8)
         assert calls == [2]
 
-    def test_non_orthogonal_basis_caught_at_decompose(self, gaussian, params):
+    def test_non_orthogonal_basis_caught_at_decompose(self, gaussian):
         basis = [gaussian(center=-0.5, sigma=2.0), gaussian(center=0.5, sigma=2.0)]
         raw = superpose(zip((1 / math.sqrt(2),) * 2, basis))
         with pytest.raises(NotWeaklyInterfering, match="branches 0,1 overlap"):
-            decompose(raw, basis, params=params)
+            decompose(raw, basis)
 
 
 class TestGeometricProbabilities:
@@ -158,27 +147,25 @@ class TestGeometricProbabilities:
         assert p == pytest.approx([0.36, 0.64], abs=1e-8)
         assert float(p.sum()) == pytest.approx(1.0, abs=1e-8)
 
-    def test_matches_inner_product_oracle(self, gaussian, params):
+    def test_matches_inner_product_oracle(self, gaussian):
         c = np.array([0.3 + 0.4j, 0.5, math.sqrt(1 - 0.25 - 0.25)])
         basis = [gaussian(center=x0) for x0 in (-20.0, 0.0, 20.0)]
         cat = superpose(zip(c, basis))
-        decomp = decompose(cat, basis, params=params)
+        decomp = decompose(cat, basis)
         oracle = np.abs([inner_product(b, cat) for b in basis]) ** 2
         assert np.allclose(decomp.probabilities, oracle, atol=1e-6)
 
-    def test_single_branch(self, gaussian, params):
+    def test_single_branch(self, gaussian):
         psi = gaussian()
-        decomp = decompose(psi, [psi], params=params)
+        decomp = decompose(psi, [psi])
         assert decomp.probabilities == pytest.approx([1.0], abs=1e-10)
 
-    def test_cdf_and_event_use_the_same_weight(self, params):
-        """c = 0.6 on a branch of width 1.5: (0.36 * 1.5) / 1.5 rounds to
+    def test_cdf_and_event_use_the_same_weight(self):
+        """c = 0.6: a reduced width (0.36 * 1.5) / 1.5 would round to
         0.36000000000000004, |c|^2 to 0.36; the CDF and the weight of the
         picked branch must both read the one |c_n|^2."""
         basis = _separated_packets(4)[1::2]  # the packets at -16 and +16
-        decomp = SuperpositionDecomposition((0.6, 0.8), basis, [
-            dataclasses.replace(packet_summary(b, params=params), std_x=1.5)
-            for b in basis])
+        decomp = SuperpositionDecomposition((0.6, 0.8), basis)
         assert list(decomp.probabilities) == [
             abs(c) ** 2 for c in decomp.coefficients]
         assert sample_collapse(decomp, 0.0) == 0
@@ -193,7 +180,7 @@ class TestGeometricProbabilities:
              math.sqrt(1.0 - w))
         basis = [make_gaussian(grid, x0, 1.0, 0.0, params)
                  for x0 in (-18.0, 18.0)]
-        decomp = decompose(superpose(zip(c, basis)), basis, params=params)
+        decomp = decompose(superpose(zip(c, basis)), basis)
         assert np.allclose(decomp.probabilities, [w, 1.0 - w], atol=1e-7)
 
 
@@ -215,11 +202,11 @@ class TestSampling:
             expected = 0 if u < 0.36 else 1
             assert sample_collapse(cat_decomp, u) == expected
 
-    def test_certain_branch_always_chosen(self, gaussian, params):
+    def test_certain_branch_always_chosen(self, gaussian):
         """d = 1: the cut table is empty and every u picks branch 0, also
         the lowest and the highest double a draw can give."""
         psi = gaussian()
-        decomp = decompose(psi, [psi], params=params)
+        decomp = decompose(psi, [psi])
         assert decomp.branch_cuts == ()
         draws = np.random.default_rng(0).random(20).tolist()
         for u in draws + [0.0, float(np.nextafter(1.0, 0.0))]:

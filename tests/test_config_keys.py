@@ -30,13 +30,13 @@ def test_sections_expand_to_their_fields():
 def test_every_scenario_lists_the_common_inputs():
     for name in scenarios.SCENARIOS:
         keys = keys_of(name)
-        assert {"scenario", "packet.sigma", "grid.n_points",
-                "physics.hbar"} <= set(keys), name
+        assert {"scenario", "packet.sigma", "grid.n_points"} <= set(keys), name
         assert "output_dir" not in keys, name
-    assert [name for name in scenarios.SCENARIOS
-            if "physics.mass" in keys_of(name)] == [
-        "free_spread", "harmonic_coherent", "measurement_run",
-        "born_ensemble"]
+    for key in ("physics.mass", "physics.hbar"):
+        assert [name for name in scenarios.SCENARIOS
+                if key in keys_of(name)] == [
+            "free_spread", "harmonic_coherent", "measurement_run",
+            "born_ensemble"]
     assert [name for name in scenarios.SCENARIOS if "seed" in keys_of(name)] \
         == ["collapse_sample", "measurement_run", "born_ensemble"]
     assert not [k for k in keys_of("free_spread")

@@ -26,6 +26,7 @@ from qcollapse import (
 )
 from qcollapse import measurement
 from qcollapse.diagnostics import (
+    HERMITICITY_TOL,
     _clamped_std,
     _hermitian_real,
     _support_slice,
@@ -125,6 +126,22 @@ class TestNonFiniteMoments:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="variance"):
                 _clamped_std(second, mean)
+
+
+def test_momentum_residue_is_judged_in_units_of_hbar():
+    """<p> = hbar <k>, so its rounding residue grows with hbar: an exact
+    Gaussian at hbar = 3e12 leaves -1.51e-6 on <p>, 5e-19 on <k>.  The
+    scaled check passes it and <p> keeps its bits; a residue of 2e-6 on a
+    position mean still raises."""
+    grid, big = Grid1D(-40.0, 120.0), PhysicalParams(hbar=3e12)
+    psi = make_gaussian(grid, 20.0, 1.0, 0.0, big)
+    phi = psi.spectrum
+    raw = (complex(np.vdot(phi, grid.k * phi)) * big.hbar
+           * (grid.dx / grid.n_points))
+    assert abs(raw.imag) > HERMITICITY_TOL
+    assert packet_summary(psi, params=big).exp_p == raw.real
+    with pytest.raises(NonHermitianResidue, match="exceeds 1e-06$"):
+        _hermitian_real(complex(0.0, 2e-6))
 
 
 def _close(got, want, tol=1e-12):
@@ -232,7 +249,7 @@ class TestPositivePosition:
         probe = np.append(x[(x >= lo) & (x <= hi)], summary.exp_x)
         assert np.all(probe + positive_position(summary) > 0)
         try:
-            premeasurement([0.6, 0.8], psi, gate, params)
+            premeasurement([0.6, 0.8], psi, gate)
         except ApparatusNotReady:
             pass
 
@@ -245,14 +262,14 @@ class TestWavePacketGate:
     def test_narrow_far_packet_passes(self, params):
         grid = Grid1D(0.0, 20.0, 2048)
         psi = make_gaussian(grid, 10.0, 0.1, 0.0, params)
-        verdict = wave_packet_gate(psi, 0.0, params=params)
+        verdict = wave_packet_gate(psi, 0.0)
         assert verdict.ratio == pytest.approx(100.0, rel=1e-6)
         assert verdict.is_wave_packet
 
-    def test_cat_fails_ratio(self, grid, gaussian, params):
+    def test_cat_fails_ratio(self, grid, gaussian):
         cat = superpose([(1 / math.sqrt(2), gaussian(center=-10.0)),
                          (1 / math.sqrt(2), gaussian(center=10.0))])
-        verdict = wave_packet_gate(cat, 20.0, params=params)
+        verdict = wave_packet_gate(cat, 20.0)
         assert not verdict.is_wave_packet
         # spread ~ 10, mean ~ 20 -> ratio ~ 2, far below eta = 10
         assert verdict.ratio < 3.0
@@ -262,16 +279,15 @@ class TestWavePacketGate:
         lo = packet_summary(psi, params=params).support[0]
         for shift in (-lo, -lo - 5.0):  # A(lo) = 0 and A(lo) < 0
             with pytest.raises(ObservableNotPositiveOnSupport):
-                wave_packet_gate(psi, shift, params=params)
-        assert not wave_packet_gate(psi, 1e-6 - lo,
-                                    params=params).is_wave_packet
+                wave_packet_gate(psi, shift)
+        assert not wave_packet_gate(psi, 1e-6 - lo).is_wave_packet
 
     def test_marginal_ratio_fails(self, params):
         grid = Grid1D(-12.0, 20.0, 1024)
         psi = make_gaussian(grid, 5.0, 1.0, 0.0, params)
         # with a bare A(x) = x probe at center 5, sigma 1 the dominance
         # ratio is 5 < 10
-        verdict = wave_packet_gate(psi, 0.0, params=params)
+        verdict = wave_packet_gate(psi, 0.0)
         assert verdict.ratio == pytest.approx(5.0, rel=1e-6)
         assert not verdict.is_wave_packet
 
@@ -279,7 +295,7 @@ class TestWavePacketGate:
         grid = Grid1D(-40.0, 40.0, 2048)
         for center, sigma, momentum in ((10.0, 0.5, 2.0), (1.0, 2.0, 0.3)):
             psi = make_gaussian(grid, center, sigma, momentum, params)
-            verdict = wave_packet_gate(psi, 3.0, params=params)
+            verdict = wave_packet_gate(psi, 3.0)
             exp_x, std_x = packet_summary_oracle(psi.amplitudes, grid, 1.0,
                                                  params.hbar)[:2]
             assert _close(verdict.ratio, (exp_x + 3.0) / std_x)
@@ -298,8 +314,7 @@ class TestWavePacketGate:
             (c2, make_gaussian(grid, mid + d / 2, sigma, 0.0, params)),
         ])
         summary = packet_summary(cat, params=params)
-        verdict = wave_packet_gate(cat, positive_position(summary),
-                                   params=params)
+        verdict = wave_packet_gate(cat, positive_position(summary))
         assert not verdict.is_wave_packet
 
 
@@ -425,8 +440,7 @@ class TestOrderParameters:
         monkeypatch.setattr(measurement, "order_parameters", calls.append)
         grid = Grid1D(-40.0, 40.0, 512)
         comp = premeasurement(amplitudes,
-                              make_gaussian(grid, 20.0, 1.0, 0.0, params),
-                              params=params)
+                              make_gaussian(grid, 20.0, 1.0, 0.0, params))
         von_neumann_evolve(comp, CouplingConfig(shift_velocity=1.0, tau=3.0),
                            Potential.harmonic(0.5, 20.0), params, 0.1,
                            observer=lambda t, s, ops: seen.append(ops))

@@ -71,7 +71,7 @@ def chain_run():
     params = PhysicalParams()
     apparatus = make_gaussian(APPARATUS_GRID, APPARATUS_CENTER, 1.0, 0.0,
                               params)
-    comp = premeasurement([0.6, 0.8], apparatus, params=params)
+    comp = premeasurement([0.6, 0.8], apparatus)
     trap = Potential.harmonic(omega=0.5, center=APPARATUS_CENTER)
     steps = []
     final, report = von_neumann_evolve(
@@ -126,7 +126,7 @@ class TestCompositeState:
 @pytest.mark.parametrize("excess, object_ok, decomposition_ok", [
     (2e-9, False, True), (1e-8, False, False)])
 def test_each_coefficient_vector_keeps_its_tolerance_and_stem(
-        apparatus, params, excess, object_ok, decomposition_ok):
+        apparatus, excess, object_ok, decomposition_ok):
     """|sum |c|^2 - 1| = 1.6 * excess: the composite state holds it to
     NORM_TOL (1e-10), the decomposition to COEFF_NORM_TOL (1e-8)."""
     coefficients = (0.6, 0.8 + excess)
@@ -135,8 +135,7 @@ def test_each_coefficient_vector_keeps_its_tolerance_and_stem(
         (object_ok, "object norm^2",
          lambda: CompositeState(coefficients, (apparatus,) * 2)),
         (decomposition_ok, "sum |c_n|^2", lambda: SuperpositionDecomposition(
-            coefficients, pointers,
-            [packet_summary(a, params=params) for a in pointers])),
+            coefficients, pointers)),
     ]
     for ok, stem, build in cases:
         if ok:
@@ -148,17 +147,16 @@ def test_each_coefficient_vector_keeps_its_tolerance_and_stem(
 
 
 class TestPremeasurement:
-    def test_product_form(self, obj, apparatus, params):
-        comp = premeasurement(obj, apparatus, params=params)
+    def test_product_form(self, obj, apparatus):
+        comp = premeasurement(obj, apparatus)
         assert all(s is apparatus for s in comp.apparatus_states)
         assert len(comp) == 2
         assert np.allclose(comp.coefficients, [0.6, 0.8])
         assert (np.abs(comp.coefficients) ** 2).sum() == pytest.approx(
             1.0, abs=1e-10)
 
-    def test_certain_object(self, apparatus, params):
-        comp = premeasurement([1.0], apparatus,
-                              params=params)
+    def test_certain_object(self, apparatus):
+        comp = premeasurement([1.0], apparatus)
         assert len(comp) == 1
 
     def test_split_apparatus_not_ready(self, params):
@@ -169,12 +167,12 @@ class TestPremeasurement:
              make_gaussian(APPARATUS_GRID, 26.0, 1.0, 0.0, params)),
         ])
         with pytest.raises(ApparatusNotReady):
-            premeasurement([1.0], double, params=params)
+            premeasurement([1.0], double)
 
     def test_broad_apparatus_not_ready(self, params):
         broad = make_gaussian(APPARATUS_GRID, 3.0, 2.0, 0.0, params)
         with pytest.raises(ApparatusNotReady):
-            premeasurement([1.0], broad, params=params)
+            premeasurement([1.0], broad)
 
 
 class TestCouplingConfig:
@@ -229,14 +227,13 @@ class TestVonNeumannEvolve:
 
     def _coupled(self, obj, apparatus, trap, params, dt, cfg=None,
                  observer=None):
-        comp = premeasurement(obj, apparatus, params=params)
+        comp = premeasurement(obj, apparatus)
         return von_neumann_evolve(comp, cfg or self.CFG, trap, params, dt,
                                   observer=observer)
 
     def test_single_branch_reports_no_transition(self, apparatus, trap,
                                                  params):
-        comp = premeasurement([1.0], apparatus,
-                              params=params)
+        comp = premeasurement([1.0], apparatus)
         cfg = CouplingConfig(shift_velocity=1.0, tau=3.0)
         final, report = von_neumann_evolve(comp, cfg, trap, params, 0.01)
         assert report == TransitionReport(None, None)
@@ -297,7 +294,7 @@ class TestVonNeumannEvolve:
         monkeypatch.setattr(measurement, "step", recording_step)
         grid = Grid1D(-40.0, 120.0, 1024)
         apparatus = make_gaussian(grid, APPARATUS_CENTER, 1.0, 0.0, params)
-        comp = premeasurement([0.48, 0.6, 0.64], apparatus, params=params)
+        comp = premeasurement([0.48, 0.6, 0.64], apparatus)
         trap = Potential.harmonic(omega=0.5, center=APPARATUS_CENTER)
         von_neumann_evolve(comp, self.CFG, trap, params, 0.05)
         assert len(stepped) == 3 * 300
@@ -343,8 +340,7 @@ class TestVonNeumannEvolve:
         assert all(ops == order_parameters(s) for _, s, ops in seen)
         assert report == fold((t, ops) for t, _, ops in seen)
         assert report.critical_value == seen[-1][2].critical_value
-        single = premeasurement([1.0], apparatus,
-                                params=params)
+        single = premeasurement([1.0], apparatus)
         seen.clear()
         von_neumann_evolve(single, CouplingConfig(tau=3.0), trap,
                            params, 0.1,
@@ -367,7 +363,7 @@ class TestVonNeumannEvolve:
         grid = Grid1D(-20.0, 60.0, 512)
         apparatus = make_gaussian(grid, 20.0, 1.0, 0.0, params)
         comp = premeasurement([0.48, 0.6, 0.64],
-                              apparatus, params=params)
+                              apparatus)
         trap = Potential.harmonic(omega=0.5, center=20.0)
         times = []
         with pytest.raises(BoundaryClipping, match="branch 2"):
@@ -436,8 +432,7 @@ class TestCriticalValueUnderFreeCoupling:
         params = PhysicalParams(hbar=hbar)
         apparatus = make_gaussian(APPARATUS_GRID, APPARATUS_CENTER, 1.0,
                                   0.0, params)
-        comp = premeasurement([0.6, 0.8], apparatus,
-                              params=params)
+        comp = premeasurement([0.6, 0.8], apparatus)
         # the shortest coupling validate_apparatus accepts: v tau = 3 sigma0
         cfg = CouplingConfig(shift_velocity=v, tau=self.SEPARATION / v)
         _, report = von_neumann_evolve(comp, cfg, Potential.free(), params,
@@ -473,8 +468,7 @@ class TestWidthsAndOverlapsUnderCoupling:
         params = PhysicalParams()
         apparatus = make_gaussian(self.GRID, APPARATUS_CENTER, 1.0, 0.0,
                                   params)
-        comp = premeasurement(np.full(d, d**-0.5), apparatus,
-                              params=params)
+        comp = premeasurement(np.full(d, d**-0.5), apparatus)
         cfg = CouplingConfig(shift_velocity=1.0, tau=tau)
         final, _ = von_neumann_evolve(comp, cfg, potential, params, self.DT,
                                       observer)
@@ -506,25 +500,25 @@ class TestWidthsAndOverlapsUnderCoupling:
 
 
 class TestMeasure:
-    def test_pre_transition_raises(self, chain_run, params):
+    def test_pre_transition_raises(self, chain_run):
         final, _, steps = chain_run
         # fold only the steps strictly before the crossing
         early = fold(step for step in steps if not step[1].transition)
         assert early.t_star is None
         with pytest.raises(TransitionNotReached):
-            measure(final, early, seed=1, params=params)
+            measure(final, early, seed=1)
 
-    def test_outcome_statistics_and_mixture(self, evolved, params):
+    def test_outcome_statistics_and_mixture(self, evolved):
         final, report = evolved
-        out = measure(final, report, seed=42, params=params)
+        out = measure(final, report, seed=42)
         assert out.object_mixture == pytest.approx((0.36, 0.64), abs=1e-12)
         assert type(out.branch) is int and out.branch in (0, 1)
         assert out.apparatus_state.norm() == pytest.approx(1.0, abs=1e-10)
 
-    def test_draw_is_the_first_of_its_seeded_stream(self, evolved, params,
+    def test_draw_is_the_first_of_its_seeded_stream(self, evolved,
                                                     monkeypatch):
         final, report = evolved
-        cuts = apparatus_decomposition(final, params=params).branch_cuts
+        cuts = apparatus_decomposition(final).branch_cuts
         draws = []
         real = measurement.sample_collapse
 
@@ -535,13 +529,13 @@ class TestMeasure:
         monkeypatch.setattr(measurement, "sample_collapse", recording_pick)
         for seed in (0, 1, 42, 2**32, 2**64 - 1):
             u = np.random.default_rng(seed).random()
-            out = measure(final, report, seed=seed, params=params)
+            out = measure(final, report, seed=seed)
             assert draws.pop() == u and not draws
             assert out.branch == bisect_right(cuts, u)
 
-    def test_pointer_matrix(self, evolved, obj, apparatus, params):
+    def test_pointer_matrix(self, evolved, obj, apparatus):
         final, _ = evolved
-        product = premeasurement(obj, apparatus, params=params)
+        product = premeasurement(obj, apparatus)
         pre = overlap_matrix(product.apparatus_states)
         assert np.allclose(pre, 1.0, atol=1e-10)
         post = overlap_matrix(final.apparatus_states)
@@ -549,15 +543,15 @@ class TestMeasure:
         off = post[~np.eye(len(final), dtype=bool)]
         assert off.max() <= 1e-6
 
-    def test_measure_leaves_composite_untouched(self, evolved, params):
+    def test_measure_leaves_composite_untouched(self, evolved):
         final, report = evolved
         before = [a.amplitudes.copy() for a in final.apparatus_states]
         for seed in range(10):
-            measure(final, report, seed=seed, params=params)
+            measure(final, report, seed=seed)
         for old, new in zip(before, final.apparatus_states):
             assert np.array_equal(old, new.amplitudes)
 
-    def test_rotated_basis_rejected(self, evolved, params):
+    def test_rotated_basis_rejected(self, evolved):
         # pointer packets in the rotated basis (a1 +- a2)/sqrt 2 are
         # double-humped and fail weak interference
         final, _ = evolved
@@ -570,5 +564,5 @@ class TestMeasure:
             (plus, minus))
         from qcollapse.errors import NotWeaklyInterfering
         with pytest.raises((NotWeaklyInterfering, ValidationError)):
-            decomp = apparatus_decomposition(rotated, params=params)
+            decomp = apparatus_decomposition(rotated)
             decomp.probabilities

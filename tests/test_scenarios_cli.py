@@ -152,8 +152,9 @@ _spec.loader.exec_module(WORKLOADS)
 
 GATE_KEYS = [("gate: {eta: 5.0}", "gate.eta"), ("gate: {k: 2.0}", "gate.k"),
              ("gate: {mass_threshold: 0.95}", "gate.mass_threshold")]
-# The 22 (scenario, input, key) cases of a value the scenario's runner never
-# reads.  Added to the scenario's check config, each is a ParseError.
+# The 28 (scenario, input, key) cases of a value the scenario's runner never
+# reads.  Added to the scenario's check config, each is a ParseError (a
+# second `packet:` replaces cat_gate's, as YAML keeps the last).
 IGNORED = (
     [("free_spread", snippet, key) for snippet, key in GATE_KEYS]
     + [("free_spread", "packet: {separation: 30.0}", "packet.separation"),
@@ -165,7 +166,16 @@ IGNORED = (
         "packet.separation"),
        ("harmonic_coherent", "coefficients: [0.6, 0.8]", "coefficients"),
        ("harmonic_coherent", "n_samples: 7", "n_samples"),
+       ("harmonic_coherent",
+        "potential: {kind: double_well, barrier_height: 1.0}",
+        "potential.barrier_height"),
+       ("harmonic_coherent",
+        "potential: {kind: double_well, well_separation: 4.0}",
+        "potential.well_separation"),
        ("cat_gate", "n_samples: 7", "n_samples")]
+    + [(name, snippet, key) for name in ("cat_gate", "collapse_sample")
+       for snippet, key in (("packet: {momentum: 1.5}", "packet.momentum"),
+                            ("physics: {hbar: 2.0}", "physics.hbar"))]
     + [("collapse_sample", snippet, key) for snippet, key in GATE_KEYS]
     + [("measurement_run", "packet: {momentum: 1.5}", "packet.momentum"),
        ("measurement_run", "packet: {separation: 30.0}", "packet.separation"),
@@ -222,9 +232,10 @@ def coupled(tau, potential="", coefficients="[0.6, 0.8]"):
 
 def parsed_before_reads(text):
     """The ScenarioConfig that a config setting only inputs its scenario
-    reads parsed to before `Scenario.reads`: grid, physics and packet built
-    from their keys, gate only in cat_gate and the chain, evolution only in
-    the scenarios that evolve, coupling only in the chain, no potential."""
+    reads parsed to before `Scenario.reads`: grid and packet built from
+    their keys, gate only in cat_gate and the chain, physics and evolution
+    only in the scenarios that evolve, coupling only in the chain, no
+    potential."""
     raw = yaml.safe_load(text)
     name = raw["scenario"]
     chain = name in ("measurement_run", "born_ensemble")
@@ -232,7 +243,8 @@ def parsed_before_reads(text):
     coefficients = raw.get("coefficients")
     return ScenarioConfig(
         scenario=name, grid=Grid1D(**raw.get("grid", {})),
-        physics=PhysicalParams(**raw.get("physics", {})),
+        physics=PhysicalParams(**raw.get("physics", {})) if evolves
+        else None,
         gate=GateConfig(**raw.get("gate", {}))
         if chain or name == "cat_gate" else None,
         packet=PacketSpec(**raw.get("packet", {})),
@@ -626,13 +638,17 @@ class TestParseConfig:
     @pytest.mark.parametrize("scenario", scenarios.SCENARIOS)
     def test_physics_mass_is_read_only_where_a_packet_evolves(self,
                                                              scenario):
-        text = f"{check_text(scenario)}physics: {{mass: 2.0}}\n"
-        if scenario in ("cat_gate", "collapse_sample"):
-            with pytest.raises(ParseError, match=(
-                    f"^scenario '{scenario}' ignores physics.mass$")):
-                parse_config(text)
-        else:
-            assert parse_config(text).physics == PhysicalParams(mass=2.0)
+        """physics.hbar too: a packet that does not evolve reads neither."""
+        for key in ("mass", "hbar"):
+            text = f"{check_text(scenario)}physics: {{{key}: 2.0}}\n"
+            if scenario in ("cat_gate", "collapse_sample"):
+                with pytest.raises(ParseError, match=(
+                        f"^scenario '{scenario}' ignores physics.{key}$")):
+                    parse_config(text)
+                assert parse_config(check_text(scenario)).physics is None
+            else:
+                assert (parse_config(text).physics
+                        == PhysicalParams(**{key: 2.0}))
 
     def test_numeric_strings_and_exact_integers(self):
         cfg = parse_config("scenario: free_spread\n"
@@ -644,6 +660,23 @@ class TestParseConfig:
         cfg = parse_config(f"{check_text('collapse_sample')}"
                            "seed: 18446744073709551615\n")
         assert cfg.seed == 18446744073709551615
+        cfg = parse_config(f"{check_text('collapse_sample')}"
+                           "seed: '18446744073709551615'\n")
+        assert cfg.seed == 18446744073709551615
+        # PyYAML reads 1e3 and 1.0e3 (no exponent sign) as strings.
+        cfg = parse_config("scenario: collapse_sample\n"
+                           "coefficients: [0.6, 0.8]\nseed: 1\n"
+                           "n_samples: 1e3\n")
+        assert cfg.n_samples == 1000 and isinstance(cfg.n_samples, int)
+        cfg = parse_config("scenario: free_spread\n"
+                           "evolution: {dt: 1e-3, n_steps: 1.0e2}\n")
+        assert cfg.evolution.n_steps == 100
+        assert isinstance(cfg.evolution.n_steps, int)
+        for value in ("2.5e0", "1e400"):
+            with pytest.raises(ParseError, match=(
+                    f"^evolution.n_steps must be an integer, got '{value}'$")):
+                parse_config("scenario: free_spread\n"
+                             f"evolution: {{n_steps: {value}}}\n")
 
     def test_optional_sections_follow_the_registry(self):
         assert parse_config(CAT).evolution is None
@@ -1521,7 +1554,7 @@ class TestCli:
                    for x in (0.0, separation)]
         with pytest.raises(NotWeaklyInterfering, match=re.escape(
                 f"branches 0,1 overlap by {overlap} (limit 1e-08)")):
-            decompose(superpose(zip((0.6, 0.8), packets)), packets, params)
+            decompose(superpose(zip((0.6, 0.8), packets)), packets)
 
     def test_check_exit_0(self, capsys):
         assert main(["check"]) == 0
